@@ -9,7 +9,6 @@ and reports carry the full provenance of every row.
 from __future__ import annotations
 
 import json
-import math
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -25,18 +24,24 @@ from .contracting import (ConstantDelta, PowerDelta, RunCaps,
 from .objectives import (SolverError, alpha_for_condition_ratio,
                          attach_reference, lse_instance,
                          power_regularizer_component, quadratic_instance)
-from .trace import RunTrace
 from .validate import validate_columns
 
-FIRST_ORDER_METHODS = ("gm", "agm", "ppa", "cptm-p1")
-SECOND_ORDER_METHODS = ("cn", "acn", "cptm-p2")
-KNOWN_METHODS = ("gm", "agm", "ppa", "cpm-p1", "cptm-p1", "cptm-p2", "cn", "acn")
+# The methods each sweep suite compares by default.
+SUITE_METHODS = {"quadratic": ("gm", "agm", "ppa", "cptm-p1"),
+                 "lse": ("cn", "acn", "cptm-p2")}
+KNOWN_METHODS = SUITE_METHODS["quadratic"] + SUITE_METHODS["lse"]
 
-# Schedule aggressiveness for the lse benchmark suite.  The worst-case
-# constant (2/mu^2) certifies every inequality but paces the contracted
-# solver far behind plain cubic Newton on these instances; the practical
-# value below reproduces the expected ordering (CPTM < ACN < CN) with
-# certificates still checked a posteriori.
+# Names, not function objects: run_method looks each one up on ``baselines``
+# at call time, so a wrapper installed on the module (a profiler's) is used.
+_BASELINE_FUNCTIONS = {"gm": "gradient_method_ls", "agm": "accelerated_gradient",
+                      "ppa": "classical_ppa", "cn": "cubic_newton",
+                      "acn": "accelerated_cubic_newton"}
+
+# L_2 of the lse benchmark suite.  0.005 is uncertified: it was tuned to
+# reproduce the expected ordering (CPTM < ACN < CN), and the certificates
+# are only checked a posteriori.  The certified value is 2/mu^2; it paces
+# the contracted solver far behind plain cubic Newton on these instances,
+# and it is what the benchmark's certify workload runs.
 BENCH_LSE_LIPSCHITZ2 = 0.005
 
 
@@ -98,7 +103,6 @@ class ExperimentSpec:
     delta_schedule: str = "power:1.0,2.0"
     gamma0: float = 1.0
     sigma: float = 0.0                 # weight of a power regularizer psi
-    seed: int = 0
     out_dir: str | None = None
     cap_outer: int = 5000
     cap_inner: int | None = None
@@ -113,27 +117,14 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
 
 
-def _canonical_method(name):
-    return "cptm-p1" if name == "cpm-p1" else name
-
-
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
                cap_outer=5000, cap_inner=None):
     """Run one named method on an instance; returns its trace."""
-    name = _canonical_method(name)
     x0 = np.zeros(obj.dim)
-    if name == "gm":
-        return baselines.gradient_method_ls(obj, x0, eps, cap_outer)
-    if name == "agm":
-        return baselines.accelerated_gradient(obj, x0, eps, cap_outer)
-    if name == "ppa":
-        return baselines.classical_ppa(obj, x0, eps, cap_outer)
-    if name == "cn":
-        return baselines.cubic_newton(obj, x0, eps, cap_outer)
-    if name == "acn":
-        return baselines.accelerated_cubic_newton(obj, x0, eps, cap_outer)
+    if name in _BASELINE_FUNCTIONS:
+        return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)
     if name in ("cptm-p1", "cptm-p2"):
-        p = 1 if name.endswith("p1") else 2
+        p = int(name[-1])
         if obj.smooth.order_max < p:
             raise ValueError(f"{name} needs an order-{p} oracle")
         prox = PowerProx(p, x0, obj.metric)
@@ -221,12 +212,6 @@ class ReportTable:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def row_for(self, n, cond, method):
-        for row in self.rows:
-            if row["n"] == n and row["cond"] == cond and row["method"] == method:
-                return row
-        raise KeyError((n, cond, method))
-
     def as_dict(self):
         return {"suite": self.suite, "meta": self.meta, "rows": self.rows}
 
@@ -249,14 +234,10 @@ def bench_sweep(suite, sizes, conditionings, eps, seeds, methods=None,
 
     Failures are marked per cell and the sweep continues.
     """
-    if suite == "quadratic":
-        methods = list(methods or ("gm", "agm", "ppa", "cptm-p1"))
-        cond_key = "q"
-    elif suite == "lse":
-        methods = list(methods or ("cn", "acn", "cptm-p2"))
-        cond_key = "mu"
-    else:
+    if suite not in SUITE_METHODS:
         raise ValueError(f"unknown suite {suite!r}")
+    methods = list(methods or SUITE_METHODS[suite])
+    cond_key = "q" if suite == "quadratic" else "mu"
     if not sizes or not conditionings or not seeds:
         raise ValueError("sizes, conditionings and seeds must be nonempty")
     table = ReportTable(suite, meta={

@@ -79,6 +79,22 @@ class PowerProx(ProxFunction):
         return r ** (self.order - 1) * self.metric.apply(u)
 
 
+def power_hessian(metric, u, p):
+    """Hessian of ||u||^{p+1}/(p+1) in the metric's norm.
+
+    r^{p-1} B + (p-1) r^{p-3} (Bu)(Bu)^T with r = ||u||; it is B at p = 1 and
+    vanishes at u = 0 for p >= 2.
+    """
+    B = metric.matrix
+    if p == 1:
+        return B
+    r = metric.norm(u)
+    if r == 0.0:
+        return np.zeros_like(B)
+    Bu = metric.apply(u)
+    return r ** (p - 1) * B + (p - 1) * r ** (p - 3) * np.outer(Bu, Bu)
+
+
 class CustomProx(ProxFunction):
     """Adapter for any (value, gradient, sigma) triple, e.g. entropy-like proxes."""
 
@@ -96,12 +112,3 @@ class CustomProx(ProxFunction):
     def gradient(self, x):
         return np.asarray(self._gradient_fn(np.asarray(x, float)), dtype=float)
 
-
-def divergence_of(value_fn, gradient_fn, x, y):
-    """Divergence of an arbitrary differentiable convex function (test helper).
-
-    Linear functions give identically zero; sums combine linearly.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(value_fn(y) - value_fn(x) - np.dot(gradient_fn(x), y - x))

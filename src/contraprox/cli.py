@@ -96,7 +96,7 @@ def cmd_solve(args):
         problem.update({"mu": args.mu, "lipschitz_order2": args.l2})
     spec = ExperimentSpec(problem=problem, methods=args.method, eps=args.eps,
                           delta_schedule=args.delta_schedule, gamma0=args.gamma0,
-                          sigma=args.sigma, seed=args.seed, out_dir=args.out,
+                          sigma=args.sigma, out_dir=args.out,
                           cap_outer=args.cap_outer, cap_inner=args.cap_inner)
     try:
         spec.validate()

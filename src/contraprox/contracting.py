@@ -11,15 +11,14 @@ runtime certificate bound and the order-dependence formulas all live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman import ProxFunction
-from .metric import Metric
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import (CompositePart, ContractedSmooth, InnerResult,
-                           Subproblem, exact_quadratic_inner, inner_loop)
+from .tensor_steps import (CompositePart, ContractedSmooth, Subproblem,
+                           exact_quadratic_inner, inner_loop)
 from .trace import IterationRecord, RunTrace
 
 
@@ -289,10 +288,16 @@ def inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform):
     return ell / mu
 
 
-def inner_iteration_bound(p, lipschitz_g, gamma_next, sigma_uniform, delta, D):
-    """Sufficient inner-step count for a delta-small subgradient (log clamped at 0)."""
+def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta,
+                          residual_term, div):
+    """Sufficient inner-step count for a delta-small subgradient (log clamped at 0).
+
+    ``residual_term`` is A_k (F(x_k) - f*) and ``div`` the divergence from v_k
+    to x*; with gamma_k they bound the inner problem's initial gap D.
+    """
     ell = ((p + 1) * lipschitz_g / math.factorial(p)) ** (1.0 / p)
     mu = (gamma_next * sigma_uniform) ** (1.0 / p)
+    D = residual_term + gamma * div + (ell / mu) ** p * div
     if D <= 0 or delta <= 0:
         return 2.0
     log_arg = ell * D / delta ** ((p + 1.0) / p)
@@ -300,13 +305,14 @@ def inner_iteration_bound(p, lipschitz_g, gamma_next, sigma_uniform, delta, D):
     return 2.0 + max(1.0, ell / mu) * (p + 1.0) / p * term
 
 
+INNER_FLOOR = 200    # per-iteration inner cap when the sufficient-step bound is not computable
+INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, as a multiple of that bound
+
+
 @dataclass
 class RunCaps:
     outer: int = 1000
     inner: int | None = None        # explicit override of the per-iteration cap
-    inner_floor: int = 200          # fallback cap when the bound is not computable
-    inner_slack: float = 4.0        # multiple of the computable bound
-    subproblem: int = 20000
 
 
 def _resolve_inner_cap(caps, p, lipschitz_g, gamma, gamma_next, sigma_uniform,
@@ -314,39 +320,39 @@ def _resolve_inner_cap(caps, p, lipschitz_g, gamma, gamma_next, sigma_uniform,
     if caps.inner is not None:
         return caps.inner
     if xstar is None or not math.isfinite(residual_term):
-        return caps.inner_floor
-    div = prox.divergence(v, xstar)
-    ell_mu = inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform)
-    D = residual_term + gamma * div + ell_mu ** p * div
-    bound = inner_iteration_bound(p, lipschitz_g, gamma_next, sigma_uniform, delta, D)
-    return max(int(math.ceil(caps.inner_slack * bound)), 8)
+        return INNER_FLOOR
+    bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta,
+                                  residual_term, prox.divergence(v, xstar))
+    return max(int(math.ceil(INNER_SLACK * bound)), 8)
 
 
-def _resolve_inner_solver(inner, caps):
+def _resolve_inner_solver(inner):
     if inner == "tensor":
-        return TensorInner(sub_cap=caps.subproblem)
+        return inner_loop
     if inner == "exact":
-        return ExactQuadraticInner()
+        return exact_quadratic_inner
     if callable(inner):
         return inner
     raise ValueError(f"unknown inner solver {inner!r}")
 
 
 def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunction,
-                     a_next, delta, inner, caps=None):
+                     a_next, delta, inner, caps=None, residual=math.nan):
     """One outer iteration: inexact prox step on the contracted objective.
 
     ``inner`` is the inner-solver handle: ``inner(subproblem, z0, delta, cap)``
     returning an :class:`InnerResult`, or one of the shortcuts "tensor" and
-    "exact".  Returns the advanced state together with the inner result
-    (certified subgradient, iteration count).
+    "exact".  ``residual`` is F(x_k) - f* at the state's x_k; given it and the
+    instance's x*, the inner cap is a multiple of the sufficient inner-step
+    count, and otherwise ``caps.inner`` or ``INNER_FLOOR``.  Returns the
+    advanced state together with the inner result (certified subgradient,
+    iteration count and the subproblem's Lipschitz constant).
     """
     if a_next <= 0:
         raise ValueError("a_next must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
     caps = caps or RunCaps()
-    inner = _resolve_inner_solver(inner, caps)
     A_next = state.A + a_next
     p = prox.order
     smooth = ContractedSmooth(obj.smooth, a_next, A_next, state.x, state.A)
@@ -356,28 +362,14 @@ def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunct
     sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
                      M=p * lipschitz_g, lipschitz_g=lipschitz_g,
                      strong_modulus=gamma_next, prox=prox)
-    cap = caps.inner if caps.inner is not None else caps.inner_floor
-    result = inner(sub, state.v, delta, cap)
+    cap = _resolve_inner_cap(caps, p, lipschitz_g, state.gamma, gamma_next,
+                             prox.uniform_constant, delta, prox, state.v,
+                             state.A * residual, obj.xstar)
+    result = _resolve_inner_solver(inner)(sub, state.v, delta, cap)
+    result.lipschitz_g = lipschitz_g
     x_next = contraction_point(a_next, state.A, result.point, state.x)
     new_state = OuterState(state.k + 1, A_next, gamma_next, x_next, result.point)
     return new_state, result
-
-
-class TensorInner:
-    """Default inner solver: iterated regularized model steps."""
-
-    def __init__(self, sub_cap=20000):
-        self.sub_cap = sub_cap
-
-    def __call__(self, sub, z0, delta, cap):
-        return inner_loop(sub, z0, delta, cap, sub_cap=self.sub_cap)
-
-
-class ExactQuadraticInner:
-    """Closed-form inner solver for order-1 quadratic subproblems."""
-
-    def __call__(self, sub, z0, delta, cap):
-        return exact_quadratic_inner(sub, z0, delta, cap)
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
@@ -413,7 +405,7 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     omega = getattr(schedule, "omega", None)
     delta_fn = delta_schedule.resolve(
         {"p": p, "gamma0": gamma0, "lipschitz": lipschitz, "omega": omega})
-    inner_solver = _resolve_inner_solver(inner, caps)
+    inner = _resolve_inner_solver(inner)
 
     sigma_simple = obj.simple.modulus
     sigma_uniform = prox.uniform_constant
@@ -457,37 +449,23 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
                 return trace
 
         a_next = schedule.next_a(state.k, state.A)
-        A_next = state.A + a_next
         delta = delta_fn(state.k + 1)
-        smooth = ContractedSmooth(obj.smooth, a_next, A_next, state.x, state.A)
-        composite = CompositePart(obj.simple, a_next, state.gamma, prox, state.v)
-        lipschitz_g = smooth.lipschitz(p)
-        gamma_next = state.gamma + a_next * sigma_simple
-        sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
-                         M=p * lipschitz_g, lipschitz_g=lipschitz_g,
-                         strong_modulus=gamma_next, prox=prox)
-        residual_term = state.A * residual if fstar is not None else math.nan
-        cap = _resolve_inner_cap(caps, p, lipschitz_g, state.gamma, gamma_next,
-                                 sigma_uniform, delta, prox, state.v,
-                                 residual_term, xstar)
-        result: InnerResult = inner_solver(sub, state.v, delta, cap)
-        v_next = result.point
-        x_next = contraction_point(a_next, state.A, v_next, state.x)
-        f_next = obj.value(x_next)
+        new, result = contracting_step(state, obj, prox, a_next, delta, inner, caps, residual)
+        f_next = obj.value(new.x)
         residual = f_next - fstar if fstar is not None else math.nan
         achieved.append(result.s_norm)
-        A_seq.append(A_next)
+        A_seq.append(new.A)
         trace.append(IterationRecord(
-            k=state.k + 1, A=A_next, gamma=gamma_next, a=a_next, f_value=f_next,
+            k=new.k, A=new.A, gamma=new.gamma, a=a_next, f_value=f_next,
             residual=residual, delta_requested=delta, s_norm=result.s_norm,
             t_inner=result.iterations, counters=obj.counters.as_dict(),
-            bregman_step=prox.divergence(state.v, v_next),
-            bregman_vstar=(prox.divergence(v_next, xstar)
+            bregman_step=prox.divergence(state.v, new.v),
+            bregman_vstar=(prox.divergence(new.v, xstar)
                            if xstar is not None else math.nan),
-            x=x_next, v=v_next, inner_steps=result.steps,
-            lipschitz_g=lipschitz_g, M=p * lipschitz_g,
-            ell_mu=inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform)))
-        state = OuterState(state.k + 1, A_next, gamma_next, x_next, v_next)
+            x=new.x, v=new.v, inner_steps=result.steps,
+            lipschitz_g=result.lipschitz_g, M=p * result.lipschitz_g,
+            ell_mu=inner_condition_ratio(p, result.lipschitz_g, new.gamma, sigma_uniform)))
+        state = new
 
     if eps is not None:
         if fstar is not None and residual <= eps:

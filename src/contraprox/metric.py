@@ -93,13 +93,6 @@ class Metric:
             return float(np.linalg.norm(s))
         return float(np.linalg.norm(scipy.linalg.solve_triangular(self._L, s, lower=True)))
 
-    def whiten(self, x):
-        """L^T x: isometry from the primal space to plain Euclidean coordinates."""
-        x = self._check(x)
-        if self._identity:
-            return x
-        return self._L.T @ x
-
     def dewhiten_dual(self, s):
         """L^{-1} s: isometry from the dual space to plain Euclidean coordinates."""
         s = self._check(s)

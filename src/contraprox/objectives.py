@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.special
 
-from .bregman import ProxFunction
+from .bregman import ProxFunction, power_hessian
 from .metric import Metric
 
 
@@ -32,9 +32,6 @@ class OracleCounters:
     grad: int = 0
     hess: int = 0
     matvec: int = 0
-
-    def copy(self):
-        return OracleCounters(self.value, self.grad, self.hess, self.matvec)
 
     def as_dict(self):
         return {"oracle_f": self.value, "oracle_g": self.grad,
@@ -234,17 +231,8 @@ class PowerRegularizer(SimpleComponent):
         return self.sigma * self.prox.gradient(x)
 
     def hess(self, x):
-        p = self.prox
-        u = np.asarray(x, float) - p.center
-        B = p.metric.matrix
-        if p.order == 1:
-            return self.sigma * B
-        r = p.metric.norm(u)
-        if r == 0.0:
-            return np.zeros_like(B)
-        Bu = B @ u
-        return self.sigma * (r ** (p.order - 1) * B
-                             + (p.order - 1) * r ** (p.order - 3) * np.outer(Bu, Bu))
+        u = np.asarray(x, float) - self.prox.center
+        return self.sigma * power_hessian(self.prox.metric, u, self.prox.order)
 
 
 def power_regularizer_component(sigma, prox):

@@ -6,8 +6,10 @@ over y, where g is the (possibly contracted) smooth part and phi collects the
 simple component and the proximal divergence term.  Orders p = 1, 2 run:
 p = 1 steps with quadratic phi are closed-form linear solves, p = 2 steps with
 a single regularization center reduce to a scalar secular equation, and the
-general p = 2 step (two distinct centers) is minimized by a safeguarded
-Barzilai-Borwein descent in the B-metric.
+general p = 2 step (two distinct centers) is minimized by damped Newton
+(:func:`minimize_model_newton`).  :func:`minimize_model_descent`, a
+Barzilai-Borwein descent that no solver calls, is kept as the independent
+reference against which tests check the Newton and closed-form steps.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .bregman import PowerProx, ProxFunction
+from .bregman import ProxFunction, power_hessian
 from .metric import Metric
-from .objectives import SimpleComponent, SmoothOracle, SolverError, ZeroComponent
+from .objectives import SimpleComponent, SmoothOracle, SolverError
 
 
 @dataclass
@@ -68,9 +70,6 @@ class PlainSmooth:
 
     def __init__(self, oracle: SmoothOracle):
         self.oracle = oracle
-
-    def map_point(self, x):
-        return x
 
     def data(self, x, order):
         v, g, H = self.oracle.taylor_data(x, order)
@@ -119,7 +118,9 @@ class CompositePart:
         if self.weight > 0 and not self.psi.is_zero:
             out = self.weight * self.psi.hess(y)
         if self.gamma > 0:
-            out = (0 if out is None else out) + self.gamma * _prox_hessian(self.prox, y)
+            u = np.asarray(y, dtype=float) - self.prox.center
+            out = (0 if out is None else out) + self.gamma * power_hessian(
+                self.prox.metric, u, self.prox.order)
         if out is None:
             n = self.psi.dim if hasattr(self.psi, "dim") else len(np.asarray(y))
             out = np.zeros((n, n))
@@ -152,19 +153,6 @@ class CompositePart:
         return coeff, combo
 
 
-def _prox_hessian(prox, y):
-    """Hessian of a power prox: r^{p-1} B + (p-1) r^{p-3} (Bu)(Bu)^T."""
-    u = np.asarray(y, dtype=float) - prox.center
-    B = prox.metric.matrix
-    if prox.order == 1:
-        return B
-    r = prox.metric.norm(u)
-    if r == 0.0:
-        return np.zeros_like(B)
-    Bu = prox.metric.apply(u)
-    return r ** (prox.order - 1) * B + (prox.order - 1) * r ** (prox.order - 3) * np.outer(Bu, Bu)
-
-
 class TaylorModel:
     """Order-p polynomial model of the smooth part around a cached base point."""
 
@@ -176,16 +164,8 @@ class TaylorModel:
         self.data = data
         self.p = p
 
-    def value_and_gradient(self, y):
-        u = np.asarray(y, dtype=float) - self.data.x
-        if self.p == 1:
-            return self.data.value + float(self.data.grad @ u), self.data.grad.copy()
-        hu = self.data.hess @ u
-        val = self.data.value + float(self.data.grad @ u) + 0.5 * float(u @ hu)
-        return val, self.data.grad + hu
-
     def increment_and_gradient(self, y):
-        """Like ``value_and_gradient`` but without the base value constant.
+        """(model value minus the base value, model gradient) at y.
 
         The contracted smooth part carries a constant of size A*f, which would
         drown line-search decrements in round-off; increments stay small.
@@ -196,11 +176,9 @@ class TaylorModel:
         hu = self.data.hess @ u
         return float(self.data.grad @ u) + 0.5 * float(u @ hu), self.data.grad + hu
 
-    def value(self, y):
-        return self.value_and_gradient(y)[0]
-
-    def gradient(self, y):
-        return self.value_and_gradient(y)[1]
+    def value_and_gradient(self, y):
+        increment, grad = self.increment_and_gradient(y)
+        return self.data.value + increment, grad
 
 
 @dataclass
@@ -238,26 +216,14 @@ def regularizer_gradient(metric, M, p, u, r=None):
     return (M / math.factorial(p)) * r ** (p - 1) * metric.apply(u)
 
 
-def model_objective(sub: Subproblem, model: TaylorModel, y):
-    """(value, gradient) of the full step objective at y."""
-    base = model.data.x
-    u = np.asarray(y, dtype=float) - base
-    r = sub.metric.norm(u)
-    mval, mgrad = model.value_and_gradient(y)
-    val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + sub.composite.value(y)
-    grad = mgrad + regularizer_gradient(sub.metric, sub.M, sub.p, u, r) + sub.composite.grad(y)
-    return val, grad
+def model_objective(sub: Subproblem, model: TaylorModel, y, phi_base=0.0):
+    """(value relative to the step base, gradient) of the step objective at y.
 
-
-def model_objective_increment(sub: Subproblem, model: TaylorModel, y, phi_base):
-    """(value relative to the step base, gradient) of the step objective.
-
-    Identical gradient to :func:`model_objective`; the value omits the
-    model's base constant and ``phi_base`` so that line searches compare
+    The value omits the model's base constant and ``phi_base`` (phi at the
+    step base, for callers that compare values) so that line searches compare
     quantities of the size of the actual progress, not of A*f.
     """
-    base = model.data.x
-    u = np.asarray(y, dtype=float) - base
+    u = np.asarray(y, dtype=float) - model.data.x
     r = sub.metric.norm(u)
     mval, mgrad = model.increment_and_gradient(y)
     val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) \
@@ -269,19 +235,11 @@ def model_objective_increment(sub: Subproblem, model: TaylorModel, y, phi_base):
 def model_objective_hessian(sub: Subproblem, model: TaylorModel, y):
     """Hessian of the step objective; all pieces come from cached data."""
     u = np.asarray(y, dtype=float) - model.data.x
-    B = sub.metric.matrix
     H = sub.composite.hess(y)
     if model.p >= 2:
         H = H + model.data.hess
     if sub.M > 0:
-        if sub.p == 1:
-            H = H + sub.M * B
-        else:
-            r = sub.metric.norm(u)
-            if r > 0.0:
-                Bu = sub.metric.apply(u)
-                H = H + sub.M / math.factorial(sub.p) * (
-                    r ** (sub.p - 1) * B + (sub.p - 1) * r ** (sub.p - 3) * np.outer(Bu, Bu))
+        H = H + sub.M / math.factorial(sub.p) * power_hessian(sub.metric, u, sub.p)
     return H
 
 
@@ -295,7 +253,7 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.composite.value(model.data.x)
-    val, grad = model_objective_increment(sub, model, y, phi_base)
+    val, grad = model_objective(sub, model, y, phi_base)
     best_y, best_res = y, math.inf
     for it in range(cap):
         res = sub.metric.dual_norm(grad)
@@ -324,7 +282,7 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
         accepted = False
         for _ in range(60):
             y_trial = y + t * step
-            val_t, grad_t = model_objective_increment(sub, model, y_trial, phi_base)
+            val_t, grad_t = model_objective(sub, model, y_trial, phi_base)
             if val_t <= val + 1e-4 * t * slope + noise:
                 accepted = True
                 break
@@ -402,11 +360,13 @@ def minimize_model_descent(sub: Subproblem, model: TaylorModel, y0, tol, cap=200
     Works on the objective's increment relative to the step base and allows a
     round-off-sized slack in the Armijo test; the best value seen is what gets
     returned, so descent from the base point holds to float precision.
-    Returns (y, dual residual, iterations).
+    Returns (y, dual residual, iterations).  No solver calls it: it is the
+    independent reference against which tests check
+    :func:`minimize_model_newton` and the closed-form steps.
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.composite.value(model.data.x)
-    val, grad = model_objective_increment(sub, model, y, phi_base)
+    val, grad = model_objective(sub, model, y, phi_base)
     precond = sub.metric.solve(grad)
     sq = float(grad @ precond)
     alpha = 1.0 / max(1.0, math.sqrt(sq))
@@ -424,7 +384,7 @@ def minimize_model_descent(sub: Subproblem, model: TaylorModel, y0, tol, cap=200
         noise = 1e-14 * (abs(val) + abs(best_val)) + 1e-300
         for _ in range(60):
             y_trial = y + t * direction
-            val_t, grad_t = model_objective_increment(sub, model, y_trial, phi_base)
+            val_t, grad_t = model_objective(sub, model, y_trial, phi_base)
             if val_t <= val - 1e-4 * t * sq + noise:
                 accepted = True
                 break
@@ -452,12 +412,13 @@ class StepResult:
     sub_iterations: int = 0
 
 
-def tensor_step(sub: Subproblem, base: SmoothData, inner_tol, sub_cap=20000):
+def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
     """Minimize the order-p regularized model around ``base``.
 
-    Closed forms are used whenever the structure allows; otherwise the descent
-    sub-minimizer runs until the step objective's dual gradient norm is at
-    most ``inner_tol``.
+    Closed forms are used whenever the structure allows: a linear solve at
+    p = 1 with quadratic phi, the secular equation at p = 2 without phi.
+    Otherwise damped Newton (:func:`minimize_model_newton`) runs until the
+    step objective's dual gradient norm is at most ``inner_tol``.
     """
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
@@ -486,7 +447,8 @@ def step_subgradient(sub: Subproblem, model: TaylorModel, grad_g_at_T, T):
     valid certificate.
     """
     u = np.asarray(T, dtype=float) - model.data.x
-    return grad_g_at_T - model.gradient(T) - regularizer_gradient(sub.metric, sub.M, sub.p, u)
+    model_grad = model.increment_and_gradient(T)[1]
+    return grad_g_at_T - model_grad - regularizer_gradient(sub.metric, sub.M, sub.p, u)
 
 
 @dataclass
@@ -512,6 +474,7 @@ class InnerResult:
     iterations: int
     steps: list = field(default_factory=list)
     h_final: float = math.nan
+    lipschitz_g: float = math.nan   # of the subproblem's smooth part; set by contracting_step
 
 
 class InnerLoopError(SolverError):
@@ -520,7 +483,7 @@ class InnerLoopError(SolverError):
         self.last_norm = last_norm
 
 
-def inner_loop(sub: Subproblem, z0, delta, cap, sub_cap=20000):
+def inner_loop(sub: Subproblem, z0, delta, cap):
     """Iterate regularized model steps until a subgradient of h is delta-small.
 
     The dual norm reported per iterate is conservative: the sub-minimizer's
@@ -544,7 +507,7 @@ def inner_loop(sub: Subproblem, z0, delta, cap, sub_cap=20000):
     last_norm = s0_norm
     for t in range(1, max(int(cap), 1) + 1):
         model = TaylorModel(data, sub.p)
-        step = tensor_step(sub, data, sub_tol, sub_cap=sub_cap)
+        step = tensor_step(sub, data, sub_tol)
         T = step.point
         data_T = sub.smooth.data(T, sub.p)
         s = step_subgradient(sub, model, data_T.grad, T)
@@ -572,8 +535,9 @@ def exact_quadratic_inner(sub: Subproblem, z0, delta=None, cap=None):
     """Exact minimizer of h for order-1 subproblems whose h is quadratic.
 
     Available when the smooth part is a (contracted) quadratic and phi has an
-    affine gradient; used by trajectory-equivalence checks and classical
-    proximal baselines.  The reported norm is the float residual at the solve.
+    affine gradient; it is the ``inner="exact"`` shortcut of the contracting
+    step, which hand-worked outer-step checks use.  The reported norm is the
+    float residual at the solve.
     """
     oracle = sub.smooth.oracle
     if not hasattr(oracle, "matrix"):

@@ -72,9 +72,6 @@ class RunTrace:
     def append(self, record):
         self.records.append(record)
 
-    def __len__(self):
-        return len(self.records)
-
     @property
     def final(self):
         return self.records[-1]

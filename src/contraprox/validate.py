@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contracting import (GeometricSchedule, SublinearSchedule,
+from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
                           inexact_certificate_bound, inner_iteration_bound)
 
 
@@ -115,17 +115,14 @@ def check_condition_ratio(report, ks, ratios, tol=1e-12):
 
 def check_inner_budget(report, ks, t_inner, residuals, A_prev, gammas_prev,
                        gammas_next, bregman_v_prev_star, lipschitz_g, deltas,
-                       p, sigma_uniform, slack=4.0):
+                       p, sigma_uniform, slack=INNER_SLACK):
     """t_k never exceeds ``slack`` times the sufficient inner-step count."""
     for i, k in enumerate(ks):
         if not math.isfinite(bregman_v_prev_star[i]) or not math.isfinite(residuals[i]):
             continue
-        ell = ((p + 1) * lipschitz_g[i] / math.factorial(p)) ** (1.0 / p)
-        mu = (gammas_next[i] * sigma_uniform) ** (1.0 / p)
-        D = (A_prev[i] * residuals[i] + gammas_prev[i] * bregman_v_prev_star[i]
-             + (ell / mu) ** p * bregman_v_prev_star[i])
-        bound = inner_iteration_bound(p, lipschitz_g[i], gammas_next[i],
-                                      sigma_uniform, deltas[i], D)
+        bound = inner_iteration_bound(p, lipschitz_g[i], gammas_prev[i], gammas_next[i],
+                                      sigma_uniform, deltas[i], A_prev[i] * residuals[i],
+                                      bregman_v_prev_star[i])
         budget = slack * bound
         report.add("inner_budget", int(k), t_inner[i] <= budget,
                    budget - t_inner[i], f"t={int(t_inner[i])} bound={bound:.2f}")
@@ -179,7 +176,7 @@ def check_contraction_combination(report, records, tol=1e-12):
 
 
 def validate_trace(trace, prox, xstar, fstar, schedule=None, slack=1e-9,
-                   inner_slack=4.0):
+                   inner_slack=INNER_SLACK):
     """Replay every certified inequality along an in-memory trace.
 
     Needs the true optimum; divergence terms involving x* are recomputed from

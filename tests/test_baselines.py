@@ -175,3 +175,20 @@ def test_baselines_share_counter_semantics():
         mv = tr.column("matvec")
         assert np.all(np.diff(mv) >= 0)
         assert tr.oracle_total("matvec") == int(mv[-1])
+
+
+@pytest.mark.parametrize("method", [accelerated_gradient, classical_ppa])
+def test_first_order_methods_stop_on_gradient_norm_when_optimum_unknown(method):
+    obj = quadratic_instance(10, 1.0, 12)
+    fstar = obj.fstar
+    obj.fstar = None
+    tr = method(obj, np.zeros(10), 1e-6, 3000)
+    assert tr.status == "converged"
+    x = tr.final.x
+    assert obj.smooth.value(x) - fstar <= 2e-12
+    if method is classical_ppa:
+        # ppa stops on the gradient at x_K itself
+        assert np.linalg.norm(obj.smooth.grad(x)) <= 1e-6
+    else:
+        # agm stops on the gradient at its look-ahead point, recorded as s_norm
+        assert tr.final.s_norm <= 1e-6 < tr.records[-2].s_norm

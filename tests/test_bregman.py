@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contraprox.bregman import CustomProx, PowerProx, divergence_of
+from contraprox.bregman import CustomProx, PowerProx
 from contraprox.metric import Metric
 
 
@@ -130,11 +130,13 @@ def test_additivity_of_divergences():
 def test_linear_functions_have_zero_divergence():
     rng = np.random.default_rng(8)
     g = rng.standard_normal(4)
-    value = lambda x: 3.0 + float(g @ x)
-    grad = lambda x: g
+    # a linear function is convex but not uniformly convex, hence constant 0
+    linear = CustomProx(lambda x: 3.0 + float(g @ x), lambda x: g, order=1,
+                        uniform_constant=0.0, center=np.zeros(4),
+                        metric=Metric.identity(4))
     for _ in range(5):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        assert divergence_of(value, grad, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert linear.divergence(x, y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_power_constant_is_two_to_one_minus_p():
