@@ -14,18 +14,18 @@ Per iteration, each method is charged:
 - gm: one gradient at x_{k-1} plus its line-search value trials, the last of
   which is the value at x_k (row 0: the value at x_0);
 - agm: one gradient at y_k and one value at x_k (row 0: the value at x_0);
-- ppa: one value and gradient at x_{k-1} plus the value trials and gradients
-  of its inner gradient steps (row 0: the value at x_0);
+- ppa: the value trials and the gradient of each inner gradient step, the
+  last of which are the value and gradient at x_k (row 0: the value and
+  gradient at x_0), so row k shows ``oracle_g = 1 + t_1 + ... + t_k``;
 - cptm: one value at x_k plus the queries of its inner steps (row 0: the
   value at x_0).
 
-Every baseline stops by one rule, checked after each row: F(x_k) - f* <= eps
-when the instance knows f*, and otherwise a gradient norm <= eps.  gm, cn and
-acn use ||grad F(x_k)||_*.  agm uses ||grad f(y_k)||_*, the gradient its step
-queried; ppa uses ||grad f(x_k)||_*, the last gradient of its inner solve,
-which ends at z = x_k.  Neither makes a query for the test, and row 0, which
-has no such gradient, never stops them.  A run that has not stopped after
-row ``cap`` raises :class:`SolverError`.
+Every method is recorded, stopped and capped by :func:`trace.drive`, whose
+docstring states the rules.  With f* unknown the baselines stop on a
+gradient norm: gm, cn and acn use ||grad F(x_k)||_*.  agm uses
+||grad f(y_k)||_*, the gradient its step queried; ppa uses ||grad f(x_k)||_*,
+the last gradient of its inner solve, which ends at z = x_k.  Neither makes a
+query for the test, and row 0, which has no such gradient, never stops them.
 """
 
 from __future__ import annotations
@@ -38,53 +38,51 @@ import numpy as np
 from .objectives import CompositeObjective, SolverError
 from .tensor_steps import (CompositePart, PlainSmooth, Subproblem, TaylorModel,
                            step_subgradient, tensor_step)
-from .trace import IterationRecord, RunTrace
+from .trace import drive
 
-_ROW_DEFAULTS = {"A": math.nan, "gamma": math.nan, "a": math.nan,
-                 "delta_requested": math.nan, "s_norm": math.nan, "t_inner": 0}
+CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
+PPA_INNER_CAP = 20000    # gradient steps allowed for one ppa proximal subproblem
 
 
-def _drive(obj, method, eps, cap, knobs, iterates):
-    """Record, stop and cap one baseline run; returns the converged trace.
+def _line_search(value, z, phi, direction, dn, L, L_cap, objective=None):
+    """One monotone step z - direction/L_try with a doubling/halving L_try.
 
-    ``iterates`` yields ``(F(x_k), grad_norm, row)`` for k = 0, 1, ...: row k
-    is recorded with the counters as they stand when it is yielded, and
-    ``grad_norm()`` is called only when f* is unknown, so a method can defer
-    the query behind it until its next step needs that query anyway.
+    ``phi`` is the searched objective at z, ``direction`` the primal image of
+    its gradient and ``dn`` that gradient's dual norm; ``objective(z_t, f_t)``
+    gives the objective at a trial from f_t = ``value(z_t)`` (f itself when
+    omitted).  The first trial is 0.5*L, and L_try doubles until the standard
+    sufficient decrease phi - dn^2/(2 L_try) holds up to round-off.  At
+    ``L_cap``, the true constant, the decrease holds mathematically, so a
+    rejection there is round-off and that step is taken unconditionally.
+    Every trial costs one value query.  Returns (z_t, f_t, L_try, trials).
     """
-    fstar = obj.fstar
-    trace = RunTrace({"method": method, "eps": eps, "cap": cap,
-                      "instance": dict(obj.descriptor), "fstar": fstar, **knobs})
-    for k, (f, grad_norm, row) in enumerate(iterates):
-        residual = f - fstar if fstar is not None else math.nan
-        trace.append(IterationRecord(k=k, f_value=f, residual=residual,
-                                     counters=obj.counters.as_dict(),
-                                     **{**_ROW_DEFAULTS, **row}))
-        if (residual <= eps) if fstar is not None else (grad_norm() <= eps):
-            trace.status = "converged"
-            return trace
-        if k >= cap:
-            trace.status = "cap"
-            raise SolverError(f"{method} exhausted {cap} iterations (residual {residual:.3e})")
+    L_try = max(0.5 * L, 1e-14)
+    for trials in range(1, 121):
+        z_t = z - direction / L_try
+        f_t = value(z_t)
+        phi_t = objective(z_t, f_t) if objective is not None else f_t
+        if (phi_t <= phi - dn * dn / (2.0 * L_try) + 1e-15 * max(abs(phi), 1.0)
+                or L_try >= L_cap):
+            return z_t, f_t, L_try, trials
+        L_try = min(2.0 * L_try, L_cap)
+    raise SolverError("line search failed to find a decrease step")
 
 
-def gradient_method_ls(obj: CompositeObjective, x0, eps, cap, l0=None):
+def gradient_method_ls(obj: CompositeObjective, x0, eps, cap):
     """Gradient descent with a doubling/halving local Lipschitz estimate.
 
     Monotone: a trial step is accepted only under the standard sufficient
-    decrease f(x+) <= f(x) - ||grad||_*^2 / (2 L).  Every trial costs one
-    value query (one matvec on a quadratic).  The gradient at x_k is queried
-    when the next step needs it, or earlier when f* is unknown and the stop
-    test needs its norm.
+    decrease f(x+) <= f(x) - ||grad||_*^2 / (2 L) (see :func:`_line_search`),
+    starting from the known L (or 1).  The gradient at x_k is queried when
+    the next step needs it, or earlier when f* is unknown and the stop test
+    needs its norm.
     """
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
     L_known = obj.smooth.lipschitz.get(1)
-    L_start = float(l0) if l0 is not None else (L_known if L_known is not None else 1.0)
-    # at the true constant the decrease holds mathematically, so a rejection
-    # there is round-off; stop doubling and take that step unconditionally
+    L_start = L_known if L_known is not None else 1.0
     L_cap = L_known if L_known is not None else math.inf
 
     def iterates():
@@ -103,28 +101,16 @@ def gradient_method_ls(obj: CompositeObjective, x0, eps, cap, l0=None):
         while True:
             yield f, grad_norm, row
             grad_norm()
-            direction = metric.solve(g)
-            L_try = max(0.5 * L, 1e-14)
-            trials = 0
-            while True:
-                trials += 1
-                if trials > 120:
-                    raise SolverError("gradient line search failed to find a decrease step")
-                x_t = x - direction / L_try
-                f_t = obj.smooth.value(x_t)
-                if f_t <= f - gn * gn / (2.0 * L_try) + 1e-15 * max(abs(f), 1.0):
-                    break
-                if L_try >= L_cap:
-                    break
-                L_try = min(2.0 * L_try, L_cap)
+            x_t, f_t, L, trials = _line_search(obj.smooth.value, x, f, metric.solve(g),
+                                               gn, L, L_cap)
             row = {"s_norm": gn, "t_inner": trials, "x": x_t}
-            x, f, L, g = x_t, f_t, L_try, None
+            x, f, g = x_t, f_t, None
 
-    knobs = {"line_search": {"l0": L_start, "grow": 2.0, "shrink": 0.5}}
-    return _drive(obj, "gm", eps, cap, knobs, iterates())
+    header = {"method": "gm", "line_search": {"l0": L_start, "grow": 2.0, "shrink": 0.5}}
+    return drive(obj, header, eps, cap, iterates())
 
 
-def accelerated_gradient(obj: CompositeObjective, x0, eps, cap, L=None):
+def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
     """Estimating-sequence accelerated gradient with a_{k+1}^2 = (a_{k+1}+A_k)/L.
 
     With f* unknown the run stops on ||grad f(y_k)||_*, the gradient its step
@@ -137,7 +123,7 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap, L=None):
         raise ValueError("the first-order baselines run on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    L = float(L) if L is not None else obj.smooth.lipschitz[1]
+    L = obj.smooth.lipschitz[1]
 
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
@@ -158,17 +144,17 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap, L=None):
             yield f, lambda gn=gn: gn, {"a": a, "A": A, "s_norm": gn, "t_inner": 1,
                                         "x": x, "v": v}
 
-    return _drive(obj, "agm", eps, cap, {"L": L}, iterates())
+    return drive(obj, {"method": "agm", "L": L}, eps, cap, iterates())
 
 
-def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None,
-                  inner_cap=20000):
+def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None):
     """Constant-coefficient proximal point: each step approximately minimizes
     a*f(z) + ||z - x_k||^2/2, solved by the line-search gradient method to the
     inner accuracy 1/k^2.
 
-    With f* unknown the run stops on ||grad f(x_k)||_*, taken from the last
-    gradient of the inner solve, whose final point z is x_k.
+    Each step starts from the value and gradient at x_k that the previous
+    solve ended with (at x_0, one value-and-gradient query).  With f* unknown
+    the run stops on ||grad f(x_k)||_*, taken from that last gradient.
     """
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
@@ -180,35 +166,26 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None,
 
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
-        yield obj.smooth.value(x), lambda: math.nan, {"x": x}
+        fz, gz = obj.smooth.value_and_grad(x)
+        yield fz, lambda: math.nan, {"x": x}
         L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
+
+        def objective(z, f_z):   # a f(z) + ||z - x_k||^2/2 at the current x_k
+            return a * f_z + 0.5 * metric.norm(z - x) ** 2
+
         for k in itertools.count(1):
             delta_k = 1.0 / k ** 2
-            z = x.copy()
-            fz, gz = obj.smooth.value_and_grad(z)
+            z = x
             sub_grad = a * gz
             dn = metric.dual_norm(sub_grad)
             t = 0
             while dn > delta_k:
                 t += 1
-                if t > inner_cap:
+                if t > PPA_INNER_CAP:
                     raise SolverError("proximal subproblem solve exceeded its inner cap")
-                phi = a * fz + 0.5 * metric.norm(z - x) ** 2
-                L_try = max(0.5 * L_loc, 1e-14)
-                trials = 0
-                while True:
-                    trials += 1
-                    if trials > 120:
-                        raise SolverError("proximal inner line search failed")
-                    z_t = z - metric.solve(sub_grad) / L_try
-                    f_t = obj.smooth.value(z_t)
-                    phi_t = a * f_t + 0.5 * metric.norm(z_t - x) ** 2
-                    if phi_t <= phi - dn * dn / (2.0 * L_try) + 1e-15 * max(abs(phi), 1.0):
-                        break
-                    if L_try >= L_cap:
-                        break
-                    L_try = min(2.0 * L_try, L_cap)
-                z, fz, L_loc = z_t, f_t, L_try
+                z, fz, L_loc, _ = _line_search(obj.smooth.value, z, objective(z, fz),
+                                               metric.solve(sub_grad), dn, L_loc, L_cap,
+                                               objective)
                 gz = obj.smooth.grad(z)
                 sub_grad = a * gz + metric.apply(z - x)
                 dn = metric.dual_norm(sub_grad)
@@ -216,25 +193,29 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None,
             yield fz, lambda gz=gz: metric.dual_norm(gz), {
                 "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
-    return _drive(obj, "ppa", eps, cap, {"a": a}, iterates())
+    return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
 
 
-def cubic_newton(obj: CompositeObjective, x0, eps, cap, reg=1.0):
+def _cubic_subproblem(obj):
+    """The order-2 step subproblem of cn and acn: f itself, regularized by CUBIC_REG."""
+    return Subproblem(p=2, metric=obj.metric, smooth=PlainSmooth(obj.smooth),
+                      composite=CompositePart(obj.simple, 1.0, 0.0, None, None),
+                      M=CUBIC_REG, lipschitz_g=obj.smooth.lipschitz.get(2, CUBIC_REG))
+
+
+def cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """Cubic-regularized Newton: iterated order-2 regularized model steps on F.
 
-    ``reg`` is the cubic coefficient M (practical default 1).  One
+    The cubic coefficient M is ``CUBIC_REG`` (practical default 1).  One
     second-order oracle query per iteration.
     """
     obj = obj.fresh()
     metric = obj.metric
-    smooth = PlainSmooth(obj.smooth)
-    composite = CompositePart(obj.simple, 1.0, 0.0, None, None)
-    sub = Subproblem(p=2, metric=metric, smooth=smooth, composite=composite,
-                     M=reg, lipschitz_g=obj.smooth.lipschitz.get(2, reg))
+    sub = _cubic_subproblem(obj)
 
     def iterates():
         z = np.asarray(x0, dtype=float).copy()
-        data = smooth.data(z, 2)
+        data = sub.smooth.data(z, 2)
         row = {"x": z}
         while True:
             grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
@@ -242,36 +223,30 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap, reg=1.0):
             step = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
             model = TaylorModel(data, 2)
             z = step.point
-            data = smooth.data(z, 2)
+            data = sub.smooth.data(z, 2)
             s = step_subgradient(sub, model, data.grad, z)
             row = {"s_norm": metric.dual_norm(s) + step.sub_residual, "t_inner": 1, "x": z}
 
-    return _drive(obj, "cn", eps, cap, {"reg": reg}, iterates())
+    return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
 
 
-def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap, reg=1.0,
-                             prox_reg=None, monotone=False):
+def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """Estimating-sequence acceleration of the cubic Newton step.
 
     Linear lower models are accumulated against a cubic prox term centered at
-    the start; the auxiliary point has a closed form.  With ``monotone`` off
-    the objective may oscillate; the certificate is the estimating-sequence
-    bound, not per-step descent.  Two smooth-oracle queries per iteration
-    (one second-order at the look-ahead point, one first-order at the new
-    iterate); the start x0 gets the same first-order query, so every row
-    records s_norm = ||grad f(x_k)||_* and the run stops on the gradient norm
-    when f* is unknown.
+    the start, with coefficient ``CUBIC_REG`` like the step itself; the
+    auxiliary point has a closed form.  The objective may oscillate; the
+    certificate is the estimating-sequence bound, not per-step descent.  Two
+    smooth-oracle queries per iteration (one second-order at the look-ahead
+    point, one first-order at the new iterate); the start x0 gets the same
+    first-order query, so every row records s_norm = ||grad f(x_k)||_* and the
+    run stops on the gradient norm when f* is unknown.
     """
     if not obj.simple.is_zero:
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    # the same fixed regularization constant works well for the prox term
-    N = float(prox_reg) if prox_reg is not None else reg
-    smooth = PlainSmooth(obj.smooth)
-    composite = CompositePart(obj.simple, 1.0, 0.0, None, None)
-    sub = Subproblem(p=2, metric=metric, smooth=smooth, composite=composite,
-                     M=reg, lipschitz_g=obj.smooth.lipschitz.get(2, reg))
+    sub = _cubic_subproblem(obj)
 
     def iterates():
         x_anchor = np.asarray(x0, dtype=float).copy()
@@ -288,20 +263,16 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap, reg=1.0,
             if sn == 0.0:
                 v = x_anchor.copy()
             else:
-                r = math.sqrt(2.0 * sn / N)
-                v = x_anchor - (2.0 / (N * r)) * metric.solve(s_acc)
+                r = math.sqrt(2.0 * sn / CUBIC_REG)
+                v = x_anchor - (2.0 / (CUBIC_REG * r)) * metric.solve(s_acc)
             y = (A * x + a * v) / A_next
-            data_y = smooth.data(y, 2)
-            step = tensor_step(sub, data_y, inner_tol=max(eps * 1e-2, 1e-13))
-            x_next = step.point
-            f_next, g_next = obj.smooth.value_and_grad(x_next)
-            s_acc = s_acc + a * g_next
-            if monotone and f_next > f:
-                x_next, f_next, g_next = x, f, g
-            x, f, g, A = x_next, f_next, g_next, A_next
+            step = tensor_step(sub, sub.smooth.data(y, 2), inner_tol=max(eps * 1e-2, 1e-13))
+            x, A = step.point, A_next
+            f, g = obj.smooth.value_and_grad(x)
+            s_acc = s_acc + a * g
             gn = metric.dual_norm(g)
             yield f, lambda gn=gn: gn, {"a": a, "A": A, "s_norm": gn, "t_inner": 1,
                                         "x": x, "v": v}
 
-    knobs = {"reg": reg, "prox_reg": N, "monotone": monotone}
-    return _drive(obj, "acn", eps, cap, knobs, iterates())
+    header = {"method": "acn", "reg": CUBIC_REG, "prox_reg": CUBIC_REG, "monotone": False}
+    return drive(obj, header, eps, cap, iterates())

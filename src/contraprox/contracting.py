@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import ProxFunction
-from .objectives import CompositeObjective, SolverError
-from .tensor_steps import (CompositePart, ContractedSmooth, Subproblem,
-                           exact_quadratic_inner, inner_loop)
-from .trace import IterationRecord, RunTrace
+from .objectives import CompositeObjective
+from .tensor_steps import CompositePart, ContractedSmooth, Subproblem, inner_loop
+from .trace import drive
 
 
 @dataclass
@@ -326,27 +325,16 @@ def _resolve_inner_cap(caps, p, lipschitz_g, gamma, gamma_next, sigma_uniform,
     return max(int(math.ceil(INNER_SLACK * bound)), 8)
 
 
-def _resolve_inner_solver(inner):
-    if inner == "tensor":
-        return inner_loop
-    if inner == "exact":
-        return exact_quadratic_inner
-    if callable(inner):
-        return inner
-    raise ValueError(f"unknown inner solver {inner!r}")
-
-
 def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunction,
-                     a_next, delta, inner, caps=None, residual=math.nan):
+                     a_next, delta, caps=None, residual=math.nan):
     """One outer iteration: inexact prox step on the contracted objective.
 
-    ``inner`` is the inner-solver handle: ``inner(subproblem, z0, delta, cap)``
-    returning an :class:`InnerResult`, or one of the shortcuts "tensor" and
-    "exact".  ``residual`` is F(x_k) - f* at the state's x_k; given it and the
-    instance's x*, the inner cap is a multiple of the sufficient inner-step
-    count, and otherwise ``caps.inner`` or ``INNER_FLOOR``.  Returns the
-    advanced state together with the inner result (certified subgradient,
-    iteration count and the subproblem's Lipschitz constant).
+    The subproblem is solved by :func:`inner_loop`.  ``residual`` is
+    F(x_k) - f* at the state's x_k; given it and the instance's x*, the inner
+    cap is a multiple of the sufficient inner-step count, and otherwise
+    ``caps.inner`` or ``INNER_FLOOR``.  Returns the advanced state together
+    with the inner result (certified subgradient, iteration count and the
+    subproblem's Lipschitz constant).
     """
     if a_next <= 0:
         raise ValueError("a_next must be positive")
@@ -365,7 +353,7 @@ def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunct
     cap = _resolve_inner_cap(caps, p, lipschitz_g, state.gamma, gamma_next,
                              prox.uniform_constant, delta, prox, state.v,
                              state.A * residual, obj.xstar)
-    result = _resolve_inner_solver(inner)(sub, state.v, delta, cap)
+    result = inner_loop(sub, state.v, delta, cap)
     result.lipschitz_g = lipschitz_g
     x_next = contraction_point(a_next, state.A, result.point, state.x)
     new_state = OuterState(state.k + 1, A_next, gamma_next, x_next, result.point)
@@ -374,19 +362,16 @@ def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunct
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
                              delta_schedule, eps=None, caps=None, *, gamma0=1.0,
-                             x0=None, inner="tensor", bregman0_bound=None,
-                             header_extra=None):
-    """Full outer loop; returns a :class:`RunTrace` with one record per iteration.
+                             bregman0_bound=None):
+    """Full outer loop from the prox center; returns a :class:`RunTrace` with
+    one record per iteration.
 
-    Termination: when ``eps`` is given and the instance knows its optimum, the
-    run stops at a true residual of at most eps; without a known optimum the
-    computable certificate (which needs ``bregman0_bound``, an upper bound on
-    the initial divergence to the optimum) plays that role.  With ``eps=None``
-    the run simply executes ``caps.outer`` iterations, which is the usual mode
-    for certificate batteries.
-
-    Raises :class:`SolverError` if an eps target is set and the outer cap is
-    exhausted before reaching it.
+    The run is recorded, stopped and capped by :func:`trace.drive` with cap
+    ``caps.outer``.  Without a known optimum its stop norm is the certified
+    residual bound/A_k, computable when ``bregman0_bound`` (an upper bound
+    on the initial divergence to the optimum) is given; otherwise it is NaN
+    and only the cap ends the run.  With ``eps=None`` the run executes
+    ``caps.outer`` iterations, the usual mode for certificate batteries.
     """
     caps = caps or RunCaps()
     obj = obj.fresh()
@@ -396,83 +381,57 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     if obj.simple.modulus > 0 and obj.simple.prox is not None:
         if obj.simple.prox.order != p:
             raise ValueError("psi's declared prox order does not match the run's order")
-    if x0 is None:
-        x0 = prox.center.copy()
-    x0 = np.asarray(x0, dtype=float)
-    if p >= 2 and not np.array_equal(x0, prox.center):
-        raise ValueError("order >= 2 runs must start at the prox center")
+    x0 = prox.center.copy()
     lipschitz = obj.smooth.lipschitz[p]
     omega = getattr(schedule, "omega", None)
     delta_fn = delta_schedule.resolve(
         {"p": p, "gamma0": gamma0, "lipschitz": lipschitz, "omega": omega})
-    inner = _resolve_inner_solver(inner)
-
     sigma_simple = obj.simple.modulus
     sigma_uniform = prox.uniform_constant
     fstar = obj.fstar
     xstar = obj.xstar
 
+    def divergence_to_xstar(v):
+        return prox.divergence(v, xstar) if xstar is not None else math.nan
+
+    def iterates():
+        state = OuterState(0, 0.0, gamma0, x0.copy(), x0.copy())
+        f = obj.value(x0)
+        yield f, lambda: math.nan, {
+            "A": 0.0, "gamma": gamma0, "a": 0.0,
+            "bregman_vstar": divergence_to_xstar(x0), "x": state.x, "v": state.v}
+        achieved = []
+        A_seq = []
+
+        def certified_residual():
+            if bregman0_bound is None:
+                return math.nan
+            return inexact_certificate_bound(p, gamma0, sigma_simple, bregman0_bound,
+                                             sigma_uniform, achieved, A_seq) / A_seq[-1]
+
+        while True:
+            a_next = schedule.next_a(state.k, state.A)
+            delta = delta_fn(state.k + 1)
+            residual = f - fstar if fstar is not None else math.nan
+            new, result = contracting_step(state, obj, prox, a_next, delta, caps, residual)
+            f = obj.value(new.x)
+            achieved.append(result.s_norm)
+            A_seq.append(new.A)
+            lipschitz_g = result.lipschitz_g
+            yield f, certified_residual, {
+                "A": new.A, "gamma": new.gamma, "a": a_next, "delta_requested": delta,
+                "s_norm": result.s_norm, "t_inner": result.iterations,
+                "bregman_step": prox.divergence(state.v, new.v),
+                "bregman_vstar": divergence_to_xstar(new.v),
+                "x": new.x, "v": new.v, "inner_steps": result.steps,
+                "lipschitz_g": lipschitz_g, "M": p * lipschitz_g,
+                "ell_mu": inner_condition_ratio(p, lipschitz_g, new.gamma, sigma_uniform)}
+            state = new
+
     header = {
         "method": f"cptm-p{p}", "p": p, "gamma0": gamma0, "lipschitz": lipschitz,
         "sigma_simple": sigma_simple, "sigma_uniform": sigma_uniform,
         "schedule": schedule.describe(), "delta_schedule": delta_schedule.describe(),
-        "eps": eps, "x0": x0.tolist(), "instance": dict(obj.descriptor),
-        "fstar": fstar,
+        "x0": x0.tolist(),
     }
-    if header_extra:
-        header.update(header_extra)
-    trace = RunTrace(header)
-
-    state = OuterState(0, 0.0, gamma0, x0.copy(), x0.copy())
-    f0 = obj.value(x0)
-    residual = f0 - fstar if fstar is not None else math.nan
-    trace.append(IterationRecord(
-        k=0, A=0.0, gamma=gamma0, a=0.0, f_value=f0, residual=residual,
-        delta_requested=math.nan, s_norm=math.nan, t_inner=0,
-        counters=obj.counters.as_dict(),
-        bregman_vstar=(prox.divergence(x0, xstar) if xstar is not None else math.nan),
-        x=x0.copy(), v=x0.copy()))
-
-    achieved = []
-    A_seq = []
-    while state.k < caps.outer:
-        if eps is not None and fstar is not None and residual <= eps:
-            trace.status = "converged"
-            return trace
-        if (eps is not None and fstar is None and bregman0_bound is not None
-                and state.k >= 1):
-            bound = inexact_certificate_bound(
-                p, gamma0, sigma_simple, bregman0_bound, sigma_uniform,
-                achieved, A_seq)
-            if bound / state.A <= eps:
-                trace.status = "converged"
-                return trace
-
-        a_next = schedule.next_a(state.k, state.A)
-        delta = delta_fn(state.k + 1)
-        new, result = contracting_step(state, obj, prox, a_next, delta, inner, caps, residual)
-        f_next = obj.value(new.x)
-        residual = f_next - fstar if fstar is not None else math.nan
-        achieved.append(result.s_norm)
-        A_seq.append(new.A)
-        trace.append(IterationRecord(
-            k=new.k, A=new.A, gamma=new.gamma, a=a_next, f_value=f_next,
-            residual=residual, delta_requested=delta, s_norm=result.s_norm,
-            t_inner=result.iterations, counters=obj.counters.as_dict(),
-            bregman_step=prox.divergence(state.v, new.v),
-            bregman_vstar=(prox.divergence(new.v, xstar)
-                           if xstar is not None else math.nan),
-            x=new.x, v=new.v, inner_steps=result.steps,
-            lipschitz_g=result.lipschitz_g, M=p * result.lipschitz_g,
-            ell_mu=inner_condition_ratio(p, result.lipschitz_g, new.gamma, sigma_uniform)))
-        state = new
-
-    if eps is not None:
-        if fstar is not None and residual <= eps:
-            trace.status = "converged"
-            return trace
-        trace.status = "cap"
-        raise SolverError(
-            f"outer cap {caps.outer} exhausted at residual {residual:.3e} (target {eps:.3e})")
-    trace.status = "cap"
-    return trace
+    return drive(obj, header, eps, caps.outer, iterates())

@@ -530,31 +530,3 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
         last_norm,
     )
 
-
-def exact_quadratic_inner(sub: Subproblem, z0, delta=None, cap=None):
-    """Exact minimizer of h for order-1 subproblems whose h is quadratic.
-
-    Available when the smooth part is a (contracted) quadratic and phi has an
-    affine gradient; it is the ``inner="exact"`` shortcut of the contracting
-    step, which hand-worked outer-step checks use.  The reported norm is the
-    float residual at the solve.
-    """
-    oracle = sub.smooth.oracle
-    if not hasattr(oracle, "matrix"):
-        raise ValueError("exact inner solve needs a quadratic smooth part")
-    if sub.p != 1 or not sub.composite.gradient_is_affine:
-        raise ValueError("exact inner solve needs order 1 and quadratic phi")
-    oracle.counters.hess += 1
-    scale = getattr(sub.smooth, "scale", 1.0)
-    shift = getattr(sub.smooth, "shift", np.zeros(oracle.dim))
-    a_eff = sub.smooth.a if isinstance(sub.smooth, ContractedSmooth) else 1.0
-    coeff, combo = sub.composite.affine_terms()
-    B = sub.metric.matrix
-    H = a_eff * scale * oracle.matrix + coeff * B
-    rhs = a_eff * (oracle.rhs - oracle.matrix @ shift)
-    if combo is not None:
-        rhs = rhs + B @ combo
-    v = np.linalg.solve(H, rhs)
-    data = sub.smooth.data(v, 1)
-    s = sub.h_grad_from(data)
-    return InnerResult(v, s, sub.metric.dual_norm(s), 1, h_final=sub.h_value_from(data))

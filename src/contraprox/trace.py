@@ -14,6 +14,9 @@ charged the query that the method makes at every later iterate: acn, for
 instance, queries grad f at x_0 as at every x_k, so its row k shows
 ``oracle_g = 2k + 1``.  The per-method charges, cptm's included, are listed
 in ``baselines``.
+
+Every method, the contracting solver and the five baselines alike, is
+recorded, stopped and capped by :func:`drive`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .objectives import SolverError
 
 CSV_COLUMNS = [
     "k", "A_k", "gamma_k", "a_k", "F", "residual", "delta_req", "s_norm",
@@ -103,6 +108,46 @@ class RunTrace:
             lines.append(",".join(cells))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+_ROW_DEFAULTS = {"A": math.nan, "gamma": math.nan, "a": math.nan,
+                 "delta_requested": math.nan, "s_norm": math.nan, "t_inner": 0}
+
+
+def drive(obj, header, eps, cap, iterates):
+    """Record, stop and cap one run; returns its trace.
+
+    ``iterates`` yields ``(F(x_k), stop_norm, row)`` for k = 0, 1, ...: row k
+    is recorded with the counters as they stand when it is yielded, and
+    fields missing from ``row`` are NaN (``t_inner`` 0).  ``header`` names
+    the method and its settings; eps, cap, the instance and f* are added.
+
+    Stop rule, tested after each row: F(x_k) - f* <= eps when the instance
+    knows f*, and otherwise ``stop_norm() <= eps``.  ``stop_norm`` is called
+    only when f* is unknown, so a method can defer the query behind it until
+    its next step needs that query anyway; one that returns NaN never stops
+    the run.  Cap rule: a run that has not stopped after row ``cap`` raises
+    :class:`SolverError`.  With ``eps=None`` nothing is tested and the run
+    returns after row ``cap`` with status "cap".
+    """
+    fstar = obj.fstar
+    trace = RunTrace({**header, "eps": eps, "cap": cap,
+                      "instance": dict(obj.descriptor), "fstar": fstar})
+    for k, (f, stop_norm, row) in enumerate(iterates):
+        residual = f - fstar if fstar is not None else math.nan
+        trace.append(IterationRecord(k=k, f_value=f, residual=residual,
+                                     counters=obj.counters.as_dict(),
+                                     **{**_ROW_DEFAULTS, **row}))
+        if eps is not None and (
+                (residual <= eps) if fstar is not None else (stop_norm() <= eps)):
+            trace.status = "converged"
+            return trace
+        if k >= cap:
+            trace.status = "cap"
+            if eps is None:
+                return trace
+            raise SolverError(f"{header['method']} exhausted {cap} iterations "
+                              f"(residual {residual:.3e})")
 
 
 def read_csv(path):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
                           inexact_certificate_bound, inner_iteration_bound)
+from .trace import CSV_COLUMNS
 
 
 @dataclass
@@ -175,6 +176,40 @@ def check_contraction_combination(report, records, tol=1e-12):
         prev_x, prev_A = rec.x, rec.A
 
 
+def _outer_checks(report, header, columns, fstar, schedule, slack):
+    """The checks both validators run on full-length columns (row 0 included):
+    the outer certificate, the gamma telescope, schedule growth (when a
+    schedule is known) and delta honoured.  The certificate needs the row-0
+    divergence to x* (a file written without x* has none, and skips it), and
+    residuals come from F - f* when f* is known.
+    Returns False, after recording a failure, when there is no iteration.
+    """
+    mask = columns["k"] >= 1
+    ks = columns["k"][mask].astype(int)
+    if ks.size == 0:
+        report.add("nonempty", None, False, -1.0, "trace has no iterations")
+        return False
+    A_vals = columns["A_k"][mask]
+    gammas = columns["gamma_k"][mask]
+    s_norms = columns["s_norm"][mask]
+    bregman_vstar = columns["bregman_vstar"][mask]
+    gamma0 = header["gamma0"]
+    sigma_simple = header["sigma_simple"]
+    k0 = columns["k"] == 0
+    bregman0 = float(columns["bregman_vstar"][k0][0]) if np.any(k0) else math.nan
+    if math.isfinite(bregman0):
+        residuals = (columns["F"][mask] - fstar if fstar is not None
+                     else columns["residual"][mask])
+        check_certificate(report, ks, residuals, A_vals, gammas, bregman_vstar,
+                          columns["bregman_step"][mask], s_norms, header["p"], gamma0,
+                          sigma_simple, bregman0, header["sigma_uniform"], slack=slack)
+    check_gamma_telescope(report, ks, gammas, A_vals, gamma0, sigma_simple)
+    if schedule is not None:
+        check_schedule_growth(report, schedule, ks, A_vals)
+    check_delta_honored(report, ks, s_norms, columns["delta_req"][mask])
+    return True
+
+
 def validate_trace(trace, prox, xstar, fstar, schedule=None, slack=1e-9,
                    inner_slack=INNER_SLACK):
     """Replay every certified inequality along an in-memory trace.
@@ -183,94 +218,38 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None, slack=1e-9,
     the recorded iterates so the check does not trust the run's own numbers.
     """
     report = ValidationReport()
-    recs = [r for r in trace.records if r.k >= 1]
-    if not recs:
-        report.add("nonempty", None, False, -1.0, "trace has no iterations")
-        return report
-    header = trace.header
-    p = header["p"]
-    gamma0 = header["gamma0"]
-    sigma_simple = header["sigma_simple"]
-    sigma_uniform = header["sigma_uniform"]
+    records = trace.records
+    rows = np.array([r.row() for r in records], dtype=float).reshape(-1, len(CSV_COLUMNS))
+    columns = {name: rows[:, j] for j, name in enumerate(CSV_COLUMNS)}
     xstar = np.asarray(xstar, dtype=float)
-    x0 = np.asarray(header["x0"], dtype=float)
-    bregman0 = prox.divergence(x0, xstar)
-
-    ks = [r.k for r in recs]
-    A_vals = [r.A for r in recs]
-    gammas = [r.gamma for r in recs]
-    s_norms = [r.s_norm for r in recs]
-    deltas = [r.delta_requested for r in recs]
-    t_inner = [r.t_inner for r in recs]
-    lipschitz_g = [r.lipschitz_g for r in recs]
-    residuals = [r.f_value - fstar for r in recs]
-    bregman_vstar = [prox.divergence(r.v, xstar) for r in recs]
-    bregman_steps = [r.bregman_step for r in recs]
-    ratios = [r.ell_mu for r in recs]
-
-    check_certificate(report, ks, residuals, A_vals, gammas, bregman_vstar,
-                      bregman_steps, s_norms, p, gamma0, sigma_simple, bregman0,
-                      sigma_uniform, slack=slack)
-    check_gamma_telescope(report, ks, gammas, A_vals, gamma0, sigma_simple)
-    if schedule is not None:
-        check_schedule_growth(report, schedule, ks, A_vals)
-    check_delta_honored(report, ks, s_norms, deltas)
-    check_condition_ratio(report, ks, ratios)
-
-    prev = [r for r in trace.records]
-    A_prev = [prev[i].A for i in range(len(prev) - 1)]
-    gammas_prev = [prev[i].gamma for i in range(len(prev) - 1)]
-    residual_prev = [prev[i].f_value - fstar for i in range(len(prev) - 1)]
-    bregman_v_prev = [prox.divergence(prev[i].v, xstar) for i in range(len(prev) - 1)]
-    gammas_next = gammas
-    check_inner_budget(report, ks, t_inner, residual_prev, A_prev, gammas_prev,
-                       gammas_next, bregman_v_prev, lipschitz_g, deltas, p,
-                       sigma_uniform, slack=inner_slack)
+    columns["bregman_vstar"] = np.array([prox.divergence(r.v, xstar) for r in records])
+    if not _outer_checks(report, trace.header, columns, fstar, schedule, slack):
+        return report
+    recs = records[1:]
+    p = trace.header["p"]
+    sigma_uniform = trace.header["sigma_uniform"]
+    ks = columns["k"][1:].astype(int)
+    check_condition_ratio(report, ks, [r.ell_mu for r in recs])
+    check_inner_budget(report, ks, columns["t_k"][1:], columns["F"][:-1] - fstar,
+                       columns["A_k"][:-1], columns["gamma_k"][:-1], columns["gamma_k"][1:],
+                       columns["bregman_vstar"][:-1], [r.lipschitz_g for r in recs],
+                       columns["delta_req"][1:], p, sigma_uniform, slack=inner_slack)
     check_inner_descent(report, recs)
     check_inner_gradient_progress(report, recs, p)
-    check_contraction_combination(report, trace.records)
+    check_contraction_combination(report, records)
     return report
 
 
 def validate_columns(header, columns, xstar=None, fstar=None, slack=1e-9):
     """Checks available for a serialized trace (column data only)."""
     report = ValidationReport()
-    mask = columns["k"] >= 1
-    ks = columns["k"][mask].astype(int)
-    if ks.size == 0:
-        report.add("nonempty", None, False, -1.0, "trace has no iterations")
-        return report
-    A_vals = columns["A_k"][mask]
-    gammas = columns["gamma_k"][mask]
-    s_norms = columns["s_norm"][mask]
-    deltas = columns["delta_req"][mask]
-    bregman_steps = columns["bregman_step"][mask]
-    bregman_vstar = columns["bregman_vstar"][mask]
-    p = header["p"]
-    gamma0 = header["gamma0"]
-    sigma_simple = header["sigma_simple"]
-    sigma_uniform = header["sigma_uniform"]
-
-    check_gamma_telescope(report, ks, gammas, A_vals, gamma0, sigma_simple)
-    check_delta_honored(report, ks, s_norms, deltas)
-
-    sched = header.get("schedule", {})
-    if sched.get("kind") == "sublinear":
-        check_schedule_growth(report, SublinearSchedule(sched["c"], sched["p"]),
-                              ks, A_vals)
-    elif sched.get("kind") == "geometric":
-        check_schedule_growth(report, GeometricSchedule(sched["omega"], sched["c"],
-                                                        sched["p"]), ks, A_vals)
-
     if fstar is None:
         fstar = header.get("fstar")
-    residual_col = columns["F"][mask] - fstar if fstar is not None else columns["residual"][mask]
-    bregman0 = None
-    k0 = columns["k"] == 0
-    if np.any(k0):
-        bregman0 = float(columns["bregman_vstar"][k0][0])
-    if bregman0 is not None and math.isfinite(bregman0) and np.all(np.isfinite(bregman_vstar)):
-        check_certificate(report, ks, residual_col, A_vals, gammas, bregman_vstar,
-                          bregman_steps, s_norms, p, gamma0, sigma_simple,
-                          bregman0, sigma_uniform, slack=slack)
+    sched = header.get("schedule", {})
+    schedule = None
+    if sched.get("kind") == "sublinear":
+        schedule = SublinearSchedule(sched["c"], sched["p"])
+    elif sched.get("kind") == "geometric":
+        schedule = GeometricSchedule(sched["omega"], sched["c"], sched["p"])
+    _outer_checks(report, header, columns, fstar, schedule, slack)
     return report

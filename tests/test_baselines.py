@@ -4,7 +4,7 @@ import pytest
 from contraprox.baselines import (accelerated_cubic_newton,
                                   accelerated_gradient, classical_ppa,
                                   cubic_newton, gradient_method_ls)
-from contraprox.bench import run_method
+from contraprox.bench import build_instance, run_method
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, QuadraticOracle,
                                    ZeroComponent, alpha_for_condition_ratio,
@@ -103,6 +103,14 @@ class TestClassicalProximalPoint:
         tr = classical_ppa(obj, np.zeros(12), 1e-7, 5000)
         f = tr.column("F")
         assert np.all(np.diff(f) <= 1e-10 * np.maximum(np.abs(f[:-1]), 1.0))
+
+    def test_each_gradient_is_queried_once(self):
+        # x_0 gets one value-and-gradient query; after that every gradient is
+        # the one closing an inner step, and the next step starts from it
+        obj = build_instance("quadratic", 20, 0, q=1e-2)
+        tr = classical_ppa(obj, np.zeros(20), 1e-7, 5000)
+        t = np.cumsum([rec.t_inner for rec in tr.records])
+        assert [rec.counters["oracle_g"] for rec in tr.records] == (1 + t).tolist()
 
     def test_cpm_beats_ppa_in_matvecs(self):
         obj = quadratic_instance(40, alpha_for_condition_ratio(1e-2), 7)

@@ -1,6 +1,7 @@
 import pytest
 
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
+from contraprox.objectives import SolverError
 
 # Iterations and final (oracle_f, oracle_g, oracle_h, matvec) of every method
 # name at eps = 1e-7, as the trace's last row records them.
@@ -8,7 +9,7 @@ EXPECTED = {
     "quadratic": {
         "gm": (149, (297, 149, 0, 446)),
         "agm": (98, (99, 98, 0, 197)),
-        "ppa": (476, (4743, 2609, 0, 6876)),
+        "ppa": (476, (4267, 2134, 0, 6400)),
         "cptm-p1": (144, (830, 685, 0, 830)),
     },
     "lse": {
@@ -32,7 +33,17 @@ def test_run_method_dispatches_every_name(problem):
         tr = run_method(name, obj, 1e-7)
         assert tr.status == "converged"
         assert tr.header["method"] == name
+        assert tr.header["cap"] == 5000
         assert (tr.iterations, tuple(tr.final.counters.values())) == (iterations, counters)
+
+
+@pytest.mark.parametrize("problem", sorted(EXPECTED))
+def test_one_driver_caps_every_method(problem):
+    obj = _instance(problem)
+    for name in EXPECTED[problem]:
+        with pytest.raises(SolverError) as info:
+            run_method(name, obj, 1e-12, cap_outer=2)
+        assert str(info.value).startswith(f"{name} exhausted 2 iterations")
 
 
 @pytest.mark.parametrize("name", ["cpm-p1", "newton"])

@@ -53,7 +53,7 @@ class TestOneDimensionalHandExample:
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
         state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13, inner="exact")
+        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
         assert new.v[0] == pytest.approx(0.5, abs=1e-12)
         assert new.x[0] == pytest.approx(0.5, abs=1e-12)
         assert new.A == 1.0 and new.gamma == 1.0
@@ -63,7 +63,7 @@ class TestOneDimensionalHandExample:
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
         state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13, inner="exact")
+        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
         xstar = np.zeros(1)
         lhs = (new.A * (0.5 * new.x[0] ** 2 - 0.0)
                + new.gamma * prox.divergence(new.v, xstar)
@@ -77,14 +77,14 @@ class TestOneDimensionalHandExample:
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
         state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13, inner="exact")
+        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
         assert new.gamma == state.gamma
 
     def test_first_step_ignores_x0(self):
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
         state = OuterState(0, 0.0, 1.0, np.array([123.0]), np.array([1.0]))
-        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13, inner="exact")
+        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
         assert new.x[0] == pytest.approx(new.v[0], abs=1e-14)
 
 
@@ -284,6 +284,26 @@ class TestRunContractingProximal:
         assert tr.status == "converged"
         true_resid = obj.value(tr.records[-1].x) - obj.fstar
         assert true_resid <= 1e-4
+
+    def test_certificate_stop_is_tested_on_the_cap_row(self):
+        obj = quadratic_instance(8, 1.0, 4)
+        blind = CompositeObjective(obj.smooth, obj.simple, obj.metric,
+                                   fstar=None, xstar=None,
+                                   descriptor=dict(obj.descriptor))
+        prox = PowerProx(1, np.zeros(8), obj.metric)
+        sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
+        d0 = prox.divergence(np.zeros(8), obj.xstar)
+
+        def run(cap):
+            return run_contracting_proximal(blind, prox, sched, ConstantDelta(1e-9),
+                                            eps=1e-4, caps=RunCaps(outer=cap),
+                                            bregman0_bound=2.0 * d0)
+
+        K = run(5000).iterations
+        tr = run(K)
+        assert (tr.status, tr.iterations) == ("converged", K)
+        with pytest.raises(SolverError, match=f"cptm-p1 exhausted {K - 1} iterations"):
+            run(K - 1)
 
     def test_mismatched_schedule_order_rejected(self):
         obj = quadratic_instance(4, 1.0, 0)
