@@ -17,8 +17,10 @@ Per iteration, each method is charged:
 - ppa: the value trials and the gradient of each inner gradient step, the
   last of which are the value and gradient at x_k (row 0: the value and
   gradient at x_0), so row k shows ``oracle_g = 1 + t_1 + ... + t_k``;
-- cptm: one value at x_k plus the queries of its inner steps (row 0: the
-  value at x_0).
+- cptm: one value at x_k, one first-order query at each inner iterate
+  (start point included) and, at order 2, one Hessian per inner step taken,
+  at that step's base; the exit point and a start point that already meets
+  delta are never charged a Hessian (row 0: the value at x_0).
 
 Every method is recorded, stopped and capped by :func:`trace.drive`, whose
 docstring states the rules.  With f* unknown the baselines stop on a

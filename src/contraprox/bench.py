@@ -283,15 +283,13 @@ def validate_trace_file(trace_path, instance_path=None):
     from .trace import read_csv
     header, columns = read_csv(trace_path)
     fstar = header.get("fstar")
-    xstar = None
     if instance_path is not None:
         with open(instance_path) as fh:
             descriptor = json.load(fh)
         obj = instance_from_descriptor(descriptor)
         attach_reference(obj)
         fstar = obj.fstar
-        xstar = obj.xstar
     if "p" not in header:
         raise ValueError("trace was not produced by the contracting solver; "
                          "only its traces carry certificate columns")
-    return validate_columns(header, columns, xstar=xstar, fstar=fstar)
+    return validate_columns(header, columns, fstar=fstar)

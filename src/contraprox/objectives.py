@@ -44,6 +44,10 @@ class SmoothOracle:
     ``lipschitz[p]`` is the Lipschitz estimate of the p-th derivative in the
     instance's norm.  ``taylor_data(x, order)`` returns everything a model of
     that order needs in one call, so a point queried once is charged once.
+    ``hess(x)`` is the Hessian alone, for a caller that already holds the
+    first-order data at x and learns only later that a step is based there:
+    the inner loop queries order 1 at every iterate and builds the Hessian
+    only at the points its order-2 steps start from.
     """
 
     dim: int
@@ -148,12 +152,16 @@ class LogSumExpOracle(SmoothOracle):
         umax, pi, s = self._weights(x)
         return self.mu * (umax + math.log(s)), self.data.T @ pi
 
+    def _hessian(self, pi, g):
+        # W^T W with W = diag(sqrt(pi)) A goes to BLAS syrk: half the flops of
+        # the gemm form A^T diag(pi) A, and an exactly symmetric result
+        W = self.data * np.sqrt(pi)[:, None]
+        return (W.T @ W - np.outer(g, g)) / self.mu
+
     def hess(self, x):
         self.counters.hess += 1
         _, pi, _ = self._weights(x)
-        g = self.data.T @ pi
-        H = (self.data.T * pi) @ self.data - np.outer(g, g)
-        return H / self.mu
+        return self._hessian(pi, self.data.T @ pi)
 
     def taylor_data(self, x, order):
         umax, pi, s = self._weights(x)
@@ -164,7 +172,7 @@ class LogSumExpOracle(SmoothOracle):
         H = None
         if order >= 2:
             self.counters.hess += 1
-            H = ((self.data.T * pi) @ self.data - np.outer(g, g)) / self.mu
+            H = self._hessian(pi, g)
         return v, g, H
 
 
@@ -373,11 +381,15 @@ def _newton_reference(obj, tol, cap=200):
             step = -scipy.linalg.solve(H + reg * np.eye(obj.dim), g, assume_a="pos")
         t = 1.0
         slope = float(g @ step)
+        noise = 1e-14 * (abs(fval) + 1.0)
         for _ in range(60):
             trial = obj.value(x + t * step)
-            if trial <= fval + 1e-4 * t * slope:
+            if trial <= fval + 1e-4 * t * slope + noise:
                 break
             t *= 0.5
+        else:
+            raise SolverError(f"reference Newton line search failed at dual gradient norm "
+                              f"{obj.metric.dual_norm(g):.3e} (tol {tol})")
         x = x + t * step
         fval = trial
     raise SolverError(f"reference Newton did not reach tol={tol} within {cap} iterations")

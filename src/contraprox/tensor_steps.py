@@ -61,6 +61,9 @@ class ContractedSmooth:
         hess = None if H is None else (self.a * self.scale) * H
         return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g, hess)
 
+    def hess(self, x):
+        return (self.a * self.scale) * self.oracle.hess(self.map_point(x))
+
     def lipschitz(self, p):
         return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
 
@@ -74,6 +77,9 @@ class PlainSmooth:
     def data(self, x, order):
         v, g, H = self.oracle.taylor_data(x, order)
         return SmoothData(np.asarray(x, float).copy(), v, g, H)
+
+    def hess(self, x):
+        return self.oracle.hess(x)
 
     def lipschitz(self, p):
         return self.oracle.lipschitz[p]
@@ -488,14 +494,17 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
 
     The dual norm reported per iterate is conservative: the sub-minimizer's
     own residual is added to the extracted subgradient's norm.  Each iterate
-    costs one smooth-oracle query (shared between the stopping test and the
-    next model).  Raises :class:`InnerLoopError` past ``cap`` steps, which in
-    a correctly configured run means the Lipschitz estimate is wrong.
+    costs one first-order query (shared between the stopping test and the
+    next model), and each step taken at order p >= 2 one Hessian at its
+    base, so the exit point and a start point that already meets delta are
+    never charged a Hessian.  Raises :class:`InnerLoopError` past ``cap``
+    steps, which in a correctly configured run means the Lipschitz estimate
+    is wrong.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     sub_tol = delta / 10.0
-    data = sub.smooth.data(z0, sub.p)
+    data = sub.smooth.data(z0, 1)
     s0 = sub.h_grad_from(data)
     s0_norm = sub.metric.dual_norm(s0)
     if s0_norm <= delta:
@@ -506,10 +515,12 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     records = []
     last_norm = s0_norm
     for t in range(1, max(int(cap), 1) + 1):
+        if sub.p >= 2:
+            data.hess = sub.smooth.hess(data.x)
         model = TaylorModel(data, sub.p)
         step = tensor_step(sub, data, sub_tol)
         T = step.point
-        data_T = sub.smooth.data(T, sub.p)
+        data_T = sub.smooth.data(T, 1)
         s = step_subgradient(sub, model, data_T.grad, T)
         s_dual = sub.metric.dual_norm(s)
         s_norm = s_dual + step.sub_residual

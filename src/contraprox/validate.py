@@ -240,7 +240,7 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None, slack=1e-9,
     return report
 
 
-def validate_columns(header, columns, xstar=None, fstar=None, slack=1e-9):
+def validate_columns(header, columns, fstar=None, slack=1e-9):
     """Checks available for a serialized trace (column data only)."""
     report = ValidationReport()
     if fstar is None:

@@ -15,7 +15,7 @@ EXPECTED = {
     "lse": {
         "cn": (57, (58, 58, 58, 0)),
         "acn": (31, (63, 63, 31, 0)),
-        "cptm-p2": (25, (94, 68, 68, 0)),
+        "cptm-p2": (25, (94, 68, 43, 0)),
     },
 }
 
@@ -50,3 +50,13 @@ def test_one_driver_caps_every_method(problem):
 def test_run_method_rejects_unknown_names(name):
     with pytest.raises(ValueError):
         run_method(name, _instance("quadratic"), 1e-7)
+
+
+def test_cptm_p2_charges_one_hessian_per_inner_step():
+    # the start point and the exit point of each inner loop get first-order
+    # data only; the Hessian is built at the base of every step taken
+    tr = run_method("cptm-p2", _instance("lse"), 1e-7)
+    steps = 0
+    for rec in tr.records:
+        steps += rec.t_inner
+        assert rec.counters["oracle_h"] == steps

@@ -1,0 +1,24 @@
+import csv
+
+from contraprox.cli import EXIT_OK, EXIT_VALIDATION, main
+
+
+def test_solve_then_validate_round_trip(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "lse", "--n", "20", "--mu", "1", "--l2", "2",
+                 "--method", "cptm-p2", "--out", str(out)]) == EXIT_OK
+    trace, instance = out / "cptm-p2.csv", out / "instance.json"
+    assert main(["validate", "--trace", str(trace), "--instance", str(instance)]) == EXIT_OK
+
+    # the first line is the JSON header, the second the column names; the
+    # last row's s_norm is within three orders of magnitude of its delta
+    lines = trace.read_text().splitlines(keepends=True)
+    columns = next(csv.reader([lines[1]]))
+    row = next(csv.reader([lines[-1]]))
+    i = columns.index("s_norm")
+    row[i] = repr(float(row[i]) * 1e3)
+    lines[-1] = ",".join(row) + "\n"
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text("".join(lines))
+    assert main(["validate", "--trace", str(tampered),
+                 "--instance", str(instance)]) == EXIT_VALIDATION

@@ -123,6 +123,23 @@ class TestLogSumExp:
                 top = np.linalg.eigvals(Binv @ H).real.max()
                 assert top <= 1.0 / mu + 1e-8
 
+    def test_hessian_is_one_exactly_symmetric_formula(self):
+        obj = lse_instance(20, 1.0, 0)
+        smooth = obj.smooth
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            x = 0.5 * rng.standard_normal(20)
+            H = smooth.hess(x)
+            assert np.array_equal(H, H.T)
+            assert np.array_equal(H, smooth.taylor_data(x, 2)[2])
+            # the gemm form A^T diag(pi) A - g g^T, rounded differently
+            u = (smooth.data @ x - smooth.shift) / smooth.mu
+            pi = np.exp(u - u.max())
+            pi /= pi.sum()
+            g = smooth.data.T @ pi
+            gemm = ((smooth.data.T * pi) @ smooth.data - np.outer(g, g)) / smooth.mu
+            assert np.abs(H - gemm).max() <= 1e-12 * np.abs(gemm).max()
+
     def test_metric_is_gram_of_rows(self):
         obj = lse_instance(5, 1.0, 3)
         A = obj.smooth.data
@@ -234,6 +251,34 @@ class TestReferenceOptimum:
         assert obj.fstar is not None and "fstar" in obj.descriptor
         gn = obj.metric.dual_norm(obj.smooth.grad(obj.xstar))
         assert gn <= 1e-11
+
+    def test_newton_reference_allows_round_off(self):
+        # without a round-off allowance in its Armijo test the reference
+        # Newton stalled here between 1e-12 and 1e-11 and ran out its cap
+        obj = attach_reference(lse_instance(200, 1.0, 1004))
+        assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
+        assert obj.fstar == pytest.approx(7.146944334743955, rel=1e-14)
+
+    def test_newton_reference_raises_when_no_step_decreases(self):
+        from contraprox.objectives import (CompositeObjective, SmoothOracle,
+                                           SolverError, ZeroComponent)
+
+        class Plateau(SmoothOracle):
+            # f = 0 at the start and 1 everywhere else: every trial fails
+            dim = 2
+
+            def value(self, x):
+                return 0.0 if not np.any(x) else 1.0
+
+            def grad(self, x):
+                return np.ones(2)
+
+            def hess(self, x):
+                return np.eye(2)
+
+        obj = CompositeObjective(Plateau(), ZeroComponent(2), Metric.identity(2))
+        with pytest.raises(SolverError, match="line search failed"):
+            reference_optimum(obj, 1e-12)
 
     def test_composite_quadratic_plus_power(self):
         obj = quadratic_instance(6, 1.5, 3)
