@@ -56,10 +56,11 @@ class ContractedSmooth:
         return self.scale * x + self.shift
 
     def data(self, x, order):
-        y = self.map_point(x)
-        v, g, H = self.oracle.taylor_data(y, order)
-        hess = None if H is None else (self.a * self.scale) * H
-        return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g, hess)
+        """Value and gradient at x; the Hessian comes separately from :meth:`hess`."""
+        if order != 1:
+            raise ValueError("contracted data is first-order; use hess() for the Hessian")
+        v, g, _ = self.oracle.taylor_data(self.map_point(x), 1)
+        return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g)
 
     def hess(self, x):
         return (self.a * self.scale) * self.oracle.hess(self.map_point(x))
@@ -77,9 +78,6 @@ class PlainSmooth:
     def data(self, x, order):
         v, g, H = self.oracle.taylor_data(x, order)
         return SmoothData(np.asarray(x, float).copy(), v, g, H)
-
-    def hess(self, x):
-        return self.oracle.hess(x)
 
     def lipschitz(self, p):
         return self.oracle.lipschitz[p]
@@ -497,7 +495,8 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     costs one first-order query (shared between the stopping test and the
     next model), and each step taken at order p >= 2 one Hessian at its
     base, so the exit point and a start point that already meets delta are
-    never charged a Hessian.  Raises :class:`InnerLoopError` past ``cap``
+    never charged a Hessian; at p >= 2 the smooth part must provide ``hess``
+    (:class:`ContractedSmooth` does).  Raises :class:`InnerLoopError` past ``cap``
     steps, which in a correctly configured run means the Lipschitz estimate
     is wrong.
     """

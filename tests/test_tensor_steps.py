@@ -305,13 +305,27 @@ class TestInnerLoopOrder2:
             allowance = step.sub_residual * step.step_norm + 1e-10 * max(1.0, rhs)
             assert step.decrease_pairing + allowance >= rhs
 
+    def test_contracted_hessian_is_the_jacobian_of_its_gradient(self):
+        rng = np.random.default_rng(23)
+        smooth = self._lse_subproblem(rng).smooth
+        x = rng.standard_normal(6) * 0.3
+        H = smooth.hess(x)
+        h = 1e-6
+        for i in range(6):
+            e = np.zeros(6)
+            e[i] = h
+            fd = (smooth.data(x + e, 1).grad - smooth.data(x - e, 1).grad) / (2 * h)
+            assert np.allclose(fd, H[:, i], rtol=1e-6, atol=1e-8)
+        with pytest.raises(ValueError):
+            smooth.data(x, 2)
+
     def test_envelope_bound_order2(self):
         rng = np.random.default_rng(20)
         sub = self._lse_subproblem(rng)
         z0 = rng.standard_normal(6) * 0.3
         tight = inner_loop(sub, z0, 1e-12, cap=500)
         hstar = tight.h_final
-        h0 = sub.h_value_from(sub.smooth.data(z0, 2))
+        h0 = sub.h_value_from(sub.smooth.data(z0, 1))
         res = inner_loop(sub, z0, 1e-9, cap=500)
         sigma_h = sub.strong_modulus * 0.5  # degree-3 uniform convexity constant
         alpha_star = min(1.0, (math.factorial(2) * sigma_h
