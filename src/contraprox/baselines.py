@@ -8,7 +8,8 @@ Counters on row k are cumulative up to and including x_k, and row 0 is
 charged the query the method makes at every later iterate (see ``trace``).
 Per iteration, each method is charged:
 
-- cn: one second-order query, at x_k (row 0: the same query at x_0);
+- cn: one first-order query at x_k and one Hessian at x_{k-1}, the base of
+  the step that reached x_k (row 0: the first-order query at x_0);
 - acn: one second-order query at the look-ahead point y_k and one
   first-order query at x_k (row 0: the first-order query at x_0);
 - gm: one gradient at x_{k-1} plus its line-search value trials, the last of
@@ -209,7 +210,7 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """Cubic-regularized Newton: iterated order-2 regularized model steps on F.
 
     The cubic coefficient M is ``CUBIC_REG`` (practical default 1).  One
-    second-order oracle query per iteration.
+    first-order query per iterate, and a Hessian only at a step's base.
     """
     obj = obj.fresh()
     metric = obj.metric
@@ -217,15 +218,16 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
 
     def iterates():
         z = np.asarray(x0, dtype=float).copy()
-        data = sub.smooth.data(z, 2)
+        data = sub.smooth.data(z, 1)
         row = {"x": z}
         while True:
             grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
             yield data.value + obj.simple.value(z), grad_norm, row
+            data.hess = sub.smooth.hess(data.x)
             step = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
             model = TaylorModel(data, 2)
             z = step.point
-            data = sub.smooth.data(z, 2)
+            data = sub.smooth.data(z, 1)
             s = step_subgradient(sub, model, data.grad, z)
             row = {"s_norm": metric.dual_norm(s) + step.sub_residual, "t_inner": 1, "x": z}
 

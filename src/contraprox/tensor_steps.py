@@ -25,6 +25,8 @@ from .bregman import ProxFunction, power_hessian
 from .metric import Metric
 from .objectives import SimpleComponent, SmoothOracle, SolverError
 
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
 
 @dataclass
 class SmoothData:
@@ -78,6 +80,9 @@ class PlainSmooth:
     def data(self, x, order):
         v, g, H = self.oracle.taylor_data(x, order)
         return SmoothData(np.asarray(x, float).copy(), v, g, H)
+
+    def hess(self, x):
+        return self.oracle.hess(x)
 
     def lipschitz(self, p):
         return self.oracle.lipschitz[p]
@@ -247,13 +252,28 @@ def model_objective_hessian(sub: Subproblem, model: TaylorModel, y):
     return H
 
 
+def cholesky_solve(H, g):
+    """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly."""
+    c, info = _potrf(np.asarray_chkfinite(H), lower=False, clean=False)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info == 0:
+        x, info = _potrs(np.asarray_chkfinite(c), np.asarray_chkfinite(g), lower=False)
+    if info:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return x
+
+
 def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200):
     """Damped Newton on the step objective, to dual gradient norm <= tol.
 
     The model Hessian is cached oracle data and the remaining curvature is
-    B-rank-one algebra, so iterations cost linear algebra only.  Backtracks on
-    the increment value with a round-off allowance; quadratic local
-    convergence makes tight tolerances cheap.  Returns (y, residual, iters).
+    B-rank-one algebra, so iterations cost linear algebra only.  The step
+    solve is :func:`cholesky_solve`, LAPACK potrf/potrs called directly (at
+    n <= 200 scipy's wrappers cost more than the solve), jittered when H does
+    not factorize.  Backtracks on the increment value with a round-off
+    allowance; quadratic local convergence makes tight tolerances cheap.
+    Returns (y, residual, iters).
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.composite.value(model.data.x)
@@ -269,9 +289,7 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
         jitter = 0.0
         for _ in range(8):
             try:
-                step = -scipy.linalg.cho_solve(
-                    scipy.linalg.cho_factor(
-                        H + jitter * np.eye(H.shape[0]) if jitter else H), grad)
+                step = -cholesky_solve(H + jitter * np.eye(H.shape[0]) if jitter else H, grad)
                 break
             except scipy.linalg.LinAlgError:
                 jitter = max(10.0 * jitter, 1e-12 * (1.0 + abs(float(np.trace(H)))))

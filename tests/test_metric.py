@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from contraprox.metric import Metric, pairing
 
@@ -99,3 +100,32 @@ def test_dimension_mismatch():
         m.norm(np.ones(2))
     with pytest.raises(ValueError, match="dimension"):
         pairing(np.ones(2), np.ones(3))
+
+
+def test_direct_lapack_paths_equal_the_scipy_expressions():
+    # the solves call trtrs and the norms take sqrt(w.w) directly; neither may
+    # move a bit against the scipy and numpy expressions they replace
+    rng = np.random.default_rng(11)
+    for n in range(1, 10):
+        for _ in range(5):
+            m = Metric(_random_spd(rng, n))
+            L = m.chol()
+            s = rng.standard_normal(n) * 10
+            y = scipy.linalg.solve_triangular(L, s, lower=True)
+            np.testing.assert_array_equal(m.dewhiten_dual(s), y)
+            np.testing.assert_array_equal(m.solve(s),
+                                          scipy.linalg.solve_triangular(L.T, y, lower=False))
+            assert m.dual_norm(s) == float(np.linalg.norm(y))
+            assert m.norm(s) == float(np.linalg.norm(L.T @ s))
+            eye = Metric.identity(n)
+            assert eye.norm(s) == eye.dual_norm(s) == float(np.linalg.norm(s))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_are_rejected(bad):
+    m = Metric(_random_spd(np.random.default_rng(12), 4))
+    s = np.ones(4)
+    s[2] = bad
+    for op in (m.solve, m.dual_norm, m.dewhiten_dual):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            op(s)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from contraprox import tensor_steps
 from contraprox.bregman import PowerProx
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
                                    QuadraticOracle, ZeroComponent, lse_instance)
 from contraprox.tensor_steps import (CompositePart, ContractedSmooth,
                                      InnerLoopError, PlainSmooth, Subproblem,
-                                     TaylorModel, cubic_step_single_center,
+                                     TaylorModel, cholesky_solve,
+                                     cubic_step_single_center,
                                      inner_loop, minimize_model_descent,
                                      minimize_model_newton, model_objective,
                                      step_subgradient, tensor_step)
@@ -358,3 +361,46 @@ def test_model_objective_consistent_with_pieces():
         fd = (model_objective(sub, model, y + e)[0]
               - model_objective(sub, model, y - e)[0]) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+class TestNewtonSolve:
+    @staticmethod
+    def _cubic_model(A, b):
+        n = len(b)
+        sub = Subproblem(p=2, metric=Metric.identity(n),
+                         smooth=PlainSmooth(QuadraticOracle(A, b, lam_max=1.0)),
+                         composite=_empty_composite(n), M=1.0, lipschitz_g=0.0)
+        return sub, TaylorModel(sub.smooth.data(np.zeros(n), 2), 2)
+
+    def test_cholesky_solve_equals_scipy(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 10):
+            for _ in range(5):
+                G = rng.standard_normal((n, n))
+                H = G @ G.T + 1e-3 * np.eye(n)
+                g = rng.standard_normal(n)
+                np.testing.assert_array_equal(
+                    cholesky_solve(H, g), scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), g))
+
+    def test_nan_hessian_is_rejected(self):
+        A = np.diag([2.0, 1.0, 0.5])
+        A[0, 1] = A[1, 0] = np.nan
+        sub, model = self._cubic_model(A, np.ones(3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+
+    def test_indefinite_hessian_takes_the_jitter_path(self, monkeypatch):
+        failures = []
+
+        def spy(H, g):
+            try:
+                return cholesky_solve(H, g)
+            except scipy.linalg.LinAlgError:
+                failures.append(H)
+                raise
+
+        monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
+        sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
+        y, res, iters = minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+        assert failures and iters >= 1 and res <= 1e-10
+        assert model_objective(sub, model, y)[0] < model_objective(sub, model, np.zeros(3))[0]
