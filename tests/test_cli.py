@@ -1,6 +1,6 @@
 import csv
 
-from contraprox.cli import EXIT_OK, EXIT_VALIDATION, main
+from contraprox.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, main
 
 
 def test_solve_then_validate_round_trip(tmp_path):
@@ -22,3 +22,17 @@ def test_solve_then_validate_round_trip(tmp_path):
     tampered.write_text("".join(lines))
     assert main(["validate", "--trace", str(tampered),
                  "--instance", str(instance)]) == EXIT_VALIDATION
+
+
+def test_lse_without_mu_is_a_usage_error(tmp_path):
+    assert main(["solve", "--problem", "lse", "--n", "20", "--method", "cn",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_validate_of_a_missing_trace_is_a_usage_error(tmp_path):
+    assert main(["validate", "--trace", str(tmp_path / "missing.csv")]) == EXIT_USAGE
+
+
+def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
+    assert main(["solve", "--problem", "lse", "--n", "20", "--mu", "1", "--method", "cn",
+                 "--cap-outer", "2", "--out", str(tmp_path)]) == EXIT_SOLVER

@@ -140,6 +140,30 @@ class TestLogSumExp:
             gemm = ((smooth.data.T * pi) @ smooth.data - np.outer(g, g)) / smooth.mu
             assert np.abs(H - gemm).max() <= 1e-12 * np.abs(gemm).max()
 
+    def test_hessian_reuses_the_last_first_order_query(self, monkeypatch):
+        smooth = lse_instance(20, 1.0, 0).smooth
+
+        def fresh_hessian(z):
+            return lse_instance(20, 1.0, 0).smooth.taylor_data(z, 2)[2]
+
+        rng = np.random.default_rng(4)
+        x, y = 0.5 * rng.standard_normal(20), 0.5 * rng.standard_normal(20)
+        smooth.taylor_data(x, 1)
+        weights, at = smooth._weights, []
+        monkeypatch.setattr(smooth, "_weights", lambda z: at.append(z) or weights(z))
+        assert np.array_equal(smooth.hess(x), fresh_hessian(x))
+        assert at == []
+        # a Hessian elsewhere is computed afresh, to the same bits
+        assert np.array_equal(smooth.hess(y), fresh_hessian(y))
+        assert len(at) == 1
+        c = smooth.counters
+        assert (c.value, c.grad, c.hess) == (1, 1, 2)
+        # the cache holds copies: the caller may overwrite its gradient and x
+        smooth.taylor_data(x, 1)[1][:] = 0.0
+        assert np.array_equal(smooth.hess(x), fresh_hessian(x))
+        x[0] += 1.0
+        assert np.array_equal(smooth.hess(x), fresh_hessian(x))
+
     def test_metric_is_gram_of_rows(self):
         obj = lse_instance(5, 1.0, 3)
         A = obj.smooth.data

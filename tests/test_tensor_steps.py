@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from contraprox import tensor_steps
+from contraprox.baselines import _cubic_subproblem
+from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance
 from contraprox.bregman import PowerProx
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
@@ -135,6 +137,33 @@ class TestTensorStep:
         descent, _, _ = minimize_model_descent(sub, model, x, 1e-11)
         np.testing.assert_allclose(newton, direct, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("M", [0.1, 1.5, 10.0])
+    def test_single_center_step_matches_secular_reference_in_b_metric(self, M):
+        rng = np.random.default_rng(10)
+        n = 6
+        oracle = _quadratic_oracle(rng, n)
+        G = rng.standard_normal((n, n))
+        metric = Metric(G @ G.T + 0.5 * np.eye(n))
+        sub = Subproblem(p=2, metric=metric, smooth=PlainSmooth(oracle),
+                         composite=_empty_composite(n), M=M, lipschitz_g=0.0)
+        base = sub.smooth.data(rng.standard_normal(n), 2)
+        step = tensor_step(sub, base, 1e-13)
+        assert step.sub_iterations >= 1 and step.sub_residual <= 1e-13
+        np.testing.assert_allclose(step.point, cubic_step_single_center(base, M, metric),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_cubic_baseline_step_runs_newton(self):
+        # cn and acn step through the damped Newton solver (at cn's inner
+        # tolerance for eps = 1e-7), not the secular reference, which takes
+        # no sub-iterations
+        obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+        sub = _cubic_subproblem(obj.fresh())
+        base = sub.smooth.data(np.zeros(20), 2)
+        inner_tol = 1e-9
+        step = tensor_step(sub, base, inner_tol)
+        assert step.sub_iterations >= 1
+        assert step.sub_residual <= inner_tol
 
     def test_closed_form_order1_matches_iterative(self):
         rng = np.random.default_rng(9)
