@@ -25,8 +25,8 @@ from .objectives import (CompositeObjective, LogSumExpOracle, OracleCounters,
                          power_regularizer_component, quadratic_instance,
                          reference_optimum, sigmoid_spectrum)
 from .tensor_steps import (CompositePart, ContractedSmooth, InnerResult,
-                           PlainSmooth, SmoothData, Subproblem, TaylorModel,
-                           inner_loop, step_subgradient, tensor_step)
+                           SmoothData, Subproblem, inner_loop, step_subgradient,
+                           tensor_step)
 from .trace import RunTrace, read_csv
 from .validate import ValidationReport, validate_trace
 

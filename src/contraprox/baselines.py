@@ -10,8 +10,8 @@ Per iteration, each method is charged:
 
 - cn: one first-order query at x_k and one Hessian at x_{k-1}, the base of
   the step that reached x_k (row 0: the first-order query at x_0);
-- acn: one second-order query at the look-ahead point y_k and one
-  first-order query at x_k (row 0: the first-order query at x_0);
+- acn: one first-order query and one Hessian at the look-ahead point y_k,
+  and one first-order query at x_k (row 0: the first-order query at x_0);
 - gm: one gradient at x_{k-1} plus its line-search value trials, the last of
   which is the value at x_k (row 0: the value at x_0);
 - agm: one gradient at y_k and one value at x_k (row 0: the value at x_0);
@@ -39,8 +39,8 @@ import math
 import numpy as np
 
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import (CompositePart, PlainSmooth, Subproblem, TaylorModel,
-                           step_subgradient, tensor_step)
+from .tensor_steps import (CompositePart, ContractedSmooth, Subproblem, step_subgradient,
+                           tensor_step)
 from .trace import drive
 
 CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
@@ -200,10 +200,14 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None):
 
 
 def _cubic_subproblem(obj):
-    """The order-2 step subproblem of cn and acn: f itself, regularized by CUBIC_REG."""
-    return Subproblem(p=2, metric=obj.metric, smooth=PlainSmooth(obj.smooth),
-                      composite=CompositePart(obj.simple, 1.0, 0.0, None, None),
-                      M=CUBIC_REG, lipschitz_g=obj.smooth.lipschitz.get(2, CUBIC_REG))
+    """The order-2 step subproblem of cn and acn: f itself, regularized by CUBIC_REG.
+
+    f is the contracted part with a = A_next = 1 and A_prev = 0, which is
+    bitwise the oracle in value, gradient and Hessian.
+    """
+    smooth = ContractedSmooth(obj.smooth, 1.0, 1.0, np.zeros(obj.dim), 0.0)
+    return Subproblem(p=2, metric=obj.metric, smooth=smooth,
+                      composite=CompositePart(obj.simple, 1.0, 0.0, None, None), M=CUBIC_REG)
 
 
 def cubic_newton(obj: CompositeObjective, x0, eps, cap):
@@ -218,17 +222,16 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
 
     def iterates():
         z = np.asarray(x0, dtype=float).copy()
-        data = sub.smooth.data(z, 1)
+        data = sub.smooth.data(z)
         row = {"x": z}
         while True:
             grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
             yield data.value + obj.simple.value(z), grad_norm, row
             data.hess = sub.smooth.hess(data.x)
             step = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
-            model = TaylorModel(data, 2)
             z = step.point
-            data = sub.smooth.data(z, 1)
-            s = step_subgradient(sub, model, data.grad, z)
+            base, data = data, sub.smooth.data(z)
+            s = step_subgradient(sub, base, data.grad, z)
             row = {"s_norm": metric.dual_norm(s) + step.sub_residual, "t_inner": 1, "x": z}
 
     return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
@@ -240,9 +243,9 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
     Linear lower models are accumulated against a cubic prox term centered at
     the start, with coefficient ``CUBIC_REG`` like the step itself; the
     auxiliary point has a closed form.  The objective may oscillate; the
-    certificate is the estimating-sequence bound, not per-step descent.  Two
-    smooth-oracle queries per iteration (one second-order at the look-ahead
-    point, one first-order at the new iterate); the start x0 gets the same
+    certificate is the estimating-sequence bound, not per-step descent.  Per
+    iteration, a first-order query and a Hessian at the look-ahead point and
+    a first-order query at the new iterate; the start x0 gets the same
     first-order query, so every row records s_norm = ||grad f(x_k)||_* and the
     run stops on the gradient norm when f* is unknown.
     """
@@ -270,7 +273,9 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
                 r = math.sqrt(2.0 * sn / CUBIC_REG)
                 v = x_anchor - (2.0 / (CUBIC_REG * r)) * metric.solve(s_acc)
             y = (A * x + a * v) / A_next
-            step = tensor_step(sub, sub.smooth.data(y, 2), inner_tol=max(eps * 1e-2, 1e-13))
+            base = sub.smooth.data(y)
+            base.hess = sub.smooth.hess(y)
+            step = tensor_step(sub, base, inner_tol=max(eps * 1e-2, 1e-13))
             x, A = step.point, A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g

@@ -16,9 +16,9 @@ from .metric import Metric, pairing
 class ProxFunction:
     """Differentiable strictly convex distance generator.
 
-    Subclasses provide ``value`` and ``gradient``; the divergence and the
-    uniform-convexity lower bound are derived here.  ``uniform_constant`` is
-    the constant sigma with  divergence(x; y) >= sigma/(p+1) * ||x-y||^{p+1}.
+    Subclasses provide ``value`` and ``gradient``; the divergence is derived
+    here.  ``uniform_constant`` is the constant sigma with
+    divergence(x; y) >= sigma/(p+1) * ||x-y||^{p+1}.
     """
 
     order: int
@@ -46,11 +46,6 @@ class ProxFunction:
                 raise ArithmeticError(f"divergence came out negative ({val}); prox not convex?")
             val = 0.0
         return val
-
-    def uniform_lower_bound(self, x, y):
-        """sigma/(p+1) * ||x - y||^{p+1}, the certified floor under the divergence."""
-        r = self.metric.norm(np.asarray(x, float) - np.asarray(y, float))
-        return self.uniform_constant / (self.order + 1) * r ** (self.order + 1)
 
 
 class PowerProx(ProxFunction):

@@ -99,12 +99,10 @@ def cmd_solve(args):
                           sigma=args.sigma, out_dir=args.out,
                           cap_outer=args.cap_outer, cap_inner=args.cap_inner)
     try:
-        spec.validate()
+        _, report, all_ok = solve_experiment(spec)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _, report, all_ok = solve_experiment(spec)
     except SolverError as exc:
         print(f"solve: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -79,21 +79,6 @@ class GeometricSchedule:
         return {"kind": self.kind, "omega": self.omega, "c": self.c, "p": self.p}
 
 
-class CustomSchedule:
-    kind = "custom"
-
-    def __init__(self, fn, p, description="custom"):
-        self.fn = fn
-        self.p = int(p)
-        self.description = description
-
-    def next_a(self, k, A):
-        return float(self.fn(k, A))
-
-    def describe(self):
-        return {"kind": self.kind, "p": self.p, "description": self.description}
-
-
 def schedule_constant(p, gamma0, lipschitz):
     """The growth constant c = p! gamma0 / (2^{p-1} (p+1)^{p+2} L_p(f))."""
     return math.factorial(p) * gamma0 / (2.0 ** (p - 1) * (p + 1) ** (p + 2) * lipschitz)
@@ -348,8 +333,7 @@ def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunct
     lipschitz_g = smooth.lipschitz(p)
     gamma_next = state.gamma + a_next * obj.simple.modulus
     sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
-                     M=p * lipschitz_g, lipschitz_g=lipschitz_g,
-                     strong_modulus=gamma_next, prox=prox)
+                     M=p * lipschitz_g)
     cap = _resolve_inner_cap(caps, p, lipschitz_g, state.gamma, gamma_next,
                              prox.uniform_constant, delta, prox, state.v,
                              state.A * residual, obj.xstar)

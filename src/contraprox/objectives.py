@@ -45,9 +45,9 @@ class SmoothOracle:
     instance's norm.  ``taylor_data(x, order)`` returns everything a model of
     that order needs in one call, so a point queried once is charged once.
     ``hess(x)`` is the Hessian alone, for a caller that already holds the
-    first-order data at x and learns only later that a step is based there:
-    the inner loop queries order 1 at every iterate and builds the Hessian
-    only at the points its order-2 steps start from.
+    first-order data at x.  Every order-2 caller (cptm's inner loop, cn and
+    acn) builds the Hessian that way, lazily, only at the points its steps
+    start from, so no solver asks ``taylor_data`` for order 2.
     """
 
     dim: int

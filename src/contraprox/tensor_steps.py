@@ -2,12 +2,15 @@
 
 One inner iteration minimizes
     Omega_p(g, x; y) + M/(p+1)! * ||y - x||^{p+1} + phi(y)
-over y, where g is the (possibly contracted) smooth part and phi collects the
-simple component and the proximal divergence term.  Orders p = 1, 2 run:
-p = 1 steps with quadratic phi are closed-form linear solves, and every other
-step, the p = 2 steps of cptm and of the cubic baselines alike, is minimized by
-damped Newton (:func:`minimize_model_newton`).  Two references that no solver
-calls are kept for the tests: :func:`cubic_step_single_center`, the exact
+over y, where g is the contracted smooth part and phi collects the simple
+component and the proximal divergence term.  The cubic baselines run the same
+step on f itself, as the part contracted with a = A_next = 1 and A_prev = 0.
+Every order-2 step takes first-order data from ``smooth.data(x)`` and its
+Hessian from ``smooth.hess(x)``.  Orders p = 1, 2 run: p = 1 steps with
+quadratic phi are closed-form linear solves, and every other step, the p = 2
+steps of cptm and of the cubic baselines alike, is minimized by damped Newton
+(:func:`minimize_model_newton`).  Two references that no solver calls are
+kept for the tests: :func:`cubic_step_single_center`, the exact
 secular-equation minimizer of a single-center p = 2 step, and
 :func:`minimize_model_descent`, a Barzilai-Borwein descent.
 """
@@ -30,19 +33,36 @@ _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1,
 
 @dataclass
 class SmoothData:
-    """Oracle data of the smooth part at one base point."""
+    """Oracle data of the smooth part at one base point, and its Taylor model.
+
+    The model is of order 2 when ``hess`` is set and of order 1 otherwise.
+    """
 
     x: np.ndarray
     value: float
     grad: np.ndarray
     hess: np.ndarray | None = None
 
+    def model_increment(self, y):
+        """(model value minus the base value, model gradient) at y.
+
+        The contracted smooth part carries a constant of size A*f, which would
+        drown line-search decrements in round-off; increments stay small.
+        """
+        u = np.asarray(y, dtype=float) - self.x
+        if self.hess is None:
+            return float(self.grad @ u), self.grad.copy()
+        hu = self.hess @ u
+        return float(self.grad @ u) + 0.5 * float(u @ hu), self.grad + hu
+
 
 class ContractedSmooth:
     """Smooth part  x -> A_next * f((a*x + A_prev*x_prev) / A_next).
 
     The affine reparametrization rescales derivatives by powers of a/A_next,
-    which is exactly what shrinks the subproblem's Lipschitz constants.
+    which is exactly what shrinks the subproblem's Lipschitz constants.  With
+    a = A_next = 1 and A_prev = 0 the part is f itself, bitwise: value,
+    gradient and Hessian are the oracle's.
     """
 
     def __init__(self, oracle: SmoothOracle, a, A_next, x_prev, A_prev):
@@ -57,10 +77,8 @@ class ContractedSmooth:
     def map_point(self, x):
         return self.scale * x + self.shift
 
-    def data(self, x, order):
+    def data(self, x):
         """Value and gradient at x; the Hessian comes separately from :meth:`hess`."""
-        if order != 1:
-            raise ValueError("contracted data is first-order; use hess() for the Hessian")
         v, g, _ = self.oracle.taylor_data(self.map_point(x), 1)
         return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g)
 
@@ -69,23 +87,6 @@ class ContractedSmooth:
 
     def lipschitz(self, p):
         return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
-
-
-class PlainSmooth:
-    """Identity wrapper so baselines can run the same step machinery on f itself."""
-
-    def __init__(self, oracle: SmoothOracle):
-        self.oracle = oracle
-
-    def data(self, x, order):
-        v, g, H = self.oracle.taylor_data(x, order)
-        return SmoothData(np.asarray(x, float).copy(), v, g, H)
-
-    def hess(self, x):
-        return self.oracle.hess(x)
-
-    def lipschitz(self, p):
-        return self.oracle.lipschitz[p]
 
 
 class CompositePart:
@@ -162,52 +163,20 @@ class CompositePart:
         return coeff, combo
 
 
-class TaylorModel:
-    """Order-p polynomial model of the smooth part around a cached base point."""
-
-    def __init__(self, data: SmoothData, p):
-        if p not in (1, 2):
-            raise ValueError("only orders 1 and 2 are runnable")
-        if p == 2 and data.hess is None:
-            raise ValueError("order-2 model needs Hessian data")
-        self.data = data
-        self.p = p
-
-    def increment_and_gradient(self, y):
-        """(model value minus the base value, model gradient) at y.
-
-        The contracted smooth part carries a constant of size A*f, which would
-        drown line-search decrements in round-off; increments stay small.
-        """
-        u = np.asarray(y, dtype=float) - self.data.x
-        if self.p == 1:
-            return float(self.data.grad @ u), self.data.grad.copy()
-        hu = self.data.hess @ u
-        return float(self.data.grad @ u) + 0.5 * float(u @ hu), self.data.grad + hu
-
-    def value_and_gradient(self, y):
-        increment, grad = self.increment_and_gradient(y)
-        return self.data.value + increment, grad
-
-
 @dataclass
 class Subproblem:
     """One regularized inner subproblem h = g + phi with its step constant M.
 
-    ``strong_modulus`` is the strong-convexity coefficient of h relative to
-    ``prox`` (the post-update proximal coefficient).  The contracting solver
-    sets M = p * L_p(g), which keeps the step subproblem convex at every
-    order; practical baselines may run smaller M at their own risk.
+    The contracting solver sets M = p * L_p(g), which keeps the step
+    subproblem convex at every order; the cubic baselines run g = f with a
+    fixed M.
     """
 
     p: int
     metric: Metric
-    smooth: ContractedSmooth | PlainSmooth
+    smooth: ContractedSmooth
     composite: CompositePart
     M: float
-    lipschitz_g: float
-    strong_modulus: float = 0.0
-    prox: ProxFunction | None = None
 
     def h_value_from(self, data: SmoothData):
         return data.value + self.composite.value(data.x)
@@ -225,28 +194,28 @@ def regularizer_gradient(metric, M, p, u, r=None):
     return (M / math.factorial(p)) * r ** (p - 1) * metric.apply(u)
 
 
-def model_objective(sub: Subproblem, model: TaylorModel, y, phi_base=0.0):
+def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):
     """(value relative to the step base, gradient) of the step objective at y.
 
     The value omits the model's base constant and ``phi_base`` (phi at the
     step base, for callers that compare values) so that line searches compare
     quantities of the size of the actual progress, not of A*f.
     """
-    u = np.asarray(y, dtype=float) - model.data.x
+    u = np.asarray(y, dtype=float) - base.x
     r = sub.metric.norm(u)
-    mval, mgrad = model.increment_and_gradient(y)
+    mval, mgrad = base.model_increment(y)
     val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) \
         + sub.composite.value(y) - phi_base
     grad = mgrad + regularizer_gradient(sub.metric, sub.M, sub.p, u, r) + sub.composite.grad(y)
     return val, grad
 
 
-def model_objective_hessian(sub: Subproblem, model: TaylorModel, y):
+def model_objective_hessian(sub: Subproblem, base: SmoothData, y):
     """Hessian of the step objective; all pieces come from cached data."""
-    u = np.asarray(y, dtype=float) - model.data.x
+    u = np.asarray(y, dtype=float) - base.x
     H = sub.composite.hess(y)
-    if model.p >= 2:
-        H = H + model.data.hess
+    if base.hess is not None:
+        H = H + base.hess
     if sub.M > 0:
         H = H + sub.M / math.factorial(sub.p) * power_hessian(sub.metric, u, sub.p)
     return H
@@ -264,7 +233,7 @@ def cholesky_solve(H, g):
     return x
 
 
-def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200):
+def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
     """Damped Newton on the step objective, to dual gradient norm <= tol.
 
     The model Hessian is cached oracle data and the remaining curvature is
@@ -272,12 +241,13 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
     solve is :func:`cholesky_solve`, LAPACK potrf/potrs called directly (at
     n <= 200 scipy's wrappers cost more than the solve), jittered when H does
     not factorize.  Backtracks on the increment value with a round-off
-    allowance; quadratic local convergence makes tight tolerances cheap.
-    Returns (y, residual, iters).
+    allowance, and takes a full step without a measurable decrease when it
+    halves the residual; quadratic local convergence makes tight tolerances
+    cheap.  Returns (y, residual, iters).
     """
     y = np.asarray(y0, dtype=float).copy()
-    phi_base = sub.composite.value(model.data.x)
-    val, grad = model_objective(sub, model, y, phi_base)
+    phi_base = sub.composite.value(base.x)
+    val, grad = model_objective(sub, base, y, phi_base)
     best_y, best_res = y, math.inf
     for it in range(cap):
         res = sub.metric.dual_norm(grad)
@@ -285,7 +255,7 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
             best_y, best_res = y, res
         if res <= tol:
             return y, res, it
-        H = model_objective_hessian(sub, model, y)
+        H = model_objective_hessian(sub, base, y)
         jitter = 0.0
         for _ in range(8):
             try:
@@ -304,8 +274,12 @@ def minimize_model_newton(sub: Subproblem, model: TaylorModel, y0, tol, cap=200)
         accepted = False
         for _ in range(60):
             y_trial = y + t * step
-            val_t, grad_t = model_objective(sub, model, y_trial, phi_base)
-            if val_t <= val + 1e-4 * t * slope + noise:
+            val_t, grad_t = model_objective(sub, base, y_trial, phi_base)
+            # near the minimizer the decrease falls below the round-off of phi's
+            # Bregman term, a difference of far larger numbers; a full step that
+            # halves the residual is then taken on the residual alone
+            if (val_t <= val + 1e-4 * t * slope + noise
+                    or (t == 1.0 and sub.metric.dual_norm(grad_t) <= 0.5 * res)):
                 accepted = True
                 break
             t *= 0.5
@@ -380,7 +354,7 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     return base.x + step
 
 
-def minimize_model_descent(sub: Subproblem, model: TaylorModel, y0, tol, cap=20000):
+def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000):
     """Safeguarded Barzilai-Borwein descent on the step objective in the B-metric.
 
     Works on the objective's increment relative to the step base and allows a
@@ -391,8 +365,8 @@ def minimize_model_descent(sub: Subproblem, model: TaylorModel, y0, tol, cap=200
     :func:`minimize_model_newton` and the closed-form steps.
     """
     y = np.asarray(y0, dtype=float).copy()
-    phi_base = sub.composite.value(model.data.x)
-    val, grad = model_objective(sub, model, y, phi_base)
+    phi_base = sub.composite.value(base.x)
+    val, grad = model_objective(sub, base, y, phi_base)
     precond = sub.metric.solve(grad)
     sq = float(grad @ precond)
     alpha = 1.0 / max(1.0, math.sqrt(sq))
@@ -410,7 +384,7 @@ def minimize_model_descent(sub: Subproblem, model: TaylorModel, y0, tol, cap=200
         noise = 1e-14 * (abs(val) + abs(best_val)) + 1e-300
         for _ in range(60):
             y_trial = y + t * direction
-            val_t, grad_t = model_objective(sub, model, y_trial, phi_base)
+            val_t, grad_t = model_objective(sub, base, y_trial, phi_base)
             if val_t <= val - 1e-4 * t * sq + noise:
                 accepted = True
                 break
@@ -443,19 +417,23 @@ def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
 
     A p = 1 step with quadratic phi is a closed-form linear solve.  Every
     other step runs damped Newton (:func:`minimize_model_newton`) until the
-    step objective's dual gradient norm is at most ``inner_tol``.
+    step objective's dual gradient norm is at most ``inner_tol``.  The model
+    is ``base``'s: p must be 1 or 2, and ``base.hess`` set exactly when p = 2.
     """
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
+    if sub.p not in (1, 2):
+        raise ValueError("only orders 1 and 2 are runnable")
+    if (base.hess is not None) != (sub.p == 2):
+        raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
     if sub.p == 1 and sub.composite.gradient_is_affine:
         T = _closed_form_order1(sub, base)
         return StepResult(T, 0.0, 0)
-    model = TaylorModel(base, sub.p)
-    y, rho, iters = minimize_model_newton(sub, model, base.x, inner_tol)
+    y, rho, iters = minimize_model_newton(sub, base, base.x, inner_tol)
     return StepResult(y, rho, iters)
 
 
-def step_subgradient(sub: Subproblem, model: TaylorModel, grad_g_at_T, T):
+def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):
     """Implicit subgradient of h at the step's result.
 
     The step's first-order condition pins the phi-subgradient to minus the
@@ -465,8 +443,8 @@ def step_subgradient(sub: Subproblem, model: TaylorModel, grad_g_at_T, T):
     any sub-minimizer residual must be added on top of ||s||_* to stay a
     valid certificate.
     """
-    u = np.asarray(T, dtype=float) - model.data.x
-    model_grad = model.increment_and_gradient(T)[1]
+    u = np.asarray(T, dtype=float) - base.x
+    model_grad = base.model_increment(T)[1]
     return grad_g_at_T - model_grad - regularizer_gradient(sub.metric, sub.M, sub.p, u)
 
 
@@ -510,15 +488,14 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     costs one first-order query (shared between the stopping test and the
     next model), and each step taken at order p >= 2 one Hessian at its
     base, so the exit point and a start point that already meets delta are
-    never charged a Hessian; at p >= 2 the smooth part must provide ``hess``
-    (:class:`ContractedSmooth` does).  Raises :class:`InnerLoopError` past ``cap``
+    never charged a Hessian.  Raises :class:`InnerLoopError` past ``cap``
     steps, which in a correctly configured run means the Lipschitz estimate
     is wrong.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     sub_tol = delta / 10.0
-    data = sub.smooth.data(z0, 1)
+    data = sub.smooth.data(z0)
     s0 = sub.h_grad_from(data)
     s0_norm = sub.metric.dual_norm(s0)
     if s0_norm <= delta:
@@ -531,11 +508,10 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     for t in range(1, max(int(cap), 1) + 1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        model = TaylorModel(data, sub.p)
         step = tensor_step(sub, data, sub_tol)
         T = step.point
-        data_T = sub.smooth.data(T, 1)
-        s = step_subgradient(sub, model, data_T.grad, T)
+        data_T = sub.smooth.data(T)
+        s = step_subgradient(sub, data, data_T.grad, T)
         s_dual = sub.metric.dual_norm(s)
         s_norm = s_dual + step.sub_residual
         h_T = sub.h_value_from(data_T)

@@ -69,3 +69,12 @@ def test_cn_charges_one_hessian_per_step():
     tr = run_method("cn", _instance("lse"), 1e-7)
     for k, rec in enumerate(tr.records):
         assert rec.counters["oracle_h"] == k
+
+
+def test_acn_charges_one_hessian_per_step():
+    # each step takes first-order data and a Hessian at the look-ahead point,
+    # then first-order data at x_k; x_0 gets the first-order query too
+    tr = run_method("acn", _instance("lse"), 1e-7)
+    for k, rec in enumerate(tr.records):
+        assert rec.counters["oracle_h"] == k
+        assert rec.counters["oracle_f"] == rec.counters["oracle_g"] == 2 * k + 1

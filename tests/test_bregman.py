@@ -5,6 +5,12 @@ from contraprox.bregman import CustomProx, PowerProx
 from contraprox.metric import Metric
 
 
+def _uniform_floor(d, x, y):
+    """sigma/(p+1) * ||x - y||^{p+1}, the certified floor under the divergence."""
+    r = d.metric.norm(np.asarray(x, float) - np.asarray(y, float))
+    return d.uniform_constant / (d.order + 1) * r ** (d.order + 1)
+
+
 def test_power_value_order1():
     d = PowerProx(1, np.zeros(2), Metric.identity(2))
     assert d.value(np.array([3.0, 4.0])) == pytest.approx(12.5, abs=1e-14)
@@ -84,7 +90,7 @@ def test_divergence_order2_hand_value():
 def test_uniform_lower_bound_hand_value():
     d = PowerProx(2, np.zeros(2), Metric.identity(2))
     x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    bound = d.uniform_lower_bound(x, y)
+    bound = _uniform_floor(d, x, y)
     assert bound == pytest.approx((1.0 / 6.0) * np.sqrt(2.0) ** 3, rel=1e-12)
     assert d.divergence(x, y) >= bound
 
@@ -94,7 +100,7 @@ def test_uniform_bound_equality_order1():
     d = PowerProx(1, np.zeros(4), Metric.identity(4))
     for _ in range(10):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        assert d.divergence(x, y) == pytest.approx(d.uniform_lower_bound(x, y), rel=1e-12)
+        assert d.divergence(x, y) == pytest.approx(_uniform_floor(d, x, y), rel=1e-12)
 
 
 def test_uniform_bound_random_pairs():
@@ -106,7 +112,7 @@ def test_uniform_bound_random_pairs():
             metric = Metric(G @ G.T + n * np.eye(n))
             d = PowerProx(p, rng.standard_normal(n), metric)
             x, y = rng.standard_normal(n) * 2, rng.standard_normal(n) * 2
-            assert d.divergence(x, y) >= d.uniform_lower_bound(x, y) - 1e-12
+            assert d.divergence(x, y) >= _uniform_floor(d, x, y) - 1e-12
 
 
 def test_additivity_of_divergences():

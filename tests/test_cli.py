@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from contraprox.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -36,3 +38,17 @@ def test_validate_of_a_missing_trace_is_a_usage_error(tmp_path):
 def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
     assert main(["solve", "--problem", "lse", "--n", "20", "--mu", "1", "--method", "cn",
                  "--cap-outer", "2", "--out", str(tmp_path)]) == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--sigma", "1e-4", "--method", "gm"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "bogus"],
+    ["--problem", "quadratic", "--n", "1", "--q", "0.01", "--method", "gm"],
+    ["--problem", "quadratic", "--n", "10", "--q", "2", "--method", "gm"],
+    ["--problem", "lse", "--n", "10", "--mu", "-1", "--method", "cn"],
+])
+def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("solve: ") and "Traceback" not in err

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from contraprox.bregman import PowerProx
-from contraprox.contracting import (ConstantDelta, CustomSchedule,
-                                    GeometricSchedule, OuterState, PowerDelta,
+from contraprox.contracting import (ConstantDelta, GeometricSchedule,
+                                    OuterState, PowerDelta,
                                     RunCaps, SublinearSchedule,
                                     TheoremConvexDelta, complexity_convex,
                                     complexity_strongly_convex,
@@ -317,8 +317,17 @@ class TestRunContractingProximal:
         # Lipschitz constant exactly gamma0
         obj = quadratic_instance(10, 2.0, 5)
         L = obj.smooth.lipschitz[1]
-        rule = lambda k, A: (1.0 + math.sqrt(1.0 + 4.0 * L * A)) / (2.0 * L)
-        sched = CustomSchedule(rule, 1, "quadratic-equation")
+
+        class QuadraticEquationSchedule:
+            kind, p = "quadratic-equation", 1
+
+            def next_a(self, k, A):
+                return (1.0 + math.sqrt(1.0 + 4.0 * L * A)) / (2.0 * L)
+
+            def describe(self):
+                return {"kind": self.kind, "p": self.p}
+
+        sched = QuadraticEquationSchedule()
         prox = PowerProx(1, np.zeros(10), obj.metric)
         tr = run_contracting_proximal(obj, prox, sched, PowerDelta(1.0, 2.0),
                                       eps=1e-7, caps=RunCaps(outer=5000))
