@@ -8,7 +8,7 @@ inequality along the recorded trace.  Baseline solvers and a benchmark
 harness reproduce the standard quadratic and log-sum-exp comparisons.
 """
 
-from .bregman import CustomProx, PowerProx, ProxFunction
+from .bregman import PowerProx, ProxFunction
 from .contracting import (ConstantDelta, GeometricSchedule, OuterState,
                           PowerDelta, RunCaps, SublinearSchedule,
                           TheoremConvexDelta, TheoremStronglyConvexDelta,

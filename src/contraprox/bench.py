@@ -108,8 +108,8 @@ class ExperimentSpec:
     cap_inner: int | None = None
 
     def validate(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be nonnegative")
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
@@ -120,6 +120,9 @@ class ExperimentSpec:
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
                cap_outer=5000, cap_inner=None):
     """Run one named method on an instance; returns its trace."""
+    if not (eps > 0 and gamma0 > 0 and cap_outer > 0 and (cap_inner is None or cap_inner > 0)):
+        raise ValueError(f"eps, gamma0 and the caps must be positive, not {eps}, {gamma0}, "
+                         f"{cap_outer} and {cap_inner}")
     x0 = np.zeros(obj.dim)
     if name in _BASELINE_FUNCTIONS:
         return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)

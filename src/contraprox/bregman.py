@@ -1,9 +1,9 @@
 """Distance-generating functions and their Bregman divergences.
 
-The shipped family is the power prox d(x) = ||x - x0||^{p+1}/(p+1), uniformly
-convex of degree p+1 with constant 2^{1-p} for the B-induced norm.  Anything
-exposing (value, gradient, order, uniform-convexity constant) works in its
-place; see :class:`CustomProx`.
+The power prox d(x) = ||x - x0||^{p+1}/(p+1), uniformly convex of degree p+1
+with constant 2^{1-p} for the B-induced norm, is the one family the tensor
+steps solve (their closed form and Newton Hessian are this family's), so a
+step subproblem built on any other prox is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -88,22 +88,3 @@ def power_hessian(metric, u, p):
         return np.zeros_like(B)
     Bu = metric.apply(u)
     return r ** (p - 1) * B + (p - 1) * r ** (p - 3) * np.outer(Bu, Bu)
-
-
-class CustomProx(ProxFunction):
-    """Adapter for any (value, gradient, sigma) triple, e.g. entropy-like proxes."""
-
-    def __init__(self, value_fn, gradient_fn, order, uniform_constant, center, metric):
-        self._value_fn = value_fn
-        self._gradient_fn = gradient_fn
-        self.order = int(order)
-        self.uniform_constant = float(uniform_constant)
-        self.center = np.asarray(center, dtype=float)
-        self.metric = metric
-
-    def value(self, x):
-        return float(self._value_fn(np.asarray(x, float)))
-
-    def gradient(self, x):
-        return np.asarray(self._gradient_fn(np.asarray(x, float)), dtype=float)
-

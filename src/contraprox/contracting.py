@@ -38,7 +38,7 @@ class SublinearSchedule:
     kind = "sublinear"
 
     def __init__(self, c, p):
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
         self.c = float(c)
         self.p = int(p)
@@ -64,7 +64,7 @@ class GeometricSchedule:
     def __init__(self, omega, c, p):
         if not 0.0 < omega <= 0.5:
             raise ValueError("omega must lie in (0, 1/2]")
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
         self.omega = float(omega)
         self.c = float(c)
@@ -86,7 +86,7 @@ def schedule_constant(p, gamma0, lipschitz):
 
 def schedule_convex(p, gamma0, lipschitz):
     """Sublinear coefficient schedule keeping the inner condition ratio at most 1."""
-    if gamma0 <= 0 or lipschitz <= 0:
+    if not (gamma0 > 0 and lipschitz > 0):
         raise ValueError("gamma0 and the Lipschitz constant must be positive")
     return SublinearSchedule(schedule_constant(p, gamma0, lipschitz), p)
 
@@ -99,7 +99,7 @@ def contraction_rate(p, sigma, lipschitz):
 
 def schedule_strongly_convex(p, sigma, lipschitz, gamma0=1.0):
     """Geometric coefficient schedule for psi strongly convex relative to d."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive for the geometric schedule")
     omega = contraction_rate(p, sigma, lipschitz)
     return GeometricSchedule(omega, schedule_constant(p, gamma0, lipschitz), p)
@@ -109,7 +109,7 @@ class ConstantDelta:
     kind = "constant"
 
     def __init__(self, delta):
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError("delta must be positive")
         self.delta = float(delta)
 
@@ -126,9 +126,9 @@ class PowerDelta:
     kind = "power"
 
     def __init__(self, c=1.0, s=2.0):
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
-        if s <= 1:
+        if not s > 1:
             raise ValueError("s must exceed 1 for a summable accuracy series")
         self.c = float(c)
         self.s = float(s)
@@ -146,7 +146,7 @@ class TheoremConvexDelta:
     kind = "theorem_convex"
 
     def __init__(self, eps):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         self.eps = float(eps)
 
@@ -162,7 +162,7 @@ class TheoremStronglyConvexDelta:
     kind = "theorem_strongly_convex"
 
     def __init__(self, eps):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         self.eps = float(eps)
 

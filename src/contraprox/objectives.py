@@ -197,7 +197,7 @@ class SimpleComponent:
         raise NotImplementedError
 
     def hess(self, x):
-        """Hessian when psi is smooth; used only by reference solvers."""
+        """Hessian when psi is smooth; order-2 steps and the reference Newton use it."""
         raise NotImplementedError
 
     @property

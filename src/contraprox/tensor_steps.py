@@ -6,13 +6,14 @@ over y, where g is the contracted smooth part and phi collects the simple
 component and the proximal divergence term.  The cubic baselines run the same
 step on f itself, as the part contracted with a = A_next = 1 and A_prev = 0.
 Every order-2 step takes first-order data from ``smooth.data(x)`` and its
-Hessian from ``smooth.hess(x)``.  Orders p = 1, 2 run: p = 1 steps with
-quadratic phi are closed-form linear solves, and every other step, the p = 2
-steps of cptm and of the cubic baselines alike, is minimized by damped Newton
-(:func:`minimize_model_newton`).  Two references that no solver calls are
-kept for the tests: :func:`cubic_step_single_center`, the exact
-secular-equation minimizer of a single-center p = 2 step, and
-:func:`minimize_model_descent`, a Barzilai-Borwein descent.
+Hessian from ``smooth.hess(x)``, and both must be finite.  Every divergence
+term and psi is built on the power prox (see ``bregman``), so the step
+dispatches on p alone: a p = 1 step is a closed-form linear solve, and a
+p = 2 step, cptm's and the cubic baselines' alike, is minimized by damped
+Newton (:func:`minimize_model_newton`); :class:`Subproblem` rejects what
+neither solves when it is built.  :func:`cubic_step_single_center`, the
+exact single-center p = 2 step, is a reference no solver calls; the descent
+reference the tests also use is in ``tests/step_reference.py``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .bregman import ProxFunction, power_hessian
+from .bregman import PowerProx, ProxFunction, power_hessian
 from .metric import Metric
-from .objectives import SimpleComponent, SmoothOracle, SolverError
+from .objectives import PowerRegularizer, SimpleComponent, SmoothOracle, SolverError
 
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
@@ -78,12 +79,17 @@ class ContractedSmooth:
         return self.scale * x + self.shift
 
     def data(self, x):
-        """Value and gradient at x; the Hessian comes separately from :meth:`hess`."""
+        """Value and gradient at x, both finite; the Hessian comes from :meth:`hess`."""
         v, g, _ = self.oracle.taylor_data(self.map_point(x), 1)
+        if not (math.isfinite(v) and np.isfinite(g).all()):
+            raise SolverError(f"the oracle returned a non-finite value or gradient (f = {v!r})")
         return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g)
 
     def hess(self, x):
-        return (self.a * self.scale) * self.oracle.hess(self.map_point(x))
+        H = (self.a * self.scale) * self.oracle.hess(self.map_point(x))
+        if not np.isfinite(H).all():
+            raise SolverError("the oracle returned a non-finite Hessian")
+        return H
 
     def lipschitz(self, p):
         return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
@@ -136,19 +142,10 @@ class CompositePart:
             out = np.zeros((n, n))
         return out
 
-    @property
-    def gradient_is_affine(self):
-        """True when phi has an affine gradient, i.e. the step is a linear solve."""
-        psi_ok = (self.weight == 0.0 or self.psi.is_zero
-                  or (hasattr(self.psi, "prox") and self.psi.prox is not None
-                      and self.psi.prox.order == 1))
-        div_ok = self.gamma == 0.0 or self.prox.order == 1
-        return psi_ok and div_ok
-
     def affine_terms(self):
         """(total curvature coefficient, B-weighted center combination) of grad phi.
 
-        Only valid when ``gradient_is_affine``; grad phi(y) = coeff*B*y - B*combo.
+        Only valid when every term has order 1; grad phi(y) = coeff*B*y - B*combo.
         """
         coeff = 0.0
         combo = None
@@ -169,7 +166,9 @@ class Subproblem:
 
     The contracting solver sets M = p * L_p(g), which keeps the step
     subproblem convex at every order; the cubic baselines run g = f with a
-    fixed M.
+    fixed M.  Building one raises ``ValueError`` unless p is 1 or 2, psi is
+    zero or a :class:`PowerRegularizer`, and each term in use is built on a
+    :class:`PowerProx` on ``metric``, of order 1 when p = 1.
     """
 
     p: int
@@ -177,6 +176,20 @@ class Subproblem:
     smooth: ContractedSmooth
     composite: CompositePart
     M: float
+
+    def __post_init__(self):
+        c = self.composite
+        psi_used = c.weight > 0 and not c.psi.is_zero
+        if self.p not in (1, 2):
+            raise ValueError("only orders 1 and 2 are runnable")
+        if psi_used and not isinstance(c.psi, PowerRegularizer):
+            raise ValueError(f"psi is a {type(c.psi).__name__}, not zero or a PowerRegularizer")
+        for part, prox, used in (("the divergence term", c.prox, c.gamma > 0),
+                                 ("psi", c.psi.prox, psi_used)):
+            if used and not (isinstance(prox, PowerProx) and prox.metric is self.metric):
+                raise ValueError(f"{part} is not built on a PowerProx on the step's metric")
+            if used and self.p == 1 and prox.order != 1:
+                raise ValueError(f"{part} has order {prox.order}; an order-1 step needs 1")
 
     def h_value_from(self, data: SmoothData):
         return data.value + self.composite.value(data.x)
@@ -354,57 +367,6 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     return base.x + step
 
 
-def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000):
-    """Safeguarded Barzilai-Borwein descent on the step objective in the B-metric.
-
-    Works on the objective's increment relative to the step base and allows a
-    round-off-sized slack in the Armijo test; the best value seen is what gets
-    returned, so descent from the base point holds to float precision.
-    Returns (y, dual residual, iterations).  No solver calls it: it is the
-    independent reference against which tests check
-    :func:`minimize_model_newton` and the closed-form steps.
-    """
-    y = np.asarray(y0, dtype=float).copy()
-    phi_base = sub.composite.value(base.x)
-    val, grad = model_objective(sub, base, y, phi_base)
-    precond = sub.metric.solve(grad)
-    sq = float(grad @ precond)
-    alpha = 1.0 / max(1.0, math.sqrt(sq))
-    best_y, best_val, best_res = y, val, math.sqrt(max(sq, 0.0))
-    noise = 0.0
-    for it in range(cap):
-        res = math.sqrt(max(sq, 0.0))
-        if res < best_res:
-            best_y, best_val, best_res = y, val, res
-        if res <= tol:
-            return y, res, it
-        direction = -precond
-        t = alpha
-        accepted = False
-        noise = 1e-14 * (abs(val) + abs(best_val)) + 1e-300
-        for _ in range(60):
-            y_trial = y + t * direction
-            val_t, grad_t = model_objective(sub, base, y_trial, phi_base)
-            if val_t <= val - 1e-4 * t * sq + noise:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # decrements below float resolution; the best point is the answer
-            return best_y, best_res, it
-        dgrad = grad_t - grad
-        denom = float((y_trial - y) @ dgrad)
-        if denom > 1e-300:
-            alpha = min(max(t * t * sq / denom, 1e-14), 1e14)
-        else:
-            alpha = t * 2.0
-        y, val, grad = y_trial, val_t, grad_t
-        precond = sub.metric.solve(grad)
-        sq = float(grad @ precond)
-    raise SolverError(f"step sub-minimizer exceeded {cap} iterations "
-                      f"(residual {math.sqrt(max(sq, 0.0)):.3e}, tol {tol:.3e})")
-
-
 @dataclass
 class StepResult:
     point: np.ndarray
@@ -415,20 +377,18 @@ class StepResult:
 def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
     """Minimize the order-p regularized model around ``base``.
 
-    A p = 1 step with quadratic phi is a closed-form linear solve.  Every
-    other step runs damped Newton (:func:`minimize_model_newton`) until the
-    step objective's dual gradient norm is at most ``inner_tol``.  The model
-    is ``base``'s: p must be 1 or 2, and ``base.hess`` set exactly when p = 2.
+    A p = 1 step is a closed-form linear solve.  A p = 2 step runs damped
+    Newton (:func:`minimize_model_newton`) until the step objective's dual
+    gradient norm is at most ``inner_tol``.  The model is ``base``'s, so
+    ``base.hess`` must be set exactly when p = 2; a subproblem neither can
+    solve was already rejected when it was built (see :class:`Subproblem`).
     """
-    if inner_tol <= 0:
+    if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
-    if sub.p not in (1, 2):
-        raise ValueError("only orders 1 and 2 are runnable")
     if (base.hess is not None) != (sub.p == 2):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
-    if sub.p == 1 and sub.composite.gradient_is_affine:
-        T = _closed_form_order1(sub, base)
-        return StepResult(T, 0.0, 0)
+    if sub.p == 1:
+        return StepResult(_closed_form_order1(sub, base), 0.0, 0)
     y, rho, iters = minimize_model_newton(sub, base, base.x, inner_tol)
     return StepResult(y, rho, iters)
 

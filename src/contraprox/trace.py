@@ -121,6 +121,8 @@ def drive(obj, header, eps, cap, iterates):
     is recorded with the counters as they stand when it is yielded, and
     fields missing from ``row`` are NaN (``t_inner`` 0).  ``header`` names
     the method and its settings; eps, cap, the instance and f* are added.
+    A non-finite F(x_k), or ``s_norm`` where a row has one, raises
+    :class:`SolverError` at once, so a NaN or a divergence never spins to the cap.
 
     Stop rule, tested after each row: F(x_k) - f* <= eps when the instance
     knows f*, and otherwise ``stop_norm() <= eps``.  ``stop_norm`` is called
@@ -134,6 +136,9 @@ def drive(obj, header, eps, cap, iterates):
     trace = RunTrace({**header, "eps": eps, "cap": cap,
                       "instance": dict(obj.descriptor), "fstar": fstar})
     for k, (f, stop_norm, row) in enumerate(iterates):
+        if not (math.isfinite(f) and math.isfinite(row.get("s_norm", 0.0))):
+            raise SolverError(f"{header['method']} reached a non-finite value at "
+                              f"iteration {k} (F = {f!r}, s_norm = {row.get('s_norm')!r})")
         residual = f - fstar if fstar is not None else math.nan
         trace.append(IterationRecord(k=k, f_value=f, residual=residual,
                                      counters=obj.counters.as_dict(),

@@ -1,7 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
-from contraprox.objectives import SolverError
+from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
+                                   QuadraticOracle, SolverError)
+from contraprox.tensor_steps import InnerLoopError
 
 # Iterations and final (oracle_f, oracle_g, oracle_h, matvec) of every method
 # name at eps = 1e-7, as the trace's last row records them.  cn builds a
@@ -78,3 +83,79 @@ def test_acn_charges_one_hessian_per_step():
     for k, rec in enumerate(tr.records):
         assert rec.counters["oracle_h"] == k
         assert rec.counters["oracle_f"] == rec.counters["oracle_g"] == 2 * k + 1
+
+
+class _PoisonedAfterFive:
+    """Every query after the 5th returns NaN in its value, gradient or Hessian."""
+
+    def __init__(self, part, *args):
+        super().__init__(*args)
+        self.part = part
+        self.queries = 0
+
+    def _poison(self, v, g):
+        self.queries += 1
+        if self.queries > 5 and self.part == "value":
+            v = math.nan
+        if self.queries > 5 and self.part == "grad" and g is not None:
+            g = np.full_like(g, math.nan)
+        return v, g
+
+    def value(self, x):
+        return self._poison(super().value(x), None)[0]
+
+    def grad(self, x):
+        return self._poison(0.0, super().grad(x))[1]
+
+    def value_and_grad(self, x):
+        return self._poison(*super().value_and_grad(x))
+
+    def taylor_data(self, x, order):
+        v, g, H = super().taylor_data(x, order)
+        return (*self._poison(v, g), H)
+
+    def hess(self, x):
+        H = super().hess(x)
+        return np.full_like(H, math.nan) if self.part == "hess" and self.queries > 5 else H
+
+
+class _PoisonedQuadratic(_PoisonedAfterFive, QuadraticOracle):
+    pass
+
+
+class _PoisonedLogSumExp(_PoisonedAfterFive, LogSumExpOracle):
+    pass
+
+
+def _with_smooth(obj, smooth):
+    return CompositeObjective(smooth, obj.simple, obj.metric, obj.fstar, obj.xstar,
+                              dict(obj.descriptor))
+
+
+_NON_FINITE_CASES = (
+    [(part, name) for part in ("value", "grad") for name in EXPECTED["quadratic"]]
+    + [(part, name) for part in ("value", "grad", "hess") for name in EXPECTED["lse"]]
+    + [("L1/10", name) for name in ("gm", "agm", "ppa")])
+
+
+@pytest.mark.parametrize("fault, name", _NON_FINITE_CASES)
+def test_non_finite_run_ends_in_a_solver_error(fault, name):
+    # at the bench cap these runs spun to "exhausted 200000 iterations
+    # (residual nan)", blamed the Lipschitz estimate, or raised a ValueError
+    # that the CLI reported as a usage error
+    if name in EXPECTED["quadratic"]:
+        obj = build_instance("quadratic", 20, 0, q=1e-4)
+        f = obj.smooth
+        if fault == "L1/10":
+            smooth = QuadraticOracle(f.matrix, f.rhs, lam_max=f.lipschitz[1] / 10)
+        else:
+            smooth = _PoisonedQuadratic(fault, f.matrix, f.rhs, f.lipschitz[1])
+    else:
+        obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+        f = obj.smooth
+        smooth = _PoisonedLogSumExp(fault, f.data, f.shift, f.mu, f.lipschitz[2])
+    # a diverging run overflows on its way to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="non-finite") as err:
+            run_method(name, _with_smooth(obj, smooth), 1e-7, cap_outer=200000)
+    assert not isinstance(err.value, InnerLoopError)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contraprox.bregman import CustomProx, PowerProx
+from contraprox.bregman import PowerProx, ProxFunction
 from contraprox.metric import Metric
 
 
@@ -115,6 +115,14 @@ def test_uniform_bound_random_pairs():
             assert d.divergence(x, y) >= _uniform_floor(d, x, y) - 1e-12
 
 
+class _FunctionProx(ProxFunction):
+    """A distance generator given by its value and gradient functions."""
+
+    def __init__(self, value_fn, gradient_fn):
+        self.value = value_fn
+        self.gradient = gradient_fn
+
+
 def test_additivity_of_divergences():
     # nonnegative combination of a power prox and a quadratic
     rng = np.random.default_rng(7)
@@ -122,11 +130,9 @@ def test_additivity_of_divergences():
     d1 = PowerProx(2, np.zeros(3), metric)
     d2 = PowerProx(1, np.ones(3), metric)
     a1, a2 = 0.7, 2.5
-    combo = CustomProx(
+    combo = _FunctionProx(
         lambda x: a1 * d1.value(x) + a2 * d2.value(x),
-        lambda x: a1 * d1.gradient(x) + a2 * d2.gradient(x),
-        order=2, uniform_constant=a1 * d1.uniform_constant, center=np.zeros(3),
-        metric=metric)
+        lambda x: a1 * d1.gradient(x) + a2 * d2.gradient(x))
     for _ in range(10):
         x, y = rng.standard_normal(3), rng.standard_normal(3)
         expect = a1 * d1.divergence(x, y) + a2 * d2.divergence(x, y)
@@ -136,10 +142,8 @@ def test_additivity_of_divergences():
 def test_linear_functions_have_zero_divergence():
     rng = np.random.default_rng(8)
     g = rng.standard_normal(4)
-    # a linear function is convex but not uniformly convex, hence constant 0
-    linear = CustomProx(lambda x: 3.0 + float(g @ x), lambda x: g, order=1,
-                        uniform_constant=0.0, center=np.zeros(4),
-                        metric=Metric.identity(4))
+    # a linear function is convex but not strictly convex: its divergence is 0
+    linear = _FunctionProx(lambda x: 3.0 + float(g @ x), lambda x: g)
     for _ in range(5):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         assert linear.divergence(x, y) == pytest.approx(0.0, abs=1e-12)

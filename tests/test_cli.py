@@ -47,6 +47,18 @@ def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
     ["--problem", "quadratic", "--n", "1", "--q", "0.01", "--method", "gm"],
     ["--problem", "quadratic", "--n", "10", "--q", "2", "--method", "gm"],
     ["--problem", "lse", "--n", "10", "--mu", "-1", "--method", "cn"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm", "--eps", "nan"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm",
+     "--cap-outer", "-1"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm", "--sigma", "-1"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "const:nan"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "power:1,nan"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--gamma0", "nan"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--cap-inner", "-3"],
 ])
 def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_USAGE

@@ -3,22 +3,27 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contraprox import tensor_steps
+from contraprox import contracting, tensor_steps
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
-from contraprox.bregman import PowerProx
-from contraprox.contracting import SublinearSchedule
+from contraprox.bregman import PowerProx, ProxFunction
+from contraprox.contracting import (PowerDelta, SublinearSchedule,
+                                    run_contracting_proximal, schedule_convex)
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
-                                   QuadraticOracle, ZeroComponent, lse_instance)
+                                   PowerRegularizer, QuadraticOracle,
+                                   SimpleComponent, ZeroComponent, lse_instance,
+                                   quadratic_instance)
 from contraprox.tensor_steps import (CompositePart, ContractedSmooth,
-                                     InnerLoopError, Subproblem, cholesky_solve,
-                                     cubic_step_single_center,
-                                     inner_loop, minimize_model_descent,
-                                     minimize_model_newton, model_objective,
-                                     step_subgradient, tensor_step)
+                                     InnerLoopError, SmoothData, Subproblem,
+                                     cholesky_solve, cubic_step_single_center,
+                                     inner_loop, minimize_model_newton,
+                                     model_objective, step_subgradient, tensor_step)
 from contraprox.validate import validate_trace
+from tests.step_reference import minimize_model_descent
 
 
 def _quadratic_oracle(rng, n, lam_min=0.2, lam_max=1.0):
@@ -203,6 +208,105 @@ class TestTensorStep:
             closed = tensor_step(sub, base, 1e-13).point
             iterative, _, _ = minimize_model_descent(sub, base, x, 1e-12)
             np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9)
+
+
+class _DiagonalProx(ProxFunction):
+    """d(x) = 1/2 x^T D x with D = diag(linspace(1, 5, n)): a valid order-1 prox
+    with constant 1, but not the power prox the steps solve."""
+
+    order = 1
+    uniform_constant = 1.0
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.center = np.zeros(metric.dim)
+        self.diag = np.linspace(1.0, 5.0, metric.dim)
+
+    def value(self, x):
+        return 0.5 * float(x @ (self.diag * x))
+
+    def gradient(self, x):
+        return self.diag * x
+
+
+class _AbsComponent(SimpleComponent):
+    """psi(x) = ||x||_1, a simple component no step can solve."""
+
+    def value(self, x):
+        return float(np.abs(x).sum())
+
+    def subgrad(self, x):
+        return np.sign(x)
+
+
+class TestUnsolvableSubproblemsAreRejected:
+    def test_custom_prox_run_fails_before_any_step(self, monkeypatch):
+        # the steps ignored this prox: one closed-form step from x = 0 left a
+        # first-order residual of 5.30, and the run reported convergence
+        obj = quadratic_instance(10, 3.0, 0)
+        steps = []
+        monkeypatch.setattr(contracting, "inner_loop", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="divergence term is not built on a PowerProx"):
+            run_contracting_proximal(obj, _DiagonalProx(obj.metric),
+                                     schedule_convex(1, 1.0, obj.smooth.lipschitz[1]),
+                                     PowerDelta(1, 2), eps=1e-7)
+        assert steps == []
+
+    @pytest.mark.parametrize("case, message", [
+        ("prox on another metric", "divergence term is not built on a PowerProx"),
+        ("order-2 divergence at p = 1", "divergence term has order 2"),
+        ("order-2 psi at p = 1", "psi has order 2"),
+        ("psi prox on another metric", "psi is not built on a PowerProx"),
+        ("psi not a power regularizer", "psi is a _AbsComponent"),
+        ("order 3", "only orders 1 and 2"),
+    ])
+    def test_subproblem_is_rejected_when_built(self, case, message):
+        n = 4
+        metric = Metric.identity(n)
+        other = Metric.identity(n)
+        prox, psi, p = PowerProx(1, np.zeros(n), metric), ZeroComponent(n), 1
+        if case == "prox on another metric":
+            prox = PowerProx(1, np.zeros(n), other)
+        elif case == "order-2 divergence at p = 1":
+            prox = PowerProx(2, np.zeros(n), metric)
+        elif case == "order-2 psi at p = 1":
+            psi = PowerRegularizer(1.0, PowerProx(2, np.zeros(n), metric))
+        elif case == "psi prox on another metric":
+            psi = PowerRegularizer(1.0, PowerProx(1, np.zeros(n), other))
+        elif case == "psi not a power regularizer":
+            psi = _AbsComponent()
+        else:
+            p = 3
+        smooth = _plain(_quadratic_oracle(np.random.default_rng(0), n))
+        with pytest.raises(ValueError, match=message):
+            Subproblem(p=p, metric=metric, smooth=smooth,
+                       composite=CompositePart(psi, 1.0, 1.0, prox, np.ones(n)), M=1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       gamma=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       weight=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       sigma=st.floats(1e-3, 1e3), M=st.floats(1e-3, 1e3))
+def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sigma, M):
+    # random power-prox subproblems: metric, contraction, anchor and centers
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    smooth = ContractedSmooth(_quadratic_oracle(rng, n), rng.uniform(0.1, 2.0),
+                              rng.uniform(2.0, 5.0), rng.standard_normal(n),
+                              rng.uniform(0.0, 2.0))
+    psi = PowerRegularizer(sigma, PowerProx(1, rng.standard_normal(n), metric))
+    composite = CompositePart(psi, weight, gamma, PowerProx(1, rng.standard_normal(n), metric),
+                              rng.standard_normal(n))
+    sub = Subproblem(p=1, metric=metric, smooth=smooth, composite=composite, M=M)
+    base = smooth.data(rng.standard_normal(n))
+    T = tensor_step(sub, base, 1e-12).point
+    _, grad = model_objective(sub, base, T)
+    # the gradient is the sum of these three; its scale is theirs
+    pieces = (base.grad, M * metric.apply(T - base.x), composite.grad(T))
+    scale = sum(metric.dual_norm(piece) for piece in pieces)
+    assert metric.dual_norm(grad) <= 1e-9 * scale
 
 
 class TestStepSubgradient:
@@ -450,7 +554,13 @@ class TestNewtonSolve:
     def test_nan_hessian_is_rejected(self):
         A = np.diag([2.0, 1.0, 0.5])
         A[0, 1] = A[1, 0] = np.nan
-        sub, model = self._cubic_model(A, np.ones(3))
+        b = np.ones(3)
+        sub = Subproblem(p=2, metric=Metric.identity(3),
+                         smooth=_plain(QuadraticOracle(A, b, lam_max=1.0)),
+                         composite=_empty_composite(3), M=1.0)
+        # the model at 0 of 1/2 <Ax, x> - <b, x>, built directly because
+        # smooth.data rejects the NaN gradient an oracle query returns
+        model = SmoothData(np.zeros(3), 0.0, -b, A)
         with pytest.raises(ValueError, match="infs or NaNs"):
             minimize_model_newton(sub, model, np.zeros(3), 1e-10)
 
