@@ -3,7 +3,8 @@
 The power prox d(x) = ||x - x0||^{p+1}/(p+1), uniformly convex of degree p+1
 with constant 2^{1-p} for the B-induced norm, is the one family the tensor
 steps solve (their closed form and Newton Hessian are this family's), so a
-step subproblem built on any other prox is rejected when it is built.
+step subproblem built on any other prox is rejected when it is built.  Its
+Hessian has one formula, the (alpha, beta) of :func:`power_coefficients`.
 """
 
 from __future__ import annotations
@@ -73,18 +74,27 @@ class PowerProx(ProxFunction):
         r = self.metric.norm(u)
         return r ** (self.order - 1) * self.metric.apply(u)
 
+    def at(self, x):
+        """(r, Bw, value, gradient) at x, w = x - center: one norm and one B-product."""
+        w = np.asarray(x, dtype=float) - self.center
+        r, Bw, q = self.metric.norm(w), self.metric.apply(w), self.order
+        return r, Bw, r ** (q + 1) / (q + 1), Bw if q == 1 else r ** (q - 1) * Bw
+
+
+def power_coefficients(r, p):
+    """(alpha, beta) with Hessian alpha*B + beta*(Bu)(Bu)^T of ||u||^{p+1}/(p+1), r = ||u||.
+
+    alpha = r^{p-1} and beta = (p-1) r^{p-3}: (1, 0) at p = 1, (0, 0) at r = 0.
+    """
+    if p == 1:
+        return 1.0, 0.0
+    if r == 0.0:
+        return 0.0, 0.0
+    return r ** (p - 1), (p - 1) * r ** (p - 3)
+
 
 def power_hessian(metric, u, p):
-    """Hessian of ||u||^{p+1}/(p+1) in the metric's norm.
-
-    r^{p-1} B + (p-1) r^{p-3} (Bu)(Bu)^T with r = ||u||; it is B at p = 1 and
-    vanishes at u = 0 for p >= 2.
-    """
-    B = metric.matrix
-    if p == 1:
-        return B
-    r = metric.norm(u)
-    if r == 0.0:
-        return np.zeros_like(B)
+    """Dense Hessian of ||u||^{p+1}/(p+1) in the metric norm, by :func:`power_coefficients`."""
+    alpha, beta = power_coefficients(metric.norm(u), p)
     Bu = metric.apply(u)
-    return r ** (p - 1) * B + (p - 1) * r ** (p - 3) * np.outer(Bu, Bu)
+    return alpha * metric.matrix + beta * np.outer(Bu, Bu)

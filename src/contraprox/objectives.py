@@ -197,7 +197,7 @@ class SimpleComponent:
         raise NotImplementedError
 
     def hess(self, x):
-        """Hessian when psi is smooth; order-2 steps and the reference Newton use it."""
+        """Hessian when psi is smooth; only the reference Newton uses it (steps do not)."""
         raise NotImplementedError
 
     @property

@@ -10,10 +10,11 @@ Hessian from ``smooth.hess(x)``, and both must be finite.  Every divergence
 term and psi is built on the power prox (see ``bregman``), so the step
 dispatches on p alone: a p = 1 step is a closed-form linear solve, and a
 p = 2 step, cptm's and the cubic baselines' alike, is minimized by damped
-Newton (:func:`minimize_model_newton`); :class:`Subproblem` rejects what
-neither solves when it is built.  :func:`cubic_step_single_center`, the
-exact single-center p = 2 step, is a reference no solver calls; the descent
-reference the tests also use is in ``tests/step_reference.py``.
+Newton (:func:`minimize_model_newton`), whose Hessian grad^2 g + alpha*B + at
+most three rank-one terms (Bw)(Bw)^T is assembled in one F-ordered buffer and
+factored there in place; :class:`Subproblem` rejects what neither solves.
+:func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
+reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .bregman import PowerProx, ProxFunction, power_hessian
+from .bregman import PowerProx, ProxFunction, power_coefficients
 from .metric import Metric
 from .objectives import PowerRegularizer, SimpleComponent, SmoothOracle, SolverError
 
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+_syr, = scipy.linalg.get_blas_funcs(("syr",), (np.empty((1, 1)),))
 
 
 @dataclass
@@ -129,18 +131,23 @@ class CompositePart:
             out = out + self.gamma * (self.prox.gradient(y) - self._grad_anchor)
         return out
 
-    def hess(self, y):
-        out = None
+    def evaluate(self, y):
+        """(phi(y), grad phi(y), terms) of an array y, bitwise :meth:`value` and :meth:`grad`.
+
+        Each term c*||y - center||^{q+1}/(q+1) comes as (c, q, r, Bw), w = y - center.
+        """
+        val, grad, terms = 0.0, np.zeros_like(y), []
         if self.weight > 0 and not self.psi.is_zero:
-            out = self.weight * self.psi.hess(y)
+            r, Bw, d, dg = self.psi.prox.at(y)
+            val += self.weight * (self.psi.sigma * d)
+            grad = grad + self.weight * (self.psi.sigma * dg)
+            terms.append((self.weight * self.psi.sigma, self.psi.prox.order, r, Bw))
         if self.gamma > 0:
-            u = np.asarray(y, dtype=float) - self.prox.center
-            out = (0 if out is None else out) + self.gamma * power_hessian(
-                self.prox.metric, u, self.prox.order)
-        if out is None:
-            n = self.psi.dim if hasattr(self.psi, "dim") else len(np.asarray(y))
-            out = np.zeros((n, n))
-        return out
+            r, Bw, d, dg = self.prox.at(y)
+            val += self.gamma * (d - self._d_anchor - float(self._grad_anchor @ (y - self.anchor)))
+            grad = grad + self.gamma * (dg - self._grad_anchor)
+            terms.append((self.gamma, self.prox.order, r, Bw))
+        return val, grad, terms
 
     def affine_terms(self):
         """(total curvature coefficient, B-weighted center combination) of grad phi.
@@ -198,45 +205,47 @@ class Subproblem:
         return data.grad + self.composite.grad(data.x)
 
 
-def regularizer_gradient(metric, M, p, u, r=None):
-    """Gradient M/p! * ||u||^{p-1} B u of the step regularizer."""
-    if p == 1:
-        return M * metric.apply(u)
-    if r is None:
-        r = metric.norm(u)
-    return (M / math.factorial(p)) * r ** (p - 1) * metric.apply(u)
-
-
 def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):
-    """(value relative to the step base, gradient) of the step objective at y.
+    """(value relative to the step base, gradient, terms) of the step objective at y.
 
     The value omits the model's base constant and ``phi_base`` (phi at the
     step base, for callers that compare values) so that line searches compare
-    quantities of the size of the actual progress, not of A*f.
+    quantities of the size of the actual progress, not of A*f.  ``terms`` are
+    the power terms as :meth:`CompositePart.evaluate` gives them, regularizer first.
     """
-    u = np.asarray(y, dtype=float) - base.x
-    r = sub.metric.norm(u)
+    y = np.asarray(y, dtype=float)
+    u = y - base.x
+    r, Bu, c = sub.metric.norm(u), sub.metric.apply(u), sub.M / math.factorial(sub.p)
     mval, mgrad = base.model_increment(y)
-    val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) \
-        + sub.composite.value(y) - phi_base
-    grad = mgrad + regularizer_gradient(sub.metric, sub.M, sub.p, u, r) + sub.composite.grad(y)
-    return val, grad
+    phi, phi_grad, terms = sub.composite.evaluate(y)
+    val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + phi - phi_base
+    # c * r^0 is c exactly, so p = 1 gives step_subgradient's M * B u bitwise
+    grad = mgrad + c * r ** (sub.p - 1) * Bu + phi_grad
+    return val, grad, [(c, sub.p, r, Bu)] + terms
 
 
-def model_objective_hessian(sub: Subproblem, base: SmoothData, y):
-    """Hessian of the step objective; all pieces come from cached data."""
-    u = np.asarray(y, dtype=float) - base.x
-    H = sub.composite.hess(y)
-    if base.hess is not None:
-        H = H + base.hess
-    if sub.M > 0:
-        H = H + sub.M / math.factorial(sub.p) * power_hessian(sub.metric, u, sub.p)
-    return H
+def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
+    """Write base.hess + sum_j c_j (alpha_j B + beta_j (Bw_j)(Bw_j)^T) into H, upper part.
+
+    (sum_j c_j alpha_j) B^T + base.hess^T fills the F-ordered H in two contiguous
+    passes (both are symmetric and C-ordered); a BLAS syr adds each rank-one term.
+    """
+    coef = [(c, *power_coefficients(r, q), Bw) for c, q, r, Bw in terms]
+    np.multiply(sub.metric.matrix.T, sum(c * alpha for c, alpha, _, _ in coef), out=H)
+    H += base.hess.T
+    for c, _, beta, Bw in coef:
+        if beta:
+            _syr(c * beta, Bw, a=H, overwrite_a=True)
 
 
 def cholesky_solve(H, g):
-    """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly."""
-    c, info = _potrf(np.asarray_chkfinite(H), lower=False, clean=False)
+    """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly.
+
+    Reads H's upper triangle.  An F-ordered H is factored in place (a failed
+    factorization leaves a partial factor); a C-ordered H is copied, not changed.
+    """
+    H = np.asarray_chkfinite(H)
+    c, info = _potrf(H, lower=False, clean=False, overwrite_a=not H.flags.c_contiguous)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     if info == 0:
@@ -249,33 +258,40 @@ def cholesky_solve(H, g):
 def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
     """Damped Newton on the step objective, to dual gradient norm <= tol.
 
-    The model Hessian is cached oracle data and the remaining curvature is
-    B-rank-one algebra, so iterations cost linear algebra only.  The step
-    solve is :func:`cholesky_solve`, LAPACK potrf/potrs called directly (at
-    n <= 200 scipy's wrappers cost more than the solve), jittered when H does
-    not factorize.  Backtracks on the increment value with a round-off
-    allowance, and takes a full step without a measurable decrease when it
-    halves the residual; quadratic local convergence makes tight tolerances
-    cheap.  Returns (y, residual, iters).
+    Each point is evaluated once: its norms and B-products serve value,
+    gradient and Hessian, the model Hessian plus a multiple of B plus at most
+    three rank-one terms (Bw)(Bw)^T, assembled in one F-ordered buffer and
+    factored in place by :func:`cholesky_solve` (jittered when it fails).
+    Backtracks on the increment value with a round-off allowance, and takes a
+    full step that halves the residual without a measurable decrease; three
+    iterations without a better residual (a round-off floor) end the solve at
+    the best point, as a failed line search does.  Returns (y, residual, iters).
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.composite.value(base.x)
-    val, grad = model_objective(sub, base, y, phi_base)
-    best_y, best_res = y, math.inf
+    val, grad, terms = model_objective(sub, base, y, phi_base)
+    H = np.empty((y.size, y.size), order="F")
+    best_y, best_res, stalled = y, math.inf, 0
     for it in range(cap):
         res = sub.metric.dual_norm(grad)
+        stalled = 0 if res < best_res else stalled + 1
         if res < best_res:
             best_y, best_res = y, res
         if res <= tol:
             return y, res, it
-        H = model_objective_hessian(sub, base, y)
+        if stalled == 3:
+            return best_y, best_res, it
+        assemble_step_hessian(H, sub, base, terms)
         jitter = 0.0
         for _ in range(8):
             try:
-                step = -cholesky_solve(H + jitter * np.eye(H.shape[0]) if jitter else H, grad)
+                step = -cholesky_solve(H, grad)
                 break
             except scipy.linalg.LinAlgError:
+                # the failed factorization overwrote H, so assemble it afresh
+                assemble_step_hessian(H, sub, base, terms)
                 jitter = max(10.0 * jitter, 1e-12 * (1.0 + abs(float(np.trace(H)))))
+                H[np.diag_indices_from(H)] += jitter
         else:
             raise SolverError("step Hessian could not be factorized")
         slope = float(grad @ step)
@@ -284,21 +300,19 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
             slope = float(grad @ step)
         t = 1.0
         noise = 1e-14 * (abs(val) + 1.0)
-        accepted = False
         for _ in range(60):
             y_trial = y + t * step
-            val_t, grad_t = model_objective(sub, base, y_trial, phi_base)
+            val_t, grad_t, terms_t = model_objective(sub, base, y_trial, phi_base)
             # near the minimizer the decrease falls below the round-off of phi's
             # Bregman term, a difference of far larger numbers; a full step that
             # halves the residual is then taken on the residual alone
             if (val_t <= val + 1e-4 * t * slope + noise
                     or (t == 1.0 and sub.metric.dual_norm(grad_t) <= 0.5 * res)):
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return best_y, best_res, it
-        y, val, grad = y_trial, val_t, grad_t
+        y, val, grad, terms = y_trial, val_t, grad_t, terms_t
     raise SolverError(f"step Newton sub-minimizer exceeded {cap} iterations "
                       f"(residual {sub.metric.dual_norm(grad):.3e}, tol {tol:.3e})")
 
@@ -405,7 +419,9 @@ def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):
     """
     u = np.asarray(T, dtype=float) - base.x
     model_grad = base.model_increment(T)[1]
-    return grad_g_at_T - model_grad - regularizer_gradient(sub.metric, sub.M, sub.p, u)
+    reg_grad = sub.M * sub.metric.apply(u) if sub.p == 1 else \
+        (sub.M / math.factorial(sub.p)) * sub.metric.norm(u) ** (sub.p - 1) * sub.metric.apply(u)
+    return grad_g_at_T - model_grad - reg_grad
 
 
 @dataclass
@@ -458,10 +474,9 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     data = sub.smooth.data(z0)
     s0 = sub.h_grad_from(data)
     s0_norm = sub.metric.dual_norm(s0)
-    if s0_norm <= delta:
-        return InnerResult(np.asarray(z0, float).copy(), s0, s0_norm, 0,
-                           h_final=sub.h_value_from(data))
     h_prev = sub.h_value_from(data)
+    if s0_norm <= delta:
+        return InnerResult(np.asarray(z0, float).copy(), s0, s0_norm, 0, h_final=h_prev)
     z = np.asarray(z0, dtype=float).copy()
     records = []
     last_norm = s0_norm

@@ -24,7 +24,7 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.composite.value(base.x)
-    val, grad = model_objective(sub, base, y, phi_base)
+    val, grad, _ = model_objective(sub, base, y, phi_base)
     precond = sub.metric.solve(grad)
     sq = float(grad @ precond)
     alpha = 1.0 / max(1.0, math.sqrt(sq))
@@ -42,7 +42,7 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
         noise = 1e-14 * (abs(val) + abs(best_val)) + 1e-300
         for _ in range(60):
             y_trial = y + t * direction
-            val_t, grad_t = model_objective(sub, base, y_trial, phi_base)
+            val_t, grad_t, _ = model_objective(sub, base, y_trial, phi_base)
             if val_t <= val - 1e-4 * t * sq + noise:
                 accepted = True
                 break

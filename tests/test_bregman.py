@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contraprox.bregman import PowerProx, ProxFunction
+from contraprox.bregman import PowerProx, ProxFunction, power_coefficients, power_hessian
 from contraprox.metric import Metric
 
 
@@ -63,6 +63,28 @@ def test_gradient_matches_finite_differences():
             x = rng.standard_normal(n) + 0.5
             fd = _central_difference(d.value, x)
             np.testing.assert_allclose(d.gradient(x), fd, rtol=1e-6, atol=1e-8)
+
+
+def test_power_hessian_is_the_jacobian_of_the_gradient():
+    # power_coefficients is the one formula for the Hessian the Newton step assembles
+    rng = np.random.default_rng(4)
+    for p in (1, 2, 3):
+        for _ in range(5):
+            n = rng.integers(2, 6)
+            G = rng.standard_normal((n, n))
+            metric = Metric(G @ G.T + n * np.eye(n))
+            d = PowerProx(p, rng.standard_normal(n), metric)
+            x = rng.standard_normal(n) + 0.5
+            fd = np.array([_central_difference(lambda z: d.gradient(z)[i], x)
+                           for i in range(n)])
+            np.testing.assert_allclose(power_hessian(metric, x - d.center, p), fd,
+                                       rtol=1e-6, atol=1e-8)
+
+
+def test_power_coefficients_at_the_center():
+    assert power_coefficients(0.0, 1) == (1.0, 0.0)
+    assert power_coefficients(0.0, 2) == (0.0, 0.0)
+    assert power_coefficients(2.0, 2) == (2.0, 0.5)
 
 
 def test_divergence_zero_iff_equal():

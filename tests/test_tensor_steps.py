@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from contraprox import contracting, tensor_steps
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
-from contraprox.bregman import PowerProx, ProxFunction
+from contraprox.bregman import PowerProx, ProxFunction, power_hessian
 from contraprox.contracting import (PowerDelta, SublinearSchedule,
                                     run_contracting_proximal, schedule_convex)
 from contraprox.metric import Metric
@@ -19,7 +19,8 @@ from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
                                    quadratic_instance)
 from contraprox.tensor_steps import (CompositePart, ContractedSmooth,
                                      InnerLoopError, SmoothData, Subproblem,
-                                     cholesky_solve, cubic_step_single_center,
+                                     assemble_step_hessian, cholesky_solve,
+                                     cubic_step_single_center,
                                      inner_loop, minimize_model_newton,
                                      model_objective, step_subgradient, tensor_step)
 from contraprox.validate import validate_trace
@@ -302,7 +303,7 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
     sub = Subproblem(p=1, metric=metric, smooth=smooth, composite=composite, M=M)
     base = smooth.data(rng.standard_normal(n))
     T = tensor_step(sub, base, 1e-12).point
-    _, grad = model_objective(sub, base, T)
+    _, grad, _ = model_objective(sub, base, T)
     # the gradient is the sum of these three; its scale is theirs
     pieces = (base.grad, M * metric.apply(T - base.x), composite.grad(T))
     scale = sum(metric.dual_norm(piece) for piece in pieces)
@@ -522,7 +523,7 @@ def test_model_objective_consistent_with_pieces():
     x = rng.standard_normal(n)
     base = _data(sub.smooth, x, 2)
     y = rng.standard_normal(n)
-    val, grad = model_objective(sub, base, y)
+    val, grad, _ = model_objective(sub, base, y)
     h = 1e-6
     for i in range(n):
         e = np.zeros(n)
@@ -580,6 +581,55 @@ class TestNewtonSolve:
         assert failures and iters >= 1 and res <= 1e-10
         assert model_objective(sub, model, y)[0] < model_objective(sub, model, np.zeros(3))[0]
 
+    def test_jitter_retry_factors_an_intact_matrix(self, monkeypatch):
+        # a failed in-place factorization leaves a partial factor in the buffer;
+        # the retry must factor H + jitter*I, not that factor plus jitter
+        solved = []
+
+        def spy(H, g):
+            x = cholesky_solve(H, g)
+            solved.append(x)
+            return x
+
+        monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
+        A = np.diag([2.0, 1.0, -1e-13])
+        sub, model = self._cubic_model(A, np.array([1.0, -0.5, 0.0]))
+        minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+        # at the base point r = 0, so the step Hessian is A itself
+        jitter = 1e-12 * (1.0 + abs(float(np.trace(A))))
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A + jitter * np.eye(3)),
+                                          model.grad)
+        np.testing.assert_array_equal(solved[0], expected)
+
+    def test_cholesky_solve_factors_only_a_fortran_ordered_matrix_in_place(self):
+        rng = np.random.default_rng(29)
+        G = rng.standard_normal((5, 5))
+        H = G @ G.T + np.eye(5)
+        g = rng.standard_normal(5)
+        kept = H.copy()
+        x = cholesky_solve(H, g)
+        np.testing.assert_array_equal(H, kept)
+        H_f = np.asfortranarray(kept)
+        np.testing.assert_array_equal(cholesky_solve(H_f, g), x)
+        # H_f now holds the upper factor
+        np.testing.assert_array_equal(np.triu(H_f), np.triu(scipy.linalg.cho_factor(kept)[0]))
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(scipy.linalg.LinAlgError):
+            cholesky_solve(indefinite, np.ones(2))
+        np.testing.assert_array_equal(indefinite, np.diag([1.0, -1.0]))
+
+    def test_round_off_floor_ends_at_the_best_point(self):
+        # the residual cannot fall much below about 4e-18 here: at tol 1e-17 the
+        # solve converges, at tol 1e-20 it used to spend its 200-iteration cap
+        obj = build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+        sub = _cubic_subproblem(obj)
+        base = _data(sub.smooth, np.zeros(50), 2)
+        _, _, converged_after = minimize_model_newton(sub, base, base.x, 1e-17)
+        y, res, iters = minimize_model_newton(sub, base, base.x, 1e-20)
+        assert converged_after <= 10 and iters <= 25 and res <= 1e-17
+        # the best point comes back with its own residual, which callers certify
+        assert res == sub.metric.dual_norm(model_objective(sub, base, y)[1])
+
     @pytest.mark.parametrize("n", [10, 20, 50])
     def test_theorem_delta_runs_past_the_round_off_floor(self, n):
         # near the step's minimizer the decrease falls below the round-off of
@@ -594,3 +644,74 @@ class TestNewtonSolve:
             report = validate_trace(trace, PowerProx(2, np.zeros(n), obj.metric), obj.xstar,
                                     obj.fstar, SublinearSchedule(sched["c"], sched["p"]))
             assert report.ok
+
+
+def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
+    """A step subproblem on a quadratic; a divergence or psi order of None leaves it out."""
+    smooth = _plain(_quadratic_oracle(rng, n))
+    psi, weight = ZeroComponent(n), 0.0
+    if psi_order is not None:
+        psi = PowerRegularizer(0.7, PowerProx(psi_order, rng.standard_normal(n), metric))
+        weight = 1.3
+    prox, gamma = None, 0.0
+    if div_order is not None:
+        prox, gamma = PowerProx(div_order, rng.standard_normal(n), metric), 0.9
+    return Subproblem(p=p, metric=metric, smooth=smooth,
+                      composite=CompositePart(psi, weight, gamma, prox, rng.standard_normal(n)),
+                      M=M)
+
+
+@pytest.mark.parametrize("spd", [False, True])
+@pytest.mark.parametrize("at", ["random", "base", "center"])
+@pytest.mark.parametrize("p, div_order, psi_order", [
+    (1, None, None), (1, 1, None), (1, None, 1), (1, 1, 1),
+    (2, None, None), (2, 1, None), (2, 2, None), (2, None, 1), (2, None, 2), (2, 2, 2)])
+def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
+    rng = np.random.default_rng(31)
+    n = 6
+    G = rng.standard_normal((n, n))
+    metric = Metric(G @ G.T + 0.5 * np.eye(n)) if spd else Metric.identity(n)
+    sub = _power_subproblem(rng, n, p, metric, div_order, psi_order)
+    base = _data(sub.smooth, rng.standard_normal(n), 2)
+    c = sub.composite
+    # r = 0 at the base; ||w|| = 0 at a divergence or psi center
+    y = {"random": rng.standard_normal(n), "base": base.x,
+         "center": c.prox.center if c.gamma > 0 else
+         c.psi.prox.center if c.weight > 0 else base.x}[at]
+    dense = base.hess + sub.M / math.factorial(p) * power_hessian(metric, y - base.x, p)
+    if c.gamma > 0:
+        dense = dense + c.gamma * power_hessian(metric, y - c.prox.center, c.prox.order)
+    if c.weight > 0:
+        dense = dense + c.weight * c.psi.hess(y)
+    H = np.empty((n, n), order="F")
+    _, grad, terms = model_objective(sub, base, y)
+    assemble_step_hessian(H, sub, base, terms)
+    scale = np.abs(dense).max()
+    assert np.abs(np.triu(H) - np.triu(dense)).max() <= 1e-13 * scale
+    step = cholesky_solve(H, grad)
+    assert np.linalg.norm(dense @ step - grad) <= 1e-12 * scale * (np.linalg.norm(step) + 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), rank=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       M=st.floats(1e-2, 1e2), gamma=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
+       div_order=st.integers(1, 2),
+       weight=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)), sigma=st.floats(1e-3, 1e2),
+       psi_order=st.integers(1, 2))
+def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_order, weight,
+                                                sigma, psi_order):
+    # random p = 2 power-prox subproblems: SPD metric, PSD model Hessian, centers
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    C = rng.standard_normal((n, min(rank, n)))
+    smooth = _plain(QuadraticOracle(C @ C.T, rng.standard_normal(n), lam_max=1.0))
+    psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
+    composite = CompositePart(psi, weight, gamma, PowerProx(div_order, rng.standard_normal(n),
+                                                            metric), rng.standard_normal(n))
+    sub = Subproblem(p=2, metric=metric, smooth=smooth, composite=composite, M=M)
+    base = _data(smooth, rng.standard_normal(n), 2)
+    inner_tol = 1e-9 * (1.0 + metric.dual_norm(base.grad))
+    result = tensor_step(sub, base, inner_tol)
+    assert result.sub_residual <= inner_tol
+    assert model_objective(sub, base, result.point)[0] <= model_objective(sub, base, base.x)[0]
