@@ -362,9 +362,8 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     p = prox.order
     if schedule.p != p:
         raise ValueError("schedule order does not match the prox order")
-    if obj.simple.modulus > 0 and obj.simple.prox is not None:
-        if obj.simple.prox.order != p:
-            raise ValueError("psi's declared prox order does not match the run's order")
+    if obj.simple.prox is not None and obj.simple.prox.order != p:
+        raise ValueError("psi's declared prox order does not match the run's order")
     x0 = prox.center.copy()
     lipschitz = obj.smooth.lipschitz[p]
     omega = getattr(schedule, "omega", None)

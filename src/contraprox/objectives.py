@@ -181,31 +181,11 @@ class LogSumExpOracle(SmoothOracle):
         return v, g, H
 
 
-class SimpleComponent:
-    """The simple part psi of F = f + psi, with a declared strong-convexity modulus.
+class ZeroComponent:
+    """psi = 0: plain convexity (modulus 0) and no prox."""
 
-    ``modulus`` is relative to ``prox`` (zero means plain convexity).
-    """
+    modulus, prox, is_zero = 0.0, None, True
 
-    modulus: float = 0.0
-    prox: ProxFunction | None = None
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def subgrad(self, x):
-        raise NotImplementedError
-
-    def hess(self, x):
-        """Hessian when psi is smooth; only the reference Newton uses it (steps do not)."""
-        raise NotImplementedError
-
-    @property
-    def is_zero(self):
-        return False
-
-
-class ZeroComponent(SimpleComponent):
     def __init__(self, dim):
         self.dim = dim
 
@@ -218,19 +198,17 @@ class ZeroComponent(SimpleComponent):
     def hess(self, x):
         return np.zeros((self.dim, self.dim))
 
-    @property
-    def is_zero(self):
-        return True
 
-
-class PowerRegularizer(SimpleComponent):
-    """psi = sigma * d for a prox function d; certified modulus sigma.
+class PowerRegularizer:
+    """psi = sigma * d for a prox function d; certified modulus sigma relative to d.
 
     Scaling a prox by sigma scales its divergence by sigma, so the
     strong-convexity inequality relative to d holds with equality.
     """
 
-    def __init__(self, sigma, prox):
+    is_zero = False
+
+    def __init__(self, sigma, prox: ProxFunction):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.sigma = float(sigma)
@@ -243,7 +221,7 @@ class PowerRegularizer(SimpleComponent):
     def subgrad(self, x):
         return self.sigma * self.prox.gradient(x)
 
-    def hess(self, x):
+    def hess(self, x):  # the reference Newton's; a step takes psi as a power term
         u = np.asarray(x, float) - self.prox.center
         return self.sigma * power_hessian(self.prox.metric, u, self.prox.order)
 
@@ -258,7 +236,7 @@ class CompositeObjective:
     """Oracle bundle for F = f + psi plus the geometry the solvers use."""
 
     smooth: SmoothOracle
-    simple: SimpleComponent
+    simple: ZeroComponent | PowerRegularizer
     metric: Metric
     fstar: float | None = None
     xstar: np.ndarray | None = None

@@ -2,17 +2,17 @@
 
 One inner iteration minimizes
     Omega_p(g, x; y) + M/(p+1)! * ||y - x||^{p+1} + phi(y)
-over y, where g is the contracted smooth part and phi collects the simple
-component and the proximal divergence term.  The cubic baselines run the same
-step on f itself, as the part contracted with a = A_next = 1 and A_prev = 0.
-Every order-2 step takes first-order data from ``smooth.data(x)`` and its
-Hessian from ``smooth.hess(x)``, and both must be finite.  Every divergence
-term and psi is built on the power prox (see ``bregman``), so the step
-dispatches on p alone: a p = 1 step is a closed-form linear solve, and a
-p = 2 step, cptm's and the cubic baselines' alike, is minimized by damped
-Newton (:func:`minimize_model_newton`), whose Hessian grad^2 g + alpha*B + at
-most three rank-one terms (Bw)(Bw)^T is assembled in one F-ordered buffer and
-factored there in place; :class:`Subproblem` rejects what neither solves.
+over y, where g is the contracted smooth part (the cubic baselines run f
+itself, contracted with a = A_next = 1 and A_prev = 0) and phi is one list of
+B-norm power terms on the power prox (:class:`CompositePart`, ``bregman``):
+weight*psi with psi = sigma*d, and gamma times a Bregman divergence, whose
+linear part rides with its term.  phi's value and gradient, the order-1 closed
+form and the Newton Hessian loop over that list, so the step dispatches on p
+alone: a p = 1 step is a closed-form linear solve, and a p = 2 step, cptm's and
+the cubic baselines' alike, is damped Newton (:func:`minimize_model_newton`) on
+``smooth.data(x)`` and ``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus
+one rank-one term per power term assembled and factored in one F-ordered
+buffer; :class:`Subproblem` rejects what neither solves.
 :func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
 reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
@@ -28,7 +28,7 @@ import scipy.optimize
 
 from .bregman import PowerProx, ProxFunction, power_coefficients
 from .metric import Metric
-from .objectives import PowerRegularizer, SimpleComponent, SmoothOracle, SolverError
+from .objectives import PowerRegularizer, SmoothOracle, SolverError
 
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 _syr, = scipy.linalg.get_blas_funcs(("syr",), (np.empty((1, 1)),))
@@ -98,72 +98,63 @@ class ContractedSmooth:
 
 
 class CompositePart:
-    """phi(y) = weight*psi(y) + gamma * divergence(anchor; y)."""
+    """phi(y) = weight*psi(y) + gamma * divergence(anchor; y), as one list of power terms.
 
-    def __init__(self, psi: SimpleComponent, weight, gamma, prox: ProxFunction | None, anchor):
+    ``terms`` holds (name, c, d, anchor, d(anchor), grad d(anchor)) for each term
+    c*(d(y) - d(anchor) - <grad d(anchor), y - anchor>) with c > 0: psi = sigma*d
+    first, as c = weight*sigma and no anchor (plain c*d), then the divergence with
+    c = gamma.  A psi that is neither zero nor a :class:`PowerRegularizer` raises.
+    """
+
+    def __init__(self, psi, weight, gamma, prox: ProxFunction | None, anchor):
         if gamma < 0 or weight < 0:
             raise ValueError("weight and gamma must be nonnegative")
         if gamma > 0 and prox is None:
             raise ValueError("a positive gamma needs a prox function")
-        self.psi = psi
-        self.weight = float(weight)
-        self.gamma = float(gamma)
-        self.prox = prox
+        self.psi, self.weight, self.gamma, self.prox = psi, float(weight), float(gamma), prox
         self.anchor = None if anchor is None else np.asarray(anchor, dtype=float)
+        self.terms = []
+        if self.weight > 0 and not psi.is_zero:
+            if not isinstance(psi, PowerRegularizer):
+                raise ValueError(f"psi is a {type(psi).__name__}, not zero or a PowerRegularizer")
+            self.terms.append(("psi", self.weight * psi.sigma, psi.prox, None, 0.0, None))
         if self.gamma > 0:
-            self._d_anchor = prox.value(self.anchor)
-            self._grad_anchor = prox.gradient(self.anchor)
+            self.terms.append(("the divergence term", self.gamma, prox, self.anchor,
+                               prox.value(self.anchor), prox.gradient(self.anchor)))
 
     def value(self, y):
         out = 0.0
-        if self.weight > 0 and not self.psi.is_zero:
-            out += self.weight * self.psi.value(y)
-        if self.gamma > 0:
-            out += self.gamma * (self.prox.value(y) - self._d_anchor
-                                 - float(self._grad_anchor @ (y - self.anchor)))
-        return out
-
-    def grad(self, y):
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        if self.weight > 0 and not self.psi.is_zero:
-            out = out + self.weight * self.psi.subgrad(y)
-        if self.gamma > 0:
-            out = out + self.gamma * (self.prox.gradient(y) - self._grad_anchor)
+        for _, c, d, anchor, d_anchor, grad_anchor in self.terms:
+            v = d.value(y)
+            if anchor is not None:
+                v = v - d_anchor - float(grad_anchor @ (y - anchor))
+            out += c * v
         return out
 
     def evaluate(self, y):
-        """(phi(y), grad phi(y), terms) of an array y, bitwise :meth:`value` and :meth:`grad`.
+        """(phi(y), grad phi(y), terms) of an array y; the value is :meth:`value`'s bitwise.
 
         Each term c*||y - center||^{q+1}/(q+1) comes as (c, q, r, Bw), w = y - center.
         """
         val, grad, terms = 0.0, np.zeros_like(y), []
-        if self.weight > 0 and not self.psi.is_zero:
-            r, Bw, d, dg = self.psi.prox.at(y)
-            val += self.weight * (self.psi.sigma * d)
-            grad = grad + self.weight * (self.psi.sigma * dg)
-            terms.append((self.weight * self.psi.sigma, self.psi.prox.order, r, Bw))
-        if self.gamma > 0:
-            r, Bw, d, dg = self.prox.at(y)
-            val += self.gamma * (d - self._d_anchor - float(self._grad_anchor @ (y - self.anchor)))
-            grad = grad + self.gamma * (dg - self._grad_anchor)
-            terms.append((self.gamma, self.prox.order, r, Bw))
+        for _, c, d, anchor, d_anchor, grad_anchor in self.terms:
+            r, Bw, v, g = d.at(y)
+            if anchor is not None:
+                v, g = v - d_anchor - float(grad_anchor @ (y - anchor)), g - grad_anchor
+            val, grad = val + c * v, grad + c * g
+            terms.append((c, d.order, r, Bw))
         return val, grad, terms
 
     def affine_terms(self):
         """(total curvature coefficient, B-weighted center combination) of grad phi.
 
-        Only valid when every term has order 1; grad phi(y) = coeff*B*y - B*combo.
+        Only valid when every term has order 1; grad phi(y) = coeff*B*y - B*combo,
+        where a term's center is its anchor, or else its prox center.
         """
-        coeff = 0.0
-        combo = None
-        if self.gamma > 0:
-            coeff += self.gamma
-            combo = self.gamma * self.anchor
-        if self.weight > 0 and not self.psi.is_zero:
-            sigma = self.psi.sigma
-            coeff += self.weight * sigma
-            c = self.weight * sigma * self.psi.prox.center
-            combo = c if combo is None else combo + c
+        coeff, combo = 0.0, 0.0
+        for _, c, d, anchor, _, _ in self.terms:
+            coeff += c
+            combo += c * (d.center if anchor is None else anchor)  # a fresh array after one term
         return coeff, combo
 
 
@@ -173,9 +164,9 @@ class Subproblem:
 
     The contracting solver sets M = p * L_p(g), which keeps the step
     subproblem convex at every order; the cubic baselines run g = f with a
-    fixed M.  Building one raises ``ValueError`` unless p is 1 or 2, psi is
-    zero or a :class:`PowerRegularizer`, and each term in use is built on a
-    :class:`PowerProx` on ``metric``, of order 1 when p = 1.
+    fixed M.  Building one raises ``ValueError`` unless p is 1 or 2 and each
+    of phi's terms is built on a :class:`PowerProx` on ``metric``, of order 1
+    when p = 1 (a psi no step solves was rejected by :class:`CompositePart`).
     """
 
     p: int
@@ -185,24 +176,19 @@ class Subproblem:
     M: float
 
     def __post_init__(self):
-        c = self.composite
-        psi_used = c.weight > 0 and not c.psi.is_zero
         if self.p not in (1, 2):
             raise ValueError("only orders 1 and 2 are runnable")
-        if psi_used and not isinstance(c.psi, PowerRegularizer):
-            raise ValueError(f"psi is a {type(c.psi).__name__}, not zero or a PowerRegularizer")
-        for part, prox, used in (("the divergence term", c.prox, c.gamma > 0),
-                                 ("psi", c.psi.prox, psi_used)):
-            if used and not (isinstance(prox, PowerProx) and prox.metric is self.metric):
+        for part, _, d, *_ in self.composite.terms:
+            if not (isinstance(d, PowerProx) and d.metric is self.metric):
                 raise ValueError(f"{part} is not built on a PowerProx on the step's metric")
-            if used and self.p == 1 and prox.order != 1:
-                raise ValueError(f"{part} has order {prox.order}; an order-1 step needs 1")
+            if self.p == 1 and d.order != 1:
+                raise ValueError(f"{part} has order {d.order}; an order-1 step needs 1")
 
     def h_value_from(self, data: SmoothData):
         return data.value + self.composite.value(data.x)
 
     def h_grad_from(self, data: SmoothData):
-        return data.grad + self.composite.grad(data.x)
+        return data.grad + self.composite.evaluate(data.x)[1]
 
 
 def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):
@@ -323,10 +309,7 @@ def _closed_form_order1(sub: Subproblem, base: SmoothData):
     denom = sub.M + coeff
     if denom <= 0:
         raise ValueError("step subproblem is unbounded: M and phi curvature are both zero")
-    rhs = sub.M * base.x - sub.metric.solve(base.grad)
-    if combo is not None:
-        rhs = rhs + combo
-    return rhs / denom
+    return (sub.M * base.x - sub.metric.solve(base.grad) + combo) / denom
 
 
 def cubic_step_single_center(base: SmoothData, M, metric: Metric):
@@ -403,8 +386,7 @@ def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
     if sub.p == 1:
         return StepResult(_closed_form_order1(sub, base), 0.0, 0)
-    y, rho, iters = minimize_model_newton(sub, base, base.x, inner_tol)
-    return StepResult(y, rho, iters)
+    return StepResult(*minimize_model_newton(sub, base, base.x, inner_tol))
 
 
 def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):

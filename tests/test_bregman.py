@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contraprox.bregman import PowerProx, ProxFunction, power_coefficients, power_hessian
 from contraprox.metric import Metric
@@ -180,3 +182,25 @@ def test_power_constant_is_two_to_one_minus_p():
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         PowerProx(0, np.zeros(2), Metric.identity(2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), order=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(1e-3, 1e2))
+def test_divergence_is_nonnegative_and_obeys_the_three_point_identity(n, order, seed, spread):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    d = PowerProx(order, rng.standard_normal(n), metric)
+    points = [d.center + spread * rng.standard_normal(n) for _ in range(3)]
+    grads = [d.gradient(p) for p in points]
+    scale = sum(abs(d.value(p)) + np.abs(g).sum() * spread * n for p, g in zip(points, grads)) + 1.0
+    for i, j in ((0, 1), (1, 2), (0, 2), (2, 0)):
+        # convexity, before the clip of tiny negative round-off to 0
+        raw = d.value(points[j]) - d.value(points[i]) - float(grads[i] @ (points[j] - points[i]))
+        assert raw >= -1e-12 * scale
+        assert d.divergence(points[i], points[j]) >= 0.0
+    # beta(x; z) = beta(x; y) + beta(y; z) + <grad d(y) - grad d(x), z - y>
+    (x, y, z), (gx, gy, _) = points, grads
+    rhs = d.divergence(x, y) + d.divergence(y, z) + float((gy - gx) @ (z - y))
+    assert d.divergence(x, z) == pytest.approx(rhs, rel=0, abs=1e-12 * scale)

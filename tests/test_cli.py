@@ -64,3 +64,19 @@ def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("solve: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--sizes", "4"], EXIT_OK),
+    (["--sizes", "4", "--cap-outer", "1"], EXIT_SOLVER),
+    (["--sizes", "1"], EXIT_USAGE),
+])
+def test_bench_exit_codes(tmp_path, capsys, extra, code):
+    # a sweep exits 0 when every cell converges, 3 when a cell fails and 2 on
+    # an instance it cannot build (the quadratic spectrum needs n >= 2)
+    assert main(["bench", "--suite", "quadratic", "--seeds", "0", "--method", "gm",
+                 *extra, "--out", str(tmp_path)]) == code
+    if code == EXIT_OK:
+        assert (tmp_path / "bench_quadratic.json").exists()
+    if code == EXIT_USAGE:
+        assert capsys.readouterr().err.startswith("bench: ")

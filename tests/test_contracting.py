@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
 from contraprox.contracting import (ConstantDelta, GeometricSchedule,
                                     OuterState, PowerDelta,
@@ -20,6 +21,7 @@ from contraprox.objectives import (CompositeObjective, PowerRegularizer,
                                    QuadraticOracle, SolverError, ZeroComponent,
                                    attach_reference, lse_instance,
                                    quadratic_instance, reference_optimum)
+from contraprox.tensor_steps import InnerLoopError
 
 
 def _one_dim_objective():
@@ -304,6 +306,17 @@ class TestRunContractingProximal:
         assert (tr.status, tr.iterations) == ("converged", K)
         with pytest.raises(SolverError, match=f"cptm-p1 exhausted {K - 1} iterations"):
             run(K - 1)
+
+    def test_underestimated_l1_ends_in_an_inner_loop_error(self):
+        # steps sized for L1/10 overshoot, so the inner loop's certified norm
+        # grows instead of falling, and the run stops at the inner cap (15)
+        obj = build_instance("quadratic", 20, 0, q=1e-2)
+        f = obj.smooth
+        wrong = CompositeObjective(QuadraticOracle(f.matrix, f.rhs, lam_max=f.lipschitz[1] / 10),
+                                   obj.simple, obj.metric, obj.fstar, obj.xstar,
+                                   dict(obj.descriptor))
+        with pytest.raises(InnerLoopError, match="cap of 15 steps.*check the Lipschitz"):
+            run_method("cptm-p1", wrong, 1e-7)
 
     def test_mismatched_schedule_order_rejected(self):
         obj = quadratic_instance(4, 1.0, 0)

@@ -15,8 +15,7 @@ from contraprox.contracting import (PowerDelta, SublinearSchedule,
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
                                    PowerRegularizer, QuadraticOracle,
-                                   SimpleComponent, ZeroComponent, lse_instance,
-                                   quadratic_instance)
+                                   ZeroComponent, lse_instance, quadratic_instance)
 from contraprox.tensor_steps import (CompositePart, ContractedSmooth,
                                      InnerLoopError, SmoothData, Subproblem,
                                      assemble_step_hessian, cholesky_solve,
@@ -230,8 +229,10 @@ class _DiagonalProx(ProxFunction):
         return self.diag * x
 
 
-class _AbsComponent(SimpleComponent):
+class _AbsComponent:
     """psi(x) = ||x||_1, a simple component no step can solve."""
+
+    is_zero = False
 
     def value(self, x):
         return float(np.abs(x).sum())
@@ -305,9 +306,70 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
     T = tensor_step(sub, base, 1e-12).point
     _, grad, _ = model_objective(sub, base, T)
     # the gradient is the sum of these three; its scale is theirs
-    pieces = (base.grad, M * metric.apply(T - base.x), composite.grad(T))
+    pieces = (base.grad, M * metric.apply(T - base.x), composite.evaluate(T)[1])
     scale = sum(metric.dual_norm(piece) for piece in pieces)
     assert metric.dual_norm(grad) <= 1e-9 * scale
+
+
+_PHI = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+            gamma=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+            weight=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), sigma=st.floats(1e-3, 1e3))
+
+
+def _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order):
+    """phi on a random SPD metric, with random centers and anchor, and a random point."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
+    prox = PowerProx(div_order, rng.standard_normal(n), metric)
+    return CompositePart(psi, weight, gamma, prox, rng.standard_normal(n)), rng.standard_normal(n)
+
+
+def _phi_scale(composite, y):
+    """Sum over the terms of c times the size of each piece of its value."""
+    scale = 0.0
+    for _, c, d, anchor, d_anchor, grad_anchor in composite.terms:
+        linear = 0.0 if anchor is None else np.abs(grad_anchor).sum() * np.abs(y - anchor).max()
+        scale += c * (abs(d.value(y)) + abs(d_anchor) + linear)
+    return scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
+def test_phi_terms_follow_the_inputs(n, seed, gamma, weight, sigma, div_order, psi_order):
+    composite, y = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    # psi first, then the divergence term; a zero coefficient leaves its term out
+    assert [(name, c) for name, c, *_ in composite.terms] == (
+        [("psi", weight * sigma)] if weight > 0 else []) + (
+        [("the divergence term", gamma)] if gamma > 0 else [])
+    value, _, terms = composite.evaluate(y)
+    assert composite.value(y) == value
+    assert [(c, q) for c, q, _, _ in terms] == [(c, d.order) for _, c, d, *_ in composite.terms]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
+def test_phi_gradient_matches_central_differences(n, seed, gamma, weight, sigma, div_order,
+                                                 psi_order):
+    composite, y = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    grad = composite.evaluate(y)[1]
+    h = 1e-6
+    fd = np.array([(composite.value(y + h * e) - composite.value(y - h * e)) / (2 * h)
+                   for e in np.eye(n)])
+    assert np.abs(fd - grad).max() <= 1e-6 * (1.0 + np.abs(grad).max() + _phi_scale(composite, y))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_PHI)
+def test_order1_phi_gradient_is_affine(n, seed, gamma, weight, sigma):
+    composite, y = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
+    coeff, combo = composite.affine_terms()
+    B = composite.psi.prox.metric.matrix
+    assert coeff == sum(c for _, c, *_ in composite.terms)
+    affine = B @ (coeff * y - combo)
+    scale = np.abs(B).max() * (coeff * np.abs(y).max() + np.abs(combo).max())
+    assert np.abs(composite.evaluate(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
 
 
 class TestStepSubgradient:
