@@ -14,9 +14,10 @@ from .contracting import (ConstantDelta, GeometricSchedule, OuterState,
                           TheoremConvexDelta, TheoremStronglyConvexDelta,
                           complexity_convex, complexity_strongly_convex,
                           contracting_step, contraction_point, contraction_rate,
-                          inexact_certificate_bound, inner_iteration_bound,
-                          order_dependence, run_contracting_proximal,
-                          schedule_convex, schedule_strongly_convex)
+                          inexact_certificate_bound, inexact_certificate_bounds,
+                          inner_iteration_bound, order_dependence,
+                          run_contracting_proximal, schedule_convex,
+                          schedule_strongly_convex)
 from .metric import Metric, pairing
 from .objectives import (CompositeObjective, LogSumExpOracle, OracleCounters,
                          PowerRegularizer, QuadraticOracle, SolverError,

@@ -182,23 +182,32 @@ def contraction_point(a, A_prev, v, x_prev):
     return (a * np.asarray(v, float) + A_prev * np.asarray(x_prev, float)) / (A_prev + a)
 
 
-def inexact_certificate_bound(p, gamma0, sigma_simple, bregman0, sigma_uniform,
-                              deltas, A_values):
-    """Certified upper bound on the residual-plus-divergence sum after k steps.
+def inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, sigma_uniform,
+                               deltas, A_values):
+    """Certified upper bound on the residual-plus-divergence sum after every prefix.
 
     ``deltas[i]`` is the dual norm certified at iteration i+1 and
     ``A_values[i]`` the corresponding A_{i+1}; gamma_i is reconstructed from
-    its telescoped form gamma0 + sigma_simple * A_i.
+    its telescoped form gamma0 + sigma_simple * A_i.  Entry k of the result is
+    the bound after k steps, so entry 0 is the head term gamma0 * bregman0.
     """
     deltas = np.asarray(deltas, dtype=float)
     A_values = np.asarray(A_values, dtype=float)
     if deltas.shape != A_values.shape:
         raise ValueError("deltas and A_values must have matching lengths")
     gammas = gamma0 + sigma_simple * A_values
-    acc = float(np.sum(deltas / gammas ** (1.0 / (p + 1))))
+    acc = np.cumsum(np.concatenate(([0.0], deltas / gammas ** (1.0 / (p + 1)))))
     head = (gamma0 * bregman0) ** (p / (p + 1.0))
     tail = ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc
     return (head + tail) ** ((p + 1.0) / p)
+
+
+def inexact_certificate_bound(p, gamma0, sigma_simple, bregman0, sigma_uniform,
+                              deltas, A_values):
+    """The certified bound after all len(deltas) steps: the last of
+    :func:`inexact_certificate_bounds`."""
+    return float(inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0,
+                                            sigma_uniform, deltas, A_values)[-1])
 
 
 def convex_inner_accuracy(p, gamma0, lipschitz, eps):

@@ -111,16 +111,15 @@ class CompositePart:
             raise ValueError("weight and gamma must be nonnegative")
         if gamma > 0 and prox is None:
             raise ValueError("a positive gamma needs a prox function")
-        self.psi, self.weight, self.gamma, self.prox = psi, float(weight), float(gamma), prox
-        self.anchor = None if anchor is None else np.asarray(anchor, dtype=float)
         self.terms = []
-        if self.weight > 0 and not psi.is_zero:
+        if weight > 0 and not psi.is_zero:
             if not isinstance(psi, PowerRegularizer):
                 raise ValueError(f"psi is a {type(psi).__name__}, not zero or a PowerRegularizer")
-            self.terms.append(("psi", self.weight * psi.sigma, psi.prox, None, 0.0, None))
-        if self.gamma > 0:
-            self.terms.append(("the divergence term", self.gamma, prox, self.anchor,
-                               prox.value(self.anchor), prox.gradient(self.anchor)))
+            self.terms.append(("psi", float(weight) * psi.sigma, psi.prox, None, 0.0, None))
+        if gamma > 0:
+            anchor = np.asarray(anchor, dtype=float)
+            self.terms.append(("the divergence term", float(gamma), prox, anchor,
+                               prox.value(anchor), prox.gradient(anchor)))
 
     def value(self, y):
         out = 0.0
@@ -144,6 +143,14 @@ class CompositePart:
             val, grad = val + c * v, grad + c * g
             terms.append((c, d.order, r, Bw))
         return val, grad, terms
+
+    def gradient(self, y):
+        """grad phi(y), bitwise :meth:`evaluate`'s, without its value and terms."""
+        grad = np.zeros_like(y)
+        for _, c, d, anchor, _, grad_anchor in self.terms:
+            g = d.gradient(y)
+            grad = grad + c * (g if anchor is None else g - grad_anchor)
+        return grad
 
     def affine_terms(self):
         """(total curvature coefficient, B-weighted center combination) of grad phi.
@@ -188,7 +195,7 @@ class Subproblem:
         return data.value + self.composite.value(data.x)
 
     def h_grad_from(self, data: SmoothData):
-        return data.grad + self.composite.evaluate(data.x)[1]
+        return data.grad + self.composite.gradient(data.x)
 
 
 def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):

@@ -1,255 +1,184 @@
 """Runtime validation of convergence certificates along recorded traces.
 
-The in-memory validator replays every certified inequality a trace claims:
-the outer residual-plus-divergence bound, the coefficient-schedule growth
-envelopes, the telescoped proximal coefficients, per-step descent and
-gradient-progress of the inner method, and the inner iteration budget.
-A serialized trace supports the subset of checks its columns carry.
+One check body runs over a dict of columns with one entry per outer
+iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
+the body replays the outer residual-plus-divergence certificate, the
+telescoped proximal coefficients, the coefficient-schedule growth envelopes
+and the requested inner accuracy.  An in-memory trace adds the iterates x
+and v, the condition ratio ``ell_mu``, the subproblem constant
+``lipschitz_g`` and a flat table of inner steps, and the body then also
+replays the inner condition ratio, the inner iteration budget, per-step
+descent and gradient progress of the inner method, and the contraction
+combination that makes x_{k+1}.
+
+Each check is one array expression over its rows, except the inner budget
+(the scalar :func:`inner_iteration_bound` per iteration) and the contraction
+combination, which loop over the iterations so that no K-by-n temporary is
+made.  The report is one record array: a row per check with its name, the
+outer iteration k and inner step t (-1 where they do not apply), whether it
+passed and its margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
-                          inexact_certificate_bound, inner_iteration_bound)
+                          inexact_certificate_bounds, inner_iteration_bound)
 from .trace import CSV_COLUMNS
 
-
-@dataclass
-class CheckResult:
-    name: str
-    k: int | None
-    passed: bool
-    margin: float
-    detail: str = ""
-
-    def line(self):
-        status = "ok  " if self.passed else "FAIL"
-        where = f" k={self.k}" if self.k is not None else ""
-        return f"[{status}] {self.name}{where} margin={self.margin:.3e} {self.detail}"
+CHECK_DTYPE = [("name", object), ("k", np.int64), ("t", np.int64), ("passed", bool),
+               ("margin", float)]
+INNER_STEP_COLUMNS = ("k", "t", "h_before", "h_after", "step_norm", "s_dual",
+                      "sub_residual", "decrease_pairing", "L")
 
 
 @dataclass
 class ValidationReport:
-    checks: list = field(default_factory=list)
+    """The checks of one validation, as a record array with :data:`CHECK_DTYPE` rows."""
 
-    def add(self, name, k, passed, margin, detail=""):
-        self.checks.append(CheckResult(name, k, bool(passed), float(margin), detail))
+    checks: np.recarray
 
     @property
     def ok(self):
-        return all(c.passed for c in self.checks)
+        return bool(np.all(self.checks.passed))
 
     def failures(self):
-        return [c for c in self.checks if not c.passed]
+        return self.checks[~self.checks.passed]
 
     def lines(self):
-        return [c.line() for c in self.checks]
-
-    def worst(self, name):
-        vals = [c.margin for c in self.checks if c.name == name]
-        return min(vals) if vals else math.nan
+        return [f"[{'ok  ' if c.passed else 'FAIL'}] {c.name}"
+                + (f" k={c.k}" if c.k >= 0 else "") + (f" t={c.t}" if c.t >= 0 else "")
+                + f" margin={c.margin:.3e}" for c in self.checks]
 
 
-def _relative_margin(lhs, rhs, slack):
-    # pass iff lhs <= rhs * (1 + slack) + slack ; margin normalized by scale
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return (rhs * (1.0 + slack) + slack * 1e-3 - lhs) / scale
+def _rows(name, k, passed, margin, t=-1):
+    """The report rows of one check, one for each entry of k."""
+    rows = np.recarray(np.shape(k), dtype=CHECK_DTYPE)
+    rows.name, rows.k, rows.t, rows.passed, rows.margin = name, k, t, passed, margin
+    return rows
 
 
-def check_certificate(report, ks, residuals, A_vals, gammas, bregman_vstar,
-                      bregman_steps, s_norms, p, gamma0, sigma_simple, bregman0,
-                      sigma_uniform, slack=1e-9):
-    """Outer certificate at every k: residual and divergence terms stay under
-    the inexactness envelope built from the achieved subgradient norms."""
-    running = 0.0
-    for i, k in enumerate(ks):
-        running += gammas[i] * bregman_steps[i]
-        lhs = A_vals[i] * residuals[i] + gammas[i] * bregman_vstar[i] + running
-        rhs = inexact_certificate_bound(p, gamma0, sigma_simple, bregman0,
-                                        sigma_uniform, s_norms[:i + 1], A_vals[:i + 1])
-        margin = _relative_margin(lhs, rhs, slack)
-        report.add("outer_certificate", int(k), margin >= 0.0, margin,
-                   f"lhs={lhs:.6e} rhs={rhs:.6e}")
+def _header_schedule(header):
+    sched = header.get("schedule", {})
+    if sched.get("kind") == "sublinear":
+        return SublinearSchedule(sched["c"], sched["p"])
+    if sched.get("kind") == "geometric":
+        return GeometricSchedule(sched["omega"], sched["c"], sched["p"])
+    return None
 
 
-def check_gamma_telescope(report, ks, gammas, A_vals, gamma0, sigma_simple, tol=1e-12):
-    for i, k in enumerate(ks):
-        expected = gamma0 + sigma_simple * A_vals[i]
-        err = abs(gammas[i] - expected) / max(abs(expected), 1.0)
-        report.add("gamma_telescope", int(k), err <= tol, tol - err)
+def _check(header, columns, fstar, schedule):
+    """Every check the columns support.
 
-
-def check_schedule_growth(report, schedule, ks, A_vals, tol=1e-12):
-    if isinstance(schedule, SublinearSchedule):
-        for i, k in enumerate(ks):
-            lo, hi = schedule.lower(k), schedule.upper(k)
-            ok = (A_vals[i] >= lo * (1 - tol)) and (A_vals[i] <= hi * (1 + tol))
-            report.add("schedule_growth", int(k), ok,
-                       min(A_vals[i] - lo * (1 - tol), hi * (1 + tol) - A_vals[i]))
-    elif isinstance(schedule, GeometricSchedule):
-        A1 = A_vals[0]
-        w = schedule.omega
-        for i, k in enumerate(ks):
-            lo = A1 * math.exp(w * (k - 1))
-            hi = A1 * math.exp(w * math.e / (math.e - 1) * (k - 1))
-            ok = (A_vals[i] >= lo * (1 - tol)) and (A_vals[i] <= hi * (1 + tol))
-            report.add("schedule_growth", int(k), ok,
-                       min(A_vals[i] - lo * (1 - tol), hi * (1 + tol) - A_vals[i]))
-
-
-def check_delta_honored(report, ks, s_norms, deltas, tol=1e-12):
-    for i, k in enumerate(ks):
-        ok = s_norms[i] <= deltas[i] * (1 + tol)
-        report.add("delta_honored", int(k), ok, deltas[i] * (1 + tol) - s_norms[i])
-
-
-def check_condition_ratio(report, ks, ratios, tol=1e-12):
-    for i, k in enumerate(ks):
-        report.add("inner_condition_ratio", int(k), ratios[i] <= 1.0 + tol,
-                   1.0 + tol - ratios[i])
-
-
-def check_inner_budget(report, ks, t_inner, residuals, A_prev, gammas_prev,
-                       gammas_next, bregman_v_prev_star, lipschitz_g, deltas,
-                       p, sigma_uniform, slack=INNER_SLACK):
-    """t_k never exceeds ``slack`` times the sufficient inner-step count."""
-    for i, k in enumerate(ks):
-        if not math.isfinite(bregman_v_prev_star[i]) or not math.isfinite(residuals[i]):
-            continue
-        bound = inner_iteration_bound(p, lipschitz_g[i], gammas_prev[i], gammas_next[i],
-                                      sigma_uniform, deltas[i], A_prev[i] * residuals[i],
-                                      bregman_v_prev_star[i])
-        budget = slack * bound
-        report.add("inner_budget", int(k), t_inner[i] <= budget,
-                   budget - t_inner[i], f"t={int(t_inner[i])} bound={bound:.2f}")
-
-
-def check_inner_descent(report, records, tol=1e-10):
-    """Each accepted inner step is monotone in the subproblem value."""
-    for rec in records:
-        for step in rec.inner_steps:
-            scale = max(abs(step.h_before), abs(step.h_after), 1.0)
-            ok = step.h_after <= step.h_before + tol * scale
-            report.add("inner_descent", int(rec.k), ok,
-                       (step.h_before - step.h_after) / scale,
-                       f"t={step.t}")
-
-
-def check_inner_gradient_progress(report, records, p, tol=1e-9):
-    """Gradient-progress inequality at every accepted inner step.
-
-    The sub-minimizer residual perturbs the extracted subgradient, so the
-    check allows a residual-proportional slack on top of float tolerance.
-    """
-    for rec in records:
-        L = rec.lipschitz_g
-        if not math.isfinite(L) or L <= 0:
-            for step in rec.inner_steps:
-                report.add("inner_gradient_progress", int(rec.k), True, 0.0,
-                           f"t={step.t} (degenerate L)")
-            continue
-        coef = (math.factorial(p) / ((p + 1) * L)) ** (1.0 / p)
-        for step in rec.inner_steps:
-            rhs = coef * step.s_dual ** ((p + 1.0) / p)
-            allowance = step.sub_residual * step.step_norm + tol * max(abs(rhs), 1.0)
-            ok = step.decrease_pairing + allowance >= rhs
-            report.add("inner_gradient_progress", int(rec.k), ok,
-                       step.decrease_pairing + allowance - rhs, f"t={step.t}")
-
-
-def check_contraction_combination(report, records, tol=1e-12):
-    """x_{k+1} is exactly the recorded affine combination of x_k and v_{k+1}."""
-    prev_x = None
-    prev_A = 0.0
-    for rec in records:
-        if rec.k == 0:
-            prev_x, prev_A = rec.x, rec.A
-            continue
-        expected = (rec.a * rec.v + prev_A * prev_x) / rec.A
-        err = float(np.max(np.abs(expected - rec.x))) / max(float(np.max(np.abs(rec.x))), 1.0)
-        report.add("contraction_combination", int(rec.k), err <= tol, tol - err)
-        prev_x, prev_A = rec.x, rec.A
-
-
-def _outer_checks(report, header, columns, fstar, schedule, slack):
-    """The checks both validators run on full-length columns (row 0 included):
-    the outer certificate, the gamma telescope, schedule growth (when a
-    schedule is known) and delta honoured.  The certificate needs the row-0
-    divergence to x* (a file written without x* has none, and skips it), and
-    residuals come from F - f* when f* is known.
-    Returns False, after recording a failure, when there is no iteration.
+    The certificate needs the row-0 divergence to x* (a file written without
+    x* has none, and skips it); residuals come from F - f* when f* is known.
+    Schedule growth needs a schedule.  A trace without iterations fails one
+    "nonempty" check and is checked no further.
     """
     mask = columns["k"] >= 1
     ks = columns["k"][mask].astype(int)
     if ks.size == 0:
-        report.add("nonempty", None, False, -1.0, "trace has no iterations")
-        return False
-    A_vals = columns["A_k"][mask]
-    gammas = columns["gamma_k"][mask]
-    s_norms = columns["s_norm"][mask]
-    bregman_vstar = columns["bregman_vstar"][mask]
-    gamma0 = header["gamma0"]
-    sigma_simple = header["sigma_simple"]
+        return ValidationReport(_rows("nonempty", [-1], False, -1.0))
+    p, gamma0, sigma_simple = header["p"], header["gamma0"], header["sigma_simple"]
+    A, gamma, s_norm = columns["A_k"][mask], columns["gamma_k"][mask], columns["s_norm"][mask]
+    parts = []
     k0 = columns["k"] == 0
     bregman0 = float(columns["bregman_vstar"][k0][0]) if np.any(k0) else math.nan
     if math.isfinite(bregman0):
-        residuals = (columns["F"][mask] - fstar if fstar is not None
-                     else columns["residual"][mask])
-        check_certificate(report, ks, residuals, A_vals, gammas, bregman_vstar,
-                          columns["bregman_step"][mask], s_norms, header["p"], gamma0,
-                          sigma_simple, bregman0, header["sigma_uniform"], slack=slack)
-    check_gamma_telescope(report, ks, gammas, A_vals, gamma0, sigma_simple)
+        residual = columns["F"][mask] - fstar if fstar is not None else columns["residual"][mask]
+        lhs = (A * residual + gamma * columns["bregman_vstar"][mask]
+               + np.cumsum(gamma * columns["bregman_step"][mask]))
+        rhs = inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0,
+                                         header["sigma_uniform"], s_norm, A)[1:]
+        slack = 1e-9  # relative, and 1e-3 of it absolute
+        margin = ((rhs * (1.0 + slack) + slack * 1e-3 - lhs)
+                  / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
+        parts.append(_rows("outer_certificate", ks, margin >= 0.0, margin))
+    expected = gamma0 + sigma_simple * A
+    err = np.abs(gamma - expected) / np.maximum(np.abs(expected), 1.0)
+    parts.append(_rows("gamma_telescope", ks, err <= 1e-12, 1e-12 - err))
     if schedule is not None:
-        check_schedule_growth(report, schedule, ks, A_vals)
-    check_delta_honored(report, ks, s_norms, columns["delta_req"][mask])
-    return True
+        if isinstance(schedule, SublinearSchedule):
+            lo, hi = schedule.lower(ks), schedule.upper(ks)
+        else:
+            w = schedule.omega
+            lo = A[0] * np.exp(w * (ks - 1))
+            hi = A[0] * np.exp(w * math.e / (math.e - 1) * (ks - 1))
+        lo, hi = lo * (1 - 1e-12), hi * (1 + 1e-12)
+        parts.append(_rows("schedule_growth", ks, (A >= lo) & (A <= hi),
+                           np.minimum(A - lo, hi - A)))
+    allowed = columns["delta_req"][mask] * (1 + 1e-12)
+    parts.append(_rows("delta_honored", ks, s_norm <= allowed, allowed - s_norm))
+    if "x" in columns:
+        ratio = columns["ell_mu"][1:]
+        parts.append(_rows("inner_condition_ratio", ks, ratio <= 1.0 + 1e-12,
+                           1.0 + 1e-12 - ratio))
+        # t_k stays under INNER_SLACK times the sufficient count from the state at k - 1
+        F, A_all, gamma_all = columns["F"], columns["A_k"], columns["gamma_k"]
+        div = columns["bregman_vstar"]
+        budgeted = [i for i in range(1, len(F))
+                    if math.isfinite(div[i - 1]) and math.isfinite(F[i - 1] - fstar)]
+        budget = INNER_SLACK * np.array([inner_iteration_bound(
+            p, columns["lipschitz_g"][i], gamma_all[i - 1], gamma_all[i],
+            header["sigma_uniform"], columns["delta_req"][i],
+            A_all[i - 1] * (F[i - 1] - fstar), div[i - 1]) for i in budgeted])
+        t_k = columns["t_k"][budgeted]
+        parts.append(_rows("inner_budget", columns["k"][budgeted], t_k <= budget, budget - t_k))
+        steps = columns["inner_steps"]
+        h_before, h_after = steps["h_before"], steps["h_after"]
+        scale = np.maximum(np.maximum(np.abs(h_before), np.abs(h_after)), 1.0)
+        parts.append(_rows("inner_descent", steps["k"], h_after <= h_before + 1e-10 * scale,
+                           (h_before - h_after) / scale, steps["t"]))
+        # the sub-minimizer residual perturbs the extracted subgradient, so the
+        # gradient progress allows a residual-proportional slack on top of round-off;
+        # a step whose L is not a positive number passes with margin 0
+        L = steps["L"]
+        proper = np.isfinite(L) & (L > 0)
+        coef = (math.factorial(p) / ((p + 1) * np.where(proper, L, 1.0))) ** (1.0 / p)
+        rhs = coef * steps["s_dual"] ** ((p + 1.0) / p)
+        allowance = (steps["sub_residual"] * steps["step_norm"]
+                     + 1e-9 * np.maximum(np.abs(rhs), 1.0))
+        progress = steps["decrease_pairing"] + allowance
+        parts.append(_rows("inner_gradient_progress", steps["k"], ~proper | (progress >= rhs),
+                           np.where(proper, progress - rhs, 0.0), steps["t"]))
+        # x_{k+1} is exactly the recorded combination (a v_{k+1} + A_k x_k) / A_{k+1}
+        x, v, a = columns["x"], columns["v"], columns["a_k"]
+        err = np.array([np.max(np.abs((a[i] * v[i] + A_all[i - 1] * x[i - 1]) / A_all[i] - x[i]))
+                        / max(np.max(np.abs(x[i])), 1.0) for i in range(1, len(x))])
+        parts.append(_rows("contraction_combination", ks, err <= 1e-12, 1e-12 - err))
+    return ValidationReport(np.concatenate(parts).view(np.recarray))
 
 
-def validate_trace(trace, prox, xstar, fstar, schedule=None, slack=1e-9,
-                   inner_slack=INNER_SLACK):
+def validate_trace(trace, prox, xstar, fstar, schedule=None):
     """Replay every certified inequality along an in-memory trace.
 
-    Needs the true optimum; divergence terms involving x* are recomputed from
-    the recorded iterates so the check does not trust the run's own numbers.
+    Needs the true optimum; divergences to x* are recomputed from the
+    recorded iterates, so the check does not trust the run's own numbers.
+    ``schedule`` defaults to the one the header describes.
     """
-    report = ValidationReport()
     records = trace.records
     rows = np.array([r.row() for r in records], dtype=float).reshape(-1, len(CSV_COLUMNS))
     columns = {name: rows[:, j] for j, name in enumerate(CSV_COLUMNS)}
     xstar = np.asarray(xstar, dtype=float)
-    columns["bregman_vstar"] = np.array([prox.divergence(r.v, xstar) for r in records])
-    if not _outer_checks(report, trace.header, columns, fstar, schedule, slack):
-        return report
-    recs = records[1:]
-    p = trace.header["p"]
-    sigma_uniform = trace.header["sigma_uniform"]
-    ks = columns["k"][1:].astype(int)
-    check_condition_ratio(report, ks, [r.ell_mu for r in recs])
-    check_inner_budget(report, ks, columns["t_k"][1:], columns["F"][:-1] - fstar,
-                       columns["A_k"][:-1], columns["gamma_k"][:-1], columns["gamma_k"][1:],
-                       columns["bregman_vstar"][:-1], [r.lipschitz_g for r in recs],
-                       columns["delta_req"][1:], p, sigma_uniform, slack=inner_slack)
-    check_inner_descent(report, recs)
-    check_inner_gradient_progress(report, recs, p)
-    check_contraction_combination(report, records)
-    return report
+    columns.update(x=[r.x for r in records], v=[r.v for r in records],
+                   ell_mu=np.array([r.ell_mu for r in records]),
+                   lipschitz_g=np.array([r.lipschitz_g for r in records]),
+                   bregman_vstar=np.array([prox.divergence(r.v, xstar) for r in records]))
+    steps = np.array([(r.k, s.t, s.h_before, s.h_after, s.step_norm, s.s_dual, s.sub_residual,
+                       s.decrease_pairing, r.lipschitz_g)
+                      for r in records[1:] for s in r.inner_steps], dtype=float)
+    steps = steps.reshape(-1, len(INNER_STEP_COLUMNS))
+    columns["inner_steps"] = {name: steps[:, j] for j, name in enumerate(INNER_STEP_COLUMNS)}
+    if schedule is None:
+        schedule = _header_schedule(trace.header)
+    return _check(trace.header, columns, fstar, schedule)
 
 
-def validate_columns(header, columns, fstar=None, slack=1e-9):
-    """Checks available for a serialized trace (column data only)."""
-    report = ValidationReport()
-    if fstar is None:
-        fstar = header.get("fstar")
-    sched = header.get("schedule", {})
-    schedule = None
-    if sched.get("kind") == "sublinear":
-        schedule = SublinearSchedule(sched["c"], sched["p"])
-    elif sched.get("kind") == "geometric":
-        schedule = GeometricSchedule(sched["omega"], sched["c"], sched["p"])
-    _outer_checks(report, header, columns, fstar, schedule, slack)
-    return report
+def validate_columns(header, columns, fstar=None):
+    """The checks a serialized trace supports; f* defaults to the header's."""
+    return _check(header, columns, header.get("fstar") if fstar is None else fstar,
+                  _header_schedule(header))

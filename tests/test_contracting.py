@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
@@ -13,7 +15,8 @@ from contraprox.contracting import (ConstantDelta, GeometricSchedule,
                                     contracting_step, contraction_point,
                                     contraction_rate, convex_inner_accuracy,
                                     geometric_iteration_count,
-                                    inexact_certificate_bound, order_dependence,
+                                    inexact_certificate_bound,
+                                    inexact_certificate_bounds, order_dependence,
                                     run_contracting_proximal, schedule_convex,
                                     schedule_strongly_convex)
 from contraprox.metric import Metric
@@ -167,6 +170,51 @@ class TestCertificateBound:
         small = inexact_certificate_bound(1, 1.0, 0.0, 1.0, 1.0, [1e-6] * 3, [1, 2, 3])
         big = inexact_certificate_bound(1, 1.0, 0.0, 1.0, 1.0, [1e-2] * 3, [1, 2, 3])
         assert small < big
+
+
+def _bound_reference(p, gamma0, sigma_simple, bregman0, sigma_uniform, deltas, A_values):
+    """The certificate bound after all given steps, summed directly."""
+    gammas = gamma0 + sigma_simple * np.asarray(A_values, dtype=float)
+    acc = float(np.sum(np.asarray(deltas, dtype=float) / gammas ** (1.0 / (p + 1))))
+    return ((gamma0 * bregman0) ** (p / (p + 1.0))
+            + ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc) ** ((p + 1.0) / p)
+
+
+_HISTORY = dict(p=st.integers(1, 3), gamma0=st.floats(1e-3, 1e3),
+                sigma_simple=st.one_of(st.just(0.0), st.floats(1e-4, 1e2)),
+                bregman0=st.floats(0.0, 1e3), sigma_uniform=st.floats(1e-2, 1.0),
+                steps=st.lists(st.tuples(st.floats(0.0, 1e2), st.floats(1e-3, 1e3),
+                                         st.floats(0.0, 1e2)), max_size=40))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(**_HISTORY)
+def test_prefix_bounds_are_the_bound_of_each_prefix(p, gamma0, sigma_simple, bregman0,
+                                                   sigma_uniform, steps):
+    deltas = [d for d, _, _ in steps]
+    A_values = np.cumsum([a for _, a, _ in steps])
+    head = (p, gamma0, sigma_simple, bregman0, sigma_uniform)
+    bounds = inexact_certificate_bounds(*head, deltas, A_values)
+    assert bounds.shape == (len(steps) + 1,)
+    for k in range(len(steps) + 1):
+        assert bounds[k] == pytest.approx(
+            inexact_certificate_bound(*head, deltas[:k], A_values[:k]), rel=1e-12)
+        assert bounds[k] == pytest.approx(
+            _bound_reference(*head, deltas[:k], A_values[:k]), rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(**_HISTORY)
+def test_bound_is_monotone_in_the_accuracies(p, gamma0, sigma_simple, bregman0,
+                                             sigma_uniform, steps):
+    deltas = np.array([d for d, _, _ in steps])
+    larger = deltas + np.array([extra for _, _, extra in steps])
+    A_values = np.cumsum([a for _, a, _ in steps])
+    head = (p, gamma0, sigma_simple, bregman0, sigma_uniform)
+    small = inexact_certificate_bounds(*head, deltas, A_values)
+    big = inexact_certificate_bounds(*head, larger, A_values)
+    # equal up to the last rounding of the final power where the accuracies barely differ
+    assert np.all(big >= small * (1 - 1e-14))
 
 
 class TestComplexityFormulas:

@@ -317,13 +317,14 @@ _PHI = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
 
 
 def _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order):
-    """phi on a random SPD metric, with random centers and anchor, and a random point."""
+    """phi on a random SPD metric, with random centers and anchor; a random point; the metric."""
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     metric = Metric(G @ G.T + 0.1 * np.eye(n))
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
     prox = PowerProx(div_order, rng.standard_normal(n), metric)
-    return CompositePart(psi, weight, gamma, prox, rng.standard_normal(n)), rng.standard_normal(n)
+    composite = CompositePart(psi, weight, gamma, prox, rng.standard_normal(n))
+    return composite, rng.standard_normal(n), metric
 
 
 def _phi_scale(composite, y):
@@ -338,13 +339,14 @@ def _phi_scale(composite, y):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
 def test_phi_terms_follow_the_inputs(n, seed, gamma, weight, sigma, div_order, psi_order):
-    composite, y = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    composite, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
     # psi first, then the divergence term; a zero coefficient leaves its term out
     assert [(name, c) for name, c, *_ in composite.terms] == (
         [("psi", weight * sigma)] if weight > 0 else []) + (
         [("the divergence term", gamma)] if gamma > 0 else [])
-    value, _, terms = composite.evaluate(y)
+    value, grad, terms = composite.evaluate(y)
     assert composite.value(y) == value
+    assert np.array_equal(composite.gradient(y), grad)
     assert [(c, q) for c, q, _, _ in terms] == [(c, d.order) for _, c, d, *_ in composite.terms]
 
 
@@ -352,7 +354,7 @@ def test_phi_terms_follow_the_inputs(n, seed, gamma, weight, sigma, div_order, p
 @given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
 def test_phi_gradient_matches_central_differences(n, seed, gamma, weight, sigma, div_order,
                                                  psi_order):
-    composite, y = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    composite, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
     grad = composite.evaluate(y)[1]
     h = 1e-6
     fd = np.array([(composite.value(y + h * e) - composite.value(y - h * e)) / (2 * h)
@@ -363,13 +365,19 @@ def test_phi_gradient_matches_central_differences(n, seed, gamma, weight, sigma,
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**_PHI)
 def test_order1_phi_gradient_is_affine(n, seed, gamma, weight, sigma):
-    composite, y = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
+    composite, y, metric = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
     coeff, combo = composite.affine_terms()
-    B = composite.psi.prox.metric.matrix
+    B = metric.matrix
     assert coeff == sum(c for _, c, *_ in composite.terms)
     affine = B @ (coeff * y - combo)
     scale = np.abs(B).max() * (coeff * np.abs(y).max() + np.abs(combo).max())
     assert np.abs(composite.evaluate(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
+
+
+def _divergence(composite):
+    """(gamma, anchor) of phi's divergence term."""
+    (_, gamma, _, anchor, *_), = [t for t in composite.terms if t[0] == "the divergence term"]
+    return gamma, anchor
 
 
 class TestStepSubgradient:
@@ -436,7 +444,7 @@ class TestInnerLoop:
         # certified rate: per-step ratio of gradient norms at most e^{-alpha*/2}
         rng = np.random.default_rng(13)
         sub = self._strongly_convex_subproblem(rng, gamma_factor=2.0)
-        alpha_star = min(1.0, sub.composite.gamma / (2.0 * sub.smooth.lipschitz(1)))
+        alpha_star = min(1.0, _divergence(sub.composite)[0] / (2.0 * sub.smooth.lipschitz(1)))
         bound = math.exp(-alpha_star * 0.5)
         res = inner_loop(sub, rng.standard_normal(5) * 3, 1e-9, cap=200)
         norms = [step.s_dual for step in res.steps]
@@ -481,14 +489,13 @@ class TestInnerLoop:
         # exact minimum of the quadratic h by linear algebra
         A = sub.smooth.oracle.matrix
         b = sub.smooth.oracle.rhs
-        gamma = sub.composite.gamma
-        v = sub.composite.anchor
+        gamma, v = _divergence(sub.composite)
         zstar = np.linalg.solve(A + gamma * np.eye(5), b + gamma * v)
         data0 = sub.smooth.data(z0)
         h0 = sub.h_value_from(data0)
         hstar = sub.h_value_from(sub.smooth.data(zstar))
         res = inner_loop(sub, z0, 1e-10, cap=500)
-        alpha_star = min(1.0, sub.composite.gamma / (2.0 * sub.smooth.lipschitz(1)))
+        alpha_star = min(1.0, _divergence(sub.composite)[0] / (2.0 * sub.smooth.lipschitz(1)))
         lead = 2.0 * sub.smooth.lipschitz(1)
         for t in range(len(res.steps) - 1):
             lhs = res.steps[t + 1].s_dual ** 2
@@ -562,7 +569,7 @@ class TestInnerLoopOrder2:
         hstar = tight.h_final
         h0 = sub.h_value_from(sub.smooth.data(z0))
         res = inner_loop(sub, z0, 1e-9, cap=500)
-        sigma_h = sub.composite.gamma * 0.5  # degree-3 uniform convexity constant
+        sigma_h = _divergence(sub.composite)[0] * 0.5  # degree-3 uniform convexity constant
         L_g = sub.smooth.lipschitz(2)
         alpha_star = min(1.0, (math.factorial(2) * sigma_h / (3.0 * L_g)) ** 0.5)
         lead = (3.0 * L_g / 2.0) ** 0.5
@@ -709,7 +716,8 @@ class TestNewtonSolve:
 
 
 def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
-    """A step subproblem on a quadratic; a divergence or psi order of None leaves it out."""
+    """A step subproblem on a quadratic, and the (psi, weight, gamma, prox) of its phi;
+    a divergence or psi order of None leaves it out."""
     smooth = _plain(_quadratic_oracle(rng, n))
     psi, weight = ZeroComponent(n), 0.0
     if psi_order is not None:
@@ -720,7 +728,7 @@ def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
         prox, gamma = PowerProx(div_order, rng.standard_normal(n), metric), 0.9
     return Subproblem(p=p, metric=metric, smooth=smooth,
                       composite=CompositePart(psi, weight, gamma, prox, rng.standard_normal(n)),
-                      M=M)
+                      M=M), (psi, weight, gamma, prox)
 
 
 @pytest.mark.parametrize("spd", [False, True])
@@ -733,18 +741,17 @@ def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
     n = 6
     G = rng.standard_normal((n, n))
     metric = Metric(G @ G.T + 0.5 * np.eye(n)) if spd else Metric.identity(n)
-    sub = _power_subproblem(rng, n, p, metric, div_order, psi_order)
+    sub, (psi, weight, gamma, prox) = _power_subproblem(rng, n, p, metric, div_order, psi_order)
     base = _data(sub.smooth, rng.standard_normal(n), 2)
-    c = sub.composite
     # r = 0 at the base; ||w|| = 0 at a divergence or psi center
     y = {"random": rng.standard_normal(n), "base": base.x,
-         "center": c.prox.center if c.gamma > 0 else
-         c.psi.prox.center if c.weight > 0 else base.x}[at]
+         "center": prox.center if gamma > 0 else
+         psi.prox.center if weight > 0 else base.x}[at]
     dense = base.hess + sub.M / math.factorial(p) * power_hessian(metric, y - base.x, p)
-    if c.gamma > 0:
-        dense = dense + c.gamma * power_hessian(metric, y - c.prox.center, c.prox.order)
-    if c.weight > 0:
-        dense = dense + c.weight * c.psi.hess(y)
+    if gamma > 0:
+        dense = dense + gamma * power_hessian(metric, y - prox.center, prox.order)
+    if weight > 0:
+        dense = dense + weight * psi.hess(y)
     H = np.empty((n, n), order="F")
     _, grad, terms = model_objective(sub, base, y)
     assemble_step_hessian(H, sub, base, terms)

@@ -6,19 +6,42 @@ import pytest
 
 from contraprox.bench import build_instance, run_method, validate_trace_file
 from contraprox.bregman import PowerProx
-from contraprox.contracting import SublinearSchedule
+from contraprox.contracting import GeometricSchedule, SublinearSchedule
+from contraprox.objectives import attach_reference, power_regularizer_component
 from contraprox.validate import validate_trace
 
 OUTER_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored"}
 
+# (in-memory, from-file) check counts of each honest run
+RUN_CHECKS = {"sublinear": (2090, 576), "geometric-psi": (15452, 5560), "lse-p2": (3461, 1276)}
+
+
+def _solve(run):
+    """cptm-p1 on quadratic n = 20, q = 1e-2 (with psi, sigma = 1e-4, on the geometric
+    schedule), or cptm-p2 on lse n = 20, mu = 1, L_2 = 2; all at seed 0."""
+    if run == "lse-p2":
+        obj, method = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=2.0), "cptm-p2"
+    else:
+        obj, method = build_instance("quadratic", 20, 0, q=1e-2), "cptm-p1"
+        if run == "geometric-psi":
+            psi = power_regularizer_component(1e-4, PowerProx(1, np.zeros(obj.dim), obj.metric))
+            obj = attach_reference(obj.with_simple(psi))
+    trace = run_method(method, obj, 1e-7)
+    prox = PowerProx(trace.header["p"], np.zeros(obj.dim), obj.metric)
+    sched = trace.header["schedule"]
+    schedule = (GeometricSchedule(sched["omega"], sched["c"], sched["p"])
+                if sched["kind"] == "geometric" else SublinearSchedule(sched["c"], sched["p"]))
+    return obj, trace, prox, schedule
+
 
 @pytest.fixture(scope="module")
 def honest():
-    obj = build_instance("quadratic", 20, 0, q=1e-2)
-    trace = run_method("cptm-p1", obj, 1e-7)
-    prox = PowerProx(1, np.zeros(obj.dim), obj.metric)
-    sched = trace.header["schedule"]
-    return obj, trace, prox, SublinearSchedule(sched["c"], sched["p"])
+    return _solve("sublinear")
+
+
+@pytest.fixture(scope="module", params=sorted(RUN_CHECKS))
+def run(request, honest):
+    return request.param, honest if request.param == "sublinear" else _solve(request.param)
 
 
 def _validate(honest, trace):
@@ -40,12 +63,15 @@ def test_honest_trace_passes_in_memory_and_from_file(honest, tmp_path):
     assert len(from_file.checks) == 576 and from_file.ok
 
 
-def test_file_report_replays_the_outer_checks_of_the_memory_report(honest, tmp_path):
-    _, trace, _, _ = honest
-    memory = _validate(honest, trace)
+def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path):
+    name, solved = run
+    _, trace, _, _ = solved
+    memory = _validate(solved, trace)
     path = tmp_path / "cptm.csv"
     trace.write_csv(path)
     from_file = validate_trace_file(str(path))
+    assert (len(memory.checks), len(from_file.checks)) == RUN_CHECKS[name]
+    assert memory.ok and from_file.ok
     key = lambda c: (c.name, c.k, c.passed, c.margin)
     assert (Counter(key(c) for c in from_file.checks)
             == Counter(key(c) for c in memory.checks if c.name in OUTER_CHECKS))
@@ -61,3 +87,48 @@ def test_inflated_subgradient_fails_delta_honored(honest):
     tampered = copy.deepcopy(honest[1])
     tampered.records[50].s_norm *= 1e3
     assert ("delta_honored", 50) in _failed(_validate(honest, tampered))
+
+
+def _set(name, value):
+    return lambda obj: setattr(obj, name, value(getattr(obj, name)))
+
+
+def _first_step(name, value):
+    return lambda rec: setattr(rec.inner_steps[0], name, value(rec.inner_steps[0]))
+
+
+@pytest.mark.parametrize("tamper, failed", [
+    (_set("A", lambda A: A * 10),
+     {("schedule_growth", 50), ("contraction_combination", 50), ("contraction_combination", 51)}),
+    (_set("gamma", lambda g: g + 1e-6), {("gamma_telescope", 50)}),
+    (_set("t_inner", lambda t: t * 100), {("inner_budget", 50)}),
+    (_set("x", lambda x: x + 1e-3),
+     {("contraction_combination", 50), ("contraction_combination", 51)}),
+    (_set("ell_mu", lambda _: 2.0), {("inner_condition_ratio", 50)}),
+    (_set("f_value", lambda f: f + 1.0), {("outer_certificate", 50)}),
+    (_first_step("h_after", lambda s: s.h_before + 1.0), {("inner_descent", 50)}),
+    (_first_step("decrease_pairing", lambda _: -1.0), {("inner_gradient_progress", 50)}),
+], ids=["A", "gamma", "t_inner", "x", "ell_mu", "f_value", "h_after", "decrease_pairing"])
+def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
+    tampered = copy.deepcopy(honest[1])
+    tamper(tampered.records[50])
+    assert _failed(_validate(honest, tampered)) == failed
+
+
+@pytest.mark.parametrize("column, value, check", [
+    ("A_k", lambda A: A * 10, "schedule_growth"),
+    ("gamma_k", lambda g: g + 1e-6, "gamma_telescope"),
+    ("F", lambda f: f + 1.0, "outer_certificate"),
+])
+def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, column, value, check):
+    path = tmp_path / "cptm.csv"
+    honest[1].write_csv(path)
+    lines = path.read_text().splitlines()
+    names = lines[1].split(",")
+    cells = lines[2 + 50].split(",")
+    assert cells[0] == "50"
+    j = names.index(column)
+    cells[j] = repr(value(float(cells[j])))
+    lines[2 + 50] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert _failed(validate_trace_file(str(path))) == {(check, 50)}
