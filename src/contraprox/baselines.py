@@ -47,26 +47,28 @@ CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox
 PPA_INNER_CAP = 20000    # gradient steps allowed for one ppa proximal subproblem
 
 
-def _line_search(value, z, phi, direction, dn, L, L_cap, objective=None):
+def _line_search(value, z, phi, direction, dn, L, L_cap, a=None, center=None, norm=None):
     """One monotone step z - direction/L_try with a doubling/halving L_try.
 
     ``phi`` is the searched objective at z, ``direction`` the primal image of
-    its gradient and ``dn`` that gradient's dual norm; ``objective(z_t, f_t)``
-    gives the objective at a trial from f_t = ``value(z_t)`` (f itself when
-    omitted).  The first trial is 0.5*L, and L_try doubles until the standard
+    its gradient and ``dn`` that gradient's dual norm.  The objective is f, or
+    ppa's a*f(z) + ||z - center||^2/2 in the primal ``norm`` when ``center`` is
+    given.  The first trial is 0.5*L, and L_try doubles until the standard
     sufficient decrease phi - dn^2/(2 L_try) holds up to round-off.  At
     ``L_cap``, the true constant, the decrease holds mathematically, so a
-    rejection there is round-off and that step is taken unconditionally.
-    Every trial costs one value query.  Returns (z_t, f_t, L_try, trials).
+    rejection there is round-off and that step is taken unconditionally.  Each
+    trial costs one value query.  Returns (z_t, f_t, phi_t, z_t - center or None,
+    L_try, trials).
     """
     L_try = max(0.5 * L, 1e-14)
+    dn2, slack = dn * dn, 1e-15 * max(abs(phi), 1.0)
     for trials in range(1, 121):
         z_t = z - direction / L_try
         f_t = value(z_t)
-        phi_t = objective(z_t, f_t) if objective is not None else f_t
-        if (phi_t <= phi - dn * dn / (2.0 * L_try) + 1e-15 * max(abs(phi), 1.0)
-                or L_try >= L_cap):
-            return z_t, f_t, L_try, trials
+        d_t = z_t - center if center is not None else None
+        phi_t = f_t if d_t is None else a * f_t + 0.5 * norm(d_t) ** 2
+        if phi_t <= phi - dn2 / (2.0 * L_try) + slack or L_try >= L_cap:
+            return z_t, f_t, phi_t, d_t, L_try, trials
         L_try = min(2.0 * L_try, L_cap)
     raise SolverError("line search failed to find a decrease step")
 
@@ -104,8 +106,8 @@ def gradient_method_ls(obj: CompositeObjective, x0, eps, cap):
         while True:
             yield f, grad_norm, row
             grad_norm()
-            x_t, f_t, L, trials = _line_search(obj.smooth.value, x, f, metric.solve(g),
-                                               gn, L, L_cap)
+            x_t, f_t, _, _, L, trials = _line_search(obj.smooth.value, x, f, metric.solve(g),
+                                                     gn, L, L_cap)
             row = {"s_norm": gn, "t_inner": trials, "x": x_t}
             x, f, g = x_t, f_t, None
 
@@ -167,33 +169,32 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None):
     L_smooth = obj.smooth.lipschitz.get(1)
     L_cap = a * L_smooth + 1.0 if L_smooth is not None else math.inf
 
+    value, grad = obj.smooth.value, obj.smooth.grad   # bound after a profiler wraps them
+    norm, apply, solve, dual_norm = metric.norm, metric.apply, metric.solve, metric.dual_norm
+
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
         fz, gz = obj.smooth.value_and_grad(x)
         yield fz, lambda: math.nan, {"x": x}
         L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
-
-        def objective(z, f_z):   # a f(z) + ||z - x_k||^2/2 at the current x_k
-            return a * f_z + 0.5 * metric.norm(z - x) ** 2
-
         for k in itertools.count(1):
             delta_k = 1.0 / k ** 2
             z = x
+            phi = a * fz    # the subproblem a f(z) + ||z - x_k||^2/2 at z = x_k
             sub_grad = a * gz
-            dn = metric.dual_norm(sub_grad)
+            dn = dual_norm(sub_grad)
             t = 0
             while dn > delta_k:
                 t += 1
                 if t > PPA_INNER_CAP:
                     raise SolverError("proximal subproblem solve exceeded its inner cap")
-                z, fz, L_loc, _ = _line_search(obj.smooth.value, z, objective(z, fz),
-                                               metric.solve(sub_grad), dn, L_loc, L_cap,
-                                               objective)
-                gz = obj.smooth.grad(z)
-                sub_grad = a * gz + metric.apply(z - x)
-                dn = metric.dual_norm(sub_grad)
+                z, fz, phi, d, L_loc, _ = _line_search(value, z, phi, solve(sub_grad), dn,
+                                                       L_loc, L_cap, a, x, norm)
+                gz = grad(z)
+                sub_grad = a * gz + apply(d)
+                dn = dual_norm(sub_grad)
             x = z
-            yield fz, lambda gz=gz: metric.dual_norm(gz), {
+            yield fz, lambda gz=gz: dual_norm(gz), {
                 "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())

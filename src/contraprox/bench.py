@@ -115,6 +115,10 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
+        refused = [m for m in self.methods if m not in ("cptm-p1", "cn")]
+        if self.sigma > 0 and refused:
+            raise ValueError(f"sigma > 0 adds an order-1 psi, which only cptm-p1 and cn "
+                             f"take, not {', '.join(refused)}")
 
 
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,

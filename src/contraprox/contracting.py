@@ -182,24 +182,31 @@ def contraction_point(a, A_prev, v, x_prev):
     return (a * np.asarray(v, float) + A_prev * np.asarray(x_prev, float)) / (A_prev + a)
 
 
+def _certificate_terms(p, gamma0, sigma_simple, deltas, A_values):
+    """Summands delta_i / gamma_i^{1/(p+1)} of the bound, gamma_i = gamma0 + sigma_simple*A_i."""
+    return deltas / (gamma0 + sigma_simple * A_values) ** (1.0 / (p + 1))
+
+
+def _certificate_bound(p, gamma0, bregman0, sigma_uniform, acc):
+    """The certified bound from the sum ``acc`` of the summands so far (scalar or array)."""
+    head = (gamma0 * bregman0) ** (p / (p + 1.0))
+    return (head + ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc) ** ((p + 1.0) / p)
+
+
 def inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, sigma_uniform,
                                deltas, A_values):
     """Certified upper bound on the residual-plus-divergence sum after every prefix.
 
     ``deltas[i]`` is the dual norm certified at iteration i+1 and
-    ``A_values[i]`` the corresponding A_{i+1}; gamma_i is reconstructed from
-    its telescoped form gamma0 + sigma_simple * A_i.  Entry k of the result is
-    the bound after k steps, so entry 0 is the head term gamma0 * bregman0.
+    ``A_values[i]`` the corresponding A_{i+1}.  Entry k of the result is the
+    bound after k steps, so entry 0 is the head term gamma0 * bregman0.
     """
     deltas = np.asarray(deltas, dtype=float)
     A_values = np.asarray(A_values, dtype=float)
     if deltas.shape != A_values.shape:
         raise ValueError("deltas and A_values must have matching lengths")
-    gammas = gamma0 + sigma_simple * A_values
-    acc = np.cumsum(np.concatenate(([0.0], deltas / gammas ** (1.0 / (p + 1)))))
-    head = (gamma0 * bregman0) ** (p / (p + 1.0))
-    tail = ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc
-    return (head + tail) ** ((p + 1.0) / p)
+    terms = _certificate_terms(p, gamma0, sigma_simple, deltas, A_values)
+    return _certificate_bound(p, gamma0, bregman0, sigma_uniform, np.cumsum(np.append(0.0, terms)))
 
 
 def inexact_certificate_bound(p, gamma0, sigma_simple, bregman0, sigma_uniform,
@@ -392,14 +399,12 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
         yield f, lambda: math.nan, {
             "A": 0.0, "gamma": gamma0, "a": 0.0,
             "bregman_vstar": divergence_to_xstar(x0), "x": state.x, "v": state.v}
-        achieved = []
-        A_seq = []
+        acc = 0.0    # the certificate's sum of terms up to the last row
 
         def certified_residual():
             if bregman0_bound is None:
                 return math.nan
-            return inexact_certificate_bound(p, gamma0, sigma_simple, bregman0_bound,
-                                             sigma_uniform, achieved, A_seq) / A_seq[-1]
+            return _certificate_bound(p, gamma0, bregman0_bound, sigma_uniform, acc) / new.A
 
         while True:
             a_next = schedule.next_a(state.k, state.A)
@@ -407,8 +412,7 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
             residual = f - fstar if fstar is not None else math.nan
             new, result = contracting_step(state, obj, prox, a_next, delta, caps, residual)
             f = obj.value(new.x)
-            achieved.append(result.s_norm)
-            A_seq.append(new.A)
+            acc += _certificate_terms(p, gamma0, sigma_simple, result.s_norm, new.A)
             lipschitz_g = result.lipschitz_g
             yield f, certified_residual, {
                 "A": new.A, "gamma": new.gamma, "a": a_next, "delta_requested": delta,

@@ -89,24 +89,22 @@ class QuadraticOracle(SmoothOracle):
         # the quadratic has an exactly constant Hessian, so order 2 is free
         self.lipschitz = {1: lam_max, 2: 0.0}
 
-    def _ax(self, x):
-        self.counters.matvec += 1
-        return self.matrix @ x
-
     def value(self, x):
         self.counters.value += 1
-        ax = self._ax(x)
-        return 0.5 * float(x @ ax) - float(self.rhs @ x)
+        self.counters.matvec += 1
+        return 0.5 * float(x.dot(self.matrix.dot(x))) - float(self.rhs.dot(x))
 
     def grad(self, x):
         self.counters.grad += 1
-        return self._ax(x) - self.rhs
+        self.counters.matvec += 1
+        return self.matrix.dot(x) - self.rhs
 
     def value_and_grad(self, x):
         self.counters.value += 1
         self.counters.grad += 1
-        ax = self._ax(x)
-        return 0.5 * float(x @ ax) - float(self.rhs @ x), ax - self.rhs
+        self.counters.matvec += 1
+        ax = self.matrix.dot(x)
+        return 0.5 * float(x.dot(ax)) - float(self.rhs.dot(x)), ax - self.rhs
 
     def hess(self, x):
         self.counters.hess += 1

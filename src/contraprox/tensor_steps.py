@@ -54,9 +54,9 @@ class SmoothData:
         """
         u = np.asarray(y, dtype=float) - self.x
         if self.hess is None:
-            return float(self.grad @ u), self.grad.copy()
-        hu = self.hess @ u
-        return float(self.grad @ u) + 0.5 * float(u @ hu), self.grad + hu
+            return float(self.grad.dot(u)), self.grad.copy()
+        hu = self.hess.dot(u)
+        return float(self.grad.dot(u)) + 0.5 * float(u.dot(hu)), self.grad + hu
 
 
 class ContractedSmooth:
@@ -126,7 +126,7 @@ class CompositePart:
         for _, c, d, anchor, d_anchor, grad_anchor in self.terms:
             v = d.value(y)
             if anchor is not None:
-                v = v - d_anchor - float(grad_anchor @ (y - anchor))
+                v = v - d_anchor - float(grad_anchor.dot(y - anchor))
             out += c * v
         return out
 
@@ -139,7 +139,7 @@ class CompositePart:
         for _, c, d, anchor, d_anchor, grad_anchor in self.terms:
             r, Bw, v, g = d.at(y)
             if anchor is not None:
-                v, g = v - d_anchor - float(grad_anchor @ (y - anchor)), g - grad_anchor
+                v, g = v - d_anchor - float(grad_anchor.dot(y - anchor)), g - grad_anchor
             val, grad = val + c * v, grad + c * g
             terms.append((c, d.order, r, Bw))
         return val, grad, terms
@@ -287,10 +287,10 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
                 H[np.diag_indices_from(H)] += jitter
         else:
             raise SolverError("step Hessian could not be factorized")
-        slope = float(grad @ step)
+        slope = float(grad.dot(step))
         if slope >= 0.0:  # numerically non-descent; fall back to steepest
             step = -sub.metric.solve(grad)
-            slope = float(grad @ step)
+            slope = float(grad.dot(step))
         t = 1.0
         noise = 1e-14 * (abs(val) + 1.0)
         for _ in range(60):
@@ -483,7 +483,7 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
             t=t, h_before=h_prev, h_after=h_T,
             step_norm=sub.metric.norm(T - z), s_norm=s_norm, s_dual=s_dual,
             sub_residual=step.sub_residual,
-            decrease_pairing=float(s @ (z - T)),
+            decrease_pairing=float(s.dot(z - T)),
             sub_iterations=step.sub_iterations,
         ))
         z, data, h_prev, last_norm = T, data_T, h_T, s_norm

@@ -1,15 +1,20 @@
-"""Independent reference minimizer of the step objective, for the tests.
+"""Independent references for the tests: a minimizer of the step objective,
+and the first-order baselines gm and ppa in their callback form.
 
-No solver calls it: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
-and the closed-form order-1 step against it.
+No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
+and the closed-form order-1 step against the minimizer, and the production gm
+and ppa against the baselines.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from contraprox.objectives import SolverError
+from contraprox.baselines import PPA_INNER_CAP
+from contraprox.objectives import QuadraticOracle, SolverError
 from contraprox.tensor_steps import SmoothData, Subproblem, model_objective
+from contraprox.trace import drive
 
 
 def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000):
@@ -61,3 +66,116 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
         sq = float(grad @ precond)
     raise SolverError(f"step sub-minimizer exceeded {cap} iterations "
                       f"(residual {math.sqrt(max(sq, 0.0)):.3e}, tol {tol:.3e})")
+
+
+# The first-order baselines as they stood before their line search computed
+# ppa's objective inline: a callback objective, phi recomputed at the start of
+# every inner step, and the quadratic oracle's products written with ``@``.
+# The tests require the production gm and ppa to give bitwise these traces.
+
+class ReferenceQuadraticOracle(QuadraticOracle):
+    """f(x) = 1/2 <Ax, x> - <b, x> with every product written as ``@``."""
+
+    def _ax(self, x):
+        self.counters.matvec += 1
+        return self.matrix @ x
+
+    def value(self, x):
+        self.counters.value += 1
+        ax = self._ax(x)
+        return 0.5 * float(x @ ax) - float(self.rhs @ x)
+
+    def grad(self, x):
+        self.counters.grad += 1
+        return self._ax(x) - self.rhs
+
+    def value_and_grad(self, x):
+        self.counters.value += 1
+        self.counters.grad += 1
+        ax = self._ax(x)
+        return 0.5 * float(x @ ax) - float(self.rhs @ x), ax - self.rhs
+
+
+def reference_line_search(value, z, phi, direction, dn, L, L_cap, objective=None):
+    """One monotone step z - direction/L_try; returns (z_t, f_t, L_try, trials)."""
+    L_try = max(0.5 * L, 1e-14)
+    for trials in range(1, 121):
+        z_t = z - direction / L_try
+        f_t = value(z_t)
+        phi_t = objective(z_t, f_t) if objective is not None else f_t
+        if (phi_t <= phi - dn * dn / (2.0 * L_try) + 1e-15 * max(abs(phi), 1.0)
+                or L_try >= L_cap):
+            return z_t, f_t, L_try, trials
+        L_try = min(2.0 * L_try, L_cap)
+    raise SolverError("line search failed to find a decrease step")
+
+
+def reference_gradient_method_ls(obj, x0, eps, cap):
+    obj = obj.fresh()
+    metric = obj.metric
+    L_known = obj.smooth.lipschitz.get(1)
+    L_start = L_known if L_known is not None else 1.0
+    L_cap = L_known if L_known is not None else math.inf
+
+    def iterates():
+        x = np.asarray(x0, dtype=float).copy()
+        f, L = obj.smooth.value(x), L_start
+        g = gn = None
+
+        def grad_norm():
+            nonlocal g, gn
+            if g is None:
+                g = obj.smooth.grad(x)
+                gn = metric.dual_norm(g)
+            return gn
+
+        row = {"x": x}
+        while True:
+            yield f, grad_norm, row
+            grad_norm()
+            x_t, f_t, L, trials = reference_line_search(obj.smooth.value, x, f,
+                                                        metric.solve(g), gn, L, L_cap)
+            row = {"s_norm": gn, "t_inner": trials, "x": x_t}
+            x, f, g = x_t, f_t, None
+
+    header = {"method": "gm", "line_search": {"l0": L_start, "grow": 2.0, "shrink": 0.5}}
+    return drive(obj, header, eps, cap, iterates())
+
+
+def reference_classical_ppa(obj, x0, eps, cap, a_const=None):
+    obj = obj.fresh()
+    metric = obj.metric
+    a = float(a_const) if a_const is not None else 1.0 / obj.smooth.lipschitz[1]
+    L_smooth = obj.smooth.lipschitz.get(1)
+    L_cap = a * L_smooth + 1.0 if L_smooth is not None else math.inf
+
+    def iterates():
+        x = np.asarray(x0, dtype=float).copy()
+        fz, gz = obj.smooth.value_and_grad(x)
+        yield fz, lambda: math.nan, {"x": x}
+        L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
+
+        def objective(z, f_z):
+            return a * f_z + 0.5 * metric.norm(z - x) ** 2
+
+        for k in itertools.count(1):
+            delta_k = 1.0 / k ** 2
+            z = x
+            sub_grad = a * gz
+            dn = metric.dual_norm(sub_grad)
+            t = 0
+            while dn > delta_k:
+                t += 1
+                if t > PPA_INNER_CAP:
+                    raise SolverError("proximal subproblem solve exceeded its inner cap")
+                z, fz, L_loc, _ = reference_line_search(obj.smooth.value, z, objective(z, fz),
+                                                        metric.solve(sub_grad), dn, L_loc,
+                                                        L_cap, objective)
+                gz = obj.smooth.grad(z)
+                sub_grad = a * gz + metric.apply(z - x)
+                dn = metric.dual_norm(sub_grad)
+            x = z
+            yield fz, lambda gz=gz: metric.dual_norm(gz), {
+                "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
+
+    return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())

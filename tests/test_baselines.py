@@ -10,6 +10,8 @@ from contraprox.objectives import (CompositeObjective, QuadraticOracle,
                                    ZeroComponent, alpha_for_condition_ratio,
                                    attach_reference, lse_instance,
                                    quadratic_instance)
+from tests.step_reference import (ReferenceQuadraticOracle, reference_classical_ppa,
+                                  reference_gradient_method_ls)
 
 
 def _one_dim():
@@ -201,3 +203,30 @@ def test_first_order_methods_stop_on_gradient_norm_when_optimum_unknown(method):
     else:
         # agm stops on the gradient at its look-ahead point, recorded as s_norm
         assert tr.final.s_norm <= 1e-6 < tr.records[-2].s_norm
+
+
+def _reference_twin(obj):
+    """The instance with its oracle's products written as ``@``."""
+    f = obj.smooth
+    return CompositeObjective(ReferenceQuadraticOracle(f.matrix, f.rhs, lam_max=f.lipschitz[1]),
+                              obj.simple, obj.metric, obj.fstar, obj.xstar,
+                              dict(obj.descriptor))
+
+
+@pytest.mark.parametrize("q", [1e-2, 1e-3])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("method, reference", [
+    (gradient_method_ls, reference_gradient_method_ls),
+    (classical_ppa, reference_classical_ppa),
+])
+def test_first_order_baseline_is_bitwise_its_reference(q, seed, method, reference):
+    # the line search computes ppa's objective inline and ppa carries it from
+    # step to step; neither may move one bit of a trace
+    obj = build_instance("quadratic", 20, seed, q=q)
+    tr = method(obj, np.zeros(20), 1e-7, 100000)
+    ref = reference(_reference_twin(obj), np.zeros(20), 1e-7, 100000)
+    assert tr.status == ref.status == "converged"
+    assert len(tr.records) == len(ref.records)
+    for rec, want in zip(tr.records, ref.records):
+        assert np.array(rec.row(), float).tobytes() == np.array(want.row(), float).tobytes()
+        assert rec.x.tobytes() == want.x.tobytes()

@@ -80,3 +80,23 @@ def test_bench_exit_codes(tmp_path, capsys, extra, code):
         assert (tmp_path / "bench_quadratic.json").exists()
     if code == EXIT_USAGE:
         assert capsys.readouterr().err.startswith("bench: ")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p2"], "cptm-p2"),
+    (["--problem", "lse", "--n", "10", "--mu", "1", "--method", "cptm-p2"], "cptm-p2"),
+    (["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+      "--method", "gm", "--method", "agm", "--method", "ppa", "--method", "cn"],
+     "gm, agm, ppa"),
+    (["--problem", "lse", "--n", "10", "--mu", "1", "--method", "acn"], "acn"),
+])
+def test_solve_rejects_psi_for_methods_that_cannot_take_it(tmp_path, capsys, monkeypatch,
+                                                           argv, refused):
+    # the pair is refused before any instance is built, naming the methods
+    def no_build(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr("contraprox.bench.build_instance", no_build)
+    assert main(["solve", *argv, "--sigma", "1e-4", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"solve: sigma > 0 adds an order-1 psi, which only cptm-p1 and cn take, not {refused}\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraprox import contracting
 from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
 from contraprox.contracting import (ConstantDelta, GeometricSchedule,
@@ -23,7 +24,8 @@ from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, PowerRegularizer,
                                    QuadraticOracle, SolverError, ZeroComponent,
                                    attach_reference, lse_instance,
-                                   quadratic_instance, reference_optimum)
+                                   power_regularizer_component, quadratic_instance,
+                                   reference_optimum)
 from contraprox.tensor_steps import InnerLoopError
 
 
@@ -354,6 +356,30 @@ class TestRunContractingProximal:
         assert (tr.status, tr.iterations) == ("converged", K)
         with pytest.raises(SolverError, match=f"cptm-p1 exhausted {K - 1} iterations"):
             run(K - 1)
+
+    def test_running_certificate_bound_is_the_bound_of_each_prefix(self, monkeypatch):
+        # the stop norm adds one term per row instead of re-summing the
+        # history; record it on every row, with psi so gamma_k grows with A_k
+        obj = build_instance("quadratic", 10, 0, q=1e-2)
+        prox = PowerProx(1, np.zeros(10), obj.metric)
+        obj = obj.with_simple(power_regularizer_component(1e-2, prox))
+        sched = schedule_strongly_convex(1, 1e-2, obj.smooth.lipschitz[1])
+        seen = []
+
+        def recording_drive(obj, header, eps, cap, iterates):
+            for _, (f, stop_norm, row) in zip(range(cap + 1), iterates):
+                seen.append((stop_norm(), row.get("s_norm"), row["A"]))
+
+        monkeypatch.setattr(contracting, "drive", recording_drive)
+        run_contracting_proximal(obj, prox, sched, ConstantDelta(1e-6), eps=None,
+                                 caps=RunCaps(outer=40), bregman0_bound=3.0)
+        assert len(seen) == 41 and math.isnan(seen[0][0])
+        deltas = [s for _, s, _ in seen[1:]]
+        A_values = [A for _, _, A in seen[1:]]
+        head = (1, 1.0, obj.simple.modulus, 3.0, prox.uniform_constant)
+        for k in range(1, 41):
+            bound = inexact_certificate_bound(*head, deltas[:k], A_values[:k])
+            assert seen[k][0] == pytest.approx(bound / A_values[k - 1], rel=1e-12)
 
     def test_underestimated_l1_ends_in_an_inner_loop_error(self):
         # steps sized for L1/10 overshoot, so the inner loop's certified norm

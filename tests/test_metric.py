@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -129,3 +131,35 @@ def test_non_finite_vectors_are_rejected(bad):
     for op in (m.solve, m.dual_norm, m.dewhiten_dual):
         with pytest.raises(ValueError, match="infs or NaNs"):
             op(s)
+
+
+@pytest.mark.parametrize("metric", [Metric.identity(3), Metric(np.diag([4.0, 1.0, 2.0]))],
+                         ids=["identity", "B"])
+def test_argument_check_converts_and_rejects_as_before(metric):
+    # a float64 ndarray skips the conversion; anything else still goes through it
+    want = metric.norm(np.array([1.0, 2.0, 3.0]))
+    for x in ([1.0, 2.0, 3.0], [1, 2, 3], np.array([1, 2, 3]), np.array([1, 2, 3], np.float32)):
+        assert metric.norm(x) == want
+        assert metric.apply(x).dtype == metric.solve(x).dtype == np.float64
+    for bad in (np.ones((3, 1)), np.ones(4), [1.0, 2.0]):
+        for op in (metric.apply, metric.solve, metric.norm, metric.dual_norm):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(bad)
+    if not metric.is_identity:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            metric.dual_norm(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("n", [3, 50])
+def test_dot_forms_are_bitwise_the_matmul_forms(n):
+    rng = np.random.default_rng(13)
+    m = Metric(_random_spd(rng, n))
+    L = m.chol()
+    for _ in range(100):
+        x = rng.standard_normal(n)
+        w = L.T @ x
+        y = scipy.linalg.solve_triangular(L, x, lower=True)
+        assert m.apply(x).tobytes() == (m.matrix @ x).tobytes()
+        assert m.norm(x) == math.sqrt(w @ w)
+        assert m.dual_norm(x) == math.sqrt(y @ y)
+        assert m.solve(x).tobytes() == scipy.linalg.solve_triangular(L.T, y, lower=False).tobytes()
