@@ -17,9 +17,7 @@ import numpy as np
 
 from . import baselines
 from .bregman import PowerProx
-from .contracting import (ConstantDelta, PowerDelta, RunCaps,
-                          TheoremConvexDelta, TheoremStronglyConvexDelta,
-                          run_contracting_proximal, schedule_convex,
+from .contracting import (run_contracting_proximal, schedule_convex,
                           schedule_strongly_convex)
 from .objectives import (SolverError, alpha_for_condition_ratio,
                          attach_reference, lse_instance,
@@ -77,24 +75,6 @@ def instance_from_descriptor(descriptor):
     raise ValueError(f"descriptor has unknown problem {d.get('problem')!r}")
 
 
-def parse_delta_schedule(text, eps=None, strongly_convex=False):
-    """Parse 'const:<v>' | 'power:<c>,<s>' | 'theorem' into a schedule object."""
-    if text.startswith("const:"):
-        return ConstantDelta(float(text[len("const:"):]))
-    if text.startswith("power:"):
-        parts = text[len("power:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad power schedule {text!r}, expected power:<c>,<s>")
-        return PowerDelta(float(parts[0]), float(parts[1]))
-    if text == "theorem":
-        if eps is None:
-            raise ValueError("the theorem schedule needs a target accuracy")
-        if strongly_convex:
-            return TheoremStronglyConvexDelta(eps)
-        return TheoremConvexDelta(eps)
-    raise ValueError(f"unknown delta schedule {text!r}")
-
-
 @dataclass
 class ExperimentSpec:
     problem: dict                      # instance descriptor inputs
@@ -135,16 +115,14 @@ def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
         if obj.smooth.order_max < p:
             raise ValueError(f"{name} needs an order-{p} oracle")
         prox = PowerProx(p, x0, obj.metric)
-        strongly = obj.simple.modulus > 0
-        if strongly:
+        if obj.simple.modulus > 0:
             schedule = schedule_strongly_convex(p, obj.simple.modulus,
                                                 obj.smooth.lipschitz[p], gamma0)
         else:
             schedule = schedule_convex(p, gamma0, obj.smooth.lipschitz[p])
-        deltas = parse_delta_schedule(delta_schedule, eps=eps, strongly_convex=strongly)
-        caps = RunCaps(outer=cap_outer, inner=cap_inner)
-        return run_contracting_proximal(obj, prox, schedule, deltas, eps=eps,
-                                        caps=caps, gamma0=gamma0)
+        return run_contracting_proximal(obj, prox, schedule, delta_schedule, eps=eps,
+                                        cap_outer=cap_outer, cap_inner=cap_inner,
+                                        gamma0=gamma0)
     raise ValueError(f"unknown method {name!r}")
 
 

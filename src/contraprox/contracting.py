@@ -4,14 +4,19 @@ Each outer iteration minimizes the contracted objective
     h_{k+1}(x) = A_{k+1} f((a_{k+1} x + A_k x_k)/A_{k+1}) + a_{k+1} psi(x)
                + gamma_k * divergence(v_k; x)
 to a subgradient of dual norm at most delta_{k+1}, then moves along the
-segment [x_k, v_{k+1}].  Coefficient schedules, inner-accuracy schedules, the
-runtime certificate bound and the order-dependence formulas all live here.
+segment [x_k, v_{k+1}].  :func:`run_contracting_proximal` is the one outer-loop
+body.  The inner accuracy is one rule in k, parsed by :func:`delta_rule` from
+the text ``const:<v>``, ``power:<c>,<s>`` (c / k^s) or ``theorem`` (the fixed
+accuracy of the convex or uniformly convex theorem for a target eps).  Each
+inner solve is capped by an explicit ``cap_inner``, else by INNER_SLACK times
+the sufficient inner-step count when x* and f* are known, else by
+INNER_FLOOR.  Coefficient schedules, the runtime certificate bound and the
+order-dependence formulas also live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +24,6 @@ from .bregman import ProxFunction
 from .objectives import CompositeObjective
 from .tensor_steps import CompositePart, ContractedSmooth, Subproblem, inner_loop
 from .trace import drive
-
-
-@dataclass
-class OuterState:
-    """Full state of the outer loop after k iterations."""
-
-    k: int
-    A: float
-    gamma: float
-    x: np.ndarray
-    v: np.ndarray
 
 
 class SublinearSchedule:
@@ -101,78 +95,51 @@ def schedule_strongly_convex(p, sigma, lipschitz, gamma0=1.0):
     """Geometric coefficient schedule for psi strongly convex relative to d."""
     if not sigma > 0:
         raise ValueError("sigma must be positive for the geometric schedule")
+    if not (gamma0 > 0 and lipschitz > 0):
+        raise ValueError("gamma0 and the Lipschitz constant must be positive")
     omega = contraction_rate(p, sigma, lipschitz)
     return GeometricSchedule(omega, schedule_constant(p, gamma0, lipschitz), p)
 
 
-class ConstantDelta:
-    kind = "constant"
-
-    def __init__(self, delta):
-        if not delta > 0:
-            raise ValueError("delta must be positive")
-        self.delta = float(delta)
-
-    def resolve(self, run):
-        return lambda k: self.delta
-
-    def describe(self):
-        return {"kind": self.kind, "delta": self.delta}
+def _positive_finite(value, name):
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return value
 
 
-class PowerDelta:
-    """delta_k = c / k^s with s > 1, so the accuracy series stays summable."""
+def delta_rule(text, p, gamma0, lipschitz, omega, eps):
+    """Parse an inner-accuracy text into ``(k -> delta_k, description)``.
 
-    kind = "power"
-
-    def __init__(self, c=1.0, s=2.0):
-        if not c > 0:
-            raise ValueError("c must be positive")
-        if not s > 1:
-            raise ValueError("s must exceed 1 for a summable accuracy series")
-        self.c = float(c)
-        self.s = float(s)
-
-    def resolve(self, run):
-        return lambda k: self.c / k ** self.s
-
-    def describe(self):
-        return {"kind": self.kind, "c": self.c, "s": self.s}
-
-
-class TheoremConvexDelta:
-    """The fixed accuracy that certifies the target residual in the convex case."""
-
-    kind = "theorem_convex"
-
-    def __init__(self, eps):
-        if not eps > 0:
-            raise ValueError("eps must be positive")
-        self.eps = float(eps)
-
-    def resolve(self, run):
-        delta = convex_inner_accuracy(run["p"], run["gamma0"], run["lipschitz"], self.eps)
-        return lambda k: delta
-
-    def describe(self):
-        return {"kind": self.kind, "eps": self.eps}
-
-
-class TheoremStronglyConvexDelta:
-    kind = "theorem_strongly_convex"
-
-    def __init__(self, eps):
-        if not eps > 0:
-            raise ValueError("eps must be positive")
-        self.eps = float(eps)
-
-    def resolve(self, run):
-        delta = strongly_convex_inner_accuracy(
-            run["p"], run["gamma0"], run["lipschitz"], run["omega"], self.eps)
-        return lambda k: delta
-
-    def describe(self):
-        return {"kind": self.kind, "eps": self.eps}
+    ``const:<v>`` is delta_k = v and ``power:<c>,<s>`` is delta_k = c / k^s,
+    with s > 1 so the accuracy series stays summable.  ``theorem`` is the
+    fixed accuracy that certifies the target residual ``eps``: the uniformly
+    convex formula when the coefficient schedule has a contraction rate
+    ``omega``, the convex one when ``omega`` is None.  Every number must be
+    finite.
+    """
+    if text.startswith("const:"):
+        delta = _positive_finite(text[len("const:"):], "delta")
+        return (lambda k: delta), {"kind": "constant", "delta": delta}
+    if text.startswith("power:"):
+        parts = text[len("power:"):].split(",")
+        if len(parts) != 2:
+            raise ValueError(f"bad power schedule {text!r}, expected power:<c>,<s>")
+        c, s = _positive_finite(parts[0], "c"), float(parts[1])
+        if not 1.0 < s < math.inf:
+            raise ValueError(f"s must be finite and exceed 1 for a summable accuracy "
+                             f"series, not {s!r}")
+        return (lambda k: c / k ** s), {"kind": "power", "c": c, "s": s}
+    if text == "theorem":
+        if eps is None:
+            raise ValueError("the theorem schedule needs a target accuracy")
+        eps = _positive_finite(eps, "eps")
+        if omega is None:
+            delta = convex_inner_accuracy(p, gamma0, lipschitz, eps)
+            return (lambda k: delta), {"kind": "theorem_convex", "eps": eps}
+        delta = strongly_convex_inner_accuracy(p, gamma0, lipschitz, omega, eps)
+        return (lambda k: delta), {"kind": "theorem_strongly_convex", "eps": eps}
+    raise ValueError(f"unknown delta schedule {text!r}")
 
 
 def contraction_point(a, A_prev, v, x_prev):
@@ -309,71 +276,28 @@ INNER_FLOOR = 200    # per-iteration inner cap when the sufficient-step bound is
 INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, as a multiple of that bound
 
 
-@dataclass
-class RunCaps:
-    outer: int = 1000
-    inner: int | None = None        # explicit override of the per-iteration cap
-
-
-def _resolve_inner_cap(caps, p, lipschitz_g, gamma, gamma_next, sigma_uniform,
-                       delta, prox, v, residual_term, xstar):
-    if caps.inner is not None:
-        return caps.inner
-    if xstar is None or not math.isfinite(residual_term):
-        return INNER_FLOOR
-    bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta,
-                                  residual_term, prox.divergence(v, xstar))
-    return max(int(math.ceil(INNER_SLACK * bound)), 8)
-
-
-def contracting_step(state: OuterState, obj: CompositeObjective, prox: ProxFunction,
-                     a_next, delta, caps=None, residual=math.nan):
-    """One outer iteration: inexact prox step on the contracted objective.
-
-    The subproblem is solved by :func:`inner_loop`.  ``residual`` is
-    F(x_k) - f* at the state's x_k; given it and the instance's x*, the inner
-    cap is a multiple of the sufficient inner-step count, and otherwise
-    ``caps.inner`` or ``INNER_FLOOR``.  Returns the advanced state together
-    with the inner result (certified subgradient, iteration count and the
-    subproblem's Lipschitz constant).
-    """
-    if a_next <= 0:
-        raise ValueError("a_next must be positive")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    caps = caps or RunCaps()
-    A_next = state.A + a_next
-    p = prox.order
-    smooth = ContractedSmooth(obj.smooth, a_next, A_next, state.x, state.A)
-    composite = CompositePart(obj.simple, a_next, state.gamma, prox, state.v)
-    lipschitz_g = smooth.lipschitz(p)
-    gamma_next = state.gamma + a_next * obj.simple.modulus
-    sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
-                     M=p * lipschitz_g)
-    cap = _resolve_inner_cap(caps, p, lipschitz_g, state.gamma, gamma_next,
-                             prox.uniform_constant, delta, prox, state.v,
-                             state.A * residual, obj.xstar)
-    result = inner_loop(sub, state.v, delta, cap)
-    result.lipschitz_g = lipschitz_g
-    x_next = contraction_point(a_next, state.A, result.point, state.x)
-    new_state = OuterState(state.k + 1, A_next, gamma_next, x_next, result.point)
-    return new_state, result
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
-                             delta_schedule, eps=None, caps=None, *, gamma0=1.0,
-                             bregman0_bound=None):
+                             delta_schedule, eps=None, *, cap_outer=1000, cap_inner=None,
+                             gamma0=1.0, bregman0_bound=None):
     """Full outer loop from the prox center; returns a :class:`RunTrace` with
     one record per iteration.
 
+    ``delta_schedule`` is the accuracy text of :func:`delta_rule`
+    (``const:<v>``, ``power:<c>,<s>`` or ``theorem``).  Step k+1 minimizes
+    h_{k+1} with :func:`inner_loop` from v_k, at most ``cap_inner`` inner
+    steps when that is given.  Otherwise, when x* and f* are known, the cap is
+    INNER_SLACK times the sufficient inner-step count from the state at k (at
+    least 8), and else INNER_FLOOR.
+
     The run is recorded, stopped and capped by :func:`trace.drive` with cap
-    ``caps.outer``.  Without a known optimum its stop norm is the certified
+    ``cap_outer``.  Without a known optimum its stop norm is the certified
     residual bound/A_k, computable when ``bregman0_bound`` (an upper bound
     on the initial divergence to the optimum) is given; otherwise it is NaN
     and only the cap ends the run.  With ``eps=None`` the run executes
-    ``caps.outer`` iterations, the usual mode for certificate batteries.
+    ``cap_outer`` iterations, the usual mode for certificate batteries.
     """
-    caps = caps or RunCaps()
     obj = obj.fresh()
     p = prox.order
     if schedule.p != p:
@@ -382,9 +306,8 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
         raise ValueError("psi's declared prox order does not match the run's order")
     x0 = prox.center.copy()
     lipschitz = obj.smooth.lipschitz[p]
-    omega = getattr(schedule, "omega", None)
-    delta_fn = delta_schedule.resolve(
-        {"p": p, "gamma0": gamma0, "lipschitz": lipschitz, "omega": omega})
+    delta_fn, delta_description = delta_rule(delta_schedule, p, gamma0, lipschitz,
+                                             getattr(schedule, "omega", None), eps)
     sigma_simple = obj.simple.modulus
     sigma_uniform = prox.uniform_constant
     fstar = obj.fstar
@@ -394,40 +317,55 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
         return prox.divergence(v, xstar) if xstar is not None else math.nan
 
     def iterates():
-        state = OuterState(0, 0.0, gamma0, x0.copy(), x0.copy())
+        k, A, gamma, x, v = 0, 0.0, gamma0, x0.copy(), x0.copy()
         f = obj.value(x0)
         yield f, lambda: math.nan, {
             "A": 0.0, "gamma": gamma0, "a": 0.0,
-            "bregman_vstar": divergence_to_xstar(x0), "x": state.x, "v": state.v}
+            "bregman_vstar": divergence_to_xstar(x0), "x": x, "v": v}
         acc = 0.0    # the certificate's sum of terms up to the last row
 
         def certified_residual():
             if bregman0_bound is None:
                 return math.nan
-            return _certificate_bound(p, gamma0, bregman0_bound, sigma_uniform, acc) / new.A
+            return _certificate_bound(p, gamma0, bregman0_bound, sigma_uniform, acc) / A
 
         while True:
-            a_next = schedule.next_a(state.k, state.A)
-            delta = delta_fn(state.k + 1)
-            residual = f - fstar if fstar is not None else math.nan
-            new, result = contracting_step(state, obj, prox, a_next, delta, caps, residual)
-            f = obj.value(new.x)
-            acc += _certificate_terms(p, gamma0, sigma_simple, result.s_norm, new.A)
-            lipschitz_g = result.lipschitz_g
+            a = schedule.next_a(k, A)
+            delta = delta_fn(k + 1)
+            residual_term = A * (f - fstar) if fstar is not None else math.nan
+            A_next = A + a
+            smooth = ContractedSmooth(obj.smooth, a, A_next, x, A)
+            composite = CompositePart(obj.simple, a, gamma, prox, v)
+            lipschitz_g = smooth.lipschitz(p)
+            gamma_next = gamma + a * sigma_simple
+            sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
+                             M=p * lipschitz_g)
+            if cap_inner is not None:
+                cap = cap_inner
+            elif xstar is None or not math.isfinite(residual_term):
+                cap = INNER_FLOOR
+            else:
+                bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform,
+                                              delta, residual_term, prox.divergence(v, xstar))
+                cap = max(int(math.ceil(INNER_SLACK * bound)), 8)
+            result = inner_loop(sub, v, delta, cap)
+            x = contraction_point(a, A, result.point, x)
+            k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, result.point
+            f = obj.value(x)
+            acc += _certificate_terms(p, gamma0, sigma_simple, result.s_norm, A)
             yield f, certified_residual, {
-                "A": new.A, "gamma": new.gamma, "a": a_next, "delta_requested": delta,
+                "A": A, "gamma": gamma, "a": a, "delta_requested": delta,
                 "s_norm": result.s_norm, "t_inner": result.iterations,
-                "bregman_step": prox.divergence(state.v, new.v),
-                "bregman_vstar": divergence_to_xstar(new.v),
-                "x": new.x, "v": new.v, "inner_steps": result.steps,
-                "lipschitz_g": lipschitz_g, "M": p * lipschitz_g,
-                "ell_mu": inner_condition_ratio(p, lipschitz_g, new.gamma, sigma_uniform)}
-            state = new
+                "bregman_step": prox.divergence(v_prev, v),
+                "bregman_vstar": divergence_to_xstar(v),
+                "x": x, "v": v, "inner_steps": result.steps,
+                "lipschitz_g": lipschitz_g, "M": sub.M,
+                "ell_mu": inner_condition_ratio(p, lipschitz_g, gamma, sigma_uniform)}
 
     header = {
         "method": f"cptm-p{p}", "p": p, "gamma0": gamma0, "lipschitz": lipschitz,
         "sigma_simple": sigma_simple, "sigma_uniform": sigma_uniform,
-        "schedule": schedule.describe(), "delta_schedule": delta_schedule.describe(),
+        "schedule": schedule.describe(), "delta_schedule": delta_description,
         "x0": x0.tolist(),
     }
-    return drive(obj, header, eps, caps.outer, iterates())
+    return drive(obj, header, eps, cap_outer, iterates())

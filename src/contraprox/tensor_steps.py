@@ -436,7 +436,6 @@ class InnerResult:
     iterations: int
     steps: list = field(default_factory=list)
     h_final: float = math.nan
-    lipschitz_g: float = math.nan   # of the subproblem's smooth part; set by contracting_step
 
 
 class InnerLoopError(SolverError):

@@ -56,6 +56,12 @@ def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--delta-schedule", "power:1,nan"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "const:inf"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "power:inf,2"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--delta-schedule", "power:1,inf"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--gamma0", "nan"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--cap-inner", "-3"],

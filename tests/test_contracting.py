@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,18 +9,16 @@ from hypothesis import strategies as st
 from contraprox import contracting
 from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
-from contraprox.contracting import (ConstantDelta, GeometricSchedule,
-                                    OuterState, PowerDelta,
-                                    RunCaps, SublinearSchedule,
-                                    TheoremConvexDelta, complexity_convex,
+from contraprox.contracting import (SublinearSchedule, complexity_convex,
                                     complexity_strongly_convex,
-                                    contracting_step, contraction_point,
-                                    contraction_rate, convex_inner_accuracy,
+                                    contraction_point, contraction_rate,
+                                    convex_inner_accuracy, delta_rule,
                                     geometric_iteration_count,
                                     inexact_certificate_bound,
                                     inexact_certificate_bounds, order_dependence,
                                     run_contracting_proximal, schedule_convex,
-                                    schedule_strongly_convex)
+                                    schedule_strongly_convex,
+                                    strongly_convex_inner_accuracy)
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, PowerRegularizer,
                                    QuadraticOracle, SolverError, ZeroComponent,
@@ -53,46 +52,57 @@ class TestContractionPoint:
             np.testing.assert_allclose(contraction_point(a, A, v, x), expected)
 
 
+_COORDS = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(1e-6, 1e6), A_prev=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+       pairs=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+def test_contraction_point_is_the_weighted_mean(a, A_prev, pairs):
+    v, x_prev = np.array(pairs).T
+    x = contraction_point(a, A_prev, v, x_prev)
+    scale = np.maximum(np.abs(v), np.abs(x_prev))
+    tol = 1e-12 * scale + 1e-300
+    assert np.all(np.minimum(v, x_prev) - tol <= x)
+    assert np.all(x <= np.maximum(v, x_prev) + tol)
+    # the weights balance: a (v - x) + A_prev (x_prev - x) = 0 up to rounding
+    np.testing.assert_allclose(a * (v - x) + A_prev * (x_prev - x), 0.0,
+                               atol=1e-12 * (a + A_prev) * scale.max() + 1e-300)
+
+
 class TestOneDimensionalHandExample:
     """f(x) = x^2/2, start at 1, one exact step with a_1 = 1, gamma0 = 1."""
 
-    def test_step_lands_at_half(self):
+    @staticmethod
+    def one_step():
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
-        state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
-        assert new.v[0] == pytest.approx(0.5, abs=1e-12)
-        assert new.x[0] == pytest.approx(0.5, abs=1e-12)
-        assert new.A == 1.0 and new.gamma == 1.0
+        # a_1 = c (p + 1) = 1
+        trace = run_contracting_proximal(obj, prox, SublinearSchedule(0.5, 1), "const:1e-13",
+                                         cap_outer=1)
+        return prox, trace.records[0], trace.records[1]
+
+    def test_step_lands_at_half(self):
+        _, _, rec = self.one_step()
+        assert rec.v[0] == pytest.approx(0.5, abs=1e-12)
+        assert rec.x[0] == pytest.approx(0.5, abs=1e-12)
+        assert rec.A == 1.0 and rec.gamma == 1.0
 
     def test_certificate_value_after_one_step(self):
         # A_1 (F(x_1)-F*) + gamma_1 D(v_1;x*) + gamma_1 D(v_0;v_1) = 0.375 <= 0.5
-        obj = _one_dim_objective()
-        prox = PowerProx(1, np.array([1.0]), obj.metric)
-        state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, res = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
+        prox, start, rec = self.one_step()
         xstar = np.zeros(1)
-        lhs = (new.A * (0.5 * new.x[0] ** 2 - 0.0)
-               + new.gamma * prox.divergence(new.v, xstar)
-               + new.gamma * prox.divergence(state.v, new.v))
+        lhs = (rec.A * (0.5 * rec.x[0] ** 2 - 0.0)
+               + rec.gamma * prox.divergence(rec.v, xstar)
+               + rec.gamma * prox.divergence(start.v, rec.v))
         rhs = 1.0 * prox.divergence(np.array([1.0]), xstar)
         assert lhs == pytest.approx(0.375, abs=1e-12)
         assert rhs == pytest.approx(0.5, abs=1e-12)
         assert lhs <= rhs
 
     def test_zero_modulus_keeps_gamma(self):
-        obj = _one_dim_objective()
-        prox = PowerProx(1, np.array([1.0]), obj.metric)
-        state = OuterState(0, 0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
-        assert new.gamma == state.gamma
-
-    def test_first_step_ignores_x0(self):
-        obj = _one_dim_objective()
-        prox = PowerProx(1, np.array([1.0]), obj.metric)
-        state = OuterState(0, 0.0, 1.0, np.array([123.0]), np.array([1.0]))
-        new, _ = contracting_step(state, obj.fresh(), prox, 1.0, 1e-13)
-        assert new.x[0] == pytest.approx(new.v[0], abs=1e-14)
+        _, start, rec = self.one_step()
+        assert rec.gamma == start.gamma == 1.0
 
 
 class TestSchedules:
@@ -113,6 +123,20 @@ class TestSchedules:
         for k in range(50):
             A += sched.next_a(k, A)
             assert sched.lower(k + 1) * (1 - 1e-12) <= A <= sched.upper(k + 1) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("lipschitz, gamma0", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    def test_strongly_convex_schedule_needs_positive_constants(self, lipschitz, gamma0):
+        # L = 0 divided by zero in the contraction rate, L < 0 took a complex power
+        with pytest.raises(ValueError, match="Lipschitz constant must be positive"):
+            schedule_strongly_convex(1, 1e-3, lipschitz, gamma0)
+
+    def test_order2_run_on_a_quadratic_with_psi_is_refused(self):
+        # a quadratic's L_2 is 0, so no geometric order-2 schedule exists
+        obj = build_instance("quadratic", 10, 0, q=1e-2)
+        prox = PowerProx(1, np.zeros(10), obj.metric)
+        obj = obj.with_simple(power_regularizer_component(1e-3, prox))
+        with pytest.raises(ValueError, match="Lipschitz constant must be positive"):
+            run_method("cptm-p2", obj, 1e-7)
 
     def test_contraction_rate_formula(self):
         assert contraction_rate(2, 1.0, 1.0) == pytest.approx(0.5)
@@ -273,10 +297,50 @@ class TestComplexityFormulas:
                                           [delta] * k_min, A_list)
         assert bound <= eps * A_list[-1] * (1 + 1e-12)
 
-    def test_theorem_delta_matches_formula(self):
-        sched = TheoremConvexDelta(1e-5)
-        fn = sched.resolve({"p": 2, "gamma0": 1.0, "lipschitz": 1.0, "omega": None})
-        assert fn(3) == pytest.approx(convex_inner_accuracy(2, 1.0, 1.0, 1e-5), rel=1e-14)
+
+class TestDeltaRule:
+    @pytest.mark.parametrize("text, omega, header, delta1, delta4", [
+        ("const:1e-6", None, '{"kind": "constant", "delta": 1e-06}', 1e-6, 1e-6),
+        ("power:0.5,3", None, '{"kind": "power", "c": 0.5, "s": 3.0}', 0.5, 0.5 / 64),
+        ("theorem", None, '{"kind": "theorem_convex", "eps": 1.0}', 0.125, 0.125),
+        ("theorem", 0.5, '{"kind": "theorem_strongly_convex", "eps": 1.0}',
+         0.5 / (2.0 * 2.0 ** 2.5), 0.5 / (2.0 * 2.0 ** 2.5)),
+    ])
+    def test_rule_and_description(self, text, omega, header, delta1, delta4):
+        # p = 1 and gamma0 = L = eps = 1; the description is the header's
+        # delta_schedule entry, byte for byte, and delta_k is pinned at k = 1 and 4
+        fn, description = delta_rule(text, 1, 1.0, 1.0, omega, 1)
+        assert json.dumps(description) == header
+        assert fn(1) == pytest.approx(delta1, rel=1e-15)
+        assert fn(4) == pytest.approx(delta4, rel=1e-15)
+
+    def test_theorem_values_are_the_accuracy_formulas(self):
+        fn, _ = delta_rule("theorem", 2, 1.5, 0.7, None, 1e-5)
+        assert fn(3) == convex_inner_accuracy(2, 1.5, 0.7, 1e-5)
+        fn, _ = delta_rule("theorem", 2, 1.5, 0.7, 0.2, 1e-5)
+        assert fn(3) == strongly_convex_inner_accuracy(2, 1.5, 0.7, 0.2, 1e-5)
+
+    @pytest.mark.parametrize("text, eps", [
+        ("const:inf", 1e-7), ("const:nan", 1e-7), ("const:0", 1e-7), ("const:", 1e-7),
+        ("power:inf,2", 1e-7), ("power:1,inf", 1e-7), ("power:1,nan", 1e-7),
+        ("power:1,1", 1e-7), ("power:-1,2", 1e-7), ("power:1", 1e-7),
+        ("theorem", None), ("theorem", math.inf), ("bogus", 1e-7),
+    ])
+    def test_bad_text_is_rejected(self, text, eps):
+        with pytest.raises(ValueError):
+            delta_rule(text, 1, 1.0, 1.0, None, eps)
+
+    def test_bad_text_is_rejected_before_the_run_starts(self, monkeypatch):
+        # const:inf ran 5,000 outer iterations before the cap ended it
+        def no_drive(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(contracting, "drive", no_drive)
+        obj = quadratic_instance(4, 1.0, 0)
+        prox = PowerProx(1, np.zeros(4), obj.metric)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            run_contracting_proximal(obj, prox, schedule_convex(1, 1.0, 1.0), "const:inf",
+                                     eps=1e-7)
 
 
 class TestRunContractingProximal:
@@ -285,8 +349,8 @@ class TestRunContractingProximal:
         obj = quadratic_instance(2, 1.0, 0)
         prox = PowerProx(1, np.zeros(2), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        tr = run_contracting_proximal(obj, prox, sched, ConstantDelta(1e-12),
-                                      eps=None, caps=RunCaps(outer=60))
+        tr = run_contracting_proximal(obj, prox, sched, "const:1e-12",
+                                      eps=None, cap_outer=60)
         d0 = prox.divergence(np.zeros(2), obj.xstar)
         for rec in tr.records[1:]:
             assert rec.residual <= d0 / rec.A * (1 + 1e-9) + 1e-15
@@ -295,8 +359,8 @@ class TestRunContractingProximal:
         obj = quadratic_instance(20, 2.0, 1)
         prox = PowerProx(1, np.zeros(20), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        tr = run_contracting_proximal(obj, prox, sched, ConstantDelta(1e-10),
-                                      eps=None, caps=RunCaps(outer=30))
+        tr = run_contracting_proximal(obj, prox, sched, "const:1e-10",
+                                      eps=None, cap_outer=30)
         ks = np.arange(5, 31)
         res = np.array([tr.records[k].residual for k in ks])
         slope = np.polyfit(np.log(ks), np.log(res), 1)[0]
@@ -309,8 +373,8 @@ class TestRunContractingProximal:
         comp = obj.with_simple(psi)
         attach_reference(comp)
         sched = schedule_strongly_convex(1, 0.25, comp.smooth.lipschitz[1])
-        tr = run_contracting_proximal(comp, prox, sched, PowerDelta(1.0, 2.0),
-                                      eps=None, caps=RunCaps(outer=40))
+        tr = run_contracting_proximal(comp, prox, sched, "power:1.0,2.0",
+                                      eps=None, cap_outer=40)
         for rec in tr.records:
             assert rec.gamma == pytest.approx(1.0 + 0.25 * rec.A, rel=1e-12)
 
@@ -319,8 +383,8 @@ class TestRunContractingProximal:
         prox = PowerProx(1, np.zeros(10), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         with pytest.raises(SolverError):
-            run_contracting_proximal(obj, prox, sched, PowerDelta(1.0, 2.0),
-                                     eps=1e-12, caps=RunCaps(outer=3))
+            run_contracting_proximal(obj, prox, sched, "power:1.0,2.0",
+                                     eps=1e-12, cap_outer=3)
 
     def test_certificate_termination_without_fstar(self):
         obj = quadratic_instance(8, 1.0, 4)
@@ -330,8 +394,8 @@ class TestRunContractingProximal:
         prox = PowerProx(1, np.zeros(8), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         d0 = prox.divergence(np.zeros(8), obj.xstar)
-        tr = run_contracting_proximal(blind, prox, sched, ConstantDelta(1e-9),
-                                      eps=1e-4, caps=RunCaps(outer=5000),
+        tr = run_contracting_proximal(blind, prox, sched, "const:1e-9",
+                                      eps=1e-4, cap_outer=5000,
                                       bregman0_bound=2.0 * d0)
         assert tr.status == "converged"
         true_resid = obj.value(tr.records[-1].x) - obj.fstar
@@ -347,8 +411,8 @@ class TestRunContractingProximal:
         d0 = prox.divergence(np.zeros(8), obj.xstar)
 
         def run(cap):
-            return run_contracting_proximal(blind, prox, sched, ConstantDelta(1e-9),
-                                            eps=1e-4, caps=RunCaps(outer=cap),
+            return run_contracting_proximal(blind, prox, sched, "const:1e-9",
+                                            eps=1e-4, cap_outer=cap,
                                             bregman0_bound=2.0 * d0)
 
         K = run(5000).iterations
@@ -371,8 +435,8 @@ class TestRunContractingProximal:
                 seen.append((stop_norm(), row.get("s_norm"), row["A"]))
 
         monkeypatch.setattr(contracting, "drive", recording_drive)
-        run_contracting_proximal(obj, prox, sched, ConstantDelta(1e-6), eps=None,
-                                 caps=RunCaps(outer=40), bregman0_bound=3.0)
+        run_contracting_proximal(obj, prox, sched, "const:1e-6", eps=None,
+                                 cap_outer=40, bregman0_bound=3.0)
         assert len(seen) == 41 and math.isnan(seen[0][0])
         deltas = [s for _, s, _ in seen[1:]]
         A_values = [A for _, _, A in seen[1:]]
@@ -397,7 +461,7 @@ class TestRunContractingProximal:
         prox = PowerProx(2, np.zeros(4), obj.metric)
         sched = schedule_convex(1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            run_contracting_proximal(obj, prox, sched, ConstantDelta(1e-6))
+            run_contracting_proximal(obj, prox, sched, "const:1e-6")
 
     def test_custom_schedule_quadratic_rule(self):
         # coefficients from a^2 = (a + A)/L make the contracted part's
@@ -416,8 +480,8 @@ class TestRunContractingProximal:
 
         sched = QuadraticEquationSchedule()
         prox = PowerProx(1, np.zeros(10), obj.metric)
-        tr = run_contracting_proximal(obj, prox, sched, PowerDelta(1.0, 2.0),
-                                      eps=1e-7, caps=RunCaps(outer=5000))
+        tr = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0",
+                                      eps=1e-7, cap_outer=5000)
         assert tr.status == "converged"
         for rec in tr.records[1:]:
             assert rec.lipschitz_g == pytest.approx(1.0, rel=1e-9)

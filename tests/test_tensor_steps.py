@@ -10,8 +10,8 @@ from contraprox import contracting, tensor_steps
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
 from contraprox.bregman import PowerProx, ProxFunction, power_hessian
-from contraprox.contracting import (PowerDelta, SublinearSchedule,
-                                    run_contracting_proximal, schedule_convex)
+from contraprox.contracting import (SublinearSchedule, run_contracting_proximal,
+                                    schedule_convex)
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
                                    PowerRegularizer, QuadraticOracle,
@@ -251,7 +251,7 @@ class TestUnsolvableSubproblemsAreRejected:
         with pytest.raises(ValueError, match="divergence term is not built on a PowerProx"):
             run_contracting_proximal(obj, _DiagonalProx(obj.metric),
                                      schedule_convex(1, 1.0, obj.smooth.lipschitz[1]),
-                                     PowerDelta(1, 2), eps=1e-7)
+                                     "power:1,2", eps=1e-7)
         assert steps == []
 
     @pytest.mark.parametrize("case, message", [
