@@ -11,10 +11,9 @@ harness reproduce the standard quadratic and log-sum-exp comparisons.
 from .bregman import PowerProx, ProxFunction
 from .contracting import (GeometricSchedule, SublinearSchedule, complexity_convex,
                           complexity_strongly_convex, contraction_point,
-                          contraction_rate, delta_rule, inexact_certificate_bound,
-                          inexact_certificate_bounds, inner_iteration_bound,
-                          order_dependence, run_contracting_proximal, schedule_convex,
-                          schedule_strongly_convex)
+                          contraction_rate, delta_rule, inexact_certificate_bounds,
+                          inner_iteration_bound, order_dependence,
+                          run_contracting_proximal, schedule_convex, schedule_strongly_convex)
 from .metric import Metric, pairing
 from .objectives import (CompositeObjective, LogSumExpOracle, OracleCounters,
                          PowerRegularizer, QuadraticOracle, SolverError,

@@ -3,7 +3,9 @@
 Everything here is driven by JSON-serializable descriptors so a run is
 reconstructible bit-for-bit from its report: problem generators are seeded,
 reference optima are computed once per instance and cached in the descriptor,
-and reports carry the full provenance of every row.
+and reports carry the full provenance of every row.  Every instance, a psi
+weight sigma included, is rebuilt from its descriptor by ``build_instance``,
+and ``solve_experiment`` is the one loop that runs methods on an instance.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +44,21 @@ _BASELINE_FUNCTIONS = {"gm": "gradient_method_ls", "agm": "accelerated_gradient"
 BENCH_LSE_LIPSCHITZ2 = 0.005
 
 
+# The keywords of build_instance that a descriptor records; the rest of a
+# descriptor (lambda_min, m, fstar, ...) is derived from them.
+INSTANCE_KEYS = ("problem", "n", "seed", "q", "alpha", "mu", "lipschitz_order2", "sigma")
+
+
 def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
-                   lipschitz_order2=1.0, reference_tol=1e-12):
-    """Instantiate a benchmark problem and cache its reference optimum."""
+                   lipschitz_order2=1.0, sigma=0.0, reference_tol=1e-12):
+    """Instantiate a benchmark problem and cache its reference optimum.
+
+    sigma > 0 adds psi = sigma * ||x||^2 / 2 in the instance's metric and
+    records sigma in the descriptor.  The quadratic's closed-form optimum
+    comes with it, so only the other instances solve for theirs.
+    """
+    if not sigma >= 0:
+        raise ValueError("sigma must be nonnegative")
     if problem == "quadratic":
         if alpha is None:
             if q is None:
@@ -54,51 +67,17 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
         obj = quadratic_instance(n, alpha, seed)
         if q is not None:
             obj.descriptor["q"] = float(q)
-        return obj
-    if problem == "lse":
+    elif problem == "lse":
         if mu is None:
             raise ValueError("lse instances need mu")
         obj = lse_instance(n, mu, seed, lipschitz_order2=lipschitz_order2)
-        return attach_reference(obj, reference_tol)
-    raise ValueError(f"unknown problem {problem!r}")
-
-
-def instance_from_descriptor(descriptor):
-    """Rebuild an instance from a trace/report descriptor (seeded, exact)."""
-    d = descriptor
-    if d["problem"] == "quadratic":
-        return build_instance("quadratic", d["n"], d["seed"], alpha=d["alpha"],
-                              q=d.get("q"))
-    if d["problem"] == "lse":
-        return build_instance("lse", d["n"], d["seed"], mu=d["mu"],
-                              lipschitz_order2=d.get("lipschitz_order2", 1.0))
-    raise ValueError(f"descriptor has unknown problem {d.get('problem')!r}")
-
-
-@dataclass
-class ExperimentSpec:
-    problem: dict                      # instance descriptor inputs
-    methods: list
-    eps: float = 1e-7
-    delta_schedule: str = "power:1.0,2.0"
-    gamma0: float = 1.0
-    sigma: float = 0.0                 # weight of a power regularizer psi
-    out_dir: str | None = None
-    cap_outer: int = 5000
-    cap_inner: int | None = None
-
-    def validate(self):
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
-        refused = [m for m in self.methods if m not in ("cptm-p1", "cn")]
-        if self.sigma > 0 and refused:
-            raise ValueError(f"sigma > 0 adds an order-1 psi, which only cptm-p1 and cn "
-                             f"take, not {', '.join(refused)}")
+    else:
+        raise ValueError(f"unknown problem {problem!r}")
+    if sigma > 0:
+        prox = PowerProx(1, np.zeros(obj.dim), obj.metric)
+        obj = obj.with_simple(power_regularizer_component(sigma, prox))
+        obj.descriptor["sigma"] = float(sigma)
+    return attach_reference(obj, reference_tol)
 
 
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
@@ -126,98 +105,73 @@ def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
     raise ValueError(f"unknown method {name!r}")
 
 
-def oracle_metric_for(obj):
-    """Which counter plays the 'oracle' column for this instance family."""
-    return "matvec" if obj.descriptor.get("problem") == "quadratic" else "oracle_g"
+def write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
-def solve_experiment(spec: ExperimentSpec):
-    """Run every method of the spec on one instance; write traces and a report.
+def solve_experiment(problem, methods, eps=1e-7, *, delta_schedule, gamma0, cap_outer,
+                     cap_inner, out_dir=None):
+    """Run every method on the instance ``build_instance(**problem)``.
 
-    Returns (traces, report, all_converged).
+    A method that raises SolverError gets an error row and the rest still run.
+    With ``out_dir``, writes one CSV per trace, ``report.json`` and
+    ``instance.json``.  Returns (traces, report, all_converged).
     """
-    spec.validate()
-    obj = build_instance(**spec.problem)
-    if spec.sigma > 0:
-        prox = PowerProx(1, np.zeros(obj.dim), obj.metric)
-        psi = power_regularizer_component(spec.sigma, prox)
-        obj = obj.with_simple(psi)
-        attach_reference(obj)
-    oracle_key = oracle_metric_for(obj)
+    if not methods:
+        raise ValueError("at least one method is required")
+    for m in methods:
+        if m not in KNOWN_METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
+    sigma = problem.get("sigma", 0.0)
+    refused = [m for m in methods if m not in ("cptm-p1", "cn")]
+    if sigma > 0 and refused:
+        raise ValueError(f"sigma > 0 adds an order-1 psi, which only cptm-p1 and cn "
+                         f"take, not {', '.join(refused)}")
+    obj = build_instance(**problem)
+    # the quadratic's gradient is its one matvec; lse counts gradient queries
+    oracle_key = "matvec" if obj.descriptor["problem"] == "quadratic" else "oracle_g"
     traces = {}
     rows = []
-    all_ok = True
-    for method in spec.methods:
+    for method in methods:
         try:
-            trace = run_method(method, obj, spec.eps,
-                               delta_schedule=spec.delta_schedule,
-                               gamma0=spec.gamma0,
-                               cap_outer=spec.cap_outer, cap_inner=spec.cap_inner)
-            ok = trace.status == "converged"
+            trace = run_method(method, obj, eps, delta_schedule=delta_schedule,
+                               gamma0=gamma0, cap_outer=cap_outer, cap_inner=cap_inner)
         except SolverError as exc:
-            trace = None
-            ok = False
             rows.append({"method": method, "converged": False, "error": str(exc)})
-        if trace is not None:
-            traces[method] = trace
-            rows.append({
-                "method": method, "converged": ok,
-                "iterations": trace.iterations,
-                "oracle": trace.oracle_total(oracle_key),
-                "final_residual": float(trace.final.residual),
-            })
-        all_ok = all_ok and ok
+            continue
+        traces[method] = trace
+        rows.append({
+            "method": method, "converged": trace.status == "converged",
+            "iterations": trace.iterations,
+            "oracle": trace.oracle_total(oracle_key),
+            "final_residual": float(trace.final.residual),
+        })
     report = {
         "instance": dict(obj.descriptor),
-        "spec": {"methods": list(spec.methods), "eps": spec.eps,
-                 "delta_schedule": spec.delta_schedule, "gamma0": spec.gamma0,
-                 "sigma": spec.sigma, "cap_outer": spec.cap_outer,
-                 "cap_inner": spec.cap_inner, "x0_policy": "zero"},
+        "spec": {"methods": list(methods), "eps": eps,
+                 "delta_schedule": delta_schedule, "gamma0": gamma0,
+                 "sigma": sigma, "cap_outer": cap_outer,
+                 "cap_inner": cap_inner, "x0_policy": "zero"},
         "oracle_counter": oracle_key,
         "results": rows,
     }
-    if spec.out_dir is not None:
-        os.makedirs(spec.out_dir, exist_ok=True)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
         for method, trace in traces.items():
-            trace.write_csv(os.path.join(spec.out_dir, f"{method}.csv"))
-        with open(os.path.join(spec.out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(os.path.join(spec.out_dir, "instance.json"), "w") as fh:
-            json.dump(obj.descriptor, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return traces, report, all_ok
-
-
-@dataclass
-class ReportTable:
-    """Aggregated sweep results: one row per (instance cell, method)."""
-
-    suite: str
-    rows: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {"suite": self.suite, "meta": self.meta, "rows": self.rows}
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    def text(self):
-        lines = [f"{'n':>6} {'cond':>10} {'method':>8} {'iter':>8} {'oracle':>10} {'fail':>5}"]
-        for row in self.rows:
-            lines.append(f"{row['n']:>6} {row['cond']:>10g} {row['method']:>8} "
-                         f"{row['iterations']:>8} {row['oracle']:>10} {row['failures']:>5}")
-        return "\n".join(lines)
+            trace.write_csv(os.path.join(out_dir, f"{method}.csv"))
+        write_json(os.path.join(out_dir, "report.json"), report)
+        write_json(os.path.join(out_dir, "instance.json"), obj.descriptor)
+    return traces, report, all(row["converged"] for row in rows)
 
 
 def bench_sweep(suite, sizes, conditionings, eps, seeds, methods=None,
                 delta_schedule="power:1.0,2.0", cap_outer=200000, cap_inner=None):
     """Cartesian sweep over (size, conditioning, seed); medians over seeds.
 
-    Failures are marked per cell and the sweep continues.
+    Returns {"suite", "meta", "rows"} with one row per (size, conditioning,
+    method).  A failed run counts in its row's failures and the sweep goes on.
     """
     if suite not in SUITE_METHODS:
         raise ValueError(f"unknown suite {suite!r}")
@@ -225,55 +179,49 @@ def bench_sweep(suite, sizes, conditionings, eps, seeds, methods=None,
     cond_key = "q" if suite == "quadratic" else "mu"
     if not sizes or not conditionings or not seeds:
         raise ValueError("sizes, conditionings and seeds must be nonempty")
-    table = ReportTable(suite, meta={
-        "eps": eps, "seeds": list(seeds), "methods": methods,
-        "delta_schedule": delta_schedule, cond_key: list(conditionings),
-        "sizes": list(sizes),
-    })
+    meta = {"eps": eps, "seeds": list(seeds), "methods": methods,
+            "delta_schedule": delta_schedule, cond_key: list(conditionings),
+            "sizes": list(sizes)}
+    extra = {} if suite == "quadratic" else {"lipschitz_order2": BENCH_LSE_LIPSCHITZ2}
+    rows = []
     for n in sizes:
         for cond in conditionings:
-            cells = {m: {"iterations": [], "oracle": [], "failures": 0} for m in methods}
+            results = []
             for seed in seeds:
-                if suite == "quadratic":
-                    obj = build_instance("quadratic", n, seed, q=cond)
-                else:
-                    obj = build_instance("lse", n, seed, mu=cond,
-                                         lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
-                oracle_key = oracle_metric_for(obj)
-                for method in methods:
-                    try:
-                        trace = run_method(method, obj, eps,
-                                           delta_schedule=delta_schedule,
-                                           cap_outer=cap_outer, cap_inner=cap_inner)
-                        cells[method]["iterations"].append(trace.iterations)
-                        cells[method]["oracle"].append(trace.oracle_total(oracle_key))
-                    except SolverError:
-                        cells[method]["failures"] += 1
+                problem = {"problem": suite, "n": n, "seed": seed, cond_key: cond, **extra}
+                results += solve_experiment(problem, methods, eps,
+                                            delta_schedule=delta_schedule, gamma0=1.0,
+                                            cap_outer=cap_outer,
+                                            cap_inner=cap_inner)[1]["results"]
             for method in methods:
-                cell = cells[method]
-                table.rows.append({
+                mine = [r for r in results if r["method"] == method]
+                runs = [r for r in mine if "iterations" in r]
+                rows.append({
                     "n": n, "cond": cond, "method": method,
-                    "iterations": (int(statistics.median(cell["iterations"]))
-                                   if cell["iterations"] else -1),
-                    "oracle": (int(statistics.median(cell["oracle"]))
-                               if cell["oracle"] else -1),
-                    "failures": cell["failures"],
+                    "iterations": (int(statistics.median(r["iterations"] for r in runs))
+                                   if runs else -1),
+                    "oracle": (int(statistics.median(r["oracle"] for r in runs))
+                               if runs else -1),
+                    "failures": len(mine) - len(runs),
                     "seeds": list(seeds),
                 })
-    return table
+    return {"suite": suite, "meta": meta, "rows": rows}
 
 
 def validate_trace_file(trace_path, instance_path=None):
-    """Re-validate a serialized trace; returns the validation report."""
+    """Re-validate a serialized trace; returns the validation report.
+
+    With ``instance_path`` the instance is rebuilt from the descriptor's
+    INSTANCE_KEYS and the trace is scored against its f*, not the header's.
+    """
     from .trace import read_csv
     header, columns = read_csv(trace_path)
     fstar = header.get("fstar")
     if instance_path is not None:
         with open(instance_path) as fh:
             descriptor = json.load(fh)
-        obj = instance_from_descriptor(descriptor)
-        attach_reference(obj)
-        fstar = obj.fstar
+        fstar = build_instance(**{k: descriptor[k] for k in INSTANCE_KEYS
+                                  if k in descriptor}).fstar
     if "p" not in header:
         raise ValueError("trace was not produced by the contracting solver; "
                          "only its traces carry certificate columns")

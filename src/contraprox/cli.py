@@ -10,8 +10,8 @@ import json
 import os
 import sys
 
-from .bench import (KNOWN_METHODS, ExperimentSpec, bench_sweep,
-                    solve_experiment, validate_trace_file)
+from .bench import (KNOWN_METHODS, bench_sweep, solve_experiment, validate_trace_file,
+                    write_json)
 from .contracting import order_dependence
 from .objectives import SolverError
 
@@ -83,23 +83,14 @@ def build_parser():
 
 
 def cmd_solve(args):
-    problem = {"problem": args.problem, "n": args.n, "seed": args.seed}
-    if args.problem == "quadratic":
-        if args.alpha is None and args.q is None:
-            print("solve: quadratic needs --q or --alpha", file=sys.stderr)
-            return EXIT_USAGE
-        problem.update({"q": args.q, "alpha": args.alpha})
-    else:
-        if args.mu is None:
-            print("solve: lse needs --mu", file=sys.stderr)
-            return EXIT_USAGE
-        problem.update({"mu": args.mu, "lipschitz_order2": args.l2})
-    spec = ExperimentSpec(problem=problem, methods=args.method, eps=args.eps,
-                          delta_schedule=args.delta_schedule, gamma0=args.gamma0,
-                          sigma=args.sigma, out_dir=args.out,
-                          cap_outer=args.cap_outer, cap_inner=args.cap_inner)
+    problem = {"problem": args.problem, "n": args.n, "seed": args.seed, "q": args.q,
+               "alpha": args.alpha, "mu": args.mu, "lipschitz_order2": args.l2,
+               "sigma": args.sigma}
     try:
-        _, report, all_ok = solve_experiment(spec)
+        _, report, all_ok = solve_experiment(
+            problem, args.method, args.eps, delta_schedule=args.delta_schedule,
+            gamma0=args.gamma0, cap_outer=args.cap_outer, cap_inner=args.cap_inner,
+            out_dir=args.out)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -127,9 +118,12 @@ def cmd_bench(args):
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
-    table.write_json(os.path.join(args.out, f"bench_{args.suite}.json"))
-    print(table.text())
-    failures = sum(row["failures"] for row in table.rows)
+    write_json(os.path.join(args.out, f"bench_{args.suite}.json"), table)
+    print(f"{'n':>6} {'cond':>10} {'method':>8} {'iter':>8} {'oracle':>10} {'fail':>5}")
+    for row in table["rows"]:
+        print(f"{row['n']:>6} {row['cond']:>10g} {row['method']:>8} "
+              f"{row['iterations']:>8} {row['oracle']:>10} {row['failures']:>5}")
+    failures = sum(row["failures"] for row in table["rows"])
     return EXIT_OK if failures == 0 else EXIT_SOLVER
 
 

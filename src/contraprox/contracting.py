@@ -176,28 +176,27 @@ def inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, sigma_uniform,
     return _certificate_bound(p, gamma0, bregman0, sigma_uniform, np.cumsum(np.append(0.0, terms)))
 
 
-def inexact_certificate_bound(p, gamma0, sigma_simple, bregman0, sigma_uniform,
-                              deltas, A_values):
-    """The certified bound after all len(deltas) steps: the last of
-    :func:`inexact_certificate_bounds`."""
-    return float(inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0,
-                                            sigma_uniform, deltas, A_values)[-1])
-
-
 def convex_inner_accuracy(p, gamma0, lipschitz, eps):
     """Inner accuracy certifying an eps-residual under the sublinear schedule."""
     return ((math.factorial(p) * eps / lipschitz) ** (p / (p + 1.0))
             * gamma0 / (2.0 ** p * (p + 1) ** (p + 1)))
 
 
+def _convex_accuracy_and_count(p, gamma0, lipschitz, bregman0, eps):
+    """(delta, K before its floor) of the convex case at target residual eps."""
+    delta = convex_inner_accuracy(p, gamma0, lipschitz, eps)
+    K = 1.0 + 2.0 ** (1.0 / p) * (
+        2.0 ** (p - 1) * (p + 1) ** (p + 2) * lipschitz * bregman0
+        / (eps * math.factorial(p))) ** (1.0 / (p + 1))
+    return delta, K
+
+
 def complexity_convex(p, gamma0, lipschitz, bregman0, eps):
     """(delta, K, oracle bound) for the convex case at target residual eps."""
     if min(p, gamma0, lipschitz, bregman0, eps) <= 0:
         raise ValueError("all arguments must be positive")
-    delta = convex_inner_accuracy(p, gamma0, lipschitz, eps)
-    K = math.floor(1.0 + 2.0 ** (1.0 / p) * (
-        2.0 ** (p - 1) * (p + 1) ** (p + 2) * lipschitz * bregman0
-        / (eps * math.factorial(p))) ** (1.0 / (p + 1)))
+    delta, K = _convex_accuracy_and_count(p, gamma0, lipschitz, bregman0, eps)
+    K = math.floor(K)
     nk = K * (3.0 + (p + 1.0) / p * math.log(
         4.0 * (1.0 + 1.0 / gamma0) * (p + 1) ** (1.0 / p) * K ** p))
     return delta, K, nk
@@ -242,10 +241,7 @@ def order_dependence(p):
     """(delta(p), K(p)) with the ratio L/eps, the initial divergence and gamma0
     all normalized to one; shows how the inner accuracy and the iteration count
     react to the method's order."""
-    delta = math.factorial(p) ** (p / (p + 1.0)) / (2.0 ** p * (p + 1) ** (p + 1))
-    K = 1.0 + 2.0 ** (1.0 / p) * (
-        2.0 ** (p - 1) * (p + 1) ** (p + 2) / math.factorial(p)) ** (1.0 / (p + 1))
-    return delta, K
+    return _convex_accuracy_and_count(p, 1.0, 1.0, 1.0, 1.0)
 
 
 def inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform):

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 _FLOAT = np.dtype(float)
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def pairing(s, x):
@@ -30,6 +31,23 @@ def pairing(s, x):
     if s.shape != x.shape:
         raise ValueError(f"dimension mismatch: {s.shape} vs {x.shape}")
     return float(np.dot(s, x))
+
+
+def cholesky_solve(H, g):
+    """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly.
+
+    Reads H's upper triangle.  An F-ordered H is factored in place (a failed
+    factorization leaves a partial factor); a C-ordered H is copied, not changed.
+    """
+    H = np.asarray_chkfinite(H)
+    c, info = _potrf(H, lower=False, clean=False, overwrite_a=not H.flags.c_contiguous)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info == 0:
+        x, info = _potrs(np.asarray_chkfinite(c), np.asarray_chkfinite(g), lower=False)
+    if info:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return x
 
 
 class Metric:

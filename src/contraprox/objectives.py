@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.special
 
 from .bregman import ProxFunction, power_hessian
-from .metric import Metric
+from .metric import Metric, cholesky_solve
 
 
 class SolverError(RuntimeError):
@@ -356,10 +355,10 @@ def _newton_reference(obj, tol, cap=200):
             return x, fval
         H = obj.smooth.hess(x) + obj.simple.hess(x)
         try:
-            step = -scipy.linalg.solve(H, g, assume_a="pos")
+            step = -cholesky_solve(H, g)
         except np.linalg.LinAlgError:
             reg = 1e-12 * (1.0 + float(np.trace(H)) / obj.dim)
-            step = -scipy.linalg.solve(H + reg * np.eye(obj.dim), g, assume_a="pos")
+            step = -cholesky_solve(H + reg * np.eye(obj.dim), g)
         t = 1.0
         slope = float(g @ step)
         noise = 1e-14 * (abs(fval) + 1.0)

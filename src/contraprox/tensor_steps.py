@@ -27,10 +27,9 @@ import scipy.linalg
 import scipy.optimize
 
 from .bregman import PowerProx, ProxFunction, power_coefficients
-from .metric import Metric
+from .metric import Metric, cholesky_solve
 from .objectives import PowerRegularizer, SmoothOracle, SolverError
 
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 _syr, = scipy.linalg.get_blas_funcs(("syr",), (np.empty((1, 1)),))
 
 
@@ -229,23 +228,6 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
     for c, _, beta, Bw in coef:
         if beta:
             _syr(c * beta, Bw, a=H, overwrite_a=True)
-
-
-def cholesky_solve(H, g):
-    """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly.
-
-    Reads H's upper triangle.  An F-ordered H is factored in place (a failed
-    factorization leaves a partial factor); a C-ordered H is copied, not changed.
-    """
-    H = np.asarray_chkfinite(H)
-    c, info = _potrf(H, lower=False, clean=False, overwrite_a=not H.flags.c_contiguous)
-    if info > 0:
-        raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
-    if info == 0:
-        x, info = _potrs(np.asarray_chkfinite(c), np.asarray_chkfinite(g), lower=False)
-    if info:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-    return x
 
 
 def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):

@@ -26,6 +26,16 @@ def test_solve_then_validate_round_trip(tmp_path):
                  "--instance", str(instance)]) == EXIT_VALIDATION
 
 
+def test_solve_with_psi_then_validate_against_the_rebuilt_instance(tmp_path):
+    # the descriptor records sigma, so the rebuilt instance has psi and its f*;
+    # rebuilt without psi, 42 honest outer_certificate checks fail against f's optimum
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "quadratic", "--n", "20", "--q", "0.01",
+                 "--sigma", "1e-3", "--method", "cptm-p1", "--out", str(out)]) == EXIT_OK
+    assert main(["validate", "--trace", str(out / "cptm-p1.csv"),
+                 "--instance", str(out / "instance.json")]) == EXIT_OK
+
+
 def test_lse_without_mu_is_a_usage_error(tmp_path):
     assert main(["solve", "--problem", "lse", "--n", "20", "--method", "cn",
                  "--out", str(tmp_path)]) == EXIT_USAGE

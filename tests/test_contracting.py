@@ -14,7 +14,6 @@ from contraprox.contracting import (SublinearSchedule, complexity_convex,
                                     contraction_point, contraction_rate,
                                     convex_inner_accuracy, delta_rule,
                                     geometric_iteration_count,
-                                    inexact_certificate_bound,
                                     inexact_certificate_bounds, order_dependence,
                                     run_contracting_proximal, schedule_convex,
                                     schedule_strongly_convex,
@@ -171,12 +170,12 @@ class TestSchedules:
 
 class TestCertificateBound:
     def test_zero_accuracies_reduce_to_initial_divergence(self):
-        val = inexact_certificate_bound(2, 1.5, 0.0, 3.0, 0.5,
-                                        np.zeros(5), np.ones(5))
+        val = inexact_certificate_bounds(2, 1.5, 0.0, 3.0, 0.5,
+                                         np.zeros(5), np.ones(5))[-1]
         assert val == pytest.approx(1.5 * 3.0, rel=1e-12)
 
     def test_empty_history(self):
-        val = inexact_certificate_bound(1, 2.0, 0.0, 1.0, 1.0, [], [])
+        val = inexact_certificate_bounds(1, 2.0, 0.0, 1.0, 1.0, [], [])[-1]
         assert val == pytest.approx(2.0, rel=1e-12)
 
     def test_power_accuracy_summation_bound(self):
@@ -186,15 +185,15 @@ class TestCertificateBound:
         K = 200
         deltas = np.array([c / k ** s for k in range(1, K + 1)])
         A_vals = np.arange(1, K + 1, dtype=float)
-        bound = inexact_certificate_bound(p, gamma0, 0.0, 2.0, sigma_u, deltas, A_vals)
+        bound = inexact_certificate_bounds(p, gamma0, 0.0, 2.0, sigma_u, deltas, A_vals)[-1]
         closed = ((gamma0 * 2.0) ** (p / (p + 1))
                   + ((p + 1) / (gamma0 * sigma_u)) ** (1 / (p + 1))
                   * c * s / (s - 1)) ** ((p + 1) / p)
         assert bound <= closed * (1 + 1e-12)
 
     def test_monotone_in_accuracies(self):
-        small = inexact_certificate_bound(1, 1.0, 0.0, 1.0, 1.0, [1e-6] * 3, [1, 2, 3])
-        big = inexact_certificate_bound(1, 1.0, 0.0, 1.0, 1.0, [1e-2] * 3, [1, 2, 3])
+        small = inexact_certificate_bounds(1, 1.0, 0.0, 1.0, 1.0, [1e-6] * 3, [1, 2, 3])[-1]
+        big = inexact_certificate_bounds(1, 1.0, 0.0, 1.0, 1.0, [1e-2] * 3, [1, 2, 3])[-1]
         assert small < big
 
 
@@ -224,7 +223,7 @@ def test_prefix_bounds_are_the_bound_of_each_prefix(p, gamma0, sigma_simple, bre
     assert bounds.shape == (len(steps) + 1,)
     for k in range(len(steps) + 1):
         assert bounds[k] == pytest.approx(
-            inexact_certificate_bound(*head, deltas[:k], A_values[:k]), rel=1e-12)
+            inexact_certificate_bounds(*head, deltas[:k], A_values[:k])[-1], rel=1e-12)
         assert bounds[k] == pytest.approx(
             _bound_reference(*head, deltas[:k], A_values[:k]), rel=1e-12)
 
@@ -293,8 +292,8 @@ class TestComplexityFormulas:
         for k in range(k_min):
             A += sched.next_a(k, A)
             A_list.append(A)
-        bound = inexact_certificate_bound(p, gamma0, 0.0, bregman0, sigma_u,
-                                          [delta] * k_min, A_list)
+        bound = inexact_certificate_bounds(p, gamma0, 0.0, bregman0, sigma_u,
+                                            [delta] * k_min, A_list)[-1]
         assert bound <= eps * A_list[-1] * (1 + 1e-12)
 
 
@@ -442,7 +441,7 @@ class TestRunContractingProximal:
         A_values = [A for _, _, A in seen[1:]]
         head = (1, 1.0, obj.simple.modulus, 3.0, prox.uniform_constant)
         for k in range(1, 41):
-            bound = inexact_certificate_bound(*head, deltas[:k], A_values[:k])
+            bound = inexact_certificate_bounds(*head, deltas[:k], A_values[:k])[-1]
             assert seen[k][0] == pytest.approx(bound / A_values[k - 1], rel=1e-12)
 
     def test_underestimated_l1_ends_in_an_inner_loop_error(self):

@@ -283,6 +283,12 @@ class TestReferenceOptimum:
         assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
         assert obj.fstar == pytest.approx(7.146944334743955, rel=1e-14)
 
+    def test_ill_conditioned_newton_step_does_not_warn(self):
+        # scipy.linalg.solve(assume_a="pos") warns LinAlgWarning ("ill-conditioned
+        # matrix") on this instance's Newton steps, an error under the warning filter
+        obj = attach_reference(lse_instance(20, 0.01, 2))
+        assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
+
     def test_newton_reference_raises_when_no_step_decreases(self):
         from contraprox.objectives import (CompositeObjective, SmoothOracle,
                                            SolverError, ZeroComponent)
