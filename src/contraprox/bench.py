@@ -220,6 +220,9 @@ def validate_trace_file(trace_path, instance_path=None):
     if instance_path is not None:
         with open(instance_path) as fh:
             descriptor = json.load(fh)
+        if not (isinstance(descriptor, dict) and {"problem", "n", "seed"} <= descriptor.keys()):
+            raise ValueError(f"{instance_path}: an instance descriptor is a JSON object with "
+                             f"problem, n and seed, not {descriptor!r}")
         fstar = build_instance(**{k: descriptor[k] for k in INSTANCE_KEYS
                                   if k in descriptor}).fstar
     if "p" not in header:

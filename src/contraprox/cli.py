@@ -41,8 +41,8 @@ def build_parser():
     solve.add_argument("--q", type=float, help="condition ratio for the quadratic")
     solve.add_argument("--alpha", type=float, help="spectrum steepness (overrides --q)")
     solve.add_argument("--mu", type=float, help="smoothing parameter for lse")
-    solve.add_argument("--l2", type=float, default=1.0,
-                       help="Lipschitz constant of the lse Hessian used by the schedule")
+    solve.add_argument("--l2", type=float,
+                       help="Lipschitz constant of the lse Hessian for the schedule (default 1)")
     solve.add_argument("--eps", type=float, default=1e-7)
     solve.add_argument("--method", action="append", required=True,
                        choices=KNOWN_METHODS, help="repeatable")
@@ -83,9 +83,15 @@ def build_parser():
 
 
 def cmd_solve(args):
-    problem = {"problem": args.problem, "n": args.n, "seed": args.seed, "q": args.q,
-               "alpha": args.alpha, "mu": args.mu, "lipschitz_order2": args.l2,
-               "sigma": args.sigma}
+    keys = {"q": "q", "alpha": "alpha", "mu": "mu", "l2": "lipschitz_order2"}
+    given = {flag: getattr(args, flag) for flag in keys if getattr(args, flag) is not None}
+    ignored = [f"--{flag}" for flag in given
+               if flag in {"quadratic": ("mu", "l2"), "lse": ("q", "alpha")}[args.problem]]
+    if ignored:
+        print(f"solve: --problem {args.problem} takes no {', '.join(ignored)}", file=sys.stderr)
+        return EXIT_USAGE
+    problem = {"problem": args.problem, "n": args.n, "seed": args.seed, "sigma": args.sigma,
+               **{keys[flag]: value for flag, value in given.items()}}
     try:
         _, report, all_ok = solve_experiment(
             problem, args.method, args.eps, delta_schedule=args.delta_schedule,

@@ -32,10 +32,6 @@ class OracleCounters:
     hess: int = 0
     matvec: int = 0
 
-    def as_dict(self):
-        return {"oracle_f": self.value, "oracle_g": self.grad,
-                "oracle_h": self.hess, "matvec": self.matvec}
-
 
 class SmoothOracle:
     """Counted access to f, grad f and (optionally) hess f.

@@ -1,11 +1,16 @@
 """Per-iteration run records and their serialized form.
 
 A trace is one solver run: a JSON header (instance descriptor, schedule,
-seeds, solver knobs) plus one record per outer iteration.  Serialized traces
+seeds, solver knobs) plus one row per outer iteration.  Serialized traces
 are CSV files whose first line is ``# <json header>``; the column order is
 fixed so files from different methods stay comparable.  In-memory traces
 additionally keep iterate points and per-inner-step records, which the
 lemma-level validator needs but the wire format does not carry.
+
+In memory a row is 19 float64 scalars (the CSV columns, ``lipschitz_g``, ``M``,
+``ell_mu``, a has-v flag) and 8n bytes of x and of v if it has one, in blocks
+of ``CHUNK_ROWS`` rows made with ``np.empty`` as the last fills and never
+copied.  A trace is the sequence of its rows as :class:`IterationRecord` views.
 
 Oracle counters (``oracle_f``, ``oracle_g``, ``oracle_h``, ``matvec``) have
 one meaning for every method: the counters on row k are cumulative over the
@@ -22,8 +27,8 @@ recorded, stopped and capped by :func:`drive`.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from math import isfinite, nan
 
 import numpy as np
 
@@ -34,84 +39,115 @@ CSV_COLUMNS = [
     "t_k", "oracle_f", "oracle_g", "oracle_h", "matvec",
     "bregman_step", "bregman_vstar",
 ]
+FIELDS = ("k", "A", "gamma", "a", "f_value", "residual", "delta_requested", "s_norm",
+          "t_inner", "oracle_f", "oracle_g", "oracle_h", "matvec", "bregman_step",
+          "bregman_vstar", "lipschitz_g", "M", "ell_mu", "has_v")
+_COLUMN = {name: j for j, name in enumerate(FIELDS)}
+_INT = [name in ("k", "t_inner", *FIELDS[9:13]) for name in FIELDS]
+CHUNK_ROWS = 64
 
-_INT_COLUMNS = {"k", "t_k", "oracle_f", "oracle_g", "oracle_h", "matvec"}
 
-
-@dataclass
 class IterationRecord:
-    k: int
-    A: float
-    gamma: float
-    a: float
-    f_value: float
-    residual: float
-    delta_requested: float
-    s_norm: float
-    t_inner: int
-    counters: dict
-    bregman_step: float = math.nan
-    bregman_vstar: float = math.nan
-    # in-memory extras (never serialized)
-    x: np.ndarray | None = None
-    v: np.ndarray | None = None
-    inner_steps: list = field(default_factory=list)
-    lipschitz_g: float = math.nan
-    M: float = math.nan
-    ell_mu: float = math.nan
+    """Row i of a trace; attribute reads and writes go to the trace's blocks."""
 
-    def row(self):
-        return [self.k, self.A, self.gamma, self.a, self.f_value, self.residual,
-                self.delta_requested, self.s_norm, self.t_inner,
-                self.counters.get("oracle_f", 0), self.counters.get("oracle_g", 0),
-                self.counters.get("oracle_h", 0), self.counters.get("matvec", 0),
-                self.bregman_step, self.bregman_vstar]
+    __slots__ = ("_trace", "_i")
+
+    def __init__(self, trace, i):
+        object.__setattr__(self, "_trace", trace)
+        object.__setattr__(self, "_i", i)
+
+    def __getattr__(self, name):
+        trace, (c, j) = self._trace, divmod(self._i, CHUNK_ROWS)
+        row = trace._blocks["scalars"][c][j]
+        if name in _COLUMN:
+            return (int if _INT[_COLUMN[name]] else float)(row[_COLUMN[name]])
+        if name == "counters":
+            return {key: int(row[_COLUMN[key]]) for key in FIELDS[9:13]}
+        if name == "inner_steps":
+            return trace.inner_steps.get(self._i, [])
+        if name in ("x", "v"):
+            return trace._blocks[name][c][j] if name == "x" or row[-1] else None
+        raise AttributeError(name)
+
+    def __setattr__(self, name, value):
+        blocks, (c, j) = self._trace._blocks, divmod(self._i, CHUNK_ROWS)
+        if name in ("x", "v") and value is not None:
+            if blocks[name][c] is None:
+                blocks[name][c] = np.empty_like(blocks["x"][c])
+            blocks[name][c][j] = value
+        elif name != "v":
+            blocks["scalars"][c][j, _COLUMN[name]] = value
+        if name == "v":
+            blocks["scalars"][c][j, -1] = value is not None
 
 
-@dataclass
-class RunTrace:
-    header: dict
-    records: list = field(default_factory=list)
-    status: str = "running"
+class RunTrace(Sequence):
+    """One run: header, status, rows as a sequence of views, inner steps by row."""
 
-    def append(self, record):
-        self.records.append(record)
+    def __init__(self, header):
+        self.header, self.status, self.size, self.inner_steps = header, "running", 0, {}
+        self._blocks = {"scalars": [], "x": [], "v": []}
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.size))]
+        return IterationRecord(self, range(self.size)[i])
+
+    def _append(self, scalars, x, v, inner_steps):
+        c, j = divmod(self.size, CHUNK_ROWS)
+        if j == 0:
+            self._blocks["scalars"].append(np.empty((CHUNK_ROWS, len(FIELDS))))
+            self._blocks["x"].append(np.empty((CHUNK_ROWS, np.size(x))))
+            self._blocks["v"].append(None)
+        self._blocks["scalars"][c][j] = (*scalars, v is not None)
+        self._blocks["x"][c][j] = x
+        if v is not None:
+            IterationRecord(self, self.size).v = v
+        if inner_steps:
+            self.inner_steps[self.size] = inner_steps
+        self.size += 1
+
+    @property
+    def records(self):
+        return self
 
     @property
     def final(self):
-        return self.records[-1]
+        return self[-1]
 
-    def column(self, name):
-        idx = CSV_COLUMNS.index(name)
-        return np.array([rec.row()[idx] for rec in self.records], dtype=float)
+    def columns(self):
+        """The CSV columns, ``lipschitz_g``, ``M``, ``ell_mu`` and ``has_v`` by name (copies)."""
+        table = np.concatenate([np.empty((0, len(FIELDS))), *self._blocks["scalars"]])
+        return dict(zip(CSV_COLUMNS + list(FIELDS[len(CSV_COLUMNS):]), table[:self.size].T))
+
+    def points(self, name):
+        """Every row's ``"x"`` or ``"v"`` as a view into its block; None for a row without v."""
+        has = self.columns()["has_v"] if name == "v" else np.ones(self.size)
+        return [self._blocks[name][i // CHUNK_ROWS][i % CHUNK_ROWS] if has[i] else None
+                for i in range(self.size)]
 
     @property
     def iterations(self):
         """Number of outer iterations actually performed (k=0 row excluded)."""
-        return int(self.final.k) if self.records else 0
+        return self.final.k if self.size else 0
 
     def oracle_total(self, kind):
-        return int(self.final.counters.get(kind, 0))
+        return self.final.counters[kind]
 
     def write_csv(self, path):
         header = dict(self.header)
         header["status"] = self.status
         lines = ["# " + json.dumps(header, sort_keys=True)]
         lines.append(",".join(CSV_COLUMNS))
-        for rec in self.records:
-            cells = []
-            for name, value in zip(CSV_COLUMNS, rec.row()):
-                if name in _INT_COLUMNS:
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(repr(float(value)))
-            lines.append(",".join(cells))
+        columns = self.columns()
+        for row in np.column_stack([columns[name] for name in CSV_COLUMNS]).tolist():
+            lines.append(",".join(str(int(value)) if is_int else repr(value)
+                                  for value, is_int in zip(row, _INT)))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-_ROW_DEFAULTS = {"A": math.nan, "gamma": math.nan, "a": math.nan,
-                 "delta_requested": math.nan, "s_norm": math.nan, "t_inner": 0}
 
 
 def drive(obj, header, eps, cap, iterates):
@@ -119,7 +155,8 @@ def drive(obj, header, eps, cap, iterates):
 
     ``iterates`` yields ``(F(x_k), stop_norm, row)`` for k = 0, 1, ...: row k
     is recorded with the counters as they stand when it is yielded, and
-    fields missing from ``row`` are NaN (``t_inner`` 0).  ``header`` names
+    fields missing from ``row`` are NaN (``t_inner`` 0).  Every row carries
+    ``x``; ``v`` and ``inner_steps`` are optional.  ``header`` names
     the method and its settings; eps, cap, the instance and f* are added.
     A non-finite F(x_k), or ``s_norm`` where a row has one, raises
     :class:`SolverError` at once, so a NaN or a divergence never spins to the cap.
@@ -136,13 +173,16 @@ def drive(obj, header, eps, cap, iterates):
     trace = RunTrace({**header, "eps": eps, "cap": cap,
                       "instance": dict(obj.descriptor), "fstar": fstar})
     for k, (f, stop_norm, row) in enumerate(iterates):
-        if not (math.isfinite(f) and math.isfinite(row.get("s_norm", 0.0))):
+        if not (isfinite(f) and isfinite(row.get("s_norm", 0.0))):
             raise SolverError(f"{header['method']} reached a non-finite value at "
                               f"iteration {k} (F = {f!r}, s_norm = {row.get('s_norm')!r})")
-        residual = f - fstar if fstar is not None else math.nan
-        trace.append(IterationRecord(k=k, f_value=f, residual=residual,
-                                     counters=obj.counters.as_dict(),
-                                     **{**_ROW_DEFAULTS, **row}))
+        residual = f - fstar if fstar is not None else nan
+        c, get = obj.counters, row.get
+        trace._append((k, get("A", nan), get("gamma", nan), get("a", nan), f, residual,
+                       get("delta_requested", nan), get("s_norm", nan), get("t_inner", 0),
+                       c.value, c.grad, c.hess, c.matvec, get("bregman_step", nan),
+                       get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
+                       get("ell_mu", nan)), row["x"], get("v"), get("inner_steps"))
         if eps is not None and (
                 (residual <= eps) if fstar is not None else (stop_norm() <= eps)):
             trace.status = "converged"

@@ -4,12 +4,12 @@ One check body runs over a dict of columns with one entry per outer
 iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
 the body replays the outer residual-plus-divergence certificate, the
 telescoped proximal coefficients, the coefficient-schedule growth envelopes
-and the requested inner accuracy.  An in-memory trace adds the iterates x
-and v, the condition ratio ``ell_mu``, the subproblem constant
-``lipschitz_g`` and a flat table of inner steps, and the body then also
-replays the inner condition ratio, the inner iteration budget, per-step
-descent and gradient progress of the inner method, and the contraction
-combination that makes x_{k+1}.
+and the requested inner accuracy.  An in-memory trace adds, from its
+blocks, the iterates x and v as views, the columns ``ell_mu`` and
+``lipschitz_g``, D(v_k; x*) recomputed per row and a flat table of inner
+steps, and the body then also replays the inner condition ratio, the
+inner iteration budget, per-step descent and gradient progress of the inner
+method, and the contraction combination that makes x_{k+1}.
 
 Each check is one array expression over its rows, except the inner budget
 (the scalar :func:`inner_iteration_bound` per iteration) and the contraction
@@ -28,7 +28,6 @@ import numpy as np
 
 from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
                           inexact_certificate_bounds, inner_iteration_bound)
-from .trace import CSV_COLUMNS
 
 CHECK_DTYPE = [("name", object), ("k", np.int64), ("t", np.int64), ("passed", bool),
                ("margin", float)]
@@ -160,17 +159,12 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None):
     recorded iterates, so the check does not trust the run's own numbers.
     ``schedule`` defaults to the one the header describes.
     """
-    records = trace.records
-    rows = np.array([r.row() for r in records], dtype=float).reshape(-1, len(CSV_COLUMNS))
-    columns = {name: rows[:, j] for j, name in enumerate(CSV_COLUMNS)}
     xstar = np.asarray(xstar, dtype=float)
-    columns.update(x=[r.x for r in records], v=[r.v for r in records],
-                   ell_mu=np.array([r.ell_mu for r in records]),
-                   lipschitz_g=np.array([r.lipschitz_g for r in records]),
-                   bregman_vstar=np.array([prox.divergence(r.v, xstar) for r in records]))
-    steps = np.array([(r.k, s.t, s.h_before, s.h_after, s.step_norm, s.s_dual, s.sub_residual,
-                       s.decrease_pairing, r.lipschitz_g)
-                      for r in records[1:] for s in r.inner_steps], dtype=float)
+    columns = {**trace.columns(), "x": trace.points("x"), "v": trace.points("v")}
+    columns["bregman_vstar"] = np.array([prox.divergence(v, xstar) for v in columns["v"]])
+    steps = np.array([(i, s.t, s.h_before, s.h_after, s.step_norm, s.s_dual, s.sub_residual,
+                       s.decrease_pairing, columns["lipschitz_g"][i])
+                      for i, row in trace.inner_steps.items() if i >= 1 for s in row])
     steps = steps.reshape(-1, len(INNER_STEP_COLUMNS))
     columns["inner_steps"] = {name: steps[:, j] for j, name in enumerate(INNER_STEP_COLUMNS)}
     if schedule is None:

@@ -1,12 +1,14 @@
 """Independent references for the tests: a minimizer of the step objective,
-and the first-order baselines gm and ppa in their callback form.
+the first-order baselines gm and ppa in their callback form, and a
+row-by-row trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
-and the closed-form order-1 step against the minimizer, and the production gm
-and ppa against the baselines.
+and the closed-form order-1 step against the minimizer, the production gm
+and ppa against the baselines, and :meth:`RunTrace.write_csv` against the writer.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from contraprox.baselines import PPA_INNER_CAP
 from contraprox.objectives import QuadraticOracle, SolverError
 from contraprox.tensor_steps import SmoothData, Subproblem, model_objective
-from contraprox.trace import drive
+from contraprox.trace import CSV_COLUMNS, drive
 
 
 def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000):
@@ -179,3 +181,22 @@ def reference_classical_ppa(obj, x0, eps, cap, a_const=None):
                 "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
+
+
+def reference_write_csv(trace, path):
+    """Write a trace as CSV one row at a time, formatting each cell on its own:
+    the int columns with ``str(int(.))`` and the rest with ``repr(float(.))``."""
+    int_columns = {"k", "t_k", "oracle_f", "oracle_g", "oracle_h", "matvec"}
+    header = dict(trace.header)
+    header["status"] = trace.status
+    lines = ["# " + json.dumps(header, sort_keys=True), ",".join(CSV_COLUMNS)]
+    for rec in trace.records:
+        counters = rec.counters
+        row = [rec.k, rec.A, rec.gamma, rec.a, rec.f_value, rec.residual,
+               rec.delta_requested, rec.s_norm, rec.t_inner, counters["oracle_f"],
+               counters["oracle_g"], counters["oracle_h"], counters["matvec"],
+               rec.bregman_step, rec.bregman_vstar]
+        lines.append(",".join(str(int(value)) if name in int_columns else repr(float(value))
+                              for name, value in zip(CSV_COLUMNS, row)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

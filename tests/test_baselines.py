@@ -29,12 +29,12 @@ class TestGradientMethod:
     def test_monotone_descent(self):
         obj = quadratic_instance(20, 2.0, 0)
         tr = gradient_method_ls(obj, np.zeros(20), 1e-7, 10000)
-        f = tr.column("F")
+        f = tr.columns()["F"]
         assert np.all(np.diff(f) <= 1e-12 * np.maximum(np.abs(f[:-1]), 1.0))
 
     def test_geometric_residual_decay_one_dim(self):
         tr = gradient_method_ls(_one_dim(), np.array([1.0]), 1e-12, 200)
-        res = tr.column("residual")
+        res = tr.columns()["residual"]
         res = res[res > 0]
         assert np.all(res[1:] <= res[:-1] * (1 - 1e-6))
 
@@ -103,7 +103,7 @@ class TestClassicalProximalPoint:
     def test_monotone(self):
         obj = quadratic_instance(12, 1.5, 6)
         tr = classical_ppa(obj, np.zeros(12), 1e-7, 5000)
-        f = tr.column("F")
+        f = tr.columns()["F"]
         assert np.all(np.diff(f) <= 1e-10 * np.maximum(np.abs(f[:-1]), 1.0))
 
     def test_each_gradient_is_queried_once(self):
@@ -132,7 +132,7 @@ class TestCubicNewton:
         obj = lse_instance(10, 0.5, 9)
         attach_reference(obj)
         tr = cubic_newton(obj, np.zeros(10), 1e-8, 2000)
-        f = tr.column("F")
+        f = tr.columns()["F"]
         assert np.all(np.diff(f) <= 1e-11 * np.maximum(np.abs(f[:-1]), 1.0))
 
     def test_one_second_order_oracle_call_per_iteration(self):
@@ -183,7 +183,7 @@ def test_baselines_share_counter_semantics():
     for fn in (gradient_method_ls, accelerated_gradient, classical_ppa):
         tr = fn(obj, np.zeros(10), 1e-6, 50000)
         # cumulative counters recorded per iteration and monotone
-        mv = tr.column("matvec")
+        mv = tr.columns()["matvec"]
         assert np.all(np.diff(mv) >= 0)
         assert tr.oracle_total("matvec") == int(mv[-1])
 
@@ -227,6 +227,8 @@ def test_first_order_baseline_is_bitwise_its_reference(q, seed, method, referenc
     ref = reference(_reference_twin(obj), np.zeros(20), 1e-7, 100000)
     assert tr.status == ref.status == "converged"
     assert len(tr.records) == len(ref.records)
+    ref_columns = ref.columns()
+    for name, column in tr.columns().items():
+        assert column.tobytes() == ref_columns[name].tobytes(), name
     for rec, want in zip(tr.records, ref.records):
-        assert np.array(rec.row(), float).tobytes() == np.array(want.row(), float).tobytes()
         assert rec.x.tobytes() == want.x.tobytes()

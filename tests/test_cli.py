@@ -116,3 +116,43 @@ def test_solve_rejects_psi_for_methods_that_cannot_take_it(tmp_path, capsys, mon
     assert main(["solve", *argv, "--sigma", "1e-4", "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"solve: sigma > 0 adds an order-1 psi, which only cptm-p1 and cn take, not {refused}\n")
+
+
+@pytest.mark.parametrize("descriptor", ["{}", "[1]"])
+def test_validate_against_a_malformed_descriptor_is_a_usage_error(tmp_path, capsys, descriptor):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "lse", "--n", "10", "--mu", "1",
+                 "--method", "cptm-p2", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    bad = tmp_path / "descriptor.json"
+    bad.write_text(descriptor)
+    assert main(["validate", "--trace", str(out / "cptm-p2.csv"),
+                 "--instance", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("validate: malformed input: ")
+    assert err.endswith("is a JSON object with problem, n and seed, not " + descriptor + "\n")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["--problem", "lse", "--mu", "1", "--q", "0.5"], "--q"),
+    (["--problem", "lse", "--mu", "1", "--alpha", "2"], "--alpha"),
+    (["--problem", "quadratic", "--q", "0.01", "--mu", "3"], "--mu"),
+    (["--problem", "quadratic", "--q", "0.01", "--mu", "3", "--l2", "9"], "--mu, --l2"),
+])
+def test_solve_refuses_instance_flags_its_problem_ignores(tmp_path, capsys, argv, refused):
+    assert main(["solve", *argv, "--n", "10", "--method", "cn",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+    problem = argv[1]
+    assert capsys.readouterr().err == f"solve: --problem {problem} takes no {refused}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_plain_lse_solve_keeps_its_header(tmp_path):
+    # --l2 defaults to no flag at all, and build_instance's L_2 = 1 fills it in
+    plain, explicit = tmp_path / "plain", tmp_path / "explicit"
+    for out, extra in ((plain, []), (explicit, ["--l2", "1"])):
+        assert main(["solve", "--problem", "lse", "--n", "10", "--mu", "1", "--method", "cn",
+                     *extra, "--out", str(out)]) == EXIT_OK
+    header = (plain / "cn.csv").read_text().splitlines()[0]
+    assert header == (explicit / "cn.csv").read_text().splitlines()[0]
+    assert '"lipschitz_order2": 1.0' in header

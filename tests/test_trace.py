@@ -1,0 +1,166 @@
+import copy
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from contraprox import baselines, contracting
+from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
+from contraprox.trace import CHUNK_ROWS, CSV_COLUMNS, drive
+from tests.step_reference import reference_write_csv
+
+# the quadratic has no order-2 Lipschitz constant, so cptm-p2 runs on lse only
+RUNS = ([("quadratic", m) for m in ("gm", "agm", "ppa", "cptm-p1", "cn", "acn")]
+        + [("lse", m) for m in ("gm", "agm", "ppa", "cptm-p1", "cn", "acn", "cptm-p2")])
+OPTIONAL = ("A", "gamma", "a", "delta_requested", "s_norm", "t_inner", "bregman_step",
+            "bregman_vstar", "lipschitz_g", "M", "ell_mu")
+
+
+def _instance(problem):
+    if problem == "quadratic":
+        return build_instance("quadratic", 12, 0, q=1e-2)
+    return build_instance("lse", 12, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.fixture(scope="module", params=RUNS, ids=["-".join(r) for r in RUNS])
+def recorded(request):
+    """A run's trace and every row its iterates yielded, with x and v copied at
+    yield time and the oracle counters as they stood then."""
+    problem, method = request.param
+    yielded = []
+
+    def tapped_drive(obj, header, eps, cap, iterates):
+        def tap():
+            for f, stop_norm, row in iterates:
+                c = obj.counters
+                yielded.append((f, dict(row, x=row["x"].copy(),
+                                        v=None if row.get("v") is None else row["v"].copy()),
+                                {"oracle_f": c.value, "oracle_g": c.grad,
+                                 "oracle_h": c.hess, "matvec": c.matvec}))
+                yield f, stop_norm, row
+        return drive(obj, header, eps, cap, tap())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "drive", tapped_drive)
+        mp.setattr(contracting, "drive", tapped_drive)
+        obj = _instance(problem)
+        trace = run_method(method, obj, 1e-7)
+    return obj, trace, yielded
+
+
+def test_every_yielded_row_is_stored_bit_for_bit(recorded):
+    obj, trace, yielded = recorded
+    assert len(trace.records) == len(yielded) > 1
+    for k, (rec, (f, row, counters)) in enumerate(zip(trace.records, yielded)):
+        assert rec.k == k
+        assert _bits(rec.f_value) == _bits(f)
+        assert _bits(rec.residual) == _bits(f - obj.fstar)
+        for name in OPTIONAL:
+            want = row.get(name, 0 if name == "t_inner" else math.nan)
+            assert _bits(getattr(rec, name)) == _bits(want), (k, name)
+        assert rec.counters == counters
+        assert rec.x.tobytes() == row["x"].tobytes()
+        if row["v"] is None:
+            assert rec.v is None
+        else:
+            assert rec.v.tobytes() == row["v"].tobytes()
+        assert rec.inner_steps == row.get("inner_steps", [])
+
+
+def test_write_csv_matches_the_row_by_row_writer(recorded, tmp_path):
+    _, trace, _ = recorded
+    trace.write_csv(tmp_path / "columns.csv")
+    reference_write_csv(trace, tmp_path / "rows.csv")
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert len(written.splitlines()) == 2 + len(trace.records)
+
+
+@pytest.fixture(scope="module")
+def cptm():
+    trace = run_method("cptm-p1", build_instance("quadratic", 12, 0, q=1e-2), 1e-7)
+    assert len(trace.records) > CHUNK_ROWS + 1
+    return trace
+
+
+def test_records_is_a_sequence_of_row_views(cptm):
+    records = cptm.records
+    n = len(records)
+    assert [rec.k for rec in records] == list(range(n))
+    assert records[-1].k == cptm.final.k == cptm.iterations == n - 1
+    assert records[-n].k == 0 and [rec.k for rec in records[1:4]] == [1, 2, 3]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+    assert cptm.columns()["A_k"].tobytes() == np.array([rec.A for rec in records]).tobytes()
+    assert cptm.oracle_total("matvec") == records[-1].counters["matvec"]
+
+
+@pytest.mark.parametrize("i", [CHUNK_ROWS - 1, CHUNK_ROWS])
+def test_writes_through_a_view_land_in_the_blocks(cptm, i):
+    trace = copy.deepcopy(cptm)
+    rec = trace.records[i]
+    x, v = rec.x + 1.0, rec.v - 1.0
+    rec.A, rec.t_inner = 7.5, 42
+    rec.x, rec.v = x, v
+    again = trace.records[i]
+    assert (again.A, again.t_inner) == (7.5, 42)
+    assert trace.columns()["A_k"][i] == 7.5 and trace.columns()["t_k"][i] == 42
+    assert again.x.tobytes() == x.tobytes() == trace.points("x")[i].tobytes()
+    assert again.v.tobytes() == v.tobytes() == trace.points("v")[i].tobytes()
+    for j in (i - 1, i + 1):
+        assert trace.records[j].x.tobytes() == cptm.records[j].x.tobytes()
+        assert trace.records[j].A == cptm.records[j].A
+
+
+def test_a_deepcopy_is_independent_of_its_original(cptm):
+    before = (cptm.records[5].A, cptm.records[5].x.copy(), cptm.records[5].v.copy(),
+              cptm.records[5].inner_steps[0].h_after)
+    clone = copy.deepcopy(cptm)
+    rec = clone.records[5]
+    rec.A *= 10
+    rec.x += 1.0
+    rec.v = rec.v + 1.0
+    rec.inner_steps[0].h_after += 1.0
+    original = cptm.records[5]
+    assert original.A == before[0] and original.inner_steps[0].h_after == before[3]
+    assert original.x.tobytes() == before[1].tobytes()
+    assert original.v.tobytes() == before[2].tobytes()
+
+
+def test_rows_without_v_read_none():
+    obj = build_instance("lse", 12, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+    acn = run_method("acn", obj, 1e-7)
+    assert acn.records[0].v is None
+    assert all(rec.v is not None for rec in acn.records[1:])
+    assert acn.points("v")[0] is None
+    gm = run_method("gm", obj, 1e-7)
+    assert all(rec.v is None for rec in gm.records)
+
+
+def test_counters_and_int_fields_read_as_int(cptm):
+    for rec in (cptm.records[0], cptm.records[-1]):
+        assert all(type(value) is int for value in rec.counters.values())
+        assert type(rec.k) is int and type(rec.t_inner) is int
+    assert list(cptm.records[0].counters) == CSV_COLUMNS[9:13]
+
+
+def test_a_row_holds_its_x_and_scalars_and_little_else():
+    # gm keeps no v and no inner steps: 8n bytes of x and 19 float64 per row
+    n = 100
+    obj = build_instance("quadratic", n, 1, q=1e-4)
+    run_method("gm", build_instance("quadratic", 20, 0, q=1e-2), 1e-7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_method("gm", obj, 1e-7, cap_outer=200000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 7788
+    assert held / len(trace.records) <= 1.15 * (8 * n + 160)
