@@ -39,8 +39,7 @@ import math
 import numpy as np
 
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import (CompositePart, ContractedSmooth, Subproblem, step_subgradient,
-                           tensor_step)
+from .tensor_steps import ContractedSmooth, Subproblem, step_subgradient, tensor_step
 from .trace import drive
 
 CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
@@ -207,8 +206,7 @@ def _cubic_subproblem(obj):
     bitwise the oracle in value, gradient and Hessian.
     """
     smooth = ContractedSmooth(obj.smooth, 1.0, 1.0, np.zeros(obj.dim), 0.0)
-    return Subproblem(p=2, metric=obj.metric, smooth=smooth,
-                      composite=CompositePart(obj.simple, 1.0, 0.0, None, None), M=CUBIC_REG)
+    return Subproblem(2, obj.metric, smooth, CUBIC_REG, obj.simple, weight=1.0)
 
 
 def cubic_newton(obj: CompositeObjective, x0, eps, cap):
@@ -229,11 +227,10 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
             grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
             yield data.value + obj.simple.value(z), grad_norm, row
             data.hess = sub.smooth.hess(data.x)
-            step = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
-            z = step.point
+            z, residual, _ = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
             base, data = data, sub.smooth.data(z)
             s = step_subgradient(sub, base, data.grad, z)
-            row = {"s_norm": metric.dual_norm(s) + step.sub_residual, "t_inner": 1, "x": z}
+            row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}
 
     return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
 
@@ -276,8 +273,8 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             y = (A * x + a * v) / A_next
             base = sub.smooth.data(y)
             base.hess = sub.smooth.hess(y)
-            step = tensor_step(sub, base, inner_tol=max(eps * 1e-2, 1e-13))
-            x, A = step.point, A_next
+            x, _, _ = tensor_step(sub, base, inner_tol=max(eps * 1e-2, 1e-13))
+            A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g
             gn = metric.dual_norm(g)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bregman import ProxFunction
 from .objectives import CompositeObjective
-from .tensor_steps import CompositePart, ContractedSmooth, Subproblem, inner_loop
+from .tensor_steps import ContractedSmooth, Subproblem, inner_loop
 from .trace import drive
 
 
@@ -331,11 +331,9 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
             residual_term = A * (f - fstar) if fstar is not None else math.nan
             A_next = A + a
             smooth = ContractedSmooth(obj.smooth, a, A_next, x, A)
-            composite = CompositePart(obj.simple, a, gamma, prox, v)
             lipschitz_g = smooth.lipschitz(p)
             gamma_next = gamma + a * sigma_simple
-            sub = Subproblem(p=p, metric=obj.metric, smooth=smooth, composite=composite,
-                             M=p * lipschitz_g)
+            sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox, v)
             if cap_inner is not None:
                 cap = cap_inner
             elif xstar is None or not math.isfinite(residual_term):

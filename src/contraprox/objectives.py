@@ -256,10 +256,10 @@ class CompositeObjective:
         return CompositeObjective(smooth, self.simple, self.metric,
                                   self.fstar, self.xstar, dict(self.descriptor))
 
-    def with_simple(self, simple, fstar=None, xstar=None):
-        desc = dict(self.descriptor)
-        obj = CompositeObjective(self.smooth, simple, self.metric, fstar, xstar, desc)
-        return obj.fresh()
+    def with_simple(self, simple):
+        """A fresh copy with psi replaced, and no f* or x*: both move with psi."""
+        return CompositeObjective(self.smooth, simple, self.metric,
+                                  descriptor=self.descriptor).fresh()
 
 
 def sigmoid_spectrum(n, alpha):

@@ -4,15 +4,16 @@ One inner iteration minimizes
     Omega_p(g, x; y) + M/(p+1)! * ||y - x||^{p+1} + phi(y)
 over y, where g is the contracted smooth part (the cubic baselines run f
 itself, contracted with a = A_next = 1 and A_prev = 0) and phi is one list of
-B-norm power terms on the power prox (:class:`CompositePart`, ``bregman``):
-weight*psi with psi = sigma*d, and gamma times a Bregman divergence, whose
-linear part rides with its term.  phi's value and gradient, the order-1 closed
-form and the Newton Hessian loop over that list, so the step dispatches on p
-alone: a p = 1 step is a closed-form linear solve, and a p = 2 step, cptm's and
-the cubic baselines' alike, is damped Newton (:func:`minimize_model_newton`) on
-``smooth.data(x)`` and ``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus
-one rank-one term per power term assembled and factored in one F-ordered
-buffer; :class:`Subproblem` rejects what neither solves.
+B-norm power terms on the power prox (``bregman``): weight*psi with
+psi = sigma*d, and gamma times a Bregman divergence, whose linear part rides
+with its term.  :class:`Subproblem` holds g, phi and M and rejects what no step
+solves; phi, the order-1 closed form and the Newton Hessian loop over phi's
+list, so the step dispatches on p alone: a p = 1 step is a closed-form linear
+solve, and a p = 2 step, cptm's and the cubic baselines' alike, is damped
+Newton (:func:`minimize_model_newton`) on ``smooth.data(x)`` and
+``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus one rank-one term per
+power term assembled in one F-ordered buffer.  A step returns (point, residual,
+iterations).
 :func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
 reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
@@ -20,7 +21,7 @@ reference no solver calls; the descent reference is in ``tests/step_reference.py
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -96,16 +97,22 @@ class ContractedSmooth:
         return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
 
 
-class CompositePart:
-    """phi(y) = weight*psi(y) + gamma * divergence(anchor; y), as one list of power terms.
+class Subproblem:
+    """One regularized inner subproblem h = g + phi with its step constant M.
 
-    ``terms`` holds (name, c, d, anchor, d(anchor), grad d(anchor)) for each term
-    c*(d(y) - d(anchor) - <grad d(anchor), y - anchor>) with c > 0: psi = sigma*d
-    first, as c = weight*sigma and no anchor (plain c*d), then the divergence with
-    c = gamma.  A psi that is neither zero nor a :class:`PowerRegularizer` raises.
+    phi(y) = weight*psi(y) + gamma * divergence(anchor; y) is one list of power
+    terms: ``terms`` holds (name, c, d, anchor, d(anchor), grad d(anchor)) for
+    each term c*(d(y) - d(anchor) - <grad d(anchor), y - anchor>) with c > 0,
+    psi = sigma*d first, as c = weight*sigma and no anchor (plain c*d), then the
+    divergence with c = gamma.  The contracting solver sets M = p * L_p(g),
+    which keeps the step subproblem convex at every order; the cubic baselines
+    run g = f with a fixed M.  Building one raises ``ValueError`` unless psi is
+    zero or a :class:`PowerRegularizer`, p is 1 or 2 and each term is built on
+    a :class:`PowerProx` on ``metric``, of order 1 when p = 1.
     """
 
-    def __init__(self, psi, weight, gamma, prox: ProxFunction | None, anchor):
+    def __init__(self, p, metric: Metric, smooth: ContractedSmooth, M, psi, weight=0.0,
+                 gamma=0.0, prox: ProxFunction | None = None, anchor=None):
         if gamma < 0 or weight < 0:
             raise ValueError("weight and gamma must be nonnegative")
         if gamma > 0 and prox is None:
@@ -119,8 +126,17 @@ class CompositePart:
             anchor = np.asarray(anchor, dtype=float)
             self.terms.append(("the divergence term", float(gamma), prox, anchor,
                                prox.value(anchor), prox.gradient(anchor)))
+        if p not in (1, 2):
+            raise ValueError("only orders 1 and 2 are runnable")
+        for part, _, d, *_ in self.terms:
+            if not (isinstance(d, PowerProx) and d.metric is metric):
+                raise ValueError(f"{part} is not built on a PowerProx on the step's metric")
+            if p == 1 and d.order != 1:
+                raise ValueError(f"{part} has order {d.order}; an order-1 step needs 1")
+        self.p, self.metric, self.smooth, self.M = p, metric, smooth, M
 
-    def value(self, y):
+    def phi_value(self, y):
+        """phi(y) alone, bitwise :meth:`phi`'s value."""
         out = 0.0
         for _, c, d, anchor, d_anchor, grad_anchor in self.terms:
             v = d.value(y)
@@ -129,8 +145,8 @@ class CompositePart:
             out += c * v
         return out
 
-    def evaluate(self, y):
-        """(phi(y), grad phi(y), terms) of an array y; the value is :meth:`value`'s bitwise.
+    def phi(self, y):
+        """(phi(y), grad phi(y), terms) of an array y.
 
         Each term c*||y - center||^{q+1}/(q+1) comes as (c, q, r, Bw), w = y - center.
         """
@@ -142,14 +158,6 @@ class CompositePart:
             val, grad = val + c * v, grad + c * g
             terms.append((c, d.order, r, Bw))
         return val, grad, terms
-
-    def gradient(self, y):
-        """grad phi(y), bitwise :meth:`evaluate`'s, without its value and terms."""
-        grad = np.zeros_like(y)
-        for _, c, d, anchor, _, grad_anchor in self.terms:
-            g = d.gradient(y)
-            grad = grad + c * (g if anchor is None else g - grad_anchor)
-        return grad
 
     def affine_terms(self):
         """(total curvature coefficient, B-weighted center combination) of grad phi.
@@ -164,52 +172,19 @@ class CompositePart:
         return coeff, combo
 
 
-@dataclass
-class Subproblem:
-    """One regularized inner subproblem h = g + phi with its step constant M.
-
-    The contracting solver sets M = p * L_p(g), which keeps the step
-    subproblem convex at every order; the cubic baselines run g = f with a
-    fixed M.  Building one raises ``ValueError`` unless p is 1 or 2 and each
-    of phi's terms is built on a :class:`PowerProx` on ``metric``, of order 1
-    when p = 1 (a psi no step solves was rejected by :class:`CompositePart`).
-    """
-
-    p: int
-    metric: Metric
-    smooth: ContractedSmooth
-    composite: CompositePart
-    M: float
-
-    def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError("only orders 1 and 2 are runnable")
-        for part, _, d, *_ in self.composite.terms:
-            if not (isinstance(d, PowerProx) and d.metric is self.metric):
-                raise ValueError(f"{part} is not built on a PowerProx on the step's metric")
-            if self.p == 1 and d.order != 1:
-                raise ValueError(f"{part} has order {d.order}; an order-1 step needs 1")
-
-    def h_value_from(self, data: SmoothData):
-        return data.value + self.composite.value(data.x)
-
-    def h_grad_from(self, data: SmoothData):
-        return data.grad + self.composite.gradient(data.x)
-
-
 def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):
     """(value relative to the step base, gradient, terms) of the step objective at y.
 
     The value omits the model's base constant and ``phi_base`` (phi at the
     step base, for callers that compare values) so that line searches compare
     quantities of the size of the actual progress, not of A*f.  ``terms`` are
-    the power terms as :meth:`CompositePart.evaluate` gives them, regularizer first.
+    the power terms as :meth:`Subproblem.phi` gives them, regularizer first.
     """
     y = np.asarray(y, dtype=float)
     u = y - base.x
     r, Bu, c = sub.metric.norm(u), sub.metric.apply(u), sub.M / math.factorial(sub.p)
     mval, mgrad = base.model_increment(y)
-    phi, phi_grad, terms = sub.composite.evaluate(y)
+    phi, phi_grad, terms = sub.phi(y)
     val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + phi - phi_base
     # c * r^0 is c exactly, so p = 1 gives step_subgradient's M * B u bitwise
     grad = mgrad + c * r ** (sub.p - 1) * Bu + phi_grad
@@ -243,7 +218,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
     the best point, as a failed line search does.  Returns (y, residual, iters).
     """
     y = np.asarray(y0, dtype=float).copy()
-    phi_base = sub.composite.value(base.x)
+    phi_base = sub.phi_value(base.x)
     val, grad, terms = model_objective(sub, base, y, phi_base)
     H = np.empty((y.size, y.size), order="F")
     best_y, best_res, stalled = y, math.inf, 0
@@ -294,7 +269,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
 
 def _closed_form_order1(sub: Subproblem, base: SmoothData):
     # M*B(T-x) + grad g(x) + [affine grad phi](T) = 0  =>  one B-solve
-    coeff, combo = sub.composite.affine_terms()
+    coeff, combo = sub.affine_terms()
     denom = sub.M + coeff
     if denom <= 0:
         raise ValueError("step subproblem is unbounded: M and phi curvature are both zero")
@@ -353,13 +328,6 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     return base.x + step
 
 
-@dataclass
-class StepResult:
-    point: np.ndarray
-    sub_residual: float
-    sub_iterations: int = 0
-
-
 def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
     """Minimize the order-p regularized model around ``base``.
 
@@ -368,14 +336,15 @@ def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
     gradient norm is at most ``inner_tol``.  The model is ``base``'s, so
     ``base.hess`` must be set exactly when p = 2; a subproblem neither can
     solve was already rejected when it was built (see :class:`Subproblem`).
+    Returns (point, sub-minimizer residual, Newton iterations), (T, 0.0, 0) at p = 1.
     """
     if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
     if (base.hess is not None) != (sub.p == 2):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
     if sub.p == 1:
-        return StepResult(_closed_form_order1(sub, base), 0.0, 0)
-    return StepResult(*minimize_model_newton(sub, base, base.x, inner_tol))
+        return _closed_form_order1(sub, base), 0.0, 0
+    return minimize_model_newton(sub, base, base.x, inner_tol)
 
 
 def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):
@@ -413,17 +382,13 @@ class InnerStepRecord:
 @dataclass
 class InnerResult:
     point: np.ndarray
-    subgradient: np.ndarray
     s_norm: float
     iterations: int
-    steps: list = field(default_factory=list)
-    h_final: float = math.nan
+    steps: list
 
 
 class InnerLoopError(SolverError):
-    def __init__(self, message, last_norm):
-        super().__init__(message)
-        self.last_norm = last_norm
+    """The inner loop hit its step cap before a delta-small subgradient."""
 
 
 def inner_loop(sub: Subproblem, z0, delta, cap):
@@ -442,37 +407,29 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
         raise ValueError("delta must be positive")
     sub_tol = delta / 10.0
     data = sub.smooth.data(z0)
-    s0 = sub.h_grad_from(data)
-    s0_norm = sub.metric.dual_norm(s0)
-    h_prev = sub.h_value_from(data)
-    if s0_norm <= delta:
-        return InnerResult(np.asarray(z0, float).copy(), s0, s0_norm, 0, h_final=h_prev)
-    z = np.asarray(z0, dtype=float).copy()
-    records = []
-    last_norm = s0_norm
+    phi0, phi_grad0, _ = sub.phi(data.x)
+    s_norm = sub.metric.dual_norm(data.grad + phi_grad0)
+    if s_norm <= delta:
+        return InnerResult(data.x, s_norm, 0, [])
+    z, h_prev, records = data.x, data.value + phi0, []
     for t in range(1, max(int(cap), 1) + 1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        step = tensor_step(sub, data, sub_tol)
-        T = step.point
+        T, residual, iterations = tensor_step(sub, data, sub_tol)
         data_T = sub.smooth.data(T)
         s = step_subgradient(sub, data, data_T.grad, T)
         s_dual = sub.metric.dual_norm(s)
-        s_norm = s_dual + step.sub_residual
-        h_T = sub.h_value_from(data_T)
+        s_norm = s_dual + residual
+        h_T = data_T.value + sub.phi_value(data_T.x)
         records.append(InnerStepRecord(
             t=t, h_before=h_prev, h_after=h_T,
             step_norm=sub.metric.norm(T - z), s_norm=s_norm, s_dual=s_dual,
-            sub_residual=step.sub_residual,
-            decrease_pairing=float(s.dot(z - T)),
-            sub_iterations=step.sub_iterations,
+            sub_residual=residual, decrease_pairing=float(s.dot(z - T)),
+            sub_iterations=iterations,
         ))
-        z, data, h_prev, last_norm = T, data_T, h_T, s_norm
+        z, data, h_prev = T, data_T, h_T
         if s_norm <= delta:
-            return InnerResult(z, s, s_norm, t, records, h_final=h_prev)
+            return InnerResult(z, s_norm, t, records)
     raise InnerLoopError(
         f"inner loop hit its cap of {cap} steps (last certified norm "
-        f"{last_norm:.3e}, target {delta:.3e}); check the Lipschitz estimate",
-        last_norm,
-    )
-
+        f"{s_norm:.3e}, target {delta:.3e}); check the Lipschitz estimate")

@@ -155,12 +155,18 @@ def _check(header, columns, fstar, schedule):
 def validate_trace(trace, prox, xstar, fstar, schedule=None):
     """Replay every certified inequality along an in-memory trace.
 
-    Needs the true optimum; divergences to x* are recomputed from the
-    recorded iterates, so the check does not trust the run's own numbers.
+    Needs the true optimum (``ValueError`` without f* or a finite x* of the
+    trace's dimension); divergences to x* are recomputed from the recorded
+    iterates, so the check does not trust the run's own numbers.
     ``schedule`` defaults to the one the header describes.
     """
-    xstar = np.asarray(xstar, dtype=float)
+    missing = " and ".join(name for name, value in (("x*", xstar), ("f*", fstar)) if value is None)
+    if missing:
+        raise ValueError(f"validate_trace needs the optimum, but {missing} not given")
     columns = {**trace.columns(), "x": trace.points("x"), "v": trace.points("v")}
+    xstar, n = np.asarray(xstar, dtype=float), columns["x"][0].size
+    if xstar.shape != (n,) or not np.isfinite(xstar).all():
+        raise ValueError(f"x* must be a finite vector of the trace's dimension {n}")
     columns["bregman_vstar"] = np.array([prox.divergence(v, xstar) for v in columns["v"]])
     steps = np.array([(i, s.t, s.h_before, s.h_after, s.step_norm, s.s_dual, s.sub_residual,
                        s.decrease_pairing, columns["lipschitz_g"][i])

@@ -1,6 +1,7 @@
-"""Independent references for the tests: a minimizer of the step objective,
-the first-order baselines gm and ppa in their callback form, and a
-row-by-row trace writer.
+"""Independent references for the tests: a minimizer of a :class:`Subproblem`'s
+step objective (through ``model_objective`` and ``Subproblem.phi_value``, as
+the Newton step evaluates it), the first-order baselines gm and ppa in their
+callback form, and a row-by-row trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
 and the closed-form order-1 step against the minimizer, the production gm
@@ -30,7 +31,7 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
     :func:`minimize_model_newton` and the closed-form steps.
     """
     y = np.asarray(y0, dtype=float).copy()
-    phi_base = sub.composite.value(base.x)
+    phi_base = sub.phi_value(base.x)
     val, grad, _ = model_objective(sub, base, y, phi_base)
     precond = sub.metric.solve(grad)
     sq = float(grad @ precond)

@@ -21,9 +21,8 @@ from contraprox.contracting import (SublinearSchedule, complexity_convex,
 from contraprox.metric import Metric
 from contraprox.objectives import (CompositeObjective, PowerRegularizer,
                                    QuadraticOracle, SolverError, ZeroComponent,
-                                   attach_reference, lse_instance,
-                                   power_regularizer_component, quadratic_instance,
-                                   reference_optimum)
+                                   attach_reference, power_regularizer_component,
+                                   quadratic_instance)
 from contraprox.tensor_steps import InnerLoopError
 
 

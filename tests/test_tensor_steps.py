@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from contraprox.bregman import PowerProx, ProxFunction, power_hessian
 from contraprox.contracting import (SublinearSchedule, run_contracting_proximal,
                                     schedule_convex)
 from contraprox.metric import Metric
-from contraprox.objectives import (CompositeObjective, LogSumExpOracle,
-                                   PowerRegularizer, QuadraticOracle,
-                                   ZeroComponent, lse_instance, quadratic_instance)
-from contraprox.tensor_steps import (CompositePart, ContractedSmooth,
-                                     InnerLoopError, SmoothData, Subproblem,
+from contraprox.objectives import (PowerRegularizer, QuadraticOracle, ZeroComponent,
+                                   lse_instance, quadratic_instance)
+from contraprox.tensor_steps import (ContractedSmooth, InnerLoopError, SmoothData, Subproblem,
                                      assemble_step_hessian, cholesky_solve,
                                      cubic_step_single_center,
                                      inner_loop, minimize_model_newton,
@@ -34,10 +33,6 @@ def _quadratic_oracle(rng, n, lam_min=0.2, lam_max=1.0):
     return QuadraticOracle(A, rng.standard_normal(n), lam_max=lam_max)
 
 
-def _empty_composite(n):
-    return CompositePart(ZeroComponent(n), 0.0, 0.0, None, None)
-
-
 def _plain(oracle):
     """f itself: the part contracted with a = A_next = 1 and A_prev = 0."""
     return ContractedSmooth(oracle, 1.0, 1.0, np.zeros(oracle.dim), 0.0)
@@ -49,6 +44,12 @@ def _data(smooth, x, p):
     if p == 2:
         data.hess = smooth.hess(x)
     return data
+
+
+def _h(sub, z):
+    """h(z) = g(z) + phi(z)."""
+    data = sub.smooth.data(z)
+    return data.value + sub.phi_value(data.x)
 
 
 class TestTaylorModel:
@@ -112,14 +113,14 @@ class TestTaylorModel:
 
 class TestTensorStep:
     def test_one_dimensional_gradient_step(self):
-        # g(y)=y^2/2, x=1, M=1, p=1, no composite part: T = 1 - g'(1)/M = 0
+        # g(y)=y^2/2, x=1, M=1, p=1, phi = 0: T = 1 - g'(1)/M = 0
         oracle = QuadraticOracle(np.array([[1.0]]), np.zeros(1), lam_max=1.0)
-        sub = Subproblem(p=1, metric=Metric.identity(1),
-                         smooth=_plain(oracle), composite=_empty_composite(1), M=1.0)
+        sub = Subproblem(p=1, metric=Metric.identity(1), smooth=_plain(oracle), M=1.0,
+                         psi=ZeroComponent(1))
         base = sub.smooth.data(np.array([1.0]))
-        res = tensor_step(sub, base, 1e-12)
-        assert res.point[0] == pytest.approx(0.0, abs=1e-14)
-        assert res.sub_residual == 0.0
+        point, residual, iterations = tensor_step(sub, base, 1e-12)
+        assert point[0] == pytest.approx(0.0, abs=1e-14)
+        assert residual == 0.0 and iterations == 0
 
     def test_linear_smooth_with_divergence_term(self):
         # g linear (M=0), phi = gamma * order-1 divergence: T = v - B^{-1} grad / gamma
@@ -131,12 +132,11 @@ class TestTensorStep:
         oracle = QuadraticOracle(np.zeros((n, n)), -c, lam_max=0.0)
         gamma, v = 2.5, rng.standard_normal(n)
         prox = PowerProx(1, np.zeros(n), metric)
-        sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle),
-                         composite=CompositePart(ZeroComponent(n), 0.0, gamma, prox, v),
-                         M=0.0)
+        sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=0.0,
+                         psi=ZeroComponent(n), gamma=gamma, prox=prox, anchor=v)
         base = sub.smooth.data(rng.standard_normal(n))
-        res = tensor_step(sub, base, 1e-12)
-        np.testing.assert_allclose(res.point, v - metric.solve(c) / gamma,
+        point, _, _ = tensor_step(sub, base, 1e-12)
+        np.testing.assert_allclose(point, v - metric.solve(c) / gamma,
                                    rtol=1e-10, atol=1e-12)
 
     def test_cubic_dual_matches_iterative_minimizers(self):
@@ -144,8 +144,7 @@ class TestTensorStep:
         n = 5
         oracle = _quadratic_oracle(rng, n)
         metric = Metric.identity(n)
-        sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle),
-                         composite=_empty_composite(n), M=1.5)
+        sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=1.5, psi=ZeroComponent(n))
         x = rng.standard_normal(n)
         base = _data(sub.smooth, x, 2)
         direct = cubic_step_single_center(base, 1.5, metric)
@@ -161,12 +160,11 @@ class TestTensorStep:
         oracle = _quadratic_oracle(rng, n)
         G = rng.standard_normal((n, n))
         metric = Metric(G @ G.T + 0.5 * np.eye(n))
-        sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle),
-                         composite=_empty_composite(n), M=M)
+        sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=M, psi=ZeroComponent(n))
         base = _data(sub.smooth, rng.standard_normal(n), 2)
-        step = tensor_step(sub, base, 1e-13)
-        assert step.sub_iterations >= 1 and step.sub_residual <= 1e-13
-        np.testing.assert_allclose(step.point, cubic_step_single_center(base, M, metric),
+        point, residual, iterations = tensor_step(sub, base, 1e-13)
+        assert iterations >= 1 and residual <= 1e-13
+        np.testing.assert_allclose(point, cubic_step_single_center(base, M, metric),
                                    rtol=1e-9, atol=1e-12)
 
     def test_cubic_baseline_step_runs_newton(self):
@@ -177,15 +175,15 @@ class TestTensorStep:
         sub = _cubic_subproblem(obj.fresh())
         base = _data(sub.smooth, np.zeros(20), 2)
         inner_tol = 1e-9
-        step = tensor_step(sub, base, inner_tol)
-        assert step.sub_iterations >= 1
-        assert step.sub_residual <= inner_tol
+        _, residual, iterations = tensor_step(sub, base, inner_tol)
+        assert iterations >= 1
+        assert residual <= inner_tol
 
     @pytest.mark.parametrize("p, with_hess", [(1, True), (2, False)])
     def test_hessian_data_must_match_the_order(self, p, with_hess):
         rng = np.random.default_rng(11)
         sub = Subproblem(p=p, metric=Metric.identity(4), smooth=_plain(_quadratic_oracle(rng, 4)),
-                         composite=_empty_composite(4), M=1.0)
+                         M=1.0, psi=ZeroComponent(4))
         base = _data(sub.smooth, rng.standard_normal(4), 2 if with_hess else 1)
         with pytest.raises(ValueError, match="order-2 step"):
             tensor_step(sub, base, 1e-10)
@@ -199,13 +197,11 @@ class TestTensorStep:
             prox = PowerProx(1, np.zeros(n), metric)
             gamma = 1.0 + rng.uniform(0, 1)
             v = rng.standard_normal(n)
-            sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle),
-                             composite=CompositePart(ZeroComponent(n), 0.0, gamma,
-                                                     prox, v),
-                             M=1.0)
+            sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
+                             psi=ZeroComponent(n), gamma=gamma, prox=prox, anchor=v)
             x = rng.standard_normal(n)
             base = sub.smooth.data(x)
-            closed = tensor_step(sub, base, 1e-13).point
+            closed, _, _ = tensor_step(sub, base, 1e-13)
             iterative, _, _ = minimize_model_descent(sub, base, x, 1e-12)
             np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9)
 
@@ -281,8 +277,8 @@ class TestUnsolvableSubproblemsAreRejected:
             p = 3
         smooth = _plain(_quadratic_oracle(np.random.default_rng(0), n))
         with pytest.raises(ValueError, match=message):
-            Subproblem(p=p, metric=metric, smooth=smooth,
-                       composite=CompositePart(psi, 1.0, 1.0, prox, np.ones(n)), M=1.0)
+            Subproblem(p=p, metric=metric, smooth=smooth, M=1.0, psi=psi, weight=1.0,
+                       gamma=1.0, prox=prox, anchor=np.ones(n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -299,14 +295,13 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
                               rng.uniform(2.0, 5.0), rng.standard_normal(n),
                               rng.uniform(0.0, 2.0))
     psi = PowerRegularizer(sigma, PowerProx(1, rng.standard_normal(n), metric))
-    composite = CompositePart(psi, weight, gamma, PowerProx(1, rng.standard_normal(n), metric),
-                              rng.standard_normal(n))
-    sub = Subproblem(p=1, metric=metric, smooth=smooth, composite=composite, M=M)
+    sub = Subproblem(1, metric, smooth, M, psi, weight, gamma,
+                     PowerProx(1, rng.standard_normal(n), metric), rng.standard_normal(n))
     base = smooth.data(rng.standard_normal(n))
-    T = tensor_step(sub, base, 1e-12).point
+    T, _, _ = tensor_step(sub, base, 1e-12)
     _, grad, _ = model_objective(sub, base, T)
     # the gradient is the sum of these three; its scale is theirs
-    pieces = (base.grad, M * metric.apply(T - base.x), composite.evaluate(T)[1])
+    pieces = (base.grad, M * metric.apply(T - base.x), sub.phi(T)[1])
     scale = sum(metric.dual_norm(piece) for piece in pieces)
     assert metric.dual_norm(grad) <= 1e-9 * scale
 
@@ -317,20 +312,22 @@ _PHI = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
 
 
 def _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order):
-    """phi on a random SPD metric, with random centers and anchor; a random point; the metric."""
+    """An order-2 subproblem whose phi is on a random SPD metric, with random centers
+    and anchor; a random point; the metric."""
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     metric = Metric(G @ G.T + 0.1 * np.eye(n))
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
     prox = PowerProx(div_order, rng.standard_normal(n), metric)
-    composite = CompositePart(psi, weight, gamma, prox, rng.standard_normal(n))
-    return composite, rng.standard_normal(n), metric
+    smooth = _plain(QuadraticOracle(np.eye(n), np.zeros(n), lam_max=1.0))
+    sub = Subproblem(2, metric, smooth, 1.0, psi, weight, gamma, prox, rng.standard_normal(n))
+    return sub, rng.standard_normal(n), metric
 
 
-def _phi_scale(composite, y):
+def _phi_scale(sub, y):
     """Sum over the terms of c times the size of each piece of its value."""
     scale = 0.0
-    for _, c, d, anchor, d_anchor, grad_anchor in composite.terms:
+    for _, c, d, anchor, d_anchor, grad_anchor in sub.terms:
         linear = 0.0 if anchor is None else np.abs(grad_anchor).sum() * np.abs(y - anchor).max()
         scale += c * (abs(d.value(y)) + abs(d_anchor) + linear)
     return scale
@@ -339,44 +336,43 @@ def _phi_scale(composite, y):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
 def test_phi_terms_follow_the_inputs(n, seed, gamma, weight, sigma, div_order, psi_order):
-    composite, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    sub, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
     # psi first, then the divergence term; a zero coefficient leaves its term out
-    assert [(name, c) for name, c, *_ in composite.terms] == (
+    assert [(name, c) for name, c, *_ in sub.terms] == (
         [("psi", weight * sigma)] if weight > 0 else []) + (
         [("the divergence term", gamma)] if gamma > 0 else [])
-    value, grad, terms = composite.evaluate(y)
-    assert composite.value(y) == value
-    assert np.array_equal(composite.gradient(y), grad)
-    assert [(c, q) for c, q, _, _ in terms] == [(c, d.order) for _, c, d, *_ in composite.terms]
+    value, _, terms = sub.phi(y)
+    assert sub.phi_value(y) == value
+    assert [(c, q) for c, q, _, _ in terms] == [(c, d.order) for _, c, d, *_ in sub.terms]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(div_order=st.integers(1, 2), psi_order=st.integers(1, 2), **_PHI)
 def test_phi_gradient_matches_central_differences(n, seed, gamma, weight, sigma, div_order,
                                                  psi_order):
-    composite, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
-    grad = composite.evaluate(y)[1]
+    sub, y, _ = _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order)
+    grad = sub.phi(y)[1]
     h = 1e-6
-    fd = np.array([(composite.value(y + h * e) - composite.value(y - h * e)) / (2 * h)
+    fd = np.array([(sub.phi_value(y + h * e) - sub.phi_value(y - h * e)) / (2 * h)
                    for e in np.eye(n)])
-    assert np.abs(fd - grad).max() <= 1e-6 * (1.0 + np.abs(grad).max() + _phi_scale(composite, y))
+    assert np.abs(fd - grad).max() <= 1e-6 * (1.0 + np.abs(grad).max() + _phi_scale(sub, y))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**_PHI)
 def test_order1_phi_gradient_is_affine(n, seed, gamma, weight, sigma):
-    composite, y, metric = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
-    coeff, combo = composite.affine_terms()
+    sub, y, metric = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
+    coeff, combo = sub.affine_terms()
     B = metric.matrix
-    assert coeff == sum(c for _, c, *_ in composite.terms)
+    assert coeff == sum(c for _, c, *_ in sub.terms)
     affine = B @ (coeff * y - combo)
     scale = np.abs(B).max() * (coeff * np.abs(y).max() + np.abs(combo).max())
-    assert np.abs(composite.evaluate(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
+    assert np.abs(sub.phi(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
 
 
-def _divergence(composite):
+def _divergence(sub):
     """(gamma, anchor) of phi's divergence term."""
-    (_, gamma, _, anchor, *_), = [t for t in composite.terms if t[0] == "the divergence term"]
+    (_, gamma, _, anchor, *_), = [t for t in sub.terms if t[0] == "the divergence term"]
     return gamma, anchor
 
 
@@ -386,34 +382,62 @@ class TestStepSubgradient:
         metric = Metric.identity(n)
         prox = PowerProx(1, np.zeros(n), metric)
         v = rng.standard_normal(n)
-        sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle),
-                         composite=CompositePart(ZeroComponent(n), 0.0, gamma, prox, v),
-                         M=1.0)
-        return sub
+        return Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
+                          psi=ZeroComponent(n), gamma=gamma, prox=prox, anchor=v)
 
     def test_small_norm_at_exact_minimizer(self):
         rng = np.random.default_rng(10)
         sub = self._subproblem(rng)
         x = rng.standard_normal(4)
         base = sub.smooth.data(x)
-        res = tensor_step(sub, base, 1e-13)
-        data_T = sub.smooth.data(res.point)
-        s = step_subgradient(sub, base, data_T.grad, res.point)
+        T, _, _ = tensor_step(sub, base, 1e-13)
+        data_T = sub.smooth.data(T)
+        s = step_subgradient(sub, base, data_T.grad, T)
         # the step solved its subproblem exactly, so s equals grad h(T)
-        direct = sub.h_grad_from(data_T)
+        direct = data_T.grad + sub.phi(T)[1]
         np.testing.assert_allclose(s, direct, rtol=1e-10, atol=1e-10)
 
-    def test_two_evaluations_agree_on_quadratic(self):
-        rng = np.random.default_rng(11)
-        sub = self._subproblem(rng)
-        x = rng.standard_normal(4)
-        base = sub.smooth.data(x)
-        # even away from the exact step the decomposition matches grad h up to
-        # the step regularizer's residual structure at the true minimizer
-        res = tensor_step(sub, base, 1e-13)
-        data_T = sub.smooth.data(res.point)
-        s = step_subgradient(sub, base, data_T.grad, res.point)
-        assert sub.metric.dual_norm(s - sub.h_grad_from(data_T)) <= 1e-10
+    @staticmethod
+    def _assert_certifies_grad_h(sub, base, inner_tol):
+        # grad h(T) = s + the step objective's gradient at T, whose dual norm is
+        # the residual the step returns: ||s||_* + residual bounds ||grad h(T)||_*,
+        # so the s_norm an inner step reports is a valid delta-certificate
+        T, residual, _ = tensor_step(sub, base, inner_tol)
+        data_T = sub.smooth.data(T)
+        s = step_subgradient(sub, base, data_T.grad, T)
+        dual = sub.metric.dual_norm
+        grad_h = dual(data_T.grad + sub.phi(T)[1])
+        assert grad_h <= dual(s) + residual + 1e-12 * max(1.0, dual(data_T.grad))
+
+    @pytest.mark.parametrize("inner_tol", [1e-1, 1e-3, 1e-6, 1e-10])
+    def test_certificate_bounds_grad_h_for_inexact_order2_steps(self, inner_tol):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n, mu = int(rng.integers(2, 13)), float(rng.choice([1.0, 0.1, 0.03]))
+            obj = lse_instance(n, mu, int(rng.integers(1000)), lipschitz_order2=2.0 / mu ** 2)
+            a, A_prev = rng.uniform(0.1, 2.0), rng.uniform(0.0, 3.0)
+            smooth = ContractedSmooth(obj.smooth, a, A_prev + a, rng.standard_normal(n), A_prev)
+            sub = Subproblem(2, obj.metric, smooth, 2 * smooth.lipschitz(2), ZeroComponent(n),
+                             a, rng.uniform(0.01, 10.0), PowerProx(2, np.zeros(n), obj.metric),
+                             rng.standard_normal(n))
+            self._assert_certifies_grad_h(sub, _data(smooth, rng.standard_normal(n), 2),
+                                          inner_tol)
+
+    def test_certificate_bounds_grad_h_for_order1_steps_in_a_b_metric(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            G = rng.standard_normal((n, n))
+            metric = Metric(G @ G.T + 0.1 * np.eye(n))
+            smooth = ContractedSmooth(_quadratic_oracle(rng, n), rng.uniform(0.1, 2.0),
+                                      rng.uniform(2.0, 5.0), rng.standard_normal(n),
+                                      rng.uniform(0.0, 2.0))
+            psi = PowerRegularizer(rng.uniform(0.01, 1.0),
+                                   PowerProx(1, rng.standard_normal(n), metric))
+            sub = Subproblem(1, metric, smooth, smooth.lipschitz(1), psi, rng.uniform(0.0, 2.0),
+                             rng.uniform(0.01, 10.0), PowerProx(1, np.zeros(n), metric),
+                             rng.standard_normal(n))
+            self._assert_certifies_grad_h(sub, smooth.data(rng.standard_normal(n)), 1e-12)
 
 
 class TestInnerLoop:
@@ -423,28 +447,27 @@ class TestInnerLoop:
         prox = PowerProx(1, np.zeros(n), metric)
         gamma = gamma_factor * 1.0
         v = rng.standard_normal(n)
-        return Subproblem(p=1, metric=metric, smooth=_plain(oracle),
-                          composite=CompositePart(ZeroComponent(n), 0.0, gamma,
-                                                  prox, v),
-                          M=1.0)
+        return Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
+                          psi=ZeroComponent(n), gamma=gamma, prox=prox, anchor=v)
 
     def test_stationary_start_returns_immediately(self):
         rng = np.random.default_rng(12)
         sub = self._strongly_convex_subproblem(rng)
         base = sub.smooth.data(np.zeros(5))
-        z0 = tensor_step(sub, base, 1e-13).point
+        start, _, _ = tensor_step(sub, base, 1e-13)
         # one more polish step puts the subgradient well under a loose delta
-        res = inner_loop(sub, z0, 1.0, cap=10)
+        res = inner_loop(sub, start, 1.0, cap=10)
         if res.iterations:
-            res = inner_loop(sub, res.point, 1.0, cap=10)
-        assert res.iterations == 0
-        np.testing.assert_array_equal(res.point, res.point)
+            start = res.point
+            res = inner_loop(sub, start, 1.0, cap=10)
+        assert res.iterations == 0 and res.steps == []
+        np.testing.assert_array_equal(res.point, start)
 
     def test_geometric_gradient_decrease(self):
         # certified rate: per-step ratio of gradient norms at most e^{-alpha*/2}
         rng = np.random.default_rng(13)
         sub = self._strongly_convex_subproblem(rng, gamma_factor=2.0)
-        alpha_star = min(1.0, _divergence(sub.composite)[0] / (2.0 * sub.smooth.lipschitz(1)))
+        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
         bound = math.exp(-alpha_star * 0.5)
         res = inner_loop(sub, rng.standard_normal(5) * 3, 1e-9, cap=200)
         norms = [step.s_dual for step in res.steps]
@@ -477,9 +500,10 @@ class TestInnerLoop:
     def test_cap_exceeded_raises_with_diagnostic(self):
         rng = np.random.default_rng(17)
         sub = self._strongly_convex_subproblem(rng)
-        with pytest.raises(InnerLoopError) as err:
+        with pytest.raises(InnerLoopError, match="cap of 1 steps") as err:
             inner_loop(sub, rng.standard_normal(5) * 10, 1e-13, cap=1)
-        assert err.value.last_norm > 1e-13
+        last_norm = re.search(r"last certified norm (\S+),", str(err.value)).group(1)
+        assert float(last_norm) > 1e-13
 
     def test_envelope_bound_order1(self):
         # gradient norms stay under the certified envelope built from h(z0)-h*
@@ -489,13 +513,11 @@ class TestInnerLoop:
         # exact minimum of the quadratic h by linear algebra
         A = sub.smooth.oracle.matrix
         b = sub.smooth.oracle.rhs
-        gamma, v = _divergence(sub.composite)
+        gamma, v = _divergence(sub)
         zstar = np.linalg.solve(A + gamma * np.eye(5), b + gamma * v)
-        data0 = sub.smooth.data(z0)
-        h0 = sub.h_value_from(data0)
-        hstar = sub.h_value_from(sub.smooth.data(zstar))
+        h0, hstar = _h(sub, z0), _h(sub, zstar)
         res = inner_loop(sub, z0, 1e-10, cap=500)
-        alpha_star = min(1.0, _divergence(sub.composite)[0] / (2.0 * sub.smooth.lipschitz(1)))
+        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
         lead = 2.0 * sub.smooth.lipschitz(1)
         for t in range(len(res.steps) - 1):
             lhs = res.steps[t + 1].s_dual ** 2
@@ -530,9 +552,8 @@ class TestInnerLoopOrder2:
         gamma = 1.0
         v = rng.standard_normal(n) * 0.3
         L_g = smooth.lipschitz(2)
-        return Subproblem(p=2, metric=obj.metric, smooth=smooth,
-                          composite=CompositePart(ZeroComponent(n), a, gamma, prox, v),
-                          M=2 * L_g)
+        return Subproblem(p=2, metric=obj.metric, smooth=smooth, M=2 * L_g,
+                          psi=ZeroComponent(n), weight=a, gamma=gamma, prox=prox, anchor=v)
 
     def test_monotone_and_progress_order2(self):
         rng = np.random.default_rng(19)
@@ -565,11 +586,10 @@ class TestInnerLoopOrder2:
         rng = np.random.default_rng(20)
         sub = self._lse_subproblem(rng)
         z0 = rng.standard_normal(6) * 0.3
-        tight = inner_loop(sub, z0, 1e-12, cap=500)
-        hstar = tight.h_final
-        h0 = sub.h_value_from(sub.smooth.data(z0))
+        hstar = _h(sub, inner_loop(sub, z0, 1e-12, cap=500).point)
+        h0 = _h(sub, z0)
         res = inner_loop(sub, z0, 1e-9, cap=500)
-        sigma_h = _divergence(sub.composite)[0] * 0.5  # degree-3 uniform convexity constant
+        sigma_h = _divergence(sub)[0] * 0.5  # degree-3 uniform convexity constant
         L_g = sub.smooth.lipschitz(2)
         alpha_star = min(1.0, (math.factorial(2) * sigma_h / (3.0 * L_g)) ** 0.5)
         lead = (3.0 * L_g / 2.0) ** 0.5
@@ -585,10 +605,8 @@ def test_model_objective_consistent_with_pieces():
     oracle = _quadratic_oracle(rng, n)
     metric = Metric.identity(n)
     prox = PowerProx(2, np.zeros(n), metric)
-    sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle),
-                     composite=CompositePart(ZeroComponent(n), 0.3, 1.2, prox,
-                                             rng.standard_normal(n)),
-                     M=2.0)
+    sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=2.0, psi=ZeroComponent(n),
+                     weight=0.3, gamma=1.2, prox=prox, anchor=rng.standard_normal(n))
     x = rng.standard_normal(n)
     base = _data(sub.smooth, x, 2)
     y = rng.standard_normal(n)
@@ -607,8 +625,8 @@ class TestNewtonSolve:
     def _cubic_model(A, b):
         n = len(b)
         sub = Subproblem(p=2, metric=Metric.identity(n),
-                         smooth=_plain(QuadraticOracle(A, b, lam_max=1.0)),
-                         composite=_empty_composite(n), M=1.0)
+                         smooth=_plain(QuadraticOracle(A, b, lam_max=1.0)), M=1.0,
+                         psi=ZeroComponent(n))
         return sub, _data(sub.smooth, np.zeros(n), 2)
 
     def test_cholesky_solve_equals_scipy(self):
@@ -626,8 +644,8 @@ class TestNewtonSolve:
         A[0, 1] = A[1, 0] = np.nan
         b = np.ones(3)
         sub = Subproblem(p=2, metric=Metric.identity(3),
-                         smooth=_plain(QuadraticOracle(A, b, lam_max=1.0)),
-                         composite=_empty_composite(3), M=1.0)
+                         smooth=_plain(QuadraticOracle(A, b, lam_max=1.0)), M=1.0,
+                         psi=ZeroComponent(3))
         # the model at 0 of 1/2 <Ax, x> - <b, x>, built directly because
         # smooth.data rejects the NaN gradient an oracle query returns
         model = SmoothData(np.zeros(3), 0.0, -b, A)
@@ -726,9 +744,8 @@ def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
     prox, gamma = None, 0.0
     if div_order is not None:
         prox, gamma = PowerProx(div_order, rng.standard_normal(n), metric), 0.9
-    return Subproblem(p=p, metric=metric, smooth=smooth,
-                      composite=CompositePart(psi, weight, gamma, prox, rng.standard_normal(n)),
-                      M=M), (psi, weight, gamma, prox)
+    return Subproblem(p, metric, smooth, M, psi, weight, gamma, prox,
+                      rng.standard_normal(n)), (psi, weight, gamma, prox)
 
 
 @pytest.mark.parametrize("spd", [False, True])
@@ -776,11 +793,10 @@ def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_ord
     C = rng.standard_normal((n, min(rank, n)))
     smooth = _plain(QuadraticOracle(C @ C.T, rng.standard_normal(n), lam_max=1.0))
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
-    composite = CompositePart(psi, weight, gamma, PowerProx(div_order, rng.standard_normal(n),
-                                                            metric), rng.standard_normal(n))
-    sub = Subproblem(p=2, metric=metric, smooth=smooth, composite=composite, M=M)
+    sub = Subproblem(2, metric, smooth, M, psi, weight, gamma,
+                     PowerProx(div_order, rng.standard_normal(n), metric), rng.standard_normal(n))
     base = _data(smooth, rng.standard_normal(n), 2)
     inner_tol = 1e-9 * (1.0 + metric.dual_norm(base.grad))
-    result = tensor_step(sub, base, inner_tol)
-    assert result.sub_residual <= inner_tol
-    assert model_objective(sub, base, result.point)[0] <= model_objective(sub, base, base.x)[0]
+    point, residual, _ = tensor_step(sub, base, inner_tol)
+    assert residual <= inner_tol
+    assert model_objective(sub, base, point)[0] <= model_objective(sub, base, base.x)[0]

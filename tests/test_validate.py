@@ -1,4 +1,5 @@
 import copy
+import re
 from collections import Counter
 
 import numpy as np
@@ -75,6 +76,28 @@ def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path
     key = lambda c: (c.name, c.k, c.passed, c.margin)
     assert (Counter(key(c) for c in from_file.checks)
             == Counter(key(c) for c in memory.checks if c.name in OUTER_CHECKS))
+
+
+@pytest.mark.parametrize("missing", ["x*", "f*", "x* and f*"])
+def test_a_missing_optimum_is_refused(honest, missing):
+    # a None x* used to make every D(v_k; x*) NaN, which skipped the outer
+    # certificate and the inner budget and still reported ok; a None f* with
+    # x* given ended in a TypeError
+    obj, trace, prox, schedule = honest
+    xstar = None if "x*" in missing else obj.xstar
+    fstar = None if "f*" in missing else obj.fstar
+    with pytest.raises(ValueError, match=re.escape(f"but {missing} not given")):
+        validate_trace(trace, prox, xstar, fstar, schedule)
+
+
+@pytest.mark.parametrize("xstar", [np.zeros(19), np.zeros((20, 1)), np.full(20, np.nan),
+                                   np.r_[np.zeros(19), np.inf]],
+                         ids=["short", "column", "nan", "inf"])
+def test_an_optimum_that_is_not_a_finite_vector_of_the_trace_dimension_is_refused(honest,
+                                                                                   xstar):
+    obj, trace, prox, schedule = honest
+    with pytest.raises(ValueError, match="finite vector of the trace's dimension 20"):
+        validate_trace(trace, prox, xstar, obj.fstar, schedule)
 
 
 def test_moved_point_fails_contraction_combination(honest):
