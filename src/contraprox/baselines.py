@@ -213,11 +213,13 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """Cubic-regularized Newton: iterated order-2 regularized model steps on F.
 
     The cubic coefficient M is ``CUBIC_REG`` (practical default 1).  One
-    first-order query per iterate, and a Hessian only at a step's base.
+    first-order query per iterate, and a Hessian only at a step's base.  The
+    step's tolerance is eps/100, floored at 1e-13, and the floor when eps is None.
     """
     obj = obj.fresh()
     metric = obj.metric
     sub = _cubic_subproblem(obj)
+    inner_tol = 1e-13 if eps is None else max(eps * 1e-2, 1e-13)
 
     def iterates():
         z = np.asarray(x0, dtype=float).copy()
@@ -227,7 +229,7 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
             grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
             yield data.value + obj.simple.value(z), grad_norm, row
             data.hess = sub.smooth.hess(data.x)
-            z, residual, _ = tensor_step(sub, data, inner_tol=max(eps * 1e-2, 1e-13))
+            z, residual, _ = tensor_step(sub, data, inner_tol)
             base, data = data, sub.smooth.data(z)
             s = step_subgradient(sub, base, data.grad, z)
             row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}
@@ -245,13 +247,15 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
     iteration, a first-order query and a Hessian at the look-ahead point and
     a first-order query at the new iterate; the start x0 gets the same
     first-order query, so every row records s_norm = ||grad f(x_k)||_* and the
-    run stops on the gradient norm when f* is unknown.
+    run stops on the gradient norm when f* is unknown.  The step's tolerance is
+    that of :func:`cubic_newton`.
     """
     if not obj.simple.is_zero:
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
     sub = _cubic_subproblem(obj)
+    inner_tol = 1e-13 if eps is None else max(eps * 1e-2, 1e-13)
 
     def iterates():
         x_anchor = np.asarray(x0, dtype=float).copy()
@@ -273,7 +277,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             y = (A * x + a * v) / A_next
             base = sub.smooth.data(y)
             base.hess = sub.smooth.hess(y)
-            x, _, _ = tensor_step(sub, base, inner_tol=max(eps * 1e-2, 1e-13))
+            x, _, _ = tensor_step(sub, base, inner_tol)
             A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g

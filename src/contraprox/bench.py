@@ -11,6 +11,7 @@ and ``solve_experiment`` is the one loop that runs methods on an instance.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 
@@ -43,6 +44,11 @@ _BASELINE_FUNCTIONS = {"gm": "gradient_method_ls", "agm": "accelerated_gradient"
 # and it is what the benchmark's certify workload runs.
 BENCH_LSE_LIPSCHITZ2 = 0.005
 
+# Largest lse mu an instance may have: x* lies at a distance of order mu from
+# x0, and the order-2 steps and the degree-3 prox cube such distances, which
+# must stay far inside the float range (at mu = 1e100 cn's step overflows).
+LSE_MU_MAX = 1e50
+
 
 # The keywords of build_instance that a descriptor records; the rest of a
 # descriptor (lambda_min, m, fstar, ...) is derived from them.
@@ -55,16 +61,24 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
 
     sigma > 0 adds psi = sigma * ||x||^2 / 2 in the instance's metric and
     records sigma in the descriptor.  The quadratic's closed-form optimum
-    comes with it, so only the other instances solve for theirs.
+    comes with it, so only the other instances solve for theirs.  A parameter
+    that is not finite, a negative sigma, a nonpositive alpha, mu or
+    lipschitz_order2, a mu above ``LSE_MU_MAX`` and a q that no steepness
+    alpha gives are refused with a ``ValueError`` that names it.
     """
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
+    for name, value in (("sigma", sigma), ("alpha", alpha), ("mu", mu),
+                        ("lipschitz_order2", lipschitz_order2)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
+        if value is not None and (value < 0 or (value == 0 and name != "sigma")):
+            raise ValueError(f"{name} must be {'nonnegative' if name == 'sigma' else 'positive'}")
+    if mu is not None and mu > LSE_MU_MAX:
+        raise ValueError(f"mu must be at most {LSE_MU_MAX:g}, not {mu!r}")
     if problem == "quadratic":
-        if alpha is None:
-            if q is None:
-                raise ValueError("quadratic instances need q or alpha")
-            alpha = alpha_for_condition_ratio(q)
-        obj = quadratic_instance(n, alpha, seed)
+        if q is None and alpha is None:
+            raise ValueError("quadratic instances need q or alpha")
+        alpha_q = alpha_for_condition_ratio(q) if q is not None else None
+        obj = quadratic_instance(n, alpha_q if alpha is None else alpha, seed)
         if q is not None:
             obj.descriptor["q"] = float(q)
     elif problem == "lse":

@@ -244,10 +244,15 @@ def order_dependence(p):
     return _convex_accuracy_and_count(p, 1.0, 1.0, 1.0, 1.0)
 
 
+def _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform):
+    """(ell, mu): the inner problem's smoothness and uniform convexity, as p-th roots."""
+    return (((p + 1) * lipschitz_g / math.factorial(p)) ** (1.0 / p),
+            (gamma_next * sigma_uniform) ** (1.0 / p))
+
+
 def inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform):
     """ell/mu, the condition ratio that prices one inner solve."""
-    ell = ((p + 1) * lipschitz_g / math.factorial(p)) ** (1.0 / p)
-    mu = (gamma_next * sigma_uniform) ** (1.0 / p)
+    ell, mu = _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
     return ell / mu
 
 
@@ -258,8 +263,7 @@ def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delt
     ``residual_term`` is A_k (F(x_k) - f*) and ``div`` the divergence from v_k
     to x*; with gamma_k they bound the inner problem's initial gap D.
     """
-    ell = ((p + 1) * lipschitz_g / math.factorial(p)) ** (1.0 / p)
-    mu = (gamma_next * sigma_uniform) ** (1.0 / p)
+    ell, mu = _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
     D = residual_term + gamma * div + (ell / mu) ** p * div
     if D <= 0 or delta <= 0:
         return 2.0
@@ -270,8 +274,6 @@ def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delt
 
 INNER_FLOOR = 200    # per-iteration inner cap when the sufficient-step bound is not computable
 INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, as a multiple of that bound
-
-
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
@@ -342,17 +344,17 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
                 bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform,
                                               delta, residual_term, prox.divergence(v, xstar))
                 cap = max(int(math.ceil(INNER_SLACK * bound)), 8)
-            result = inner_loop(sub, v, delta, cap)
-            x = contraction_point(a, A, result.point, x)
-            k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, result.point
+            point, s_norm, steps = inner_loop(sub, v, delta, cap)
+            x = contraction_point(a, A, point, x)
+            k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, point
             f = obj.value(x)
-            acc += _certificate_terms(p, gamma0, sigma_simple, result.s_norm, A)
+            acc += _certificate_terms(p, gamma0, sigma_simple, s_norm, A)
             yield f, certified_residual, {
                 "A": A, "gamma": gamma, "a": a, "delta_requested": delta,
-                "s_norm": result.s_norm, "t_inner": result.iterations,
+                "s_norm": s_norm, "t_inner": len(steps),
                 "bregman_step": prox.divergence(v_prev, v),
                 "bregman_vstar": divergence_to_xstar(v),
-                "x": x, "v": v, "inner_steps": result.steps,
+                "x": x, "v": v, "steps": steps,
                 "lipschitz_g": lipschitz_g, "M": sub.M,
                 "ell_mu": inner_condition_ratio(p, lipschitz_g, gamma, sigma_uniform)}
 

@@ -273,14 +273,15 @@ def sigmoid_spectrum(n, alpha):
 
 
 def alpha_for_condition_ratio(q):
-    """Solve lambda_min/lambda_max = q for the spectrum's steepness alpha."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("condition ratio must lie in (0, 1)")
+    """Solve lambda_min/lambda_max = q for the spectrum's steepness alpha in [1e-12, 80]."""
+    def ratio(alpha):
+        return (1.0 + math.exp(-alpha)) / (1.0 + math.exp(alpha))
 
-    def ratio_gap(alpha):
-        return (1.0 + math.exp(-alpha)) / (1.0 + math.exp(alpha)) - q
-
-    return float(scipy.optimize.brentq(ratio_gap, 1e-12, 80.0, xtol=1e-15, rtol=8.9e-16))
+    if not ratio(80.0) < q < ratio(1e-12):
+        raise ValueError(f"condition ratio q must lie in ({ratio(80.0):.3g}, "
+                         f"{ratio(1e-12)!r}), not {q!r}")
+    return float(scipy.optimize.brentq(lambda alpha: ratio(alpha) - q, 1e-12, 80.0,
+                                       xtol=1e-15, rtol=8.9e-16))
 
 
 def quadratic_instance(n, alpha, seed):

@@ -364,29 +364,6 @@ def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):
     return grad_g_at_T - model_grad - reg_grad
 
 
-@dataclass
-class InnerStepRecord:
-    """One accepted inner step, with everything the lemma-level checks need."""
-
-    t: int
-    h_before: float
-    h_after: float
-    step_norm: float
-    s_norm: float
-    s_dual: float
-    sub_residual: float
-    decrease_pairing: float
-    sub_iterations: int = 0
-
-
-@dataclass
-class InnerResult:
-    point: np.ndarray
-    s_norm: float
-    iterations: int
-    steps: list
-
-
 class InnerLoopError(SolverError):
     """The inner loop hit its step cap before a delta-small subgradient."""
 
@@ -394,14 +371,16 @@ class InnerLoopError(SolverError):
 def inner_loop(sub: Subproblem, z0, delta, cap):
     """Iterate regularized model steps until a subgradient of h is delta-small.
 
-    The dual norm reported per iterate is conservative: the sub-minimizer's
-    own residual is added to the extracted subgradient's norm.  Each iterate
-    costs one first-order query (shared between the stopping test and the
-    next model), and each step taken at order p >= 2 one Hessian at its
-    base, so the exit point and a start point that already meets delta are
-    never charged a Hessian.  Raises :class:`InnerLoopError` past ``cap``
-    steps, which in a correctly configured run means the Lipschitz estimate
-    is wrong.
+    Returns (point, certified dual norm, steps), one row per step with the
+    fields of ``trace.STEP_FIELDS`` after k: (t, h(z), h(T), ||T - z||,
+    ||s||_*, sub-minimizer residual, <s, z - T>).  The dual norm reported per
+    iterate is conservative: the sub-minimizer's own residual is added to the
+    extracted subgradient's norm.  Each iterate costs one first-order query
+    (shared between the stopping test and the next model), and each step
+    taken at order p >= 2 one Hessian at its base, so the exit point and a
+    start point that already meets delta (no steps) are never charged a
+    Hessian.  Raises :class:`InnerLoopError` past ``cap`` steps, which in a
+    correctly configured run means the Lipschitz estimate is wrong.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -410,26 +389,22 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     phi0, phi_grad0, _ = sub.phi(data.x)
     s_norm = sub.metric.dual_norm(data.grad + phi_grad0)
     if s_norm <= delta:
-        return InnerResult(data.x, s_norm, 0, [])
-    z, h_prev, records = data.x, data.value + phi0, []
+        return data.x, s_norm, []
+    z, h_prev, steps = data.x, data.value + phi0, []
     for t in range(1, max(int(cap), 1) + 1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        T, residual, iterations = tensor_step(sub, data, sub_tol)
+        T, residual, _ = tensor_step(sub, data, sub_tol)
         data_T = sub.smooth.data(T)
         s = step_subgradient(sub, data, data_T.grad, T)
         s_dual = sub.metric.dual_norm(s)
         s_norm = s_dual + residual
         h_T = data_T.value + sub.phi_value(data_T.x)
-        records.append(InnerStepRecord(
-            t=t, h_before=h_prev, h_after=h_T,
-            step_norm=sub.metric.norm(T - z), s_norm=s_norm, s_dual=s_dual,
-            sub_residual=residual, decrease_pairing=float(s.dot(z - T)),
-            sub_iterations=iterations,
-        ))
+        steps.append((t, h_prev, h_T, sub.metric.norm(T - z), s_dual, residual,
+                      float(s.dot(z - T))))
         z, data, h_prev = T, data_T, h_T
         if s_norm <= delta:
-            return InnerResult(z, s_norm, t, records)
+            return z, s_norm, steps
     raise InnerLoopError(
         f"inner loop hit its cap of {cap} steps (last certified norm "
         f"{s_norm:.3e}, target {delta:.3e}); check the Lipschitz estimate")

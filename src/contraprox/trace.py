@@ -4,7 +4,7 @@ A trace is one solver run: a JSON header (instance descriptor, schedule,
 seeds, solver knobs) plus one row per outer iteration.  Serialized traces
 are CSV files whose first line is ``# <json header>``; the column order is
 fixed so files from different methods stay comparable.  In-memory traces
-additionally keep iterate points and per-inner-step records, which the
+additionally keep iterate points and one table of every inner step, which the
 lemma-level validator needs but the wire format does not carry.
 
 In memory a row is 19 float64 scalars (the CSV columns, ``lipschitz_g``, ``M``,
@@ -45,6 +45,9 @@ FIELDS = ("k", "A", "gamma", "a", "f_value", "residual", "delta_requested", "s_n
 _COLUMN = {name: j for j, name in enumerate(FIELDS)}
 _INT = [name in ("k", "t_inner", *FIELDS[9:13]) for name in FIELDS]
 CHUNK_ROWS = 64
+STEP_FIELDS = ("k", "t", "h_before", "h_after", "step_norm", "s_dual", "sub_residual",
+               "decrease_pairing")
+_STEP_DTYPE = [(name, np.int64 if name in ("k", "t") else float) for name in STEP_FIELDS]
 
 
 class IterationRecord:
@@ -63,8 +66,6 @@ class IterationRecord:
             return (int if _INT[_COLUMN[name]] else float)(row[_COLUMN[name]])
         if name == "counters":
             return {key: int(row[_COLUMN[key]]) for key in FIELDS[9:13]}
-        if name == "inner_steps":
-            return trace.inner_steps.get(self._i, [])
         if name in ("x", "v"):
             return trace._blocks[name][c][j] if name == "x" or row[-1] else None
         raise AttributeError(name)
@@ -82,11 +83,11 @@ class IterationRecord:
 
 
 class RunTrace(Sequence):
-    """One run: header, status, rows as a sequence of views, inner steps by row."""
+    """One run: header, status, rows as a sequence of views, and its inner steps."""
 
     def __init__(self, header):
-        self.header, self.status, self.size, self.inner_steps = header, "running", 0, {}
-        self._blocks = {"scalars": [], "x": [], "v": []}
+        self.header, self.status, self.size = header, "running", 0
+        self._blocks, self._step_rows, self._steps = {"scalars": [], "x": [], "v": []}, [], None
 
     def __len__(self):
         return self.size
@@ -96,7 +97,7 @@ class RunTrace(Sequence):
             return [self[j] for j in range(*i.indices(self.size))]
         return IterationRecord(self, range(self.size)[i])
 
-    def _append(self, scalars, x, v, inner_steps):
+    def _append(self, scalars, x, v, steps):
         c, j = divmod(self.size, CHUNK_ROWS)
         if j == 0:
             self._blocks["scalars"].append(np.empty((CHUNK_ROWS, len(FIELDS))))
@@ -106,8 +107,8 @@ class RunTrace(Sequence):
         self._blocks["x"][c][j] = x
         if v is not None:
             IterationRecord(self, self.size).v = v
-        if inner_steps:
-            self.inner_steps[self.size] = inner_steps
+        if steps:
+            self._step_rows += [(self.size, *step) for step in steps]
         self.size += 1
 
     @property
@@ -117,6 +118,15 @@ class RunTrace(Sequence):
     @property
     def final(self):
         return self[-1]
+
+    @property
+    def steps(self):
+        """Every inner step, sorted by (k, t), as one record array with fields
+        :data:`STEP_FIELDS`; built from the stored rows on first read, so
+        writes to it persist until ``drive`` adds a step."""
+        if self._steps is None or len(self._steps) < len(self._step_rows):
+            self._steps = np.rec.fromrecords(self._step_rows, dtype=_STEP_DTYPE)
+        return self._steps
 
     def columns(self):
         """The CSV columns, ``lipschitz_g``, ``M``, ``ell_mu`` and ``has_v`` by name (copies)."""
@@ -156,7 +166,8 @@ def drive(obj, header, eps, cap, iterates):
     ``iterates`` yields ``(F(x_k), stop_norm, row)`` for k = 0, 1, ...: row k
     is recorded with the counters as they stand when it is yielded, and
     fields missing from ``row`` are NaN (``t_inner`` 0).  Every row carries
-    ``x``; ``v`` and ``inner_steps`` are optional.  ``header`` names
+    ``x``; ``v`` and ``steps`` (the step rows of ``inner_loop``, which join
+    ``RunTrace.steps`` under k) are optional.  ``header`` names
     the method and its settings; eps, cap, the instance and f* are added.
     A non-finite F(x_k), or ``s_norm`` where a row has one, raises
     :class:`SolverError` at once, so a NaN or a divergence never spins to the cap.
@@ -182,7 +193,7 @@ def drive(obj, header, eps, cap, iterates):
                        get("delta_requested", nan), get("s_norm", nan), get("t_inner", 0),
                        c.value, c.grad, c.hess, c.matvec, get("bregman_step", nan),
                        get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
-                       get("ell_mu", nan)), row["x"], get("v"), get("inner_steps"))
+                       get("ell_mu", nan)), row["x"], get("v"), get("steps"))
         if eps is not None and (
                 (residual <= eps) if fstar is not None else (stop_norm() <= eps)):
             trace.status = "converged"

@@ -6,10 +6,10 @@ the body replays the outer residual-plus-divergence certificate, the
 telescoped proximal coefficients, the coefficient-schedule growth envelopes
 and the requested inner accuracy.  An in-memory trace adds, from its
 blocks, the iterates x and v as views, the columns ``ell_mu`` and
-``lipschitz_g``, D(v_k; x*) recomputed per row and a flat table of inner
-steps, and the body then also replays the inner condition ratio, the
-inner iteration budget, per-step descent and gradient progress of the inner
-method, and the contraction combination that makes x_{k+1}.
+``lipschitz_g``, D(v_k; x*) recomputed per row and the table of inner steps,
+``RunTrace.steps``, and the body then also replays the inner condition ratio,
+the inner iteration budget, per-step descent and gradient progress of the
+inner method, and the contraction combination that makes x_{k+1}.
 
 Each check is one array expression over its rows, except the inner budget
 (the scalar :func:`inner_iteration_bound` per iteration) and the contraction
@@ -31,8 +31,6 @@ from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
 
 CHECK_DTYPE = [("name", object), ("k", np.int64), ("t", np.int64), ("passed", bool),
                ("margin", float)]
-INNER_STEP_COLUMNS = ("k", "t", "h_before", "h_after", "step_norm", "s_dual",
-                      "sub_residual", "decrease_pairing", "L")
 
 
 @dataclass
@@ -127,23 +125,22 @@ def _check(header, columns, fstar, schedule):
             A_all[i - 1] * (F[i - 1] - fstar), div[i - 1]) for i in budgeted])
         t_k = columns["t_k"][budgeted]
         parts.append(_rows("inner_budget", columns["k"][budgeted], t_k <= budget, budget - t_k))
-        steps = columns["inner_steps"]
-        h_before, h_after = steps["h_before"], steps["h_after"]
-        scale = np.maximum(np.maximum(np.abs(h_before), np.abs(h_after)), 1.0)
-        parts.append(_rows("inner_descent", steps["k"], h_after <= h_before + 1e-10 * scale,
-                           (h_before - h_after) / scale, steps["t"]))
+        steps = columns["steps"]
+        scale = np.maximum(np.maximum(np.abs(steps.h_before), np.abs(steps.h_after)), 1.0)
+        parts.append(_rows("inner_descent", steps.k,
+                           steps.h_after <= steps.h_before + 1e-10 * scale,
+                           (steps.h_before - steps.h_after) / scale, steps.t))
         # the sub-minimizer residual perturbs the extracted subgradient, so the
         # gradient progress allows a residual-proportional slack on top of round-off;
         # a step whose L is not a positive number passes with margin 0
-        L = steps["L"]
+        L = columns["lipschitz_g"][steps.k]
         proper = np.isfinite(L) & (L > 0)
         coef = (math.factorial(p) / ((p + 1) * np.where(proper, L, 1.0))) ** (1.0 / p)
-        rhs = coef * steps["s_dual"] ** ((p + 1.0) / p)
-        allowance = (steps["sub_residual"] * steps["step_norm"]
-                     + 1e-9 * np.maximum(np.abs(rhs), 1.0))
-        progress = steps["decrease_pairing"] + allowance
-        parts.append(_rows("inner_gradient_progress", steps["k"], ~proper | (progress >= rhs),
-                           np.where(proper, progress - rhs, 0.0), steps["t"]))
+        rhs = coef * steps.s_dual ** ((p + 1.0) / p)
+        allowance = steps.sub_residual * steps.step_norm + 1e-9 * np.maximum(np.abs(rhs), 1.0)
+        progress = steps.decrease_pairing + allowance
+        parts.append(_rows("inner_gradient_progress", steps.k, ~proper | (progress >= rhs),
+                           np.where(proper, progress - rhs, 0.0), steps.t))
         # x_{k+1} is exactly the recorded combination (a v_{k+1} + A_k x_k) / A_{k+1}
         x, v, a = columns["x"], columns["v"], columns["a_k"]
         err = np.array([np.max(np.abs((a[i] * v[i] + A_all[i - 1] * x[i - 1]) / A_all[i] - x[i]))
@@ -157,8 +154,9 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None):
 
     Needs the true optimum (``ValueError`` without f* or a finite x* of the
     trace's dimension); divergences to x* are recomputed from the recorded
-    iterates, so the check does not trust the run's own numbers.
-    ``schedule`` defaults to the one the header describes.
+    iterates, so the check does not trust the run's own numbers.  The
+    per-step checks read ``trace.steps`` as it stands, each step with its
+    row's L.  ``schedule`` defaults to the one the header describes.
     """
     missing = " and ".join(name for name, value in (("x*", xstar), ("f*", fstar)) if value is None)
     if missing:
@@ -168,11 +166,7 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None):
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"x* must be a finite vector of the trace's dimension {n}")
     columns["bregman_vstar"] = np.array([prox.divergence(v, xstar) for v in columns["v"]])
-    steps = np.array([(i, s.t, s.h_before, s.h_after, s.step_norm, s.s_dual, s.sub_residual,
-                       s.decrease_pairing, columns["lipschitz_g"][i])
-                      for i, row in trace.inner_steps.items() if i >= 1 for s in row])
-    steps = steps.reshape(-1, len(INNER_STEP_COLUMNS))
-    columns["inner_steps"] = {name: steps[:, j] for j, name in enumerate(INNER_STEP_COLUMNS)}
+    columns["steps"] = trace.steps
     if schedule is None:
         schedule = _header_schedule(trace.header)
     return _check(trace.header, columns, fstar, schedule)

@@ -188,6 +188,14 @@ def test_baselines_share_counter_semantics():
         assert tr.oracle_total("matvec") == int(mv[-1])
 
 
+@pytest.mark.parametrize("method", [cubic_newton, accelerated_cubic_newton])
+def test_cubic_methods_run_to_the_cap_without_eps(method):
+    # eps=None is drive's run-to-cap mode; the cubic step then takes the 1e-13 floor
+    obj = attach_reference(lse_instance(8, 1.0, 0))
+    tr = method(obj, np.zeros(8), None, 5)
+    assert tr.status == "cap" and tr.iterations == 5 and tr.header["eps"] is None
+
+
 @pytest.mark.parametrize("method", [accelerated_gradient, classical_ppa])
 def test_first_order_methods_stop_on_gradient_norm_when_optimum_unknown(method):
     obj = quadratic_instance(10, 1.0, 12)

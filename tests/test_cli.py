@@ -82,6 +82,37 @@ def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith("solve: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "quadratic", "--q", "0.01", "--method", "cptm-p1", "--sigma", "inf"],
+     "sigma must be finite, not inf"),
+    (["--problem", "quadratic", "--alpha", "nan", "--method", "gm"],
+     "alpha must be finite, not nan"),
+    (["--problem", "quadratic", "--alpha", "-1", "--method", "gm"], "alpha must be positive"),
+    (["--problem", "quadratic", "--q", "1e-300", "--method", "gm"],
+     "condition ratio q must lie in (1.8e-35, …), not 1e-300"),
+    (["--problem", "quadratic", "--q", "nan", "--alpha", "3", "--method", "gm"],
+     "condition ratio q must lie in (1.8e-35, …), not nan"),
+    (["--problem", "lse", "--mu", "1e300", "--method", "cn"],
+     "mu must be at most 1e+50, not 1e+300"),
+    (["--problem", "lse", "--mu", "inf", "--method", "cn"], "mu must be finite, not inf"),
+    (["--problem", "lse", "--mu", "1", "--l2", "nan", "--method", "cptm-p2"],
+     "lipschitz_order2 must be finite, not nan"),
+    (["--problem", "lse", "--mu", "1", "--l2", "-1", "--method", "cn"],
+     "lipschitz_order2 must be positive"),
+], ids=["sigma-inf", "alpha-nan", "alpha-negative", "q-tiny", "q-nan", "mu-huge", "mu-inf",
+        "l2-nan", "l2-negative"])
+def test_solve_names_the_instance_parameter_it_refuses(tmp_path, capsys, argv, message):
+    # each of these used to end in a warning, a solver failure or a message
+    # about another quantity, or (l2 -1) to run; "…" stands for a bound
+    # printed in full
+    assert main(["solve", "--n", "6", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    head, _, tail = message.partition("…")
+    assert err.startswith(f"solve: {head}") and err.endswith(f"{tail}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("extra, code", [
     (["--sizes", "4"], EXIT_OK),
     (["--sizes", "4", "--cap-outer", "1"], EXIT_SOLVER),

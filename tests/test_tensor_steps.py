@@ -1,5 +1,6 @@
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from contraprox.tensor_steps import (ContractedSmooth, InnerLoopError, SmoothDat
                                      cubic_step_single_center,
                                      inner_loop, minimize_model_newton,
                                      model_objective, step_subgradient, tensor_step)
+from contraprox.trace import STEP_FIELDS
 from contraprox.validate import validate_trace
 from tests.step_reference import minimize_model_descent
 
@@ -50,6 +52,15 @@ def _h(sub, z):
     """h(z) = g(z) + phi(z)."""
     data = sub.smooth.data(z)
     return data.value + sub.phi_value(data.x)
+
+
+Step = namedtuple("Step", STEP_FIELDS[1:])
+
+
+def _inner(sub, z0, delta, cap):
+    """:func:`inner_loop` with each step row named by its fields."""
+    point, s_norm, steps = inner_loop(sub, z0, delta, cap)
+    return point, s_norm, [Step(*row) for row in steps]
 
 
 class TestTaylorModel:
@@ -456,12 +467,12 @@ class TestInnerLoop:
         base = sub.smooth.data(np.zeros(5))
         start, _, _ = tensor_step(sub, base, 1e-13)
         # one more polish step puts the subgradient well under a loose delta
-        res = inner_loop(sub, start, 1.0, cap=10)
-        if res.iterations:
-            start = res.point
-            res = inner_loop(sub, start, 1.0, cap=10)
-        assert res.iterations == 0 and res.steps == []
-        np.testing.assert_array_equal(res.point, start)
+        point, _, steps = inner_loop(sub, start, 1.0, cap=10)
+        if steps:
+            start = point
+            point, _, steps = inner_loop(sub, start, 1.0, cap=10)
+        assert steps == []
+        np.testing.assert_array_equal(point, start)
 
     def test_geometric_gradient_decrease(self):
         # certified rate: per-step ratio of gradient norms at most e^{-alpha*/2}
@@ -469,8 +480,8 @@ class TestInnerLoop:
         sub = self._strongly_convex_subproblem(rng, gamma_factor=2.0)
         alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
         bound = math.exp(-alpha_star * 0.5)
-        res = inner_loop(sub, rng.standard_normal(5) * 3, 1e-9, cap=200)
-        norms = [step.s_dual for step in res.steps]
+        _, _, steps = _inner(sub, rng.standard_normal(5) * 3, 1e-9, cap=200)
+        norms = [step.s_dual for step in steps]
         assert len(norms) >= 3
         for a, b in zip(norms, norms[1:]):
             assert b <= bound * a * (1 + 1e-9)
@@ -478,24 +489,27 @@ class TestInnerLoop:
     def test_monotone_descent_every_step(self):
         rng = np.random.default_rng(14)
         sub = self._strongly_convex_subproblem(rng)
-        res = inner_loop(sub, rng.standard_normal(5) * 2, 1e-8, cap=200)
-        for step in res.steps:
+        _, _, steps = _inner(sub, rng.standard_normal(5) * 2, 1e-8, cap=200)
+        assert [step.t for step in steps] == list(range(1, len(steps) + 1))
+        for step in steps:
             assert step.h_after <= step.h_before + 1e-12 * max(1.0, abs(step.h_before))
 
     def test_gradient_progress_inequality(self):
         rng = np.random.default_rng(15)
         sub = self._strongly_convex_subproblem(rng)
-        res = inner_loop(sub, rng.standard_normal(5) * 2, 1e-8, cap=200)
+        _, _, steps = _inner(sub, rng.standard_normal(5) * 2, 1e-8, cap=200)
         coef = (math.factorial(1) / (2.0 * sub.smooth.lipschitz(1))) ** 1.0
-        for step in res.steps:
+        for step in steps:
             rhs = coef * step.s_dual ** 2
             assert step.decrease_pairing >= rhs - 1e-10 * max(1.0, rhs)
 
     def test_certified_norm_meets_delta(self):
         rng = np.random.default_rng(16)
         sub = self._strongly_convex_subproblem(rng)
-        res = inner_loop(sub, rng.standard_normal(5), 1e-7, cap=200)
-        assert res.s_norm <= 1e-7
+        _, s_norm, steps = _inner(sub, rng.standard_normal(5), 1e-7, cap=200)
+        assert s_norm <= 1e-7
+        # the last step's certified norm is its s_dual plus its residual
+        assert s_norm == steps[-1].s_dual + steps[-1].sub_residual
 
     def test_cap_exceeded_raises_with_diagnostic(self):
         rng = np.random.default_rng(17)
@@ -516,11 +530,11 @@ class TestInnerLoop:
         gamma, v = _divergence(sub)
         zstar = np.linalg.solve(A + gamma * np.eye(5), b + gamma * v)
         h0, hstar = _h(sub, z0), _h(sub, zstar)
-        res = inner_loop(sub, z0, 1e-10, cap=500)
+        _, _, steps = _inner(sub, z0, 1e-10, cap=500)
         alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
         lead = 2.0 * sub.smooth.lipschitz(1)
-        for t in range(len(res.steps) - 1):
-            lhs = res.steps[t + 1].s_dual ** 2
+        for t in range(len(steps) - 1):
+            lhs = steps[t + 1].s_dual ** 2
             rhs = math.exp(-t * alpha_star * 0.5) * lead * (h0 - hstar)
             assert lhs <= rhs * (1 + 1e-9)
 
@@ -558,10 +572,10 @@ class TestInnerLoopOrder2:
     def test_monotone_and_progress_order2(self):
         rng = np.random.default_rng(19)
         sub = self._lse_subproblem(rng)
-        res = inner_loop(sub, rng.standard_normal(6) * 0.3, 1e-9, cap=300)
-        assert res.iterations >= 1
+        _, _, steps = _inner(sub, rng.standard_normal(6) * 0.3, 1e-9, cap=300)
+        assert len(steps) >= 1
         coef = (math.factorial(2) / (3.0 * sub.smooth.lipschitz(2))) ** 0.5
-        for step in res.steps:
+        for step in steps:
             scale = max(abs(step.h_before), 1.0)
             assert step.h_after <= step.h_before + 1e-12 * scale
             rhs = coef * step.s_dual ** 1.5
@@ -586,15 +600,15 @@ class TestInnerLoopOrder2:
         rng = np.random.default_rng(20)
         sub = self._lse_subproblem(rng)
         z0 = rng.standard_normal(6) * 0.3
-        hstar = _h(sub, inner_loop(sub, z0, 1e-12, cap=500).point)
+        hstar = _h(sub, inner_loop(sub, z0, 1e-12, cap=500)[0])
         h0 = _h(sub, z0)
-        res = inner_loop(sub, z0, 1e-9, cap=500)
+        _, _, steps = _inner(sub, z0, 1e-9, cap=500)
         sigma_h = _divergence(sub)[0] * 0.5  # degree-3 uniform convexity constant
         L_g = sub.smooth.lipschitz(2)
         alpha_star = min(1.0, (math.factorial(2) * sigma_h / (3.0 * L_g)) ** 0.5)
         lead = (3.0 * L_g / 2.0) ** 0.5
-        for t in range(len(res.steps) - 1):
-            lhs = res.steps[t + 1].s_dual ** 1.5
+        for t in range(len(steps) - 1):
+            lhs = steps[t + 1].s_dual ** 1.5
             rhs = math.exp(-t * alpha_star * 2.0 / 3.0) * lead * (h0 - hstar)
             assert lhs <= rhs * (1 + 1e-6) + 1e-15
 

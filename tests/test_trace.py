@@ -7,7 +7,8 @@ import pytest
 
 from contraprox import baselines, contracting
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
-from contraprox.trace import CHUNK_ROWS, CSV_COLUMNS, drive
+from contraprox.tensor_steps import inner_loop
+from contraprox.trace import CHUNK_ROWS, CSV_COLUMNS, STEP_FIELDS, drive
 from tests.step_reference import reference_write_csv
 
 # the quadratic has no order-2 Lipschitz constant, so cptm-p2 runs on lse only
@@ -29,10 +30,16 @@ def _bits(value):
 
 @pytest.fixture(scope="module", params=RUNS, ids=["-".join(r) for r in RUNS])
 def recorded(request):
-    """A run's trace and every row its iterates yielded, with x and v copied at
-    yield time and the oracle counters as they stood then."""
+    """A run's trace, every row its iterates yielded, with x and v copied at
+    yield time and the oracle counters as they stood then, and the step rows
+    of each ``inner_loop`` return in call order."""
     problem, method = request.param
-    yielded = []
+    yielded, inner = [], []
+
+    def tapped_inner_loop(*args):
+        point, s_norm, steps = inner_loop(*args)
+        inner.append(list(steps))
+        return point, s_norm, steps
 
     def tapped_drive(obj, header, eps, cap, iterates):
         def tap():
@@ -48,13 +55,14 @@ def recorded(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "drive", tapped_drive)
         mp.setattr(contracting, "drive", tapped_drive)
+        mp.setattr(contracting, "inner_loop", tapped_inner_loop)
         obj = _instance(problem)
         trace = run_method(method, obj, 1e-7)
-    return obj, trace, yielded
+    return obj, trace, yielded, inner
 
 
 def test_every_yielded_row_is_stored_bit_for_bit(recorded):
-    obj, trace, yielded = recorded
+    obj, trace, yielded, _ = recorded
     assert len(trace.records) == len(yielded) > 1
     for k, (rec, (f, row, counters)) in enumerate(zip(trace.records, yielded)):
         assert rec.k == k
@@ -69,11 +77,31 @@ def test_every_yielded_row_is_stored_bit_for_bit(recorded):
             assert rec.v is None
         else:
             assert rec.v.tobytes() == row["v"].tobytes()
-        assert rec.inner_steps == row.get("inner_steps", [])
+        steps = trace.steps[trace.steps.k == k]
+        assert len(steps) == len(row.get("steps", []))
+        for got, want in zip(steps.tolist(), row.get("steps", [])):
+            assert [_bits(value) for value in got] == [_bits(value) for value in (k, *want)]
+
+
+def test_the_step_table_holds_every_inner_step_bit_for_bit(recorded):
+    _, trace, _, inner = recorded
+    steps = trace.steps
+    assert steps.dtype.names == STEP_FIELDS
+    if not trace.header["method"].startswith("cptm"):
+        assert len(steps) == 0 and inner == []
+        return
+    assert len(inner) == trace.iterations
+    assert len(steps) == sum(rec.t_inner for rec in trace.records) > 0
+    order = np.lexsort((steps.t, steps.k))
+    assert np.array_equal(order, np.arange(len(steps)))
+    # outer step k is made by the k-th inner_loop call
+    want = [(k, *row) for k, rows in enumerate(inner, start=1) for row in rows]
+    assert [[_bits(value) for value in row] for row in steps.tolist()] == \
+        [[_bits(value) for value in row] for row in want]
 
 
 def test_write_csv_matches_the_row_by_row_writer(recorded, tmp_path):
-    _, trace, _ = recorded
+    _, trace, _, _ = recorded
     trace.write_csv(tmp_path / "columns.csv")
     reference_write_csv(trace, tmp_path / "rows.csv")
     written = (tmp_path / "columns.csv").read_bytes()
@@ -119,16 +147,18 @@ def test_writes_through_a_view_land_in_the_blocks(cptm, i):
 
 
 def test_a_deepcopy_is_independent_of_its_original(cptm):
+    i = int(np.flatnonzero(cptm.steps.k == 5)[0])
     before = (cptm.records[5].A, cptm.records[5].x.copy(), cptm.records[5].v.copy(),
-              cptm.records[5].inner_steps[0].h_after)
+              cptm.steps.h_after[i])
     clone = copy.deepcopy(cptm)
     rec = clone.records[5]
     rec.A *= 10
     rec.x += 1.0
     rec.v = rec.v + 1.0
-    rec.inner_steps[0].h_after += 1.0
+    clone.steps.h_after[i] += 1.0
+    assert clone.steps.h_after[i] == before[3] + 1.0
     original = cptm.records[5]
-    assert original.A == before[0] and original.inner_steps[0].h_after == before[3]
+    assert original.A == before[0] and cptm.steps.h_after[i] == before[3]
     assert original.x.tobytes() == before[1].tobytes()
     assert original.v.tobytes() == before[2].tobytes()
 

@@ -7,8 +7,10 @@ import pytest
 
 from contraprox.bench import build_instance, run_method, validate_trace_file
 from contraprox.bregman import PowerProx
-from contraprox.contracting import GeometricSchedule, SublinearSchedule
+from contraprox.contracting import (GeometricSchedule, SublinearSchedule,
+                                    run_contracting_proximal, schedule_convex)
 from contraprox.objectives import attach_reference, power_regularizer_component
+from contraprox.trace import STEP_FIELDS
 from contraprox.validate import validate_trace
 
 OUTER_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored"}
@@ -113,11 +115,19 @@ def test_inflated_subgradient_fails_delta_honored(honest):
 
 
 def _set(name, value):
-    return lambda obj: setattr(obj, name, value(getattr(obj, name)))
+    """Tamper with one field of row 50."""
+    def tamper(trace):
+        rec = trace.records[50]
+        setattr(rec, name, value(getattr(rec, name)))
+    return tamper
 
 
 def _first_step(name, value):
-    return lambda rec: setattr(rec.inner_steps[0], name, value(rec.inner_steps[0]))
+    """Tamper with one field of the first inner step of outer step 50."""
+    def tamper(trace):
+        i = int(np.flatnonzero(trace.steps.k == 50)[0])
+        trace.steps[name][i] = value(trace.steps[i])
+    return tamper
 
 
 @pytest.mark.parametrize("tamper, failed", [
@@ -134,7 +144,7 @@ def _first_step(name, value):
 ], ids=["A", "gamma", "t_inner", "x", "ell_mu", "f_value", "h_after", "decrease_pairing"])
 def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
     tampered = copy.deepcopy(honest[1])
-    tamper(tampered.records[50])
+    tamper(tampered)
     assert _failed(_validate(honest, tampered)) == failed
 
 
@@ -155,3 +165,17 @@ def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, colu
     lines[2 + 50] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     assert _failed(validate_trace_file(str(path))) == {(check, 50)}
+
+
+def test_a_run_from_the_optimum_has_an_empty_step_table_and_passes():
+    # the prox is centred at x*, so every inner loop starts with a delta-small
+    # subgradient and returns at once: no step rows, and no per-step checks
+    obj = build_instance("quadratic", 6, 0, q=1e-2)
+    prox = PowerProx(1, obj.xstar.copy(), obj.metric)
+    trace = run_contracting_proximal(obj, prox, schedule_convex(1, 1.0, obj.smooth.lipschitz[1]),
+                                     "power:1.0,2.0", eps=None, cap_outer=3)
+    assert trace.status == "cap" and [rec.t_inner for rec in trace.records] == [0] * 4
+    assert len(trace.steps) == 0 and trace.steps.dtype.names == STEP_FIELDS
+    report = validate_trace(trace, prox, obj.xstar, obj.fstar)
+    assert report.ok and len(report.checks) == 21
+    assert not {"inner_descent", "inner_gradient_progress"} & set(report.checks.name)
