@@ -14,7 +14,7 @@ from .contracting import (GeometricSchedule, SublinearSchedule, complexity_conve
                           contraction_rate, delta_rule, inexact_certificate_bounds,
                           inner_iteration_bound, order_dependence,
                           run_contracting_proximal, schedule_convex, schedule_strongly_convex)
-from .metric import Metric, pairing
+from .metric import Metric
 from .objectives import (CompositeObjective, LogSumExpOracle, OracleCounters,
                          PowerRegularizer, QuadraticOracle, SolverError,
                          ZeroComponent, alpha_for_condition_ratio,

@@ -151,10 +151,10 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
     return drive(obj, {"method": "agm", "L": L}, eps, cap, iterates())
 
 
-def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None):
+def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     """Constant-coefficient proximal point: each step approximately minimizes
-    a*f(z) + ||z - x_k||^2/2, solved by the line-search gradient method to the
-    inner accuracy 1/k^2.
+    a*f(z) + ||z - x_k||^2/2 with a = 1/L_1, solved by the line-search gradient
+    method to the inner accuracy 1/k^2.
 
     Each step starts from the value and gradient at x_k that the previous
     solve ended with (at x_0, one value-and-gradient query).  With f* unknown
@@ -164,7 +164,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap, a_const=None):
         raise ValueError("the first-order baselines run on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    a = float(a_const) if a_const is not None else 1.0 / obj.smooth.lipschitz[1]
+    a = 1.0 / obj.smooth.lipschitz[1]
     L_smooth = obj.smooth.lipschitz.get(1)
     L_cap = a * L_smooth + 1.0 if L_smooth is not None else math.inf
 

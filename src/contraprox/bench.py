@@ -56,7 +56,7 @@ INSTANCE_KEYS = ("problem", "n", "seed", "q", "alpha", "mu", "lipschitz_order2",
 
 
 def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
-                   lipschitz_order2=1.0, sigma=0.0, reference_tol=1e-12):
+                   lipschitz_order2=1.0, sigma=0.0):
     """Instantiate a benchmark problem and cache its reference optimum.
 
     sigma > 0 adds psi = sigma * ||x||^2 / 2 in the instance's metric and
@@ -91,7 +91,7 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
         prox = PowerProx(1, np.zeros(obj.dim), obj.metric)
         obj = obj.with_simple(power_regularizer_component(sigma, prox))
         obj.descriptor["sigma"] = float(sigma)
-    return attach_reference(obj, reference_tol)
+    return attach_reference(obj)
 
 
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metric import Metric, pairing
+from .metric import Metric
 
 
 class ProxFunction:
@@ -40,7 +40,7 @@ class ProxFunction:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        val = self.value(y) - self.value(x) - pairing(self.gradient(x), y - x)
+        val = self.value(y) - self.value(x) - float(self.gradient(x).dot(y - x))
         if val < 0.0:
             scale = abs(self.value(x)) + abs(self.value(y)) + 1.0
             if val < -1e-8 * scale:

@@ -311,15 +311,12 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     fstar = obj.fstar
     xstar = obj.xstar
 
-    def divergence_to_xstar(v):
-        return prox.divergence(v, xstar) if xstar is not None else math.nan
-
     def iterates():
         k, A, gamma, x, v = 0, 0.0, gamma0, x0.copy(), x0.copy()
         f = obj.value(x0)
+        div = prox.divergence(x0, xstar) if xstar is not None else math.nan    # D(v_k; x*)
         yield f, lambda: math.nan, {
-            "A": 0.0, "gamma": gamma0, "a": 0.0,
-            "bregman_vstar": divergence_to_xstar(x0), "x": x, "v": v}
+            "A": 0.0, "gamma": gamma0, "a": 0.0, "bregman_vstar": div, "x": x, "v": v}
         acc = 0.0    # the certificate's sum of terms up to the last row
 
         def certified_residual():
@@ -342,18 +339,19 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
                 cap = INNER_FLOOR
             else:
                 bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform,
-                                              delta, residual_term, prox.divergence(v, xstar))
+                                              delta, residual_term, div)
                 cap = max(int(math.ceil(INNER_SLACK * bound)), 8)
             point, s_norm, steps = inner_loop(sub, v, delta, cap)
             x = contraction_point(a, A, point, x)
             k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, point
             f = obj.value(x)
             acc += _certificate_terms(p, gamma0, sigma_simple, s_norm, A)
+            div = prox.divergence(v, xstar) if xstar is not None else math.nan
             yield f, certified_residual, {
                 "A": A, "gamma": gamma, "a": a, "delta_requested": delta,
                 "s_norm": s_norm, "t_inner": len(steps),
                 "bregman_step": prox.divergence(v_prev, v),
-                "bregman_vstar": divergence_to_xstar(v),
+                "bregman_vstar": div,
                 "x": x, "v": v, "steps": steps,
                 "lipschitz_g": lipschitz_g, "M": sub.M,
                 "ell_mu": inner_condition_ratio(p, lipschitz_g, gamma, sigma_uniform)}

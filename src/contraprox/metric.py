@@ -24,15 +24,6 @@ _FLOAT = np.dtype(float)
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
-def pairing(s, x):
-    """Value <s, x> of a dual vector at a primal point (plain dot product)."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if s.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {s.shape} vs {x.shape}")
-    return float(np.dot(s, x))
-
-
 def cholesky_solve(H, g):
     """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly.
 

@@ -20,6 +20,9 @@ import scipy.special
 from .bregman import ProxFunction, power_hessian
 from .metric import Metric, cholesky_solve
 
+REFERENCE_TOL = 1e-12    # dual gradient norm of every cached reference optimum
+REFERENCE_CAP = 200      # damped Newton iterations allowed for one reference solve
+
 
 class SolverError(RuntimeError):
     """A solver failed to reach its target within its iteration budget."""
@@ -342,11 +345,11 @@ def lse_instance(n, mu, seed, lipschitz_order2=1.0):
     return CompositeObjective(smooth, ZeroComponent(n), metric, descriptor=descriptor)
 
 
-def _newton_reference(obj, tol, cap=200):
+def _newton_reference(obj, tol):
     """Damped Newton on F down to dual gradient norm <= tol (second-order oracles)."""
     x = np.zeros(obj.dim)
     fval = obj.value(x)
-    for _ in range(cap):
+    for _ in range(REFERENCE_CAP):
         g = obj.grad(x)
         if obj.metric.dual_norm(g) <= tol:
             return x, fval
@@ -369,13 +372,13 @@ def _newton_reference(obj, tol, cap=200):
                               f"{obj.metric.dual_norm(g):.3e} (tol {tol})")
         x = x + t * step
         fval = trial
-    raise SolverError(f"reference Newton did not reach tol={tol} within {cap} iterations")
+    raise SolverError(f"reference Newton did not reach tol={tol} within {REFERENCE_CAP} iterations")
 
 
 def reference_optimum(obj, tol):
     """Most accurate available solve of the instance: (xhat, F(xhat)).
 
-    Quadratic-with-quadratic-psi instances use a closed-form linear solve;
+    Quadratic-plus-order-1-psi instances use a closed-form linear solve;
     everything else runs a damped Newton until the dual gradient norm is
     below tol.
     """
@@ -383,25 +386,22 @@ def reference_optimum(obj, tol):
         raise ValueError("tol must be positive")
     smooth = obj.smooth
     simple = obj.simple
-    if isinstance(smooth, QuadraticOracle):
-        if simple.is_zero:
-            x = np.linalg.solve(smooth.matrix, smooth.rhs)
-            return x, 0.5 * float(x @ smooth.matrix @ x) - float(smooth.rhs @ x)
-        if isinstance(simple, PowerRegularizer) and simple.prox.order == 1:
-            B = simple.prox.metric.matrix
-            c = simple.prox.center
-            H = smooth.matrix + simple.sigma * B
-            x = np.linalg.solve(H, smooth.rhs + simple.sigma * (B @ c))
-            fx = 0.5 * float(x @ smooth.matrix @ x) - float(smooth.rhs @ x)
-            return x, fx + simple.value(x)
+    if (isinstance(smooth, QuadraticOracle) and isinstance(simple, PowerRegularizer)
+            and simple.prox.order == 1):
+        B = simple.prox.metric.matrix
+        c = simple.prox.center
+        H = smooth.matrix + simple.sigma * B
+        x = np.linalg.solve(H, smooth.rhs + simple.sigma * (B @ c))
+        fx = 0.5 * float(x @ smooth.matrix @ x) - float(smooth.rhs @ x)
+        return x, fx + simple.value(x)
     work = obj.fresh()
     return _newton_reference(work, tol)
 
 
-def attach_reference(obj, tol=1e-12):
-    """Compute and cache (xstar, fstar) on the instance and its descriptor."""
+def attach_reference(obj):
+    """Compute and cache (xstar, fstar) on the instance and its descriptor, to REFERENCE_TOL."""
     if obj.fstar is None or obj.xstar is None:
-        x, f = reference_optimum(obj, tol)
+        x, f = reference_optimum(obj, REFERENCE_TOL)
         obj.xstar = x
         obj.fstar = f
         obj.descriptor["fstar"] = f

@@ -32,6 +32,7 @@ from .metric import Metric, cholesky_solve
 from .objectives import PowerRegularizer, SmoothOracle, SolverError
 
 _syr, = scipy.linalg.get_blas_funcs(("syr",), (np.empty((1, 1)),))
+NEWTON_CAP = 200    # damped Newton iterations allowed for one step
 
 
 @dataclass
@@ -205,7 +206,7 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
             _syr(c * beta, Bw, a=H, overwrite_a=True)
 
 
-def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
+def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol):
     """Damped Newton on the step objective, to dual gradient norm <= tol.
 
     Each point is evaluated once: its norms and B-products serve value,
@@ -222,7 +223,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
     val, grad, terms = model_objective(sub, base, y, phi_base)
     H = np.empty((y.size, y.size), order="F")
     best_y, best_res, stalled = y, math.inf, 0
-    for it in range(cap):
+    for it in range(NEWTON_CAP):
         res = sub.metric.dual_norm(grad)
         stalled = 0 if res < best_res else stalled + 1
         if res < best_res:
@@ -263,7 +264,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol, cap=200):
         else:
             return best_y, best_res, it
         y, val, grad, terms = y_trial, val_t, grad_t, terms_t
-    raise SolverError(f"step Newton sub-minimizer exceeded {cap} iterations "
+    raise SolverError(f"step Newton sub-minimizer exceeded {NEWTON_CAP} iterations "
                       f"(residual {sub.metric.dual_norm(grad):.3e}, tol {tol:.3e})")
 
 

@@ -10,7 +10,8 @@ lemma-level validator needs but the wire format does not carry.
 In memory a row is 19 float64 scalars (the CSV columns, ``lipschitz_g``, ``M``,
 ``ell_mu``, a has-v flag) and 8n bytes of x and of v if it has one, in blocks
 of ``CHUNK_ROWS`` rows made with ``np.empty`` as the last fills and never
-copied.  A trace is the sequence of its rows as :class:`IterationRecord` views.
+copied.  A trace is the sequence of its rows as read-only :class:`IterationRecord`
+views, and only :func:`drive` writes to it.
 
 Oracle counters (``oracle_f``, ``oracle_g``, ``oracle_h``, ``matvec``) have
 one meaning for every method: the counters on row k are cumulative over the
@@ -51,13 +52,12 @@ _STEP_DTYPE = [(name, np.int64 if name in ("k", "t") else float) for name in STE
 
 
 class IterationRecord:
-    """Row i of a trace; attribute reads and writes go to the trace's blocks."""
+    """Row i of a trace, read-only: x and v are read-only views into its blocks."""
 
     __slots__ = ("_trace", "_i")
 
     def __init__(self, trace, i):
-        object.__setattr__(self, "_trace", trace)
-        object.__setattr__(self, "_i", i)
+        self._trace, self._i = trace, i
 
     def __getattr__(self, name):
         trace, (c, j) = self._trace, divmod(self._i, CHUNK_ROWS)
@@ -66,24 +66,17 @@ class IterationRecord:
             return (int if _INT[_COLUMN[name]] else float)(row[_COLUMN[name]])
         if name == "counters":
             return {key: int(row[_COLUMN[key]]) for key in FIELDS[9:13]}
-        if name in ("x", "v"):
-            return trace._blocks[name][c][j] if name == "x" or row[-1] else None
-        raise AttributeError(name)
-
-    def __setattr__(self, name, value):
-        blocks, (c, j) = self._trace._blocks, divmod(self._i, CHUNK_ROWS)
-        if name in ("x", "v") and value is not None:
-            if blocks[name][c] is None:
-                blocks[name][c] = np.empty_like(blocks["x"][c])
-            blocks[name][c][j] = value
-        elif name != "v":
-            blocks["scalars"][c][j, _COLUMN[name]] = value
+        if name == "x" or (name == "v" and row[-1]):
+            view = trace._blocks[name][c][j]
+            view.flags.writeable = False
+            return view
         if name == "v":
-            blocks["scalars"][c][j, -1] = value is not None
+            return None
+        raise AttributeError(name)
 
 
 class RunTrace(Sequence):
-    """One run: header, status, rows as a sequence of views, and its inner steps."""
+    """One run: header, status, rows as a sequence of read-only views, and its inner steps."""
 
     def __init__(self, header):
         self.header, self.status, self.size = header, "running", 0
@@ -106,7 +99,9 @@ class RunTrace(Sequence):
         self._blocks["scalars"][c][j] = (*scalars, v is not None)
         self._blocks["x"][c][j] = x
         if v is not None:
-            IterationRecord(self, self.size).v = v
+            if self._blocks["v"][c] is None:
+                self._blocks["v"][c] = np.empty_like(self._blocks["x"][c])
+            self._blocks["v"][c][j] = v
         if steps:
             self._step_rows += [(self.size, *step) for step in steps]
         self.size += 1
@@ -121,23 +116,17 @@ class RunTrace(Sequence):
 
     @property
     def steps(self):
-        """Every inner step, sorted by (k, t), as one record array with fields
-        :data:`STEP_FIELDS`; built from the stored rows on first read, so
-        writes to it persist until ``drive`` adds a step."""
+        """Every inner step, sorted by (k, t), as one read-only record array with
+        fields :data:`STEP_FIELDS`, built from the stored rows on first read."""
         if self._steps is None or len(self._steps) < len(self._step_rows):
             self._steps = np.rec.fromrecords(self._step_rows, dtype=_STEP_DTYPE)
+            self._steps.flags.writeable = False
         return self._steps
 
     def columns(self):
         """The CSV columns, ``lipschitz_g``, ``M``, ``ell_mu`` and ``has_v`` by name (copies)."""
         table = np.concatenate([np.empty((0, len(FIELDS))), *self._blocks["scalars"]])
         return dict(zip(CSV_COLUMNS + list(FIELDS[len(CSV_COLUMNS):]), table[:self.size].T))
-
-    def points(self, name):
-        """Every row's ``"x"`` or ``"v"`` as a view into its block; None for a row without v."""
-        has = self.columns()["has_v"] if name == "v" else np.ones(self.size)
-        return [self._blocks[name][i // CHUNK_ROWS][i % CHUNK_ROWS] if has[i] else None
-                for i in range(self.size)]
 
     @property
     def iterations(self):

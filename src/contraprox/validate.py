@@ -5,7 +5,7 @@ iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
 the body replays the outer residual-plus-divergence certificate, the
 telescoped proximal coefficients, the coefficient-schedule growth envelopes
 and the requested inner accuracy.  An in-memory trace adds, from its
-blocks, the iterates x and v as views, the columns ``ell_mu`` and
+rows, the iterates x and v as read-only views, the columns ``ell_mu`` and
 ``lipschitz_g``, D(v_k; x*) recomputed per row and the table of inner steps,
 ``RunTrace.steps``, and the body then also replays the inner condition ratio,
 the inner iteration budget, per-step descent and gradient progress of the
@@ -73,8 +73,8 @@ def _check(header, columns, fstar, schedule):
 
     The certificate needs the row-0 divergence to x* (a file written without
     x* has none, and skips it); residuals come from F - f* when f* is known.
-    Schedule growth needs a schedule.  A trace without iterations fails one
-    "nonempty" check and is checked no further.
+    Schedule growth needs a sublinear or geometric schedule.  A trace without
+    iterations fails one "nonempty" check and is checked no further.
     """
     mask = columns["k"] >= 1
     ks = columns["k"][mask].astype(int)
@@ -98,7 +98,7 @@ def _check(header, columns, fstar, schedule):
     expected = gamma0 + sigma_simple * A
     err = np.abs(gamma - expected) / np.maximum(np.abs(expected), 1.0)
     parts.append(_rows("gamma_telescope", ks, err <= 1e-12, 1e-12 - err))
-    if schedule is not None:
+    if isinstance(schedule, (SublinearSchedule, GeometricSchedule)):
         if isinstance(schedule, SublinearSchedule):
             lo, hi = schedule.lower(ks), schedule.upper(ks)
         else:
@@ -155,13 +155,14 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None):
     Needs the true optimum (``ValueError`` without f* or a finite x* of the
     trace's dimension); divergences to x* are recomputed from the recorded
     iterates, so the check does not trust the run's own numbers.  The
-    per-step checks read ``trace.steps`` as it stands, each step with its
-    row's L.  ``schedule`` defaults to the one the header describes.
+    per-step checks read ``trace.steps``, each step with its row's L.
+    ``schedule`` defaults to the one the header describes; any other than a
+    sublinear or geometric one skips the growth envelopes.
     """
     missing = " and ".join(name for name, value in (("x*", xstar), ("f*", fstar)) if value is None)
     if missing:
         raise ValueError(f"validate_trace needs the optimum, but {missing} not given")
-    columns = {**trace.columns(), "x": trace.points("x"), "v": trace.points("v")}
+    columns = {**trace.columns(), "x": [row.x for row in trace], "v": [row.v for row in trace]}
     xstar, n = np.asarray(xstar, dtype=float), columns["x"][0].size
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"x* must be a finite vector of the trace's dimension {n}")

@@ -145,10 +145,10 @@ def reference_gradient_method_ls(obj, x0, eps, cap):
     return drive(obj, header, eps, cap, iterates())
 
 
-def reference_classical_ppa(obj, x0, eps, cap, a_const=None):
+def reference_classical_ppa(obj, x0, eps, cap):
     obj = obj.fresh()
     metric = obj.metric
-    a = float(a_const) if a_const is not None else 1.0 / obj.smooth.lipschitz[1]
+    a = 1.0 / obj.smooth.lipschitz[1]
     L_smooth = obj.smooth.lipschitz.get(1)
     L_cap = a * L_smooth + 1.0 if L_smooth is not None else math.inf
 

@@ -94,12 +94,6 @@ class TestClassicalProximalPoint:
         grad_sub = a * (A @ x1 - obj.smooth.rhs) + x1
         assert np.linalg.norm(grad_sub) <= 1.0 + 1e-12
 
-    def test_large_coefficient_single_step_near_optimum(self):
-        obj = quadratic_instance(6, 1.0, 5)
-        tr = classical_ppa(obj, np.zeros(6), 1e-3, 3000, a_const=1e6)
-        # one huge prox step essentially minimizes f
-        assert tr.records[1].residual <= 1e-2
-
     def test_monotone(self):
         obj = quadratic_instance(12, 1.5, 6)
         tr = classical_ppa(obj, np.zeros(12), 1e-7, 5000)

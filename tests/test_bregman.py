@@ -184,6 +184,13 @@ def test_rejects_bad_order():
         PowerProx(0, np.zeros(2), Metric.identity(2))
 
 
+def test_divergence_refuses_a_point_of_another_dimension():
+    d = PowerProx(2, np.zeros(3), Metric.identity(3))
+    for x, y in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+        with pytest.raises(ValueError):
+            d.divergence(x, y)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), order=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
        spread=st.floats(1e-3, 1e2))

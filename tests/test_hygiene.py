@@ -5,6 +5,12 @@
   from production code: another top-level statement of ``src/contraprox``
   names it, or ``perfbench`` does, unless :data:`UNREACHED` lists it with a
   reason.  Tests do not count, so code only tests reach shows up here.
+- Every parameter with a default, of a function or method in
+  ``src/contraprox``, is passed by a call in ``src/contraprox`` or
+  ``perfbench/*.py``, unless :data:`UNPASSED` lists it with a reason.  A call
+  passes it by keyword, by position or through ``*``/``**``; calls match by
+  the function's name, and a constructor call by its class's.  Tests do not
+  count, so a knob only tests turn shows up here.
 
 ``__init__.py`` is exempt from both: its imports are the package's re-exports.
 """
@@ -23,6 +29,13 @@ UNREACHED = {
                          "(ROADMAP R)",
     "complexity_strongly_convex": "the paper's uniformly convex complexity bound; to become a "
                                   "run check or go (ROADMAP R)",
+}
+
+# Parameters with a default that no production call passes, each with why it stays.
+UNPASSED = {
+    "run_contracting_proximal.bregman0_bound": "the certified stop rule, cptm's only stop "
+                                               "test when f* is unknown",
+    "main.argv": "tests pass it, and the console script passes none",
 }
 
 
@@ -74,3 +87,51 @@ def _unreached():
 
 def test_every_top_level_definition_is_reached_from_production_code():
     assert _unreached() == sorted(UNREACHED)
+
+
+def _defaulted(tree):
+    """(function, parameter, positional index or None) of every parameter with a
+    default; a method's index counts from after self, and ``__init__`` is
+    named by its class."""
+    owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(fn))
+        name = cls if fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        if cls is not None and not static:
+            positional = positional[1:]
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, i
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call, name, param, index):
+    func = call.func
+    callee = getattr(func, "id", None) or getattr(func, "attr", None)
+    if callee != name:
+        return False
+    keywords = {kw.arg for kw in call.keywords}
+    if param in keywords or None in keywords:
+        return True
+    return index is not None and (index < len(call.args) or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _unpassed():
+    calls = [node for path in SRC + sorted((ROOT / "perfbench").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    return sorted(f"{name}.{param}" for path in SRC
+                  for name, param, index in _defaulted(ast.parse(path.read_text()))
+                  if not any(_passes(call, name, param, index) for call in calls))
+
+
+def test_every_defaulted_parameter_is_passed_by_production_code():
+    assert _unpassed() == sorted(UNPASSED)

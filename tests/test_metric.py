@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from contraprox.metric import Metric, pairing
+from contraprox.metric import Metric
 
 
 def test_euclidean_norm_identity():
@@ -33,11 +33,6 @@ def test_dual_norm_diag():
     assert m.dual_norm(np.zeros(2)) == 0.0
 
 
-def test_pairing_basics():
-    assert pairing(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    assert pairing(np.zeros(3), np.ones(3)) == 0.0
-
-
 def _random_spd(rng, n):
     G = rng.standard_normal((n, n))
     return G @ G.T + n * np.eye(n)
@@ -50,7 +45,7 @@ def test_cauchy_schwarz_random():
         m = Metric(_random_spd(rng, n))
         s = rng.standard_normal(n) * 10
         x = rng.standard_normal(n) * 10
-        assert abs(pairing(s, x)) <= m.dual_norm(s) * m.norm(x) + 1e-10
+        assert abs(s.dot(x)) <= m.dual_norm(s) * m.norm(x) + 1e-10
 
 
 def test_duality_consistency():
@@ -100,8 +95,6 @@ def test_dimension_mismatch():
     m = Metric.identity(3)
     with pytest.raises(ValueError, match="dimension"):
         m.norm(np.ones(2))
-    with pytest.raises(ValueError, match="dimension"):
-        pairing(np.ones(2), np.ones(3))
 
 
 def test_direct_lapack_paths_equal_the_scipy_expressions():

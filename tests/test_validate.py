@@ -1,4 +1,4 @@
-import copy
+import math
 import re
 from collections import Counter
 
@@ -9,8 +9,9 @@ from contraprox.bench import build_instance, run_method, validate_trace_file
 from contraprox.bregman import PowerProx
 from contraprox.contracting import (GeometricSchedule, SublinearSchedule,
                                     run_contracting_proximal, schedule_convex)
-from contraprox.objectives import attach_reference, power_regularizer_component
-from contraprox.trace import STEP_FIELDS
+from contraprox.objectives import (attach_reference, power_regularizer_component,
+                                   quadratic_instance)
+from contraprox.trace import STEP_FIELDS, drive
 from contraprox.validate import validate_trace
 
 OUTER_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored"}
@@ -102,31 +103,65 @@ def test_an_optimum_that_is_not_a_finite_vector_of_the_trace_dimension_is_refuse
         validate_trace(trace, prox, xstar, obj.fstar, schedule)
 
 
+# the fields a solver yields in a row, besides F(x_k), x, v and the step rows
+YIELDED = ("A", "gamma", "a", "delta_requested", "s_norm", "t_inner", "bregman_step",
+           "bregman_vstar", "lipschitz_g", "M", "ell_mu")
+
+
+def _replay(honest, tamper):
+    """The trace ``drive`` records when it is fed the honest run's rows, row 50
+    changed by ``tamper`` first, as a solver that yields a wrong value makes it."""
+    obj, trace, _, _ = honest
+    steps = trace.steps
+
+    def iterates():
+        for rec in trace.records:
+            row = {name: getattr(rec, name) for name in YIELDED}
+            row = {name: value for name, value in row.items() if not math.isnan(value)}
+            row.update(f_value=rec.f_value, x=rec.x, v=rec.v,
+                       steps=[tuple(step)[1:] for step in steps[steps.k == rec.k]])
+            if rec.k == 50:
+                tamper(row)
+            yield row.pop("f_value"), lambda: math.nan, row
+
+    return drive(obj, trace.header, None, trace.iterations, iterates())
+
+
+def test_an_untouched_replay_records_the_honest_trace(honest):
+    _, trace, _, _ = honest
+    replay = _replay(honest, lambda row: None)
+    got, want = replay.columns(), trace.columns()
+    for name in set(want) - {"oracle_f", "oracle_g", "oracle_h", "matvec"}:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert [rec.x.tobytes() for rec in replay] == [rec.x.tobytes() for rec in trace]
+    assert [rec.v.tobytes() for rec in replay] == [rec.v.tobytes() for rec in trace]
+    assert replay.steps.tobytes() == trace.steps.tobytes()
+    assert _failed(_validate(honest, replay)) == set()
+
+
+def _set(name, value):
+    """Change one field of the row yielded at k = 50."""
+    def tamper(row):
+        row[name] = value(row[name])
+    return tamper
+
+
 def test_moved_point_fails_contraction_combination(honest):
-    tampered = copy.deepcopy(honest[1])
-    tampered.records[50].v = tampered.records[50].v + 1e-3
+    tampered = _replay(honest, _set("v", lambda v: v + 1e-3))
     assert ("contraction_combination", 50) in _failed(_validate(honest, tampered))
 
 
 def test_inflated_subgradient_fails_delta_honored(honest):
-    tampered = copy.deepcopy(honest[1])
-    tampered.records[50].s_norm *= 1e3
+    tampered = _replay(honest, _set("s_norm", lambda s: s * 1e3))
     assert ("delta_honored", 50) in _failed(_validate(honest, tampered))
 
 
-def _set(name, value):
-    """Tamper with one field of row 50."""
-    def tamper(trace):
-        rec = trace.records[50]
-        setattr(rec, name, value(getattr(rec, name)))
-    return tamper
-
-
 def _first_step(name, value):
-    """Tamper with one field of the first inner step of outer step 50."""
-    def tamper(trace):
-        i = int(np.flatnonzero(trace.steps.k == 50)[0])
-        trace.steps[name][i] = value(trace.steps[i])
+    """Change one field of the first inner step yielded with row 50."""
+    def tamper(row):
+        step = dict(zip(STEP_FIELDS[1:], row["steps"][0]))
+        step[name] = value(step)
+        row["steps"][0] = tuple(step.values())
     return tamper
 
 
@@ -139,13 +174,11 @@ def _first_step(name, value):
      {("contraction_combination", 50), ("contraction_combination", 51)}),
     (_set("ell_mu", lambda _: 2.0), {("inner_condition_ratio", 50)}),
     (_set("f_value", lambda f: f + 1.0), {("outer_certificate", 50)}),
-    (_first_step("h_after", lambda s: s.h_before + 1.0), {("inner_descent", 50)}),
+    (_first_step("h_after", lambda s: s["h_before"] + 1.0), {("inner_descent", 50)}),
     (_first_step("decrease_pairing", lambda _: -1.0), {("inner_gradient_progress", 50)}),
 ], ids=["A", "gamma", "t_inner", "x", "ell_mu", "f_value", "h_after", "decrease_pairing"])
 def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
-    tampered = copy.deepcopy(honest[1])
-    tamper(tampered)
-    assert _failed(_validate(honest, tampered)) == failed
+    assert _failed(_validate(honest, _replay(honest, tamper))) == failed
 
 
 @pytest.mark.parametrize("column, value, check", [
@@ -179,3 +212,28 @@ def test_a_run_from_the_optimum_has_an_empty_step_table_and_passes():
     report = validate_trace(trace, prox, obj.xstar, obj.fstar)
     assert report.ok and len(report.checks) == 21
     assert not {"inner_descent", "inner_gradient_progress"} & set(report.checks.name)
+
+
+def test_a_schedule_neither_sublinear_nor_geometric_skips_the_growth_check():
+    # validate_trace read such a schedule's omega as if it were geometric and
+    # raised AttributeError; the header path already skipped the check
+    obj = quadratic_instance(10, 2.0, 5)
+    L = obj.smooth.lipschitz[1]
+
+    class QuadraticEquationSchedule:
+        kind, p = "quadratic-equation", 1
+
+        def next_a(self, k, A):
+            return (1.0 + math.sqrt(1.0 + 4.0 * L * A)) / (2.0 * L)
+
+        def describe(self):
+            return {"kind": self.kind, "p": self.p}
+
+    sched = QuadraticEquationSchedule()
+    prox = PowerProx(1, np.zeros(10), obj.metric)
+    trace = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", eps=1e-7)
+    explicit = validate_trace(trace, prox, obj.xstar, obj.fstar, sched)
+    default = validate_trace(trace, prox, obj.xstar, obj.fstar)
+    assert "schedule_growth" not in set(explicit.checks.name)
+    rows = lambda report: [(*row[:4], row[4].hex()) for row in report.checks.tolist()]
+    assert rows(explicit) == rows(default)
