@@ -9,8 +9,7 @@ harness reproduce the standard quadratic and log-sum-exp comparisons.
 """
 
 from .bregman import PowerProx, ProxFunction
-from .contracting import (GeometricSchedule, SublinearSchedule, complexity_convex,
-                          complexity_strongly_convex, contraction_point,
+from .contracting import (GeometricSchedule, SublinearSchedule, contraction_point,
                           contraction_rate, delta_rule, inexact_certificate_bounds,
                           inner_iteration_bound, order_dependence,
                           run_contracting_proximal, schedule_convex, schedule_strongly_convex)

@@ -199,14 +199,16 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
 
 
-def _cubic_subproblem(obj):
-    """The order-2 step subproblem of cn and acn: f itself, regularized by CUBIC_REG.
+def _cubic_subproblem(obj, eps):
+    """(subproblem, step tolerance) of cn and acn: f itself, regularized by CUBIC_REG.
 
     f is the contracted part with a = A_next = 1 and A_prev = 0, which is
-    bitwise the oracle in value, gradient and Hessian.
+    bitwise the oracle in value, gradient and Hessian.  The step's tolerance
+    is eps/100, floored at 1e-13, and the floor when eps is None.
     """
     smooth = ContractedSmooth(obj.smooth, 1.0, 1.0, np.zeros(obj.dim), 0.0)
-    return Subproblem(2, obj.metric, smooth, CUBIC_REG, obj.simple, weight=1.0)
+    return (Subproblem(2, obj.metric, smooth, CUBIC_REG, obj.simple, weight=1.0),
+            1e-13 if eps is None else max(eps * 1e-2, 1e-13))
 
 
 def cubic_newton(obj: CompositeObjective, x0, eps, cap):
@@ -214,12 +216,11 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
 
     The cubic coefficient M is ``CUBIC_REG`` (practical default 1).  One
     first-order query per iterate, and a Hessian only at a step's base.  The
-    step's tolerance is eps/100, floored at 1e-13, and the floor when eps is None.
+    step's tolerance is :func:`_cubic_subproblem`'s.
     """
     obj = obj.fresh()
     metric = obj.metric
-    sub = _cubic_subproblem(obj)
-    inner_tol = 1e-13 if eps is None else max(eps * 1e-2, 1e-13)
+    sub, inner_tol = _cubic_subproblem(obj, eps)
 
     def iterates():
         z = np.asarray(x0, dtype=float).copy()
@@ -254,8 +255,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    sub = _cubic_subproblem(obj)
-    inner_tol = 1e-13 if eps is None else max(eps * 1e-2, 1e-13)
+    sub, inner_tol = _cubic_subproblem(obj, eps)
 
     def iterates():
         x_anchor = np.asarray(x0, dtype=float).copy()

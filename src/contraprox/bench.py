@@ -105,8 +105,6 @@ def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
         return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)
     if name in ("cptm-p1", "cptm-p2"):
         p = int(name[-1])
-        if obj.smooth.order_max < p:
-            raise ValueError(f"{name} needs an order-{p} oracle")
         prox = PowerProx(p, x0, obj.metric)
         if obj.simple.modulus > 0:
             schedule = schedule_strongly_convex(p, obj.simple.modulus,

@@ -36,10 +36,14 @@ class ProxFunction:
     def divergence(self, x, y):
         """Bregman divergence centered at x: d(y) - d(x) - <grad d(x), y - x>.
 
-        Nonnegative by convexity; tiny negative round-off is clipped to 0.
+        Nonnegative by convexity; tiny negative round-off is clipped to 0.  x and
+        y must have ``center``'s shape, else ``ValueError``.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.shape != self.center.shape or y.shape != self.center.shape:
+            raise ValueError(f"divergence needs points of shape {self.center.shape}, "
+                             f"not {x.shape} and {y.shape}")
         val = self.value(y) - self.value(x) - float(self.gradient(x).dot(y - x))
         if val < 0.0:
             scale = abs(self.value(x)) + abs(self.value(y)) + 1.0

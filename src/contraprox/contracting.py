@@ -182,66 +182,19 @@ def convex_inner_accuracy(p, gamma0, lipschitz, eps):
             * gamma0 / (2.0 ** p * (p + 1) ** (p + 1)))
 
 
-def _convex_accuracy_and_count(p, gamma0, lipschitz, bregman0, eps):
-    """(delta, K before its floor) of the convex case at target residual eps."""
-    delta = convex_inner_accuracy(p, gamma0, lipschitz, eps)
-    K = 1.0 + 2.0 ** (1.0 / p) * (
-        2.0 ** (p - 1) * (p + 1) ** (p + 2) * lipschitz * bregman0
-        / (eps * math.factorial(p))) ** (1.0 / (p + 1))
-    return delta, K
-
-
-def complexity_convex(p, gamma0, lipschitz, bregman0, eps):
-    """(delta, K, oracle bound) for the convex case at target residual eps."""
-    if min(p, gamma0, lipschitz, bregman0, eps) <= 0:
-        raise ValueError("all arguments must be positive")
-    delta, K = _convex_accuracy_and_count(p, gamma0, lipschitz, bregman0, eps)
-    K = math.floor(K)
-    nk = K * (3.0 + (p + 1.0) / p * math.log(
-        4.0 * (1.0 + 1.0 / gamma0) * (p + 1) ** (1.0 / p) * K ** p))
-    return delta, K, nk
-
-
 def strongly_convex_inner_accuracy(p, gamma0, lipschitz, omega, eps):
     return ((math.factorial(p) * eps / lipschitz) ** (p / (p + 1.0))
             * gamma0 * p * omega
             / (2.0 ** p * (p + 1) ** (((p + 1) ** 2 + 1.0) / (p + 1))))
 
 
-def strongly_convex_log_term(p, lipschitz, bregman0, omega, eps):
-    return math.log(max(
-        (p + 1.0) ** p / omega ** (p + 1),
-        lipschitz * bregman0 * (p + 1) ** (p + 1) * 2.0 ** (p + 1.0 / p)
-        / (math.factorial(p) * eps)))
-
-
-def geometric_iteration_count(omega, log_term):
-    """K = floor(2 + log_term / omega), the geometric-phase iteration budget."""
-    return math.floor(2.0 + log_term / omega)
-
-
-def complexity_strongly_convex(p, gamma0, lipschitz, sigma, bregman0, eps):
-    """(delta, K, oracle bound) for psi strongly convex relative to d."""
-    if min(p, gamma0, lipschitz, bregman0, eps) <= 0 or sigma <= 0:
-        raise ValueError("all arguments must be positive")
-    omega = contraction_rate(p, sigma, lipschitz)
-    delta = strongly_convex_inner_accuracy(p, gamma0, lipschitz, omega, eps)
-    lterm = strongly_convex_log_term(p, lipschitz, bregman0, omega, eps)
-    K = geometric_iteration_count(omega, lterm)
-    e = math.e
-    nk = K * (3.0 + (1.0 + e / ((e - 1.0) * p)) * (1.0 + lterm) + math.log(
-        max(1.0, (4.0 * sigma * math.factorial(p) / ((p + 1) * lipschitz)) ** (1.0 / p))
-        * (1.0 + 1.0 / gamma0)
-        * (p + 1.0) ** ((p + 2.0) / p) / p ** ((p + 1.0) / p)
-        * 2.0 ** ((2.0 * p * p + p + 4.0) / p)))
-    return delta, K, nk
-
-
 def order_dependence(p):
-    """(delta(p), K(p)) with the ratio L/eps, the initial divergence and gamma0
-    all normalized to one; shows how the inner accuracy and the iteration count
-    react to the method's order."""
-    return _convex_accuracy_and_count(p, 1.0, 1.0, 1.0, 1.0)
+    """(delta(p), K(p)) of the convex theorem, K not floored, with the ratio
+    L/eps, the initial divergence and gamma0 all normalized to one; shows how
+    the inner accuracy and the iteration count react to the method's order."""
+    K = 1.0 + 2.0 ** (1.0 / p) * (
+        2.0 ** (p - 1) * (p + 1) ** (p + 2) / math.factorial(p)) ** (1.0 / (p + 1))
+    return convex_inner_accuracy(p, 1.0, 1.0, 1.0), K
 
 
 def _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform):

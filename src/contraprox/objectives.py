@@ -40,16 +40,15 @@ class SmoothOracle:
     """Counted access to f, grad f and (optionally) hess f.
 
     ``lipschitz[p]`` is the Lipschitz estimate of the p-th derivative in the
-    instance's norm.  ``taylor_data(x, order)`` returns everything a model of
-    that order needs in one call, so a point queried once is charged once.
-    ``hess(x)`` is the Hessian alone, for a caller that already holds the
-    first-order data at x.  Every order-2 caller (cptm's inner loop, cn and
-    acn) builds the Hessian that way, lazily, only at the points its steps
-    start from, so no solver asks ``taylor_data`` for order 2.
+    instance's norm.  ``taylor_data(x, 1)`` is the first-order query a model
+    step makes, value and gradient in one call, so a point queried once is
+    charged once; it serves order 1 only.  ``hess(x)`` is the Hessian alone,
+    for a caller that already holds the first-order data at x.  Every order-2
+    caller (cptm's inner loop, cn and acn) builds the Hessian that way, lazily,
+    only at the points its steps start from.
     """
 
     dim: int
-    order_max: int
     lipschitz: dict
 
     def __init__(self):
@@ -68,9 +67,10 @@ class SmoothOracle:
         raise NotImplementedError
 
     def taylor_data(self, x, order):
-        v, g = self.value_and_grad(x)
-        H = self.hess(x) if order >= 2 else None
-        return v, g, H
+        """(f(x), grad f(x)); ``order`` must be 1."""
+        if order != 1:
+            raise ValueError(f"taylor_data serves order 1 only, not {order!r}")
+        return self.value_and_grad(x)
 
 
 class QuadraticOracle(SmoothOracle):
@@ -81,7 +81,6 @@ class QuadraticOracle(SmoothOracle):
         self.matrix = np.asarray(A, dtype=float)
         self.rhs = np.asarray(b, dtype=float)
         self.dim = self.rhs.shape[0]
-        self.order_max = 2
         if lam_max is None:
             lam_max = float(np.linalg.eigvalsh(self.matrix).max())
         # the quadratic has an exactly constant Hessian, so order 2 is free
@@ -120,7 +119,6 @@ class LogSumExpOracle(SmoothOracle):
         self.shift = np.asarray(b, dtype=float)
         self.mu = float(mu)
         self.dim = self.data.shape[1]
-        self.order_max = 2
         # 1/mu bounds the Hessian in the B = A^T A norm; L_2 is configurable
         # (2/mu^2 is a certified bound, 1.0 mirrors the practical setting)
         self.lipschitz = {1: 1.0 / self.mu, 2: float(lipschitz_order2)}
@@ -164,17 +162,15 @@ class LogSumExpOracle(SmoothOracle):
         return self._hessian(pi, self.data.T @ pi)
 
     def taylor_data(self, x, order):
+        """(f(x), grad f(x)), kept for a Hessian at x; ``order`` must be 1."""
+        if order != 1:
+            raise ValueError(f"taylor_data serves order 1 only, not {order!r}")
         umax, pi, s = self._weights(x)
         self.counters.value += 1
         self.counters.grad += 1
-        v = self.mu * (umax + math.log(s))
         g = self.data.T @ pi
         self._last = (np.array(x, dtype=float), pi, g.copy())
-        H = None
-        if order >= 2:
-            self.counters.hess += 1
-            H = self._hessian(pi, g)
-        return v, g, H
+        return self.mu * (umax + math.log(s)), g
 
 
 class ZeroComponent:
@@ -345,13 +341,13 @@ def lse_instance(n, mu, seed, lipschitz_order2=1.0):
     return CompositeObjective(smooth, ZeroComponent(n), metric, descriptor=descriptor)
 
 
-def _newton_reference(obj, tol):
-    """Damped Newton on F down to dual gradient norm <= tol (second-order oracles)."""
+def _newton_reference(obj):
+    """Damped Newton on F down to dual gradient norm <= REFERENCE_TOL (second-order oracles)."""
     x = np.zeros(obj.dim)
     fval = obj.value(x)
     for _ in range(REFERENCE_CAP):
         g = obj.grad(x)
-        if obj.metric.dual_norm(g) <= tol:
+        if obj.metric.dual_norm(g) <= REFERENCE_TOL:
             return x, fval
         H = obj.smooth.hess(x) + obj.simple.hess(x)
         try:
@@ -369,21 +365,19 @@ def _newton_reference(obj, tol):
             t *= 0.5
         else:
             raise SolverError(f"reference Newton line search failed at dual gradient norm "
-                              f"{obj.metric.dual_norm(g):.3e} (tol {tol})")
+                              f"{obj.metric.dual_norm(g):.3e} (tol {REFERENCE_TOL})")
         x = x + t * step
         fval = trial
-    raise SolverError(f"reference Newton did not reach tol={tol} within {REFERENCE_CAP} iterations")
+    raise SolverError(f"reference Newton exceeded {REFERENCE_CAP} iterations (tol {REFERENCE_TOL})")
 
 
-def reference_optimum(obj, tol):
+def reference_optimum(obj):
     """Most accurate available solve of the instance: (xhat, F(xhat)).
 
     Quadratic-plus-order-1-psi instances use a closed-form linear solve;
     everything else runs a damped Newton until the dual gradient norm is
-    below tol.
+    at most REFERENCE_TOL.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     smooth = obj.smooth
     simple = obj.simple
     if (isinstance(smooth, QuadraticOracle) and isinstance(simple, PowerRegularizer)
@@ -395,13 +389,13 @@ def reference_optimum(obj, tol):
         fx = 0.5 * float(x @ smooth.matrix @ x) - float(smooth.rhs @ x)
         return x, fx + simple.value(x)
     work = obj.fresh()
-    return _newton_reference(work, tol)
+    return _newton_reference(work)
 
 
 def attach_reference(obj):
     """Compute and cache (xstar, fstar) on the instance and its descriptor, to REFERENCE_TOL."""
     if obj.fstar is None or obj.xstar is None:
-        x, f = reference_optimum(obj, REFERENCE_TOL)
+        x, f = reference_optimum(obj)
         obj.xstar = x
         obj.fstar = f
         obj.descriptor["fstar"] = f

@@ -83,7 +83,7 @@ class ContractedSmooth:
 
     def data(self, x):
         """Value and gradient at x, both finite; the Hessian comes from :meth:`hess`."""
-        v, g, _ = self.oracle.taylor_data(self.map_point(x), 1)
+        v, g = self.oracle.taylor_data(self.map_point(x), 1)
         if not (math.isfinite(v) and np.isfinite(g).all()):
             raise SolverError(f"the oracle returned a non-finite value or gradient (f = {v!r})")
         return SmoothData(np.asarray(x, float).copy(), self.A_next * v, self.a * g)
@@ -206,8 +206,8 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
             _syr(c * beta, Bw, a=H, overwrite_a=True)
 
 
-def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol):
-    """Damped Newton on the step objective, to dual gradient norm <= tol.
+def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
+    """Damped Newton on the step objective from ``base.x``, to dual gradient norm <= tol.
 
     Each point is evaluated once: its norms and B-products serve value,
     gradient and Hessian, the model Hessian plus a multiple of B plus at most
@@ -218,7 +218,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, y0, tol):
     iterations without a better residual (a round-off floor) end the solve at
     the best point, as a failed line search does.  Returns (y, residual, iters).
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = base.x.copy()
     phi_base = sub.phi_value(base.x)
     val, grad, terms = model_objective(sub, base, y, phi_base)
     H = np.empty((y.size, y.size), order="F")
@@ -345,7 +345,7 @@ def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
     if sub.p == 1:
         return _closed_form_order1(sub, base), 0.0, 0
-    return minimize_model_newton(sub, base, base.x, inner_tol)
+    return minimize_model_newton(sub, base, inner_tol)
 
 
 def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):

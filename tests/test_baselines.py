@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contraprox.baselines import (accelerated_cubic_newton,
+from contraprox.baselines import (_cubic_subproblem, accelerated_cubic_newton,
                                   accelerated_gradient, classical_ppa,
                                   cubic_newton, gradient_method_ls)
 from contraprox.bench import build_instance, run_method
@@ -188,6 +188,12 @@ def test_cubic_methods_run_to_the_cap_without_eps(method):
     obj = attach_reference(lse_instance(8, 1.0, 0))
     tr = method(obj, np.zeros(8), None, 5)
     assert tr.status == "cap" and tr.iterations == 5 and tr.header["eps"] is None
+
+
+@pytest.mark.parametrize("eps, inner_tol", [(1e-7, 1e-9), (1e-12, 1e-13), (None, 1e-13)])
+def test_cubic_step_tolerance_is_eps_over_100_floored(eps, inner_tol):
+    # the one rule cn and acn take their step tolerance from
+    assert _cubic_subproblem(_one_dim(), eps)[1] == inner_tol
 
 
 @pytest.mark.parametrize("method", [accelerated_gradient, classical_ppa])

@@ -140,11 +140,12 @@ def test_uniform_bound_random_pairs():
 
 
 class _FunctionProx(ProxFunction):
-    """A distance generator given by its value and gradient functions."""
+    """A distance generator on R^n given by its value and gradient functions."""
 
-    def __init__(self, value_fn, gradient_fn):
+    def __init__(self, value_fn, gradient_fn, n):
         self.value = value_fn
         self.gradient = gradient_fn
+        self.center = np.zeros(n)
 
 
 def test_additivity_of_divergences():
@@ -156,7 +157,7 @@ def test_additivity_of_divergences():
     a1, a2 = 0.7, 2.5
     combo = _FunctionProx(
         lambda x: a1 * d1.value(x) + a2 * d2.value(x),
-        lambda x: a1 * d1.gradient(x) + a2 * d2.gradient(x))
+        lambda x: a1 * d1.gradient(x) + a2 * d2.gradient(x), 3)
     for _ in range(10):
         x, y = rng.standard_normal(3), rng.standard_normal(3)
         expect = a1 * d1.divergence(x, y) + a2 * d2.divergence(x, y)
@@ -167,7 +168,7 @@ def test_linear_functions_have_zero_divergence():
     rng = np.random.default_rng(8)
     g = rng.standard_normal(4)
     # a linear function is convex but not strictly convex: its divergence is 0
-    linear = _FunctionProx(lambda x: 3.0 + float(g @ x), lambda x: g)
+    linear = _FunctionProx(lambda x: 3.0 + float(g @ x), lambda x: g, 4)
     for _ in range(5):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         assert linear.divergence(x, y) == pytest.approx(0.0, abs=1e-12)
@@ -186,8 +187,10 @@ def test_rejects_bad_order():
 
 def test_divergence_refuses_a_point_of_another_dimension():
     d = PowerProx(2, np.zeros(3), Metric.identity(3))
-    for x, y in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
-        with pytest.raises(ValueError):
+    # a (1,) point broadcasts against a (3,) one, so only a shape check catches it
+    for x, y in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones(3), np.ones(4)),
+                 (np.ones(3), np.ones(1)), (np.ones(1), np.ones(3)), (np.ones((1, 3)), np.ones(3))):
+        with pytest.raises(ValueError, match="shape"):
             d.divergence(x, y)
 
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,38 @@ def test_plain_lse_solve_keeps_its_header(tmp_path):
     header = (plain / "cn.csv").read_text().splitlines()[0]
     assert header == (explicit / "cn.csv").read_text().splitlines()[0]
     assert '"lipschitz_order2": 1.0' in header
+
+
+# what `contraprox curves --p-min 1 --p-max 10` prints and writes, byte for byte
+CURVES_1_TO_10 = """p,delta,K
+1,0.125,6.656854249492381
+2,0.01469815788859444,7.118946707966517
+3,0.0018719036257215014,7.4401429338004235
+4,0.000254213721851715,7.585628878642062
+5,3.6190414542138366e-05,7.640573388529924
+6,5.33673804292512e-06,7.650113631621336
+7,8.085313311973846e-07,7.636654362715388
+8,1.2513346500941816e-07,7.611623929713485
+9,1.9702292785840452e-08,7.581054245134978
+10,3.146309528993952e-09,7.548214878861645
+"""
+
+
+def test_curves_prints_and_writes_the_order_dependence_table(tmp_path):
+    # run as the module's __main__, the way `python -m contraprox.cli` starts it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "curves" / "order.csv"
+    run = subprocess.run([sys.executable, "-m", "contraprox.cli", "curves", "--p-min", "1",
+                          "--p-max", "10", "--out", str(out)],
+                         env=env, capture_output=True, text=True, check=False)
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, CURVES_1_TO_10, "")
+    assert out.read_text() == CURVES_1_TO_10
+
+
+def test_curves_below_order_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--p-min", "0", "--out", str(out)]) == EXIT_USAGE
+    assert "need 1 <= p-min <= p-max" in capsys.readouterr().err
+    assert not out.exists()

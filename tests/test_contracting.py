@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from contraprox import contracting
 from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
-from contraprox.contracting import (SublinearSchedule, complexity_convex,
-                                    complexity_strongly_convex,
-                                    contraction_point, contraction_rate,
+from contraprox.contracting import (SublinearSchedule, contraction_point, contraction_rate,
                                     convex_inner_accuracy, delta_rule,
-                                    geometric_iteration_count,
                                     inexact_certificate_bounds, order_dependence,
                                     run_contracting_proximal, schedule_convex,
                                     schedule_strongly_convex,
@@ -242,12 +239,6 @@ def test_bound_is_monotone_in_the_accuracies(p, gamma0, sigma_simple, bregman0,
 
 
 class TestComplexityFormulas:
-    def test_convex_reference_point(self):
-        delta, K, nk = complexity_convex(1, 1.0, 1.0, 1.0, 1.0)
-        assert delta == pytest.approx(0.125, abs=1e-12)
-        assert K == 6
-        assert nk > 0
-
     def test_order_dependence_reference_row(self):
         delta, K = order_dependence(1)
         assert delta == pytest.approx(0.125, abs=1e-12)
@@ -263,16 +254,13 @@ class TestComplexityFormulas:
             _, K = order_dependence(p)
             assert K <= 8.0
 
-    def test_strongly_convex_iteration_assembly(self):
-        assert geometric_iteration_count(0.5, 1.0) == 4
-
     def test_strongly_convex_accuracy_homogeneity(self):
-        d1, _, _ = complexity_strongly_convex(1, 1.0, 1.0, 1.0, 1.0, 1e-4)
-        d2, _, _ = complexity_strongly_convex(1, 1.0, 1.0, 1.0, 1.0, 2e-4)
-        assert d2 / d1 == pytest.approx(2.0 ** 0.5, rel=1e-12)
-        d1, _, _ = complexity_strongly_convex(2, 1.0, 1.0, 1.0, 1.0, 1e-4)
-        d2, _, _ = complexity_strongly_convex(2, 1.0, 1.0, 1.0, 1.0, 2e-4)
-        assert d2 / d1 == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-12)
+        # delta scales as eps^{p/(p+1)} at a fixed contraction rate
+        for p in (1, 2):
+            omega = contraction_rate(p, 1.0, 1.0)
+            d1 = strongly_convex_inner_accuracy(p, 1.0, 1.0, omega, 1e-4)
+            d2 = strongly_convex_inner_accuracy(p, 1.0, 1.0, omega, 2e-4)
+            assert d2 / d1 == pytest.approx(2.0 ** (p / (p + 1.0)), rel=1e-12)
 
     def test_constant_accuracy_endgame(self):
         # with the theorem's constant accuracy and iteration count, the

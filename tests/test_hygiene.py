@@ -4,7 +4,10 @@
 - Every module-level function and class in ``src/contraprox`` is reached
   from production code: another top-level statement of ``src/contraprox``
   names it, or ``perfbench`` does, unless :data:`UNREACHED` lists it with a
-  reason.  Tests do not count, so code only tests reach shows up here.
+  reason.  So is every method of such a class, dunders aside: a statement of
+  ``src/contraprox`` outside its class, another member of its class, or
+  ``perfbench`` names it, unless :data:`UNREACHED` lists ``Class.method``.
+  Tests do not count, so code only tests reach shows up here.
 - Every parameter with a default, of a function or method in
   ``src/contraprox``, is passed by a call in ``src/contraprox`` or
   ``perfbench/*.py``, unless :data:`UNPASSED` lists it with a reason.  A call
@@ -23,13 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(path for path in (ROOT / "src" / "contraprox").glob("*.py")
              if path.name != "__init__.py")
 
-# Top-level definitions that only tests reach, each with why it stays.
-UNREACHED = {
-    "complexity_convex": "the paper's convex complexity bound; to become a run check or go "
-                         "(ROADMAP R)",
-    "complexity_strongly_convex": "the paper's uniformly convex complexity bound; to become a "
-                                  "run check or go (ROADMAP R)",
-}
+# Top-level definitions and methods that only tests reach, each with why it stays.
+UNREACHED = {}
 
 # Parameters with a default that no production call passes, each with why it stays.
 UNPASSED = {
@@ -74,18 +72,32 @@ def _names(node):
 
 
 def _unreached():
+    """Top-level definitions, and ``Class.method`` of their methods, that no
+    production statement names."""
     statements = [(node, _names(node))
                   for path in SRC for node in ast.parse(path.read_text()).body]
     named_by_perfbench = set().union(*(_names(ast.parse(path.read_text()))
                                        for path in (ROOT / "perfbench").glob("*.py")))
-    return sorted(node.name for node, _ in statements
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in named_by_perfbench
-                  and not any(node.name in names for other, names in statements
-                              if other is not node))
+
+    def named(name, owner, scope):
+        return name in named_by_perfbench or any(name in names for other, names in scope
+                                                 if other is not owner)
+
+    found = [node.name for node, _ in statements
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not named(node.name, node, statements)]
+    for cls, _ in statements:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        members = [(member, _names(member)) for member in cls.body]
+        found += [f"{cls.name}.{fn.name}" for fn, _ in members
+                  if isinstance(fn, ast.FunctionDef)
+                  and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                  and not named(fn.name, fn, members) and not named(fn.name, cls, statements)]
+    return sorted(found)
 
 
-def test_every_top_level_definition_is_reached_from_production_code():
+def test_every_definition_and_method_is_reached_from_production_code():
     assert _unreached() == sorted(UNREACHED)
 
 

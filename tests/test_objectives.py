@@ -131,7 +131,9 @@ class TestLogSumExp:
             x = 0.5 * rng.standard_normal(20)
             H = smooth.hess(x)
             assert np.array_equal(H, H.T)
-            assert np.array_equal(H, smooth.taylor_data(x, 2)[2])
+            # the cached path, after a first-order query at x, gives the same bits
+            smooth.taylor_data(x, 1)
+            assert np.array_equal(H, smooth.hess(x))
             # the gemm form A^T diag(pi) A - g g^T, rounded differently
             u = (smooth.data @ x - smooth.shift) / smooth.mu
             pi = np.exp(u - u.max())
@@ -144,7 +146,7 @@ class TestLogSumExp:
         smooth = lse_instance(20, 1.0, 0).smooth
 
         def fresh_hessian(z):
-            return lse_instance(20, 1.0, 0).smooth.taylor_data(z, 2)[2]
+            return lse_instance(20, 1.0, 0).smooth.hess(z)
 
         rng = np.random.default_rng(4)
         x, y = 0.5 * rng.standard_normal(20), 0.5 * rng.standard_normal(20)
@@ -204,9 +206,20 @@ class TestCounters:
     def test_lse_counts(self):
         obj = lse_instance(4, 1.0, 0).fresh()
         x = np.zeros(4)
-        obj.smooth.taylor_data(x, 2)
+        obj.smooth.taylor_data(x, 1)
+        obj.smooth.hess(x)
         c = obj.counters
         assert (c.value, c.grad, c.hess) == (1, 1, 1)
+
+    @pytest.mark.parametrize("make", [lambda: quadratic_instance(4, 1.0, 0),
+                                      lambda: lse_instance(4, 1.0, 0)])
+    def test_taylor_data_serves_order_one_only(self, make):
+        obj = make().fresh()
+        for order in (0, 2):
+            with pytest.raises(ValueError, match="order 1 only"):
+                obj.smooth.taylor_data(np.zeros(4), order)
+        c = obj.counters
+        assert (c.value, c.grad, c.hess) == (0, 0, 0)
 
     def test_fresh_isolates_runs(self):
         obj = quadratic_instance(6, 1.0, 0)
@@ -246,7 +259,7 @@ class TestPowerRegularizer:
 class TestReferenceOptimum:
     def test_quadratic_closed_form(self):
         obj = quadratic_instance(8, 1.5, 2)
-        x, f = reference_optimum(obj, 1e-12)
+        x, f = reference_optimum(obj)
         np.testing.assert_allclose(
             x, np.linalg.solve(obj.smooth.matrix, obj.smooth.rhs), rtol=1e-10)
         assert f == pytest.approx(obj.fstar, rel=1e-12)
@@ -256,12 +269,12 @@ class TestReferenceOptimum:
                                            ZeroComponent)
         obj = CompositeObjective(QuadraticOracle(np.array([[1.0]]), np.zeros(1)),
                                  ZeroComponent(1), Metric.identity(1))
-        x, f = reference_optimum(obj, 1e-12)
+        x, f = reference_optimum(obj)
         assert abs(x[0]) < 1e-12 and abs(f) < 1e-15
 
     def test_lse_two_solver_agreement(self):
         obj = lse_instance(5, 1.0, 1)
-        x1, f1 = reference_optimum(obj, 1e-12)
+        x1, f1 = reference_optimum(obj)
         # independent second solver
         res = scipy.optimize.minimize(
             obj.smooth.value, np.zeros(5), jac=obj.smooth.grad,
@@ -308,13 +321,13 @@ class TestReferenceOptimum:
 
         obj = CompositeObjective(Plateau(), ZeroComponent(2), Metric.identity(2))
         with pytest.raises(SolverError, match="line search failed"):
-            reference_optimum(obj, 1e-12)
+            reference_optimum(obj)
 
     def test_composite_quadratic_plus_power(self):
         obj = quadratic_instance(6, 1.5, 3)
         prox = PowerProx(1, np.zeros(6), obj.metric)
         comp = obj.with_simple(PowerRegularizer(0.2, prox))
-        x, f = reference_optimum(comp, 1e-12)
+        x, f = reference_optimum(comp)
         expect = np.linalg.solve(obj.smooth.matrix + 0.2 * np.eye(6), obj.smooth.rhs)
         np.testing.assert_allclose(x, expect, rtol=1e-10)
 

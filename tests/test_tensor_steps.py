@@ -159,7 +159,7 @@ class TestTensorStep:
         x = rng.standard_normal(n)
         base = _data(sub.smooth, x, 2)
         direct = cubic_step_single_center(base, 1.5, metric)
-        newton, _, _ = minimize_model_newton(sub, base, x, 1e-13)
+        newton, _, _ = minimize_model_newton(sub, base, 1e-13)
         descent, _, _ = minimize_model_descent(sub, base, x, 1e-11)
         np.testing.assert_allclose(newton, direct, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
@@ -183,9 +183,8 @@ class TestTensorStep:
         # tolerance for eps = 1e-7), not the secular reference, which takes
         # no sub-iterations
         obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
-        sub = _cubic_subproblem(obj.fresh())
+        sub, inner_tol = _cubic_subproblem(obj.fresh(), 1e-7)
         base = _data(sub.smooth, np.zeros(20), 2)
-        inner_tol = 1e-9
         _, residual, iterations = tensor_step(sub, base, inner_tol)
         assert iterations >= 1
         assert residual <= inner_tol
@@ -664,7 +663,7 @@ class TestNewtonSolve:
         # smooth.data rejects the NaN gradient an oracle query returns
         model = SmoothData(np.zeros(3), 0.0, -b, A)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+            minimize_model_newton(sub, model, 1e-10)
 
     def test_indefinite_hessian_takes_the_jitter_path(self, monkeypatch):
         failures = []
@@ -678,7 +677,7 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
         sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
-        y, res, iters = minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+        y, res, iters = minimize_model_newton(sub, model, 1e-10)
         assert failures and iters >= 1 and res <= 1e-10
         assert model_objective(sub, model, y)[0] < model_objective(sub, model, np.zeros(3))[0]
 
@@ -695,7 +694,7 @@ class TestNewtonSolve:
         monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
         A = np.diag([2.0, 1.0, -1e-13])
         sub, model = self._cubic_model(A, np.array([1.0, -0.5, 0.0]))
-        minimize_model_newton(sub, model, np.zeros(3), 1e-10)
+        minimize_model_newton(sub, model, 1e-10)
         # at the base point r = 0, so the step Hessian is A itself
         jitter = 1e-12 * (1.0 + abs(float(np.trace(A))))
         expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A + jitter * np.eye(3)),
@@ -723,10 +722,10 @@ class TestNewtonSolve:
         # the residual cannot fall much below about 4e-18 here: at tol 1e-17 the
         # solve converges, at tol 1e-20 it used to spend its 200-iteration cap
         obj = build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
-        sub = _cubic_subproblem(obj)
+        sub, _ = _cubic_subproblem(obj, None)
         base = _data(sub.smooth, np.zeros(50), 2)
-        _, _, converged_after = minimize_model_newton(sub, base, base.x, 1e-17)
-        y, res, iters = minimize_model_newton(sub, base, base.x, 1e-20)
+        _, _, converged_after = minimize_model_newton(sub, base, 1e-17)
+        y, res, iters = minimize_model_newton(sub, base, 1e-20)
         assert converged_after <= 10 and iters <= 25 and res <= 1e-17
         # the best point comes back with its own residual, which callers certify
         assert res == sub.metric.dual_norm(model_objective(sub, base, y)[1])
