@@ -24,11 +24,7 @@ Per iteration, each method is charged:
   delta are never charged a Hessian (row 0: the value at x_0).
 
 Every method is recorded, stopped and capped by :func:`trace.drive`, whose
-docstring states the rules.  With f* unknown the baselines stop on a
-gradient norm: gm, cn and acn use ||grad F(x_k)||_*.  agm uses
-||grad f(y_k)||_*, the gradient its step queried; ppa uses ||grad f(x_k)||_*,
-the last gradient of its inner solve, which ends at z = x_k.  Neither makes a
-query for the test, and row 0, which has no such gradient, never stops them.
+docstring states the rules.
 """
 
 from __future__ import annotations
@@ -78,8 +74,7 @@ def gradient_method_ls(obj: CompositeObjective, x0, eps, cap):
     Monotone: a trial step is accepted only under the standard sufficient
     decrease f(x+) <= f(x) - ||grad||_*^2 / (2 L) (see :func:`_line_search`),
     starting from the known L (or 1).  The gradient at x_k is queried when
-    the next step needs it, or earlier when f* is unknown and the stop test
-    needs its norm.
+    the next step needs it, so a run that stops at x_k never queries it.
     """
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
@@ -92,37 +87,21 @@ def gradient_method_ls(obj: CompositeObjective, x0, eps, cap):
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
         f, L = obj.smooth.value(x), L_start
-        g = gn = None
-
-        def grad_norm():
-            nonlocal g, gn
-            if g is None:
-                g = obj.smooth.grad(x)
-                gn = metric.dual_norm(g)
-            return gn
-
         row = {"x": x}
         while True:
-            yield f, grad_norm, row
-            grad_norm()
-            x_t, f_t, _, _, L, trials = _line_search(obj.smooth.value, x, f, metric.solve(g),
-                                                     gn, L, L_cap)
-            row = {"s_norm": gn, "t_inner": trials, "x": x_t}
-            x, f, g = x_t, f_t, None
+            yield f, row
+            g = obj.smooth.grad(x)
+            gn = metric.dual_norm(g)
+            x, f, _, _, L, trials = _line_search(obj.smooth.value, x, f, metric.solve(g), gn,
+                                                 L, L_cap)
+            row = {"s_norm": gn, "t_inner": trials, "x": x}
 
     header = {"method": "gm", "line_search": {"l0": L_start, "grow": 2.0, "shrink": 0.5}}
     return drive(obj, header, eps, cap, iterates())
 
 
 def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
-    """Estimating-sequence accelerated gradient with a_{k+1}^2 = (a_{k+1}+A_k)/L.
-
-    With f* unknown the run stops on ||grad f(y_k)||_*, the gradient its step
-    at the look-ahead point y_k queried.  That bounds the residual of x_k:
-    the 1/L step gives f(x_k) <= f(y_k) - ||grad f(y_k)||_*^2/(2L) <= f(y_k),
-    and convexity gives f(y_k) - f* <= <grad f(y_k), y_k - x*>
-    <= ||grad f(y_k)||_* ||y_k - x*||.
-    """
+    """Estimating-sequence accelerated gradient with a_{k+1}^2 = (a_{k+1}+A_k)/L."""
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
     obj = obj.fresh()
@@ -133,7 +112,7 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
         x = np.asarray(x0, dtype=float).copy()
         v = x.copy()
         A = 0.0
-        yield obj.smooth.value(x), lambda: math.nan, {"A": 0.0, "a": 0.0, "x": x, "v": v}
+        yield obj.smooth.value(x), {"A": 0.0, "a": 0.0, "x": x, "v": v}
         while True:
             a = (1.0 + math.sqrt(1.0 + 4.0 * L * A)) / (2.0 * L)
             A_next = A + a
@@ -144,9 +123,8 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
             v = v - a * step
             A = A_next
             f = obj.smooth.value(x)
-            gn = metric.dual_norm(g)
-            yield f, lambda gn=gn: gn, {"a": a, "A": A, "s_norm": gn, "t_inner": 1,
-                                        "x": x, "v": v}
+            yield f, {"a": a, "A": A, "s_norm": metric.dual_norm(g), "t_inner": 1,
+                      "x": x, "v": v}
 
     return drive(obj, {"method": "agm", "L": L}, eps, cap, iterates())
 
@@ -157,8 +135,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     method to the inner accuracy 1/k^2.
 
     Each step starts from the value and gradient at x_k that the previous
-    solve ended with (at x_0, one value-and-gradient query).  With f* unknown
-    the run stops on ||grad f(x_k)||_*, taken from that last gradient.
+    solve ended with (at x_0, one value-and-gradient query).
     """
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
@@ -174,7 +151,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
         fz, gz = obj.smooth.value_and_grad(x)
-        yield fz, lambda: math.nan, {"x": x}
+        yield fz, {"x": x}
         L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
         for k in itertools.count(1):
             delta_k = 1.0 / k ** 2
@@ -193,8 +170,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
                 sub_grad = a * gz + apply(d)
                 dn = dual_norm(sub_grad)
             x = z
-            yield fz, lambda gz=gz: dual_norm(gz), {
-                "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
+            yield fz, {"a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
 
@@ -227,8 +203,7 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
         data = sub.smooth.data(z)
         row = {"x": z}
         while True:
-            grad_norm = lambda z=z, g=data.grad: metric.dual_norm(g + obj.simple.subgrad(z))
-            yield data.value + obj.simple.value(z), grad_norm, row
+            yield data.value + obj.simple.value(z), row
             data.hess = sub.smooth.hess(data.x)
             z, residual, _ = tensor_step(sub, data, inner_tol)
             base, data = data, sub.smooth.data(z)
@@ -247,9 +222,8 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
     certificate is the estimating-sequence bound, not per-step descent.  Per
     iteration, a first-order query and a Hessian at the look-ahead point and
     a first-order query at the new iterate; the start x0 gets the same
-    first-order query, so every row records s_norm = ||grad f(x_k)||_* and the
-    run stops on the gradient norm when f* is unknown.  The step's tolerance is
-    that of :func:`cubic_newton`.
+    first-order query, so every row records s_norm = ||grad f(x_k)||_*.  The
+    step's tolerance is that of :func:`cubic_newton`.
     """
     if not obj.simple.is_zero:
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
@@ -263,8 +237,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
         s_acc = np.zeros_like(x)
         A = 0.0
         f, g = obj.smooth.value_and_grad(x)
-        gn = metric.dual_norm(g)
-        yield f, lambda gn=gn: gn, {"A": 0.0, "a": 0.0, "s_norm": gn, "x": x}
+        yield f, {"A": 0.0, "a": 0.0, "s_norm": metric.dual_norm(g), "x": x}
         for k in itertools.count(1):
             a = 0.5 * k * (k + 1)
             A_next = A + a
@@ -281,9 +254,8 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g
-            gn = metric.dual_norm(g)
-            yield f, lambda gn=gn: gn, {"a": a, "A": A, "s_norm": gn, "t_inner": 1,
-                                        "x": x, "v": v}
+            yield f, {"a": a, "A": A, "s_norm": metric.dual_norm(g), "t_inner": 1,
+                      "x": x, "v": v}
 
     header = {"method": "acn", "reg": CUBIC_REG, "prox_reg": CUBIC_REG, "monotone": False}
     return drive(obj, header, eps, cap, iterates())

@@ -63,8 +63,8 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
     records sigma in the descriptor.  The quadratic's closed-form optimum
     comes with it, so only the other instances solve for theirs.  A parameter
     that is not finite, a negative sigma, a nonpositive alpha, mu or
-    lipschitz_order2, a mu above ``LSE_MU_MAX`` and a q that no steepness
-    alpha gives are refused with a ``ValueError`` that names it.
+    lipschitz_order2, a mu above ``LSE_MU_MAX``, a q that no steepness alpha
+    gives and an alpha beside q but not q's are refused with a ``ValueError``.
     """
     for name, value in (("sigma", sigma), ("alpha", alpha), ("mu", mu),
                         ("lipschitz_order2", lipschitz_order2)):
@@ -75,10 +75,11 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
     if mu is not None and mu > LSE_MU_MAX:
         raise ValueError(f"mu must be at most {LSE_MU_MAX:g}, not {mu!r}")
     if problem == "quadratic":
-        if q is None and alpha is None:
-            raise ValueError("quadratic instances need q or alpha")
-        alpha_q = alpha_for_condition_ratio(q) if q is not None else None
-        obj = quadratic_instance(n, alpha_q if alpha is None else alpha, seed)
+        steepness = alpha_for_condition_ratio(q) if q is not None else alpha
+        if steepness is None or alpha not in (None, steepness):
+            raise ValueError(f"quadratic instances need q or alpha, not q = {q!r} "
+                             f"and alpha = {alpha!r}")
+        obj = quadratic_instance(n, steepness, seed)
         if q is not None:
             obj.descriptor["q"] = float(q)
     elif problem == "lse":
@@ -97,9 +98,10 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
                cap_outer=5000, cap_inner=None):
     """Run one named method on an instance; returns its trace."""
-    if not (eps > 0 and gamma0 > 0 and cap_outer > 0 and (cap_inner is None or cap_inner > 0)):
-        raise ValueError(f"eps, gamma0 and the caps must be positive, not {eps}, {gamma0}, "
-                         f"{cap_outer} and {cap_inner}")
+    if not (eps > 0 and 0 < gamma0 < math.inf and cap_outer > 0
+            and (cap_inner is None or cap_inner > 0)):
+        raise ValueError(f"eps, gamma0 and the caps must be positive and gamma0 finite, not "
+                         f"{eps}, {gamma0}, {cap_outer} and {cap_inner}")
     x0 = np.zeros(obj.dim)
     if name in _BASELINE_FUNCTIONS:
         return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)

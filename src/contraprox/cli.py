@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,7 +40,7 @@ def build_parser():
     solve.add_argument("--problem", required=True, choices=("quadratic", "lse"))
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--q", type=float, help="condition ratio for the quadratic")
-    solve.add_argument("--alpha", type=float, help="spectrum steepness (overrides --q)")
+    solve.add_argument("--alpha", type=float, help="spectrum steepness (instead of --q)")
     solve.add_argument("--mu", type=float, help="smoothing parameter for lse")
     solve.add_argument("--l2", type=float,
                        help="Lipschitz constant of the lse Hessian for the schedule (default 1)")
@@ -155,7 +156,13 @@ def cmd_curves(args):
         return EXIT_USAGE
     lines = ["p,delta,K"]
     for p in range(args.p_min, args.p_max + 1):
-        delta, K = order_dependence(p)
+        try:
+            delta, K = order_dependence(p)
+        except OverflowError:
+            delta, K = 0.0, math.inf
+        if not (delta > 0 and math.isfinite(K)):
+            print(f"curves: delta or K of order {p} leaves the float range", file=sys.stderr)
+            return EXIT_USAGE
         lines.append(f"{p},{delta!r},{K!r}")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)

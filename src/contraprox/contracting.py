@@ -9,9 +9,8 @@ body.  The inner accuracy is one rule in k, parsed by :func:`delta_rule` from
 the text ``const:<v>``, ``power:<c>,<s>`` (c / k^s) or ``theorem`` (the fixed
 accuracy of the convex or uniformly convex theorem for a target eps).  Each
 inner solve is capped by an explicit ``cap_inner``, else by INNER_SLACK times
-the sufficient inner-step count when x* and f* are known, else by
-INNER_FLOOR.  Coefficient schedules, the runtime certificate bound and the
-order-dependence formulas also live here.
+the sufficient inner-step count.  Coefficient schedules, the runtime
+certificate bound and the order-dependence formulas also live here.
 """
 
 from __future__ import annotations
@@ -149,31 +148,23 @@ def contraction_point(a, A_prev, v, x_prev):
     return (a * np.asarray(v, float) + A_prev * np.asarray(x_prev, float)) / (A_prev + a)
 
 
-def _certificate_terms(p, gamma0, sigma_simple, deltas, A_values):
-    """Summands delta_i / gamma_i^{1/(p+1)} of the bound, gamma_i = gamma0 + sigma_simple*A_i."""
-    return deltas / (gamma0 + sigma_simple * A_values) ** (1.0 / (p + 1))
-
-
-def _certificate_bound(p, gamma0, bregman0, sigma_uniform, acc):
-    """The certified bound from the sum ``acc`` of the summands so far (scalar or array)."""
-    head = (gamma0 * bregman0) ** (p / (p + 1.0))
-    return (head + ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc) ** ((p + 1.0) / p)
-
-
 def inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, sigma_uniform,
                                deltas, A_values):
     """Certified upper bound on the residual-plus-divergence sum after every prefix.
 
     ``deltas[i]`` is the dual norm certified at iteration i+1 and
     ``A_values[i]`` the corresponding A_{i+1}.  Entry k of the result is the
-    bound after k steps, so entry 0 is the head term gamma0 * bregman0.
+    bound after k steps, so entry 0 is the head term gamma0 * bregman0.  The
+    summands are delta_i / gamma_i^{1/(p+1)} with gamma_i = gamma0 + sigma_simple*A_i.
     """
     deltas = np.asarray(deltas, dtype=float)
     A_values = np.asarray(A_values, dtype=float)
     if deltas.shape != A_values.shape:
         raise ValueError("deltas and A_values must have matching lengths")
-    terms = _certificate_terms(p, gamma0, sigma_simple, deltas, A_values)
-    return _certificate_bound(p, gamma0, bregman0, sigma_uniform, np.cumsum(np.append(0.0, terms)))
+    terms = deltas / (gamma0 + sigma_simple * A_values) ** (1.0 / (p + 1))
+    acc = np.cumsum(np.append(0.0, terms))
+    head = (gamma0 * bregman0) ** (p / (p + 1.0))
+    return (head + ((p + 1.0) / sigma_uniform) ** (1.0 / (p + 1)) * acc) ** ((p + 1.0) / p)
 
 
 def convex_inner_accuracy(p, gamma0, lipschitz, eps):
@@ -225,29 +216,25 @@ def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delt
     return 2.0 + max(1.0, ell / mu) * (p + 1.0) / p * term
 
 
-INNER_FLOOR = 200    # per-iteration inner cap when the sufficient-step bound is not computable
-INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, as a multiple of that bound
+INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, in inner_iteration_bound units
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
                              delta_schedule, eps=None, *, cap_outer=1000, cap_inner=None,
-                             gamma0=1.0, bregman0_bound=None):
+                             gamma0=1.0):
     """Full outer loop from the prox center; returns a :class:`RunTrace` with
     one record per iteration.
 
     ``delta_schedule`` is the accuracy text of :func:`delta_rule`
     (``const:<v>``, ``power:<c>,<s>`` or ``theorem``).  Step k+1 minimizes
     h_{k+1} with :func:`inner_loop` from v_k, at most ``cap_inner`` inner
-    steps when that is given.  Otherwise, when x* and f* are known, the cap is
-    INNER_SLACK times the sufficient inner-step count from the state at k (at
-    least 8), and else INNER_FLOOR.
+    steps when that is given, and otherwise INNER_SLACK times the sufficient
+    inner-step count from the state at k (at least 8).
 
     The run is recorded, stopped and capped by :func:`trace.drive` with cap
-    ``cap_outer``.  Without a known optimum its stop norm is the certified
-    residual bound/A_k, computable when ``bregman0_bound`` (an upper bound
-    on the initial divergence to the optimum) is given; otherwise it is NaN
-    and only the cap ends the run.  With ``eps=None`` the run executes
-    ``cap_outer`` iterations, the usual mode for certificate batteries.
+    ``cap_outer``: it needs the instance's f* and x*, and stops on
+    F(x_k) - f* <= eps.  With ``eps=None`` the run executes ``cap_outer``
+    iterations, the usual mode for certificate batteries.
     """
     obj = obj.fresh()
     p = prox.order
@@ -267,40 +254,27 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     def iterates():
         k, A, gamma, x, v = 0, 0.0, gamma0, x0.copy(), x0.copy()
         f = obj.value(x0)
-        div = prox.divergence(x0, xstar) if xstar is not None else math.nan    # D(v_k; x*)
-        yield f, lambda: math.nan, {
-            "A": 0.0, "gamma": gamma0, "a": 0.0, "bregman_vstar": div, "x": x, "v": v}
-        acc = 0.0    # the certificate's sum of terms up to the last row
-
-        def certified_residual():
-            if bregman0_bound is None:
-                return math.nan
-            return _certificate_bound(p, gamma0, bregman0_bound, sigma_uniform, acc) / A
-
+        div = prox.divergence(x0, xstar)    # D(v_k; x*)
+        yield f, {"A": 0.0, "gamma": gamma0, "a": 0.0, "bregman_vstar": div, "x": x, "v": v}
         while True:
             a = schedule.next_a(k, A)
             delta = delta_fn(k + 1)
-            residual_term = A * (f - fstar) if fstar is not None else math.nan
             A_next = A + a
             smooth = ContractedSmooth(obj.smooth, a, A_next, x, A)
             lipschitz_g = smooth.lipschitz(p)
             gamma_next = gamma + a * sigma_simple
             sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox, v)
-            if cap_inner is not None:
-                cap = cap_inner
-            elif xstar is None or not math.isfinite(residual_term):
-                cap = INNER_FLOOR
-            else:
+            cap = cap_inner
+            if cap is None:
                 bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform,
-                                              delta, residual_term, div)
+                                              delta, A * (f - fstar), div)
                 cap = max(int(math.ceil(INNER_SLACK * bound)), 8)
             point, s_norm, steps = inner_loop(sub, v, delta, cap)
             x = contraction_point(a, A, point, x)
             k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, point
             f = obj.value(x)
-            acc += _certificate_terms(p, gamma0, sigma_simple, s_norm, A)
-            div = prox.divergence(v, xstar) if xstar is not None else math.nan
-            yield f, certified_residual, {
+            div = prox.divergence(v, xstar)
+            yield f, {
                 "A": A, "gamma": gamma, "a": a, "delta_requested": delta,
                 "s_norm": s_norm, "t_inner": len(steps),
                 "bregman_step": prox.divergence(v_prev, v),

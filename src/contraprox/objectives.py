@@ -256,7 +256,8 @@ class CompositeObjective:
                                   self.fstar, self.xstar, dict(self.descriptor))
 
     def with_simple(self, simple):
-        """A fresh copy with psi replaced, and no f* or x*: both move with psi."""
+        """A fresh copy with psi replaced, and no f* or x*: both move with psi, and a
+        run stops on F(x_k) - f* <= eps, so ``attach_reference`` must add them."""
         return CompositeObjective(self.smooth, simple, self.metric,
                                   descriptor=self.descriptor).fresh()
 

@@ -95,7 +95,10 @@ class ContractedSmooth:
         return H
 
     def lipschitz(self, p):
-        return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
+        try:
+            return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
+        except OverflowError:
+            raise SolverError(f"the contracted L_{p} overflows at a = {self.a:.3e}") from None
 
 
 class Subproblem:

@@ -152,39 +152,39 @@ class RunTrace(Sequence):
 def drive(obj, header, eps, cap, iterates):
     """Record, stop and cap one run; returns its trace.
 
-    ``iterates`` yields ``(F(x_k), stop_norm, row)`` for k = 0, 1, ...: row k
-    is recorded with the counters as they stand when it is yielded, and
-    fields missing from ``row`` are NaN (``t_inner`` 0).  Every row carries
-    ``x``; ``v`` and ``steps`` (the step rows of ``inner_loop``, which join
-    ``RunTrace.steps`` under k) are optional.  ``header`` names
-    the method and its settings; eps, cap, the instance and f* are added.
-    A non-finite F(x_k), or ``s_norm`` where a row has one, raises
-    :class:`SolverError` at once, so a NaN or a divergence never spins to the cap.
+    ``iterates`` yields ``(F(x_k), row)`` for k = 0, 1, ...: row k is
+    recorded with the counters as they stand when it is yielded, and fields
+    missing from ``row`` are NaN (``t_inner`` 0).  Every row carries ``x``;
+    ``v`` and ``steps`` (the step rows of ``inner_loop``, which join
+    ``RunTrace.steps`` under k) are optional.  ``header`` names the method
+    and its settings; eps, cap, the instance and f* are added.
 
-    Stop rule, tested after each row: F(x_k) - f* <= eps when the instance
-    knows f*, and otherwise ``stop_norm() <= eps``.  ``stop_norm`` is called
-    only when f* is unknown, so a method can defer the query behind it until
-    its next step needs that query anyway; one that returns NaN never stops
-    the run.  Cap rule: a run that has not stopped after row ``cap`` raises
+    Stop rule, tested after each row: F(x_k) - f* <= eps, so an instance
+    without a finite f* or without x* raises ``ValueError`` before any query.
+    A non-finite F(x_k), or ``s_norm`` where a row has one, raises
+    :class:`SolverError` at once, so a NaN or a divergence never spins to the
+    cap.  Cap rule: a run that has not stopped after row ``cap`` raises
     :class:`SolverError`.  With ``eps=None`` nothing is tested and the run
     returns after row ``cap`` with status "cap".
     """
     fstar = obj.fstar
+    if fstar is None or not isfinite(fstar) or obj.xstar is None:
+        raise ValueError(f"{header['method']} needs the instance's optimum, a finite f* "
+                         "and x*, as attach_reference computes them")
     trace = RunTrace({**header, "eps": eps, "cap": cap,
                       "instance": dict(obj.descriptor), "fstar": fstar})
-    for k, (f, stop_norm, row) in enumerate(iterates):
+    for k, (f, row) in enumerate(iterates):
         if not (isfinite(f) and isfinite(row.get("s_norm", 0.0))):
             raise SolverError(f"{header['method']} reached a non-finite value at "
                               f"iteration {k} (F = {f!r}, s_norm = {row.get('s_norm')!r})")
-        residual = f - fstar if fstar is not None else nan
+        residual = f - fstar
         c, get = obj.counters, row.get
         trace._append((k, get("A", nan), get("gamma", nan), get("a", nan), f, residual,
                        get("delta_requested", nan), get("s_norm", nan), get("t_inner", 0),
                        c.value, c.grad, c.hess, c.matvec, get("bregman_step", nan),
                        get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
                        get("ell_mu", nan)), row["x"], get("v"), get("steps"))
-        if eps is not None and (
-                (residual <= eps) if fstar is not None else (stop_norm() <= eps)):
+        if eps is not None and residual <= eps:
             trace.status = "converged"
             return trace
         if k >= cap:
@@ -196,12 +196,13 @@ def drive(obj, header, eps, cap, iterates):
 
 
 def read_csv(path):
-    """Parse a serialized trace into (header dict, {column: ndarray})."""
+    """Parse a serialized trace into (header dict, {column: ndarray}); ValueError unless
+    line 1 is ``# `` and a JSON object and every row is as wide as line 2."""
     with open(path) as fh:
         first = fh.readline()
-        if not first.startswith("# "):
-            raise ValueError(f"{path}: missing JSON header line")
-        header = json.loads(first[2:])
+        header = json.loads(first[2:]) if first.startswith("# ") else None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: the first line is not '# ' and a JSON object")
         names = fh.readline().strip().split(",")
         if names[:len(CSV_COLUMNS)] != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected column layout {names}")
@@ -210,6 +211,9 @@ def read_csv(path):
             line = line.strip()
             if line:
                 rows.append([float(tok) for tok in line.split(",")])
+                if len(rows[-1]) != len(names):
+                    raise ValueError(f"{path}: a row of {len(rows[-1])} fields under "
+                                     f"{len(names)} columns")
     data = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
     columns = {name: data[:, j] for j, name in enumerate(names)}
     return header, columns

@@ -60,10 +60,24 @@ def _rows(name, k, passed, margin, t=-1):
 
 
 def _header_schedule(header):
-    sched = header.get("schedule", {})
-    if sched.get("kind") == "sublinear":
+    """The schedule a trace header describes, or None; ValueError unless p is 1 or 2
+    and the other header fields the checks read are finite numbers."""
+    sched = header.get("schedule")
+    kind = sched.get("kind") if isinstance(sched, dict) else None
+    fields = [(name, header.get(name)) for name in ("gamma0", "sigma_simple", "sigma_uniform")]
+    fields += [("fstar", header["fstar"])] if header.get("fstar") is not None else []
+    fields += [(f"schedule {name}", sched.get(name)) for name in
+               {"sublinear": ("c", "p"), "geometric": ("omega", "c", "p")}.get(kind, ())]
+    bad = [f"{name} = {value!r}" for name, value in fields
+           if not isinstance(value, (int, float)) or not math.isfinite(value)]
+    if header.get("p") not in (1, 2):
+        bad.insert(0, f"p = {header.get('p')!r}")
+    if bad:
+        raise ValueError(f"the trace header has {', '.join(bad)}, but p must be 1 or 2 "
+                         "and the rest finite numbers")
+    if kind == "sublinear":
         return SublinearSchedule(sched["c"], sched["p"])
-    if sched.get("kind") == "geometric":
+    if kind == "geometric":
         return GeometricSchedule(sched["omega"], sched["c"], sched["p"])
     return None
 

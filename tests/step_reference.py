@@ -123,23 +123,15 @@ def reference_gradient_method_ls(obj, x0, eps, cap):
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
         f, L = obj.smooth.value(x), L_start
-        g = gn = None
-
-        def grad_norm():
-            nonlocal g, gn
-            if g is None:
-                g = obj.smooth.grad(x)
-                gn = metric.dual_norm(g)
-            return gn
-
         row = {"x": x}
         while True:
-            yield f, grad_norm, row
-            grad_norm()
+            yield f, row
+            g = obj.smooth.grad(x)
+            gn = metric.dual_norm(g)
             x_t, f_t, L, trials = reference_line_search(obj.smooth.value, x, f,
                                                         metric.solve(g), gn, L, L_cap)
             row = {"s_norm": gn, "t_inner": trials, "x": x_t}
-            x, f, g = x_t, f_t, None
+            x, f = x_t, f_t
 
     header = {"method": "gm", "line_search": {"l0": L_start, "grow": 2.0, "shrink": 0.5}}
     return drive(obj, header, eps, cap, iterates())
@@ -155,7 +147,7 @@ def reference_classical_ppa(obj, x0, eps, cap):
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
         fz, gz = obj.smooth.value_and_grad(x)
-        yield fz, lambda: math.nan, {"x": x}
+        yield fz, {"x": x}
         L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
 
         def objective(z, f_z):
@@ -178,8 +170,7 @@ def reference_classical_ppa(obj, x0, eps, cap):
                 sub_grad = a * gz + metric.apply(z - x)
                 dn = metric.dual_norm(sub_grad)
             x = z
-            yield fz, lambda gz=gz: metric.dual_norm(gz), {
-                "a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
+            yield fz, {"a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
 

@@ -163,14 +163,6 @@ class TestAcceleratedCubicNewton:
         tr = accelerated_cubic_newton(obj, np.zeros(8), 1e-8, 2000)
         assert tr.oracle_total("oracle_g") == 2 * tr.iterations + 1
 
-    def test_stops_on_gradient_norm_when_optimum_unknown(self):
-        obj = lse_instance(8, 1.0, 11)
-        assert obj.fstar is None
-        tr = accelerated_cubic_newton(obj, np.zeros(8), 1e-8, 2000)
-        assert tr.status == "converged"
-        assert tr.final.s_norm <= 1e-8
-        assert tr.records[-2].s_norm > 1e-8
-
 
 def test_baselines_share_counter_semantics():
     obj = quadratic_instance(10, 1.0, 12)
@@ -194,23 +186,6 @@ def test_cubic_methods_run_to_the_cap_without_eps(method):
 def test_cubic_step_tolerance_is_eps_over_100_floored(eps, inner_tol):
     # the one rule cn and acn take their step tolerance from
     assert _cubic_subproblem(_one_dim(), eps)[1] == inner_tol
-
-
-@pytest.mark.parametrize("method", [accelerated_gradient, classical_ppa])
-def test_first_order_methods_stop_on_gradient_norm_when_optimum_unknown(method):
-    obj = quadratic_instance(10, 1.0, 12)
-    fstar = obj.fstar
-    obj.fstar = None
-    tr = method(obj, np.zeros(10), 1e-6, 3000)
-    assert tr.status == "converged"
-    x = tr.final.x
-    assert obj.smooth.value(x) - fstar <= 2e-12
-    if method is classical_ppa:
-        # ppa stops on the gradient at x_K itself
-        assert np.linalg.norm(obj.smooth.grad(x)) <= 1e-6
-    else:
-        # agm stops on the gradient at its look-ahead point, recorded as s_norm
-        assert tr.final.s_norm <= 1e-6 < tr.records[-2].s_norm
 
 
 def _reference_twin(obj):

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from contraprox.bench import INSTANCE_KEYS, build_instance
 from contraprox.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -30,6 +32,21 @@ def test_solve_then_validate_round_trip(tmp_path):
                  "--instance", str(instance)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flag", [["--q", "0.01"], ["--alpha", "3"]], ids=["q", "alpha"])
+def test_validate_rebuilds_the_f_star_of_a_q_or_an_alpha_descriptor(tmp_path, flag):
+    # a --q descriptor records q beside the alpha it gives, and build_instance
+    # takes that pair; the rebuilt f* is the solved instance's, bit for bit
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "quadratic", "--n", "10", *flag, "--method", "cptm-p1",
+                 "--out", str(out)]) == EXIT_OK
+    descriptor = json.loads((out / "instance.json").read_text())
+    assert ("q" in descriptor) == (flag[0] == "--q")
+    rebuilt = build_instance(**{k: descriptor[k] for k in INSTANCE_KEYS if k in descriptor})
+    assert repr(rebuilt.fstar) == repr(descriptor["fstar"])
+    assert main(["validate", "--trace", str(out / "cptm-p1.csv"),
+                 "--instance", str(out / "instance.json")]) == EXIT_OK
+
+
 def test_solve_with_psi_then_validate_against_the_rebuilt_instance(tmp_path):
     # the descriptor records sigma, so the rebuilt instance has psi and its f*;
     # rebuilt without psi, 42 honest outer_certificate checks fail against f's optimum
@@ -49,9 +66,59 @@ def test_validate_of_a_missing_trace_is_a_usage_error(tmp_path):
     assert main(["validate", "--trace", str(tmp_path / "missing.csv")]) == EXIT_USAGE
 
 
+def _header(change):
+    """A trace edit that applies ``change`` to the JSON header."""
+    def edit(lines):
+        header = json.loads(lines[0][2:])
+        change(header)
+        return ["# " + json.dumps(header) + "\n", *lines[1:]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["# [1, 2]\n", *lines[1:]], "the first line is not '# ' and a JSON object"),
+    (_header(lambda h: h.pop("sigma_uniform")),
+     "the trace header has sigma_uniform = None, but p must be"),
+    (_header(lambda h: h.pop("gamma0")), "the trace header has gamma0 = None, but p must be"),
+    (_header(lambda h: h["schedule"].pop("c")),
+     "the trace header has schedule c = None, but p must be"),
+    (_header(lambda h: h.update(p="2")), "the trace header has p = '2', but p must be"),
+    (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + "\n"],
+     "a row of 14 fields under 15 columns"),
+], ids=["header-list", "no-sigma_uniform", "no-gamma0", "sublinear-without-c", "p-text",
+        "narrow-row"])
+def test_validate_of_a_malformed_trace_is_a_usage_error(tmp_path, capsys, edit, message):
+    # exit 1 means failed checks; a trace the checks cannot read is a usage
+    # error, reported on one line
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "quadratic", "--n", "10", "--q", "0.01",
+                 "--method", "cptm-p1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    lines = (out / "cptm-p1.csv").read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(edit(lines)))
+    assert main(["validate", "--trace", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("validate: malformed input: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
     assert main(["solve", "--problem", "lse", "--n", "20", "--mu", "1", "--method", "cn",
                  "--cap-outer", "2", "--out", str(tmp_path)]) == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["--problem", "quadratic", "--q", "0.01", "--method", "cptm-p1", "--gamma0", "1e160"], 1),
+    (["--problem", "lse", "--mu", "1", "--method", "cptm-p2", "--gamma0", "1e200"], 2),
+], ids=["cptm-p1-1e160", "cptm-p2-1e200"])
+def test_a_gamma0_that_overflows_the_contracted_constant_is_a_solver_failure(
+        tmp_path, capsys, argv, order):
+    # a ** (p + 1) leaves the float range: the method fails, the others would run
+    assert main(["solve", "--n", "10", *argv, "--out", str(tmp_path)]) == EXIT_SOLVER
+    out, err = capsys.readouterr()
+    assert f"FAILED the contracted L_{order} overflows at a = " in out
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -79,6 +146,8 @@ def test_solve_that_hits_its_cap_is_a_solver_failure(tmp_path):
      "--gamma0", "nan"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--cap-inner", "-3"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
+     "--gamma0", "inf"],
 ])
 def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
@@ -103,8 +172,10 @@ def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):
      "lipschitz_order2 must be finite, not nan"),
     (["--problem", "lse", "--mu", "1", "--l2", "-1", "--method", "cn"],
      "lipschitz_order2 must be positive"),
+    (["--problem", "quadratic", "--q", "0.01", "--alpha", "3", "--method", "gm"],
+     "quadratic instances need q or alpha, not q = 0.01 and alpha = 3.0"),
 ], ids=["sigma-inf", "alpha-nan", "alpha-negative", "q-tiny", "q-nan", "mu-huge", "mu-inf",
-        "l2-nan", "l2-negative"])
+        "l2-nan", "l2-negative", "q-and-alpha"])
 def test_solve_names_the_instance_parameter_it_refuses(tmp_path, capsys, argv, message):
     # each of these used to end in a warning, a solver failure or a message
     # about another quantity, or (l2 -1) to run; "…" stands for a bound
@@ -219,6 +290,25 @@ def test_curves_prints_and_writes_the_order_dependence_table(tmp_path):
                          env=env, capture_output=True, text=True, check=False)
     assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, CURVES_1_TO_10, "")
     assert out.read_text() == CURVES_1_TO_10
+
+
+@pytest.mark.parametrize("p_min, p_max", [(1, 127), (128, 128), (142, 142), (200, 300)])
+def test_curves_past_the_float_range_is_a_usage_error(tmp_path, capsys, p_min, p_max):
+    # K overflows to inf at p = 127, delta underflows to 0 from 128, and from
+    # 142 the formula's integers no longer fit a float
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--p-min", str(p_min), "--p-max", str(p_max),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"curves: delta or K of order {max(p_min, 127)} leaves the float range\n")
+    assert not out.exists()
+
+
+def test_curves_up_to_order_126_keeps_its_rows(tmp_path):
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--p-min", "125", "--p-max", "126", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == ("p,delta,K\n125,2.17985093145436e-95,6.685769046300152\n"
+                               "126,3.962079234029126e-96,6.684291822649526\n")
 
 
 def test_curves_below_order_one_is_a_usage_error(tmp_path, capsys):

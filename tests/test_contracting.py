@@ -372,65 +372,6 @@ class TestRunContractingProximal:
             run_contracting_proximal(obj, prox, sched, "power:1.0,2.0",
                                      eps=1e-12, cap_outer=3)
 
-    def test_certificate_termination_without_fstar(self):
-        obj = quadratic_instance(8, 1.0, 4)
-        blind = CompositeObjective(obj.smooth, obj.simple, obj.metric,
-                                   fstar=None, xstar=None,
-                                   descriptor=dict(obj.descriptor))
-        prox = PowerProx(1, np.zeros(8), obj.metric)
-        sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        d0 = prox.divergence(np.zeros(8), obj.xstar)
-        tr = run_contracting_proximal(blind, prox, sched, "const:1e-9",
-                                      eps=1e-4, cap_outer=5000,
-                                      bregman0_bound=2.0 * d0)
-        assert tr.status == "converged"
-        true_resid = obj.value(tr.records[-1].x) - obj.fstar
-        assert true_resid <= 1e-4
-
-    def test_certificate_stop_is_tested_on_the_cap_row(self):
-        obj = quadratic_instance(8, 1.0, 4)
-        blind = CompositeObjective(obj.smooth, obj.simple, obj.metric,
-                                   fstar=None, xstar=None,
-                                   descriptor=dict(obj.descriptor))
-        prox = PowerProx(1, np.zeros(8), obj.metric)
-        sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        d0 = prox.divergence(np.zeros(8), obj.xstar)
-
-        def run(cap):
-            return run_contracting_proximal(blind, prox, sched, "const:1e-9",
-                                            eps=1e-4, cap_outer=cap,
-                                            bregman0_bound=2.0 * d0)
-
-        K = run(5000).iterations
-        tr = run(K)
-        assert (tr.status, tr.iterations) == ("converged", K)
-        with pytest.raises(SolverError, match=f"cptm-p1 exhausted {K - 1} iterations"):
-            run(K - 1)
-
-    def test_running_certificate_bound_is_the_bound_of_each_prefix(self, monkeypatch):
-        # the stop norm adds one term per row instead of re-summing the
-        # history; record it on every row, with psi so gamma_k grows with A_k
-        obj = build_instance("quadratic", 10, 0, q=1e-2)
-        prox = PowerProx(1, np.zeros(10), obj.metric)
-        obj = obj.with_simple(power_regularizer_component(1e-2, prox))
-        sched = schedule_strongly_convex(1, 1e-2, obj.smooth.lipschitz[1])
-        seen = []
-
-        def recording_drive(obj, header, eps, cap, iterates):
-            for _, (f, stop_norm, row) in zip(range(cap + 1), iterates):
-                seen.append((stop_norm(), row.get("s_norm"), row["A"]))
-
-        monkeypatch.setattr(contracting, "drive", recording_drive)
-        run_contracting_proximal(obj, prox, sched, "const:1e-6", eps=None,
-                                 cap_outer=40, bregman0_bound=3.0)
-        assert len(seen) == 41 and math.isnan(seen[0][0])
-        deltas = [s for _, s, _ in seen[1:]]
-        A_values = [A for _, _, A in seen[1:]]
-        head = (1, 1.0, obj.simple.modulus, 3.0, prox.uniform_constant)
-        for k in range(1, 41):
-            bound = inexact_certificate_bounds(*head, deltas[:k], A_values[:k])[-1]
-            assert seen[k][0] == pytest.approx(bound / A_values[k - 1], rel=1e-12)
-
     def test_underestimated_l1_ends_in_an_inner_loop_error(self):
         # steps sized for L1/10 overshoot, so the inner loop's certified norm
         # grows instead of falling, and the run stops at the inner cap (15)

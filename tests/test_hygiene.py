@@ -30,11 +30,7 @@ SRC = sorted(path for path in (ROOT / "src" / "contraprox").glob("*.py")
 UNREACHED = {}
 
 # Parameters with a default that no production call passes, each with why it stays.
-UNPASSED = {
-    "run_contracting_proximal.bregman0_bound": "the certified stop rule, cptm's only stop "
-                                               "test when f* is unknown",
-    "main.argv": "tests pass it, and the console script passes none",
-}
+UNPASSED = {"main.argv": "tests pass it, and the console script passes none"}
 
 
 def _unused_imports(path):

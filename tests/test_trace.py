@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -42,13 +43,13 @@ def recorded(request):
 
     def tapped_drive(obj, header, eps, cap, iterates):
         def tap():
-            for f, stop_norm, row in iterates:
+            for f, row in iterates:
                 c = obj.counters
                 yielded.append((f, dict(row, x=row["x"].copy(),
                                         v=None if row.get("v") is None else row["v"].copy()),
                                 {"oracle_f": c.value, "oracle_g": c.grad,
                                  "oracle_h": c.hess, "matvec": c.matvec}))
-                yield f, stop_norm, row
+                yield f, row
         return drive(obj, header, eps, cap, tap())
 
     with pytest.MonkeyPatch.context() as mp:
@@ -106,6 +107,28 @@ def test_write_csv_matches_the_row_by_row_writer(recorded, tmp_path):
     written = (tmp_path / "columns.csv").read_bytes()
     assert written == (tmp_path / "rows.csv").read_bytes()
     assert len(written.splitlines()) == 2 + len(trace.records)
+
+
+@pytest.mark.parametrize("method", ["gm", "agm", "ppa", "cptm-p1", "cn", "acn", "cptm-p2"])
+def test_a_run_without_the_optimum_is_refused_before_any_query(method, monkeypatch):
+    # the one stop rule is F(x_k) - f* <= eps, so drive refuses an instance
+    # without a finite f* or without x* before the method's first query
+    obj = _instance("lse")
+    reached = []
+
+    def spying_drive(obj, header, eps, cap, iterates):
+        reached.append(obj)
+        return drive(obj, header, eps, cap, iterates)
+
+    monkeypatch.setattr(baselines, "drive", spying_drive)
+    monkeypatch.setattr(contracting, "drive", spying_drive)
+    for fstar, xstar in ((None, obj.xstar), (math.nan, obj.xstar), (obj.fstar, None)):
+        blind = dataclasses.replace(obj, fstar=fstar, xstar=xstar)
+        with pytest.raises(ValueError, match=f"^{method} needs the instance's optimum, a "
+                                             "finite f. and x., as attach_reference"):
+            run_method(method, blind, 1e-7)
+        assert dataclasses.astuple(reached[-1].counters) == (0, 0, 0, 0)
+    assert len(reached) == 3
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ def _replay(honest, tamper):
                        steps=[tuple(step)[1:] for step in steps[steps.k == rec.k]])
             if rec.k == 50:
                 tamper(row)
-            yield row.pop("f_value"), lambda: math.nan, row
+            yield row.pop("f_value"), row
 
     return drive(obj, trace.header, None, trace.iterations, iterates())
 
