@@ -180,11 +180,11 @@ def _cubic_subproblem(obj, eps):
 
     f is the contracted part with a = A_next = 1 and A_prev = 0, which is
     bitwise the oracle in value, gradient and Hessian.  The step's tolerance
-    is eps/100, floored at 1e-13, and the floor when eps is None.
+    is eps/100, floored at 1e-13.
     """
     smooth = ContractedSmooth(obj.smooth, 1.0, 1.0, np.zeros(obj.dim), 0.0)
     return (Subproblem(2, obj.metric, smooth, CUBIC_REG, obj.simple, weight=1.0),
-            1e-13 if eps is None else max(eps * 1e-2, 1e-13))
+            max(eps * 1e-2, 1e-13))
 
 
 def cubic_newton(obj: CompositeObjective, x0, eps, cap):
@@ -196,9 +196,9 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """
     obj = obj.fresh()
     metric = obj.metric
-    sub, inner_tol = _cubic_subproblem(obj, eps)
 
     def iterates():
+        sub, inner_tol = _cubic_subproblem(obj, eps)
         z = np.asarray(x0, dtype=float).copy()
         data = sub.smooth.data(z)
         row = {"x": z}
@@ -229,9 +229,9 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    sub, inner_tol = _cubic_subproblem(obj, eps)
 
     def iterates():
+        sub, inner_tol = _cubic_subproblem(obj, eps)
         x_anchor = np.asarray(x0, dtype=float).copy()
         x = x_anchor.copy()
         s_acc = np.zeros_like(x)

@@ -53,6 +53,8 @@ LSE_MU_MAX = 1e50
 # The keywords of build_instance that a descriptor records; the rest of a
 # descriptor (lambda_min, m, fstar, ...) is derived from them.
 INSTANCE_KEYS = ("problem", "n", "seed", "q", "alpha", "mu", "lipschitz_order2", "sigma")
+# The type of each key that is not a number (the rest are); no key takes a bool.
+_KEY_TYPES = {"problem": (str, "a string"), "n": (int, "an int"), "seed": (int, "an int")}
 
 
 def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
@@ -97,11 +99,10 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
 
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
                cap_outer=5000, cap_inner=None):
-    """Run one named method on an instance; returns its trace."""
-    if not (eps > 0 and 0 < gamma0 < math.inf and cap_outer > 0
-            and (cap_inner is None or cap_inner > 0)):
-        raise ValueError(f"eps, gamma0 and the caps must be positive and gamma0 finite, not "
-                         f"{eps}, {gamma0}, {cap_outer} and {cap_inner}")
+    """Run one named method on an instance; returns its trace (``drive`` checks eps)."""
+    if not (0 < gamma0 < math.inf and cap_outer > 0 and (cap_inner is None or cap_inner > 0)):
+        raise ValueError(f"gamma0 and the caps must be positive and gamma0 finite, not "
+                         f"{gamma0}, {cap_outer} and {cap_inner}")
     x0 = np.zeros(obj.dim)
     if name in _BASELINE_FUNCTIONS:
         return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)
@@ -125,7 +126,7 @@ def write_json(path, data):
         fh.write("\n")
 
 
-def solve_experiment(problem, methods, eps=1e-7, *, delta_schedule, gamma0, cap_outer,
+def solve_experiment(problem, methods, eps, *, delta_schedule, gamma0, cap_outer,
                      cap_inner, out_dir=None):
     """Run every method on the instance ``build_instance(**problem)``.
 
@@ -180,9 +181,10 @@ def solve_experiment(problem, methods, eps=1e-7, *, delta_schedule, gamma0, cap_
     return traces, report, all(row["converged"] for row in rows)
 
 
-def bench_sweep(suite, sizes, conditionings, eps, seeds, methods=None,
-                delta_schedule="power:1.0,2.0", cap_outer=200000, cap_inner=None):
-    """Cartesian sweep over (size, conditioning, seed); medians over seeds.
+def bench_sweep(suite, sizes, conditionings, eps, seeds, *, methods, delta_schedule,
+                cap_outer, cap_inner):
+    """Cartesian sweep over (size, conditioning, seed) of ``methods``, by default
+    the suite's; medians over seeds.
 
     Returns {"suite", "meta", "rows"} with one row per (size, conditioning,
     method).  A failed run counts in its row's failures and the sweep goes on.
@@ -223,13 +225,17 @@ def bench_sweep(suite, sizes, conditionings, eps, seeds, methods=None,
 
 
 def validate_trace_file(trace_path, instance_path=None):
-    """Re-validate a serialized trace; returns the validation report.
+    """Re-validate a serialized trace of the contracting solver; returns its report.
 
     With ``instance_path`` the instance is rebuilt from the descriptor's
     INSTANCE_KEYS and the trace is scored against its f*, not the header's.
+    A descriptor field of the wrong type (see ``_KEY_TYPES``) raises ``ValueError``.
     """
     from .trace import read_csv
     header, columns = read_csv(trace_path)
+    if "p" not in header:
+        raise ValueError("trace was not produced by the contracting solver; "
+                         "only its traces carry certificate columns")
     fstar = header.get("fstar")
     if instance_path is not None:
         with open(instance_path) as fh:
@@ -237,9 +243,11 @@ def validate_trace_file(trace_path, instance_path=None):
         if not (isinstance(descriptor, dict) and {"problem", "n", "seed"} <= descriptor.keys()):
             raise ValueError(f"{instance_path}: an instance descriptor is a JSON object with "
                              f"problem, n and seed, not {descriptor!r}")
-        fstar = build_instance(**{k: descriptor[k] for k in INSTANCE_KEYS
-                                  if k in descriptor}).fstar
-    if "p" not in header:
-        raise ValueError("trace was not produced by the contracting solver; "
-                         "only its traces carry certificate columns")
-    return validate_columns(header, columns, fstar=fstar)
+        fields = {k: descriptor[k] for k in INSTANCE_KEYS if k in descriptor}
+        for key, value in fields.items():
+            kind, noun = _KEY_TYPES.get(key, ((int, float), "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{instance_path}: the descriptor's {key} must be {noun}, "
+                                 f"not {value!r}")
+        fstar = build_instance(**fields).fstar
+    return validate_columns(header, columns, fstar)

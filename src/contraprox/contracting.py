@@ -90,7 +90,7 @@ def contraction_rate(p, sigma, lipschitz):
                ** (1.0 / (p + 1)), 0.5)
 
 
-def schedule_strongly_convex(p, sigma, lipschitz, gamma0=1.0):
+def schedule_strongly_convex(p, sigma, lipschitz, gamma0):
     """Geometric coefficient schedule for psi strongly convex relative to d."""
     if not sigma > 0:
         raise ValueError("sigma must be positive for the geometric schedule")
@@ -130,8 +130,6 @@ def delta_rule(text, p, gamma0, lipschitz, omega, eps):
                              f"series, not {s!r}")
         return (lambda k: c / k ** s), {"kind": "power", "c": c, "s": s}
     if text == "theorem":
-        if eps is None:
-            raise ValueError("the theorem schedule needs a target accuracy")
         eps = _positive_finite(eps, "eps")
         if omega is None:
             delta = convex_inner_accuracy(p, gamma0, lipschitz, eps)
@@ -220,21 +218,19 @@ INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, in inner_ite
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
-                             delta_schedule, eps=None, *, cap_outer=1000, cap_inner=None,
-                             gamma0=1.0):
+                             delta_schedule, eps, *, cap_outer, cap_inner, gamma0):
     """Full outer loop from the prox center; returns a :class:`RunTrace` with
     one record per iteration.
 
     ``delta_schedule`` is the accuracy text of :func:`delta_rule`
     (``const:<v>``, ``power:<c>,<s>`` or ``theorem``).  Step k+1 minimizes
     h_{k+1} with :func:`inner_loop` from v_k, at most ``cap_inner`` inner
-    steps when that is given, and otherwise INNER_SLACK times the sufficient
-    inner-step count from the state at k (at least 8).
+    steps when that is not None, and otherwise INNER_SLACK times the
+    sufficient inner-step count from the state at k (at least 8).
 
     The run is recorded, stopped and capped by :func:`trace.drive` with cap
-    ``cap_outer``: it needs the instance's f* and x*, and stops on
-    F(x_k) - f* <= eps.  With ``eps=None`` the run executes ``cap_outer``
-    iterations, the usual mode for certificate batteries.
+    ``cap_outer``: it needs the instance's f* and x* and a finite eps > 0,
+    and stops on F(x_k) - f* <= eps.
     """
     obj = obj.fresh()
     p = prox.order

@@ -74,15 +74,14 @@ class SmoothOracle:
 
 
 class QuadraticOracle(SmoothOracle):
-    """f(x) = 1/2 <Ax, x> - <b, x>; every application of A bumps the matvec counter."""
+    """f(x) = 1/2 <Ax, x> - <b, x> with L_1 = ``lam_max``, the largest eigenvalue of A;
+    every application of A bumps the matvec counter."""
 
-    def __init__(self, A, b, lam_max=None):
+    def __init__(self, A, b, lam_max):
         super().__init__()
         self.matrix = np.asarray(A, dtype=float)
         self.rhs = np.asarray(b, dtype=float)
         self.dim = self.rhs.shape[0]
-        if lam_max is None:
-            lam_max = float(np.linalg.eigvalsh(self.matrix).max())
         # the quadratic has an exactly constant Hessian, so order 2 is free
         self.lipschitz = {1: lam_max, 2: 0.0}
 
@@ -111,7 +110,7 @@ class QuadraticOracle(SmoothOracle):
 class LogSumExpOracle(SmoothOracle):
     """f(x) = mu * log(sum_i exp((<a_i, x> - b_i)/mu)) with an analytic Hessian."""
 
-    def __init__(self, A, b, mu, lipschitz_order2=1.0):
+    def __init__(self, A, b, mu, lipschitz_order2):
         super().__init__()
         if mu <= 0:
             raise ValueError("mu must be positive")
@@ -313,7 +312,7 @@ def quadratic_instance(n, alpha, seed):
                               fstar=fstar, xstar=xstar, descriptor=descriptor)
 
 
-def lse_instance(n, mu, seed, lipschitz_order2=1.0):
+def lse_instance(n, mu, seed, lipschitz_order2):
     """Log-sum-exp test problem, m = 6n, coefficients seeded uniform on [-1, 1].
 
     The primal norm is taken from B = sum_i a_i a_i^T (regularized by 1e-10*I

@@ -115,7 +115,7 @@ class Subproblem:
     a :class:`PowerProx` on ``metric``, of order 1 when p = 1.
     """
 
-    def __init__(self, p, metric: Metric, smooth: ContractedSmooth, M, psi, weight=0.0,
+    def __init__(self, p, metric: Metric, smooth: ContractedSmooth, M, psi, weight,
                  gamma=0.0, prox: ProxFunction | None = None, anchor=None):
         if gamma < 0 or weight < 0:
             raise ValueError("weight and gamma must be nonnegative")
@@ -176,13 +176,13 @@ class Subproblem:
         return coeff, combo
 
 
-def model_objective(sub: Subproblem, base: SmoothData, y, phi_base=0.0):
+def model_objective(sub: Subproblem, base: SmoothData, y, phi_base):
     """(value relative to the step base, gradient, terms) of the step objective at y.
 
     The value omits the model's base constant and ``phi_base`` (phi at the
-    step base, for callers that compare values) so that line searches compare
-    quantities of the size of the actual progress, not of A*f.  ``terms`` are
-    the power terms as :meth:`Subproblem.phi` gives them, regularizer first.
+    step base) so that line searches compare quantities of the size of the
+    actual progress, not of A*f.  ``terms`` are the power terms as
+    :meth:`Subproblem.phi` gives them, regularizer first.
     """
     y = np.asarray(y, dtype=float)
     u = y - base.x

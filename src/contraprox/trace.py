@@ -22,14 +22,15 @@ instance, queries grad f at x_0 as at every x_k, so its row k shows
 in ``baselines``.
 
 Every method, the contracting solver and the five baselines alike, is
-recorded, stopped and capped by :func:`drive`.
+recorded, stopped and capped by :func:`drive`, the one place that checks a
+run's stop target: a finite eps > 0 and the instance's f* and x*.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from math import isfinite, nan
+from math import inf, isfinite, nan
 
 import numpy as np
 
@@ -159,14 +160,15 @@ def drive(obj, header, eps, cap, iterates):
     ``RunTrace.steps`` under k) are optional.  ``header`` names the method
     and its settings; eps, cap, the instance and f* are added.
 
-    Stop rule, tested after each row: F(x_k) - f* <= eps, so an instance
-    without a finite f* or without x* raises ``ValueError`` before any query.
-    A non-finite F(x_k), or ``s_norm`` where a row has one, raises
-    :class:`SolverError` at once, so a NaN or a divergence never spins to the
-    cap.  Cap rule: a run that has not stopped after row ``cap`` raises
-    :class:`SolverError`.  With ``eps=None`` nothing is tested and the run
-    returns after row ``cap`` with status "cap".
+    Stop rule, tested after each row: F(x_k) - f* <= eps, so an eps that is
+    not a finite positive number, and an instance without a finite f* or
+    without x*, raise ``ValueError`` before any query.  A non-finite F(x_k),
+    or ``s_norm`` where a row has one, raises :class:`SolverError` at once, so
+    a NaN or a divergence never spins to the cap.  Cap rule: a run that has
+    not stopped after row ``cap`` raises :class:`SolverError`.
     """
+    if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and 0 < eps < inf):
+        raise ValueError(f"{header['method']} needs a finite positive eps, not {eps!r}")
     fstar = obj.fstar
     if fstar is None or not isfinite(fstar) or obj.xstar is None:
         raise ValueError(f"{header['method']} needs the instance's optimum, a finite f* "
@@ -184,13 +186,10 @@ def drive(obj, header, eps, cap, iterates):
                        c.value, c.grad, c.hess, c.matvec, get("bregman_step", nan),
                        get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
                        get("ell_mu", nan)), row["x"], get("v"), get("steps"))
-        if eps is not None and residual <= eps:
+        if residual <= eps:
             trace.status = "converged"
             return trace
         if k >= cap:
-            trace.status = "cap"
-            if eps is None:
-                return trace
             raise SolverError(f"{header['method']} exhausted {cap} iterations "
                               f"(residual {residual:.3e})")
 

@@ -163,14 +163,14 @@ def _check(header, columns, fstar, schedule):
     return ValidationReport(np.concatenate(parts).view(np.recarray))
 
 
-def validate_trace(trace, prox, xstar, fstar, schedule=None):
+def validate_trace(trace, prox, xstar, fstar, schedule):
     """Replay every certified inequality along an in-memory trace.
 
     Needs the true optimum (``ValueError`` without f* or a finite x* of the
     trace's dimension); divergences to x* are recomputed from the recorded
     iterates, so the check does not trust the run's own numbers.  The
     per-step checks read ``trace.steps``, each step with its row's L.
-    ``schedule`` defaults to the one the header describes; any other than a
+    ``schedule`` is the run's coefficient schedule; any other than a
     sublinear or geometric one skips the growth envelopes.
     """
     missing = " and ".join(name for name, value in (("x*", xstar), ("f*", fstar)) if value is None)
@@ -182,12 +182,9 @@ def validate_trace(trace, prox, xstar, fstar, schedule=None):
         raise ValueError(f"x* must be a finite vector of the trace's dimension {n}")
     columns["bregman_vstar"] = np.array([prox.divergence(v, xstar) for v in columns["v"]])
     columns["steps"] = trace.steps
-    if schedule is None:
-        schedule = _header_schedule(trace.header)
     return _check(trace.header, columns, fstar, schedule)
 
 
-def validate_columns(header, columns, fstar=None):
-    """The checks a serialized trace supports; f* defaults to the header's."""
-    return _check(header, columns, header.get("fstar") if fstar is None else fstar,
-                  _header_schedule(header))
+def validate_columns(header, columns, fstar):
+    """The checks a serialized trace supports, against ``fstar`` or, if None, its residuals."""
+    return _check(header, columns, fstar, _header_schedule(header))

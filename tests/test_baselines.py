@@ -123,14 +123,14 @@ class TestCubicNewton:
         assert tr.iterations <= 20
 
     def test_monotone_descent(self):
-        obj = lse_instance(10, 0.5, 9)
+        obj = lse_instance(10, 0.5, 9, 1.0)
         attach_reference(obj)
         tr = cubic_newton(obj, np.zeros(10), 1e-8, 2000)
         f = tr.columns()["F"]
         assert np.all(np.diff(f) <= 1e-11 * np.maximum(np.abs(f[:-1]), 1.0))
 
     def test_one_second_order_oracle_call_per_iteration(self):
-        obj = lse_instance(8, 1.0, 10)
+        obj = lse_instance(8, 1.0, 10, 1.0)
         attach_reference(obj)
         tr = cubic_newton(obj, np.zeros(8), 1e-8, 2000)
         # the Hessian is built at a step's base; the stopping iterate gets none
@@ -139,7 +139,7 @@ class TestCubicNewton:
 
 class TestAcceleratedCubicNewton:
     def test_fast_rate_on_well_conditioned_lse(self):
-        obj = lse_instance(20, 1.0, 0)
+        obj = lse_instance(20, 1.0, 0, 1.0)
         attach_reference(obj)
         tr = accelerated_cubic_newton(obj, np.zeros(20), 1e-12, 2000)
         ks = np.arange(5, min(51, tr.iterations))
@@ -158,7 +158,7 @@ class TestAcceleratedCubicNewton:
         assert cptm.iterations < acn.iterations < cn.iterations
 
     def test_two_oracle_queries_per_iteration(self):
-        obj = lse_instance(8, 1.0, 11)
+        obj = lse_instance(8, 1.0, 11, 1.0)
         attach_reference(obj)
         tr = accelerated_cubic_newton(obj, np.zeros(8), 1e-8, 2000)
         assert tr.oracle_total("oracle_g") == 2 * tr.iterations + 1
@@ -174,15 +174,7 @@ def test_baselines_share_counter_semantics():
         assert tr.oracle_total("matvec") == int(mv[-1])
 
 
-@pytest.mark.parametrize("method", [cubic_newton, accelerated_cubic_newton])
-def test_cubic_methods_run_to_the_cap_without_eps(method):
-    # eps=None is drive's run-to-cap mode; the cubic step then takes the 1e-13 floor
-    obj = attach_reference(lse_instance(8, 1.0, 0))
-    tr = method(obj, np.zeros(8), None, 5)
-    assert tr.status == "cap" and tr.iterations == 5 and tr.header["eps"] is None
-
-
-@pytest.mark.parametrize("eps, inner_tol", [(1e-7, 1e-9), (1e-12, 1e-13), (None, 1e-13)])
+@pytest.mark.parametrize("eps, inner_tol", [(1e-7, 1e-9), (1e-12, 1e-13)])
 def test_cubic_step_tolerance_is_eps_over_100_floored(eps, inner_tol):
     # the one rule cn and acn take their step tolerance from
     assert _cubic_subproblem(_one_dim(), eps)[1] == inner_tol

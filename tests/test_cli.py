@@ -129,6 +129,7 @@ def test_a_gamma0_that_overflows_the_contracted_constant_is_a_solver_failure(
     ["--problem", "quadratic", "--n", "10", "--q", "2", "--method", "gm"],
     ["--problem", "lse", "--n", "10", "--mu", "-1", "--method", "cn"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm", "--eps", "nan"],
+    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm", "--eps", "inf"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm",
      "--cap-outer", "-1"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "gm", "--sigma", "-1"],
@@ -192,14 +193,15 @@ def test_solve_names_the_instance_parameter_it_refuses(tmp_path, capsys, argv, m
     (["--sizes", "4"], EXIT_OK),
     (["--sizes", "4", "--cap-outer", "1"], EXIT_SOLVER),
     (["--sizes", "1"], EXIT_USAGE),
+    (["--sizes", "4", "--eps", "inf"], EXIT_USAGE),
 ])
 def test_bench_exit_codes(tmp_path, capsys, extra, code):
     # a sweep exits 0 when every cell converges, 3 when a cell fails and 2 on
-    # an instance it cannot build (the quadratic spectrum needs n >= 2)
+    # an instance it cannot build (the quadratic spectrum needs n >= 2) or an
+    # eps no run can stop on (eps = inf "converged" every cell at iteration 0)
     assert main(["bench", "--suite", "quadratic", "--seeds", "0", "--method", "gm",
                  *extra, "--out", str(tmp_path)]) == code
-    if code == EXIT_OK:
-        assert (tmp_path / "bench_quadratic.json").exists()
+    assert (tmp_path / "bench_quadratic.json").exists() == (code != EXIT_USAGE)
     if code == EXIT_USAGE:
         assert capsys.readouterr().err.startswith("bench: ")
 
@@ -224,8 +226,21 @@ def test_solve_rejects_psi_for_methods_that_cannot_take_it(tmp_path, capsys, mon
         f"solve: sigma > 0 adds an order-1 psi, which only cptm-p1 and cn take, not {refused}\n")
 
 
-@pytest.mark.parametrize("descriptor", ["{}", "[1]"])
-def test_validate_against_a_malformed_descriptor_is_a_usage_error(tmp_path, capsys, descriptor):
+@pytest.mark.parametrize("descriptor, tail", [
+    ("{}", "is a JSON object with problem, n and seed, not {}"),
+    ("[1]", "is a JSON object with problem, n and seed, not [1]"),
+    ('{"problem": "quadratic", "n": "10", "seed": 0, "q": 0.01}', "n must be an int, not '10'"),
+    ('{"problem": "quadratic", "n": 10, "seed": 1.5, "q": 0.01}', "seed must be an int, not 1.5"),
+    ('{"problem": "quadratic", "n": 10, "seed": 0, "q": "0.01"}',
+     "q must be a number, not '0.01'"),
+    ('{"problem": "lse", "n": 10, "seed": true, "mu": 1.0}', "seed must be an int, not True"),
+    ('{"problem": "lse", "n": 10, "seed": 0, "mu": false}', "mu must be a number, not False"),
+    ('{"problem": 1, "n": 10, "seed": 0, "mu": 1.0}', "problem must be a string, not 1"),
+], ids=["empty", "list", "n-string", "seed-float", "q-string", "seed-bool", "mu-bool",
+        "problem-int"])
+def test_validate_against_a_malformed_descriptor_is_a_usage_error(tmp_path, capsys,
+                                                                   descriptor, tail):
+    # a mistyped field used to reach build_instance and end in a TypeError (exit 1)
     out = tmp_path / "run"
     assert main(["solve", "--problem", "lse", "--n", "10", "--mu", "1",
                  "--method", "cptm-p2", "--out", str(out)]) == EXIT_OK
@@ -235,8 +250,27 @@ def test_validate_against_a_malformed_descriptor_is_a_usage_error(tmp_path, caps
     assert main(["validate", "--trace", str(out / "cptm-p2.csv"),
                  "--instance", str(bad)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("validate: malformed input: ")
-    assert err.endswith("is a JSON object with problem, n and seed, not " + descriptor + "\n")
+    assert err.startswith("validate: malformed input: ") and err.endswith(tail + "\n")
+    assert err.count("\n") == 1
+
+
+def test_validate_refuses_a_baseline_trace_before_building_its_instance(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the refusal used to come after the instance's reference solve
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "lse", "--n", "10", "--mu", "1",
+                 "--method", "cn", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr("contraprox.bench.build_instance", no_build)
+    assert main(["validate", "--trace", str(out / "cn.csv"),
+                 "--instance", str(out / "instance.json")]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("validate: malformed input: trace was not produced by "
+                                       "the contracting solver; only its traces carry "
+                                       "certificate columns\n")
 
 
 @pytest.mark.parametrize("argv, refused", [

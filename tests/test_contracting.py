@@ -72,9 +72,11 @@ class TestOneDimensionalHandExample:
     def one_step():
         obj = _one_dim_objective()
         prox = PowerProx(1, np.array([1.0]), obj.metric)
-        # a_1 = c (p + 1) = 1
+        # a_1 = c (p + 1) = 1; eps lies between the residuals of row 0 (0.5) and row 1
+        # (0.125), so the run stops after its one step
         trace = run_contracting_proximal(obj, prox, SublinearSchedule(0.5, 1), "const:1e-13",
-                                         cap_outer=1)
+                                         0.25, cap_outer=1, cap_inner=None, gamma0=1.0)
+        assert trace.iterations == 1
         return prox, trace.records[0], trace.records[1]
 
     def test_step_lands_at_half(self):
@@ -150,7 +152,7 @@ class TestSchedules:
         assert a2 == pytest.approx(w / (1 - w) * A1, rel=1e-14)
 
     def test_geometric_exponential_bounds(self):
-        sched = schedule_strongly_convex(1, 0.2, 1.0)
+        sched = schedule_strongly_convex(1, 0.2, 1.0, 1.0)
         w = sched.omega
         A = 0.0
         A_values = []
@@ -310,7 +312,7 @@ class TestDeltaRule:
         ("const:inf", 1e-7), ("const:nan", 1e-7), ("const:0", 1e-7), ("const:", 1e-7),
         ("power:inf,2", 1e-7), ("power:1,inf", 1e-7), ("power:1,nan", 1e-7),
         ("power:1,1", 1e-7), ("power:-1,2", 1e-7), ("power:1", 1e-7),
-        ("theorem", None), ("theorem", math.inf), ("bogus", 1e-7),
+        ("theorem", math.inf), ("bogus", 1e-7),
     ])
     def test_bad_text_is_rejected(self, text, eps):
         with pytest.raises(ValueError):
@@ -326,7 +328,7 @@ class TestDeltaRule:
         prox = PowerProx(1, np.zeros(4), obj.metric)
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             run_contracting_proximal(obj, prox, schedule_convex(1, 1.0, 1.0), "const:inf",
-                                     eps=1e-7)
+                                     1e-7, cap_outer=5000, cap_inner=None, gamma0=1.0)
 
 
 class TestRunContractingProximal:
@@ -335,8 +337,9 @@ class TestRunContractingProximal:
         obj = quadratic_instance(2, 1.0, 0)
         prox = PowerProx(1, np.zeros(2), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        tr = run_contracting_proximal(obj, prox, sched, "const:1e-12",
-                                      eps=None, cap_outer=60)
+        tr = run_contracting_proximal(obj, prox, sched, "const:1e-12", 1e-12,
+                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+        assert tr.iterations >= 60
         d0 = prox.divergence(np.zeros(2), obj.xstar)
         for rec in tr.records[1:]:
             assert rec.residual <= d0 / rec.A * (1 + 1e-9) + 1e-15
@@ -345,8 +348,9 @@ class TestRunContractingProximal:
         obj = quadratic_instance(20, 2.0, 1)
         prox = PowerProx(1, np.zeros(20), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
-        tr = run_contracting_proximal(obj, prox, sched, "const:1e-10",
-                                      eps=None, cap_outer=30)
+        tr = run_contracting_proximal(obj, prox, sched, "const:1e-10", 1e-8,
+                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+        assert tr.iterations >= 30
         ks = np.arange(5, 31)
         res = np.array([tr.records[k].residual for k in ks])
         slope = np.polyfit(np.log(ks), np.log(res), 1)[0]
@@ -358,9 +362,10 @@ class TestRunContractingProximal:
         psi = PowerRegularizer(0.25, prox)
         comp = obj.with_simple(psi)
         attach_reference(comp)
-        sched = schedule_strongly_convex(1, 0.25, comp.smooth.lipschitz[1])
-        tr = run_contracting_proximal(comp, prox, sched, "power:1.0,2.0",
-                                      eps=None, cap_outer=40)
+        sched = schedule_strongly_convex(1, 0.25, comp.smooth.lipschitz[1], 1.0)
+        tr = run_contracting_proximal(comp, prox, sched, "power:1.0,2.0", 1e-12,
+                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+        assert tr.iterations >= 20
         for rec in tr.records:
             assert rec.gamma == pytest.approx(1.0 + 0.25 * rec.A, rel=1e-12)
 
@@ -369,8 +374,8 @@ class TestRunContractingProximal:
         prox = PowerProx(1, np.zeros(10), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         with pytest.raises(SolverError):
-            run_contracting_proximal(obj, prox, sched, "power:1.0,2.0",
-                                     eps=1e-12, cap_outer=3)
+            run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", 1e-12,
+                                     cap_outer=3, cap_inner=None, gamma0=1.0)
 
     def test_underestimated_l1_ends_in_an_inner_loop_error(self):
         # steps sized for L1/10 overshoot, so the inner loop's certified norm
@@ -388,7 +393,8 @@ class TestRunContractingProximal:
         prox = PowerProx(2, np.zeros(4), obj.metric)
         sched = schedule_convex(1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            run_contracting_proximal(obj, prox, sched, "const:1e-6")
+            run_contracting_proximal(obj, prox, sched, "const:1e-6", 1e-7,
+                                     cap_outer=5000, cap_inner=None, gamma0=1.0)
 
     def test_custom_schedule_quadratic_rule(self):
         # coefficients from a^2 = (a + A)/L make the contracted part's
@@ -407,8 +413,8 @@ class TestRunContractingProximal:
 
         sched = QuadraticEquationSchedule()
         prox = PowerProx(1, np.zeros(10), obj.metric)
-        tr = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0",
-                                      eps=1e-7, cap_outer=5000)
+        tr = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", 1e-7,
+                                      cap_outer=5000, cap_inner=None, gamma0=1.0)
         assert tr.status == "converged"
         for rec in tr.records[1:]:
             assert rec.lipschitz_g == pytest.approx(1.0, rel=1e-9)

@@ -15,7 +15,8 @@ SUITE_CELLS = {"quadratic": {"q": 1e-2},
 def test_bench_row_is_the_median_of_direct_runs(suite):
     cell = SUITE_CELLS[suite]
     cond = cell["q"] if suite == "quadratic" else cell["mu"]
-    table = bench_sweep(suite, [6], [cond], 1e-7, [0, 1])
+    table = bench_sweep(suite, [6], [cond], 1e-7, [0, 1], methods=None,
+                        delta_schedule="power:1.0,2.0", cap_outer=200000, cap_inner=None)
     assert table["suite"] == suite
     assert [row["method"] for row in table["rows"]] == list(SUITE_METHODS[suite])
     key = "matvec" if suite == "quadratic" else "oracle_g"
@@ -32,7 +33,7 @@ def test_bench_row_is_the_median_of_direct_runs(suite):
 def test_bench_counts_a_failed_run_and_goes_on():
     # gm needs 109 and 122 iterations on seeds 0 and 1, agm 66 and 67
     table = bench_sweep("quadratic", [6], [1e-2], 1e-7, [0, 1], methods=["gm", "agm"],
-                        cap_outer=100)
+                        delta_schedule="power:1.0,2.0", cap_outer=100, cap_inner=None)
     gm, agm = table["rows"]
     assert (gm["iterations"], gm["oracle"], gm["failures"]) == (-1, -1, 2)
     assert (agm["iterations"], agm["failures"]) == (66, 0)

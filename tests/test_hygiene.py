@@ -14,8 +14,11 @@
   passes it by keyword, by position or through ``*``/``**``; calls match by
   the function's name, and a constructor call by its class's.  Tests do not
   count, so a knob only tests turn shows up here.
+- Conversely, no such parameter is passed by every one of those calls, unless
+  :data:`OVERRIDDEN` lists it with a reason: a default that production
+  always overrides is one only tests rely on.
 
-``__init__.py`` is exempt from both: its imports are the package's re-exports.
+``__init__.py`` is exempt from every check: its imports are the package's re-exports.
 """
 
 import ast
@@ -31,6 +34,10 @@ UNREACHED = {}
 
 # Parameters with a default that no production call passes, each with why it stays.
 UNPASSED = {"main.argv": "tests pass it, and the console script passes none"}
+
+# Parameters with a default that every production call passes, each with why it stays.
+OVERRIDDEN = {"run_method.cap_outer": "tests/test_bench.py, which changes only with the "
+                                      "benchmark, runs without it and pins the cap 5000"}
 
 
 def _unused_imports(path):
@@ -121,11 +128,11 @@ def _defaulted(tree):
                 yield name, arg.arg, None
 
 
-def _passes(call, name, param, index):
-    func = call.func
-    callee = getattr(func, "id", None) or getattr(func, "attr", None)
-    if callee != name:
-        return False
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _passes(call, param, index):
     keywords = {kw.arg for kw in call.keywords}
     if param in keywords or None in keywords:
         return True
@@ -133,13 +140,31 @@ def _passes(call, name, param, index):
         isinstance(arg, ast.Starred) for arg in call.args))
 
 
-def _unpassed():
+def _production_use():
+    """(unpassed, overridden): the ``function.parameter`` of every defaulted
+    parameter that no production call passes, and of every one that each
+    production call of its function passes."""
     calls = [node for path in SRC + sorted((ROOT / "perfbench").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
-    return sorted(f"{name}.{param}" for path in SRC
-                  for name, param, index in _defaulted(ast.parse(path.read_text()))
-                  if not any(_passes(call, name, param, index) for call in calls))
+    unpassed, overridden = [], []
+    for path in SRC:
+        for name, param, index in _defaulted(ast.parse(path.read_text())):
+            passes = [_passes(call, param, index) for call in calls if _callee(call) == name]
+            if not any(passes):
+                unpassed.append(f"{name}.{param}")
+            elif all(passes):
+                overridden.append(f"{name}.{param}")
+    return sorted(unpassed), sorted(overridden)
 
 
 def test_every_defaulted_parameter_is_passed_by_production_code():
-    assert _unpassed() == sorted(UNPASSED)
+    assert _production_use()[0] == sorted(UNPASSED)
+
+
+def test_no_defaulted_parameter_is_passed_by_every_production_call():
+    assert _production_use()[1] == sorted(OVERRIDDEN)
+
+
+def test_every_allowlist_entry_gives_a_reason():
+    reasons = [*UNREACHED.values(), *UNPASSED.values(), *OVERRIDDEN.values()]
+    assert all(isinstance(reason, str) and reason.strip() for reason in reasons)

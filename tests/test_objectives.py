@@ -75,18 +75,18 @@ class TestLogSumExp:
         n, mu = 5, 0.7
         rng = np.random.default_rng(0)
         A = rng.uniform(-1, 1, (6 * n, n))
-        oracle = LogSumExpOracle(A, np.zeros(6 * n), mu)
+        oracle = LogSumExpOracle(A, np.zeros(6 * n), mu, 1.0)
         assert oracle.value(np.zeros(n)) == pytest.approx(mu * math.log(6 * n), rel=1e-12)
 
     def test_gradient_at_zero_with_zero_shift(self):
         n = 4
         rng = np.random.default_rng(1)
         A = rng.uniform(-1, 1, (6 * n, n))
-        oracle = LogSumExpOracle(A, np.zeros(6 * n), 1.0)
+        oracle = LogSumExpOracle(A, np.zeros(6 * n), 1.0, 1.0)
         np.testing.assert_allclose(oracle.grad(np.zeros(n)), A.mean(axis=0), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        obj = lse_instance(6, 0.5, 2)
+        obj = lse_instance(6, 0.5, 2, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal(6) * 0.5
@@ -94,7 +94,7 @@ class TestLogSumExp:
             np.testing.assert_allclose(obj.smooth.grad(x), fd, rtol=1e-5, atol=1e-7)
 
     def test_hessian_symmetric_psd(self):
-        obj = lse_instance(5, 1.0, 4)
+        obj = lse_instance(5, 1.0, 4, 1.0)
         rng = np.random.default_rng(5)
         for _ in range(5):
             H = obj.smooth.hess(rng.standard_normal(5))
@@ -102,7 +102,7 @@ class TestLogSumExp:
             assert np.linalg.eigvalsh(H).min() >= -1e-10
 
     def test_hessian_matches_finite_differences(self):
-        obj = lse_instance(4, 0.8, 6)
+        obj = lse_instance(4, 0.8, 6, 1.0)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(4) * 0.3
         H = obj.smooth.hess(x)
@@ -115,7 +115,7 @@ class TestLogSumExp:
     def test_hessian_bounded_by_inverse_mu_in_metric(self):
         # lambda_max(B^{-1} H) <= 1/mu since H <= (1/mu) * B
         for mu in (1.0, 0.25):
-            obj = lse_instance(6, mu, 8)
+            obj = lse_instance(6, mu, 8, 1.0)
             rng = np.random.default_rng(9)
             Binv = np.linalg.inv(obj.metric.matrix)
             for _ in range(5):
@@ -124,7 +124,7 @@ class TestLogSumExp:
                 assert top <= 1.0 / mu + 1e-8
 
     def test_hessian_is_one_exactly_symmetric_formula(self):
-        obj = lse_instance(20, 1.0, 0)
+        obj = lse_instance(20, 1.0, 0, 1.0)
         smooth = obj.smooth
         rng = np.random.default_rng(3)
         for _ in range(4):
@@ -143,10 +143,10 @@ class TestLogSumExp:
             assert np.abs(H - gemm).max() <= 1e-12 * np.abs(gemm).max()
 
     def test_hessian_reuses_the_last_first_order_query(self, monkeypatch):
-        smooth = lse_instance(20, 1.0, 0).smooth
+        smooth = lse_instance(20, 1.0, 0, 1.0).smooth
 
         def fresh_hessian(z):
-            return lse_instance(20, 1.0, 0).smooth.hess(z)
+            return lse_instance(20, 1.0, 0, 1.0).smooth.hess(z)
 
         rng = np.random.default_rng(4)
         x, y = 0.5 * rng.standard_normal(20), 0.5 * rng.standard_normal(20)
@@ -167,12 +167,12 @@ class TestLogSumExp:
         assert np.array_equal(smooth.hess(x), fresh_hessian(x))
 
     def test_metric_is_gram_of_rows(self):
-        obj = lse_instance(5, 1.0, 3)
+        obj = lse_instance(5, 1.0, 3, 1.0)
         A = obj.smooth.data
         np.testing.assert_allclose(obj.metric.matrix, A.T @ A, rtol=1e-12)
 
     def test_convex_along_segments(self):
-        obj = lse_instance(5, 0.5, 10)
+        obj = lse_instance(5, 0.5, 10, 1.0)
         rng = np.random.default_rng(11)
         for _ in range(10):
             x, y = rng.standard_normal(5), rng.standard_normal(5)
@@ -180,12 +180,12 @@ class TestLogSumExp:
             assert mid <= 0.5 * obj.smooth.value(x) + 0.5 * obj.smooth.value(y) + 1e-12
 
     def test_m_is_six_n(self):
-        obj = lse_instance(7, 1.0, 0)
+        obj = lse_instance(7, 1.0, 0, 1.0)
         assert obj.smooth.data.shape == (42, 7)
 
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
-            lse_instance(5, 0.0, 0)
+            lse_instance(5, 0.0, 0, 1.0)
 
 
 class TestCounters:
@@ -204,7 +204,7 @@ class TestCounters:
         assert obj.counters.hess == 1
 
     def test_lse_counts(self):
-        obj = lse_instance(4, 1.0, 0).fresh()
+        obj = lse_instance(4, 1.0, 0, 1.0).fresh()
         x = np.zeros(4)
         obj.smooth.taylor_data(x, 1)
         obj.smooth.hess(x)
@@ -212,7 +212,7 @@ class TestCounters:
         assert (c.value, c.grad, c.hess) == (1, 1, 1)
 
     @pytest.mark.parametrize("make", [lambda: quadratic_instance(4, 1.0, 0),
-                                      lambda: lse_instance(4, 1.0, 0)])
+                                      lambda: lse_instance(4, 1.0, 0, 1.0)])
     def test_taylor_data_serves_order_one_only(self, make):
         obj = make().fresh()
         for order in (0, 2):
@@ -267,13 +267,13 @@ class TestReferenceOptimum:
     def test_one_dimensional_quadratic(self):
         from contraprox.objectives import (CompositeObjective, QuadraticOracle,
                                            ZeroComponent)
-        obj = CompositeObjective(QuadraticOracle(np.array([[1.0]]), np.zeros(1)),
+        obj = CompositeObjective(QuadraticOracle(np.array([[1.0]]), np.zeros(1), 1.0),
                                  ZeroComponent(1), Metric.identity(1))
         x, f = reference_optimum(obj)
         assert abs(x[0]) < 1e-12 and abs(f) < 1e-15
 
     def test_lse_two_solver_agreement(self):
-        obj = lse_instance(5, 1.0, 1)
+        obj = lse_instance(5, 1.0, 1, 1.0)
         x1, f1 = reference_optimum(obj)
         # independent second solver
         res = scipy.optimize.minimize(
@@ -283,7 +283,7 @@ class TestReferenceOptimum:
         assert f1 == pytest.approx(res.fun, abs=1e-10)
 
     def test_attach_reference_caches(self):
-        obj = lse_instance(4, 1.0, 2)
+        obj = lse_instance(4, 1.0, 2, 1.0)
         attach_reference(obj)
         assert obj.fstar is not None and "fstar" in obj.descriptor
         gn = obj.metric.dual_norm(obj.smooth.grad(obj.xstar))
@@ -292,14 +292,14 @@ class TestReferenceOptimum:
     def test_newton_reference_allows_round_off(self):
         # without a round-off allowance in its Armijo test the reference
         # Newton stalled here between 1e-12 and 1e-11 and ran out its cap
-        obj = attach_reference(lse_instance(200, 1.0, 1004))
+        obj = attach_reference(lse_instance(200, 1.0, 1004, 1.0))
         assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
         assert obj.fstar == pytest.approx(7.146944334743955, rel=1e-14)
 
     def test_ill_conditioned_newton_step_does_not_warn(self):
         # scipy.linalg.solve(assume_a="pos") warns LinAlgWarning ("ill-conditioned
         # matrix") on this instance's Newton steps, an error under the warning filter
-        obj = attach_reference(lse_instance(20, 0.01, 2))
+        obj = attach_reference(lse_instance(20, 0.01, 2, 1.0))
         assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
 
     def test_newton_reference_raises_when_no_step_decreases(self):
@@ -333,7 +333,7 @@ class TestReferenceOptimum:
 
 
 def test_descriptor_round_trip():
-    obj = lse_instance(5, 0.5, 9)
+    obj = lse_instance(5, 0.5, 9, 1.0)
     blob = json.dumps(obj.descriptor, sort_keys=True)
     desc = json.loads(blob)
     rebuilt = lse_instance(desc["n"], desc["mu"], desc["seed"],

@@ -112,7 +112,8 @@ def test_write_csv_matches_the_row_by_row_writer(recorded, tmp_path):
 @pytest.mark.parametrize("method", ["gm", "agm", "ppa", "cptm-p1", "cn", "acn", "cptm-p2"])
 def test_a_run_without_the_optimum_is_refused_before_any_query(method, monkeypatch):
     # the one stop rule is F(x_k) - f* <= eps, so drive refuses an instance
-    # without a finite f* or without x* before the method's first query
+    # without a finite f* or without x*, and an eps that is not a finite
+    # positive number, before the method's first query
     obj = _instance("lse")
     reached = []
 
@@ -122,13 +123,16 @@ def test_a_run_without_the_optimum_is_refused_before_any_query(method, monkeypat
 
     monkeypatch.setattr(baselines, "drive", spying_drive)
     monkeypatch.setattr(contracting, "drive", spying_drive)
-    for fstar, xstar in ((None, obj.xstar), (math.nan, obj.xstar), (obj.fstar, None)):
-        blind = dataclasses.replace(obj, fstar=fstar, xstar=xstar)
-        with pytest.raises(ValueError, match=f"^{method} needs the instance's optimum, a "
-                                             "finite f. and x., as attach_reference"):
-            run_method(method, blind, 1e-7)
+    cases = [(dataclasses.replace(obj, fstar=fstar, xstar=xstar), 1e-7,
+              "needs the instance's optimum, a finite f. and x., as attach_reference")
+             for fstar, xstar in ((None, obj.xstar), (math.nan, obj.xstar), (obj.fstar, None))]
+    cases += [(obj, eps, f"needs a finite positive eps, not {eps!r}$")
+              for eps in (math.inf, math.nan, 0.0, -1.0, None, True)]
+    for instance, eps, message in cases:
+        with pytest.raises(ValueError, match=f"^{method} {message}"):
+            run_method(method, instance, eps)
         assert dataclasses.astuple(reached[-1].counters) == (0, 0, 0, 0)
-    assert len(reached) == 3
+    assert len(reached) == len(cases)
 
 
 @pytest.fixture(scope="module")
