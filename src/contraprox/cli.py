@@ -55,7 +55,6 @@ def build_parser():
     solve.add_argument("--gamma0", type=float, default=1.0)
     solve.add_argument("--out", required=True, help="output directory")
     solve.add_argument("--cap-outer", type=int, default=5000)
-    solve.add_argument("--cap-inner", type=int, default=None)
 
     bench = sub.add_parser("bench", help="Cartesian sweep with per-cell medians")
     bench.add_argument("--suite", required=True, choices=("quadratic", "lse"))
@@ -68,7 +67,6 @@ def build_parser():
                        default=None)
     bench.add_argument("--delta-schedule", default="power:1.0,2.0")
     bench.add_argument("--cap-outer", type=int, default=200000)
-    bench.add_argument("--cap-inner", type=int, default=None)
     bench.add_argument("--out", required=True, help="output directory")
 
     validate = sub.add_parser("validate", help="re-check certificates on a trace file")
@@ -96,8 +94,7 @@ def cmd_solve(args):
     try:
         _, report, all_ok = solve_experiment(
             problem, args.method, args.eps, delta_schedule=args.delta_schedule,
-            gamma0=args.gamma0, cap_outer=args.cap_outer, cap_inner=args.cap_inner,
-            out_dir=args.out)
+            gamma0=args.gamma0, cap_outer=args.cap_outer, out_dir=args.out)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -120,7 +117,7 @@ def cmd_bench(args):
         table = bench_sweep(args.suite, args.sizes, conditionings, args.eps,
                             args.seeds, methods=args.method,
                             delta_schedule=args.delta_schedule,
-                            cap_outer=args.cap_outer, cap_inner=args.cap_inner)
+                            cap_outer=args.cap_outer)
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,8 +8,8 @@ segment [x_k, v_{k+1}].  :func:`run_contracting_proximal` is the one outer-loop
 body.  The inner accuracy is one rule in k, parsed by :func:`delta_rule` from
 the text ``const:<v>``, ``power:<c>,<s>`` (c / k^s) or ``theorem`` (the fixed
 accuracy of the convex or uniformly convex theorem for a target eps).  Each
-inner solve is capped by an explicit ``cap_inner``, else by INNER_SLACK times
-the sufficient inner-step count.  Coefficient schedules, the runtime
+inner solve is capped at INNER_SLACK times the sufficient inner-step count,
+the inner budget the validator checks.  Coefficient schedules, the runtime
 certificate bound and the order-dependence formulas also live here.
 """
 
@@ -101,8 +101,11 @@ def schedule_strongly_convex(p, sigma, lipschitz, gamma0):
 
 
 def _positive_finite(value, name):
-    value = float(value)
-    if not 0.0 < value < math.inf:
+    try:
+        value = float(value)
+    except TypeError:    # None, say: refused below as it is
+        pass
+    if not (isinstance(value, float) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, not {value!r}")
     return value
 
@@ -218,15 +221,16 @@ INNER_SLACK = 4.0    # inner cap, and the validator's inner budget, in inner_ite
 
 
 def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedule,
-                             delta_schedule, eps, *, cap_outer, cap_inner, gamma0):
+                             delta_schedule, eps, *, cap_outer, gamma0):
     """Full outer loop from the prox center; returns a :class:`RunTrace` with
     one record per iteration.
 
     ``delta_schedule`` is the accuracy text of :func:`delta_rule`
     (``const:<v>``, ``power:<c>,<s>`` or ``theorem``).  Step k+1 minimizes
-    h_{k+1} with :func:`inner_loop` from v_k, at most ``cap_inner`` inner
-    steps when that is not None, and otherwise INNER_SLACK times the
-    sufficient inner-step count from the state at k (at least 8).
+    h_{k+1} with :func:`inner_loop` from v_k, in at most INNER_SLACK times
+    the sufficient inner-step count from the state at k, rounded down: the
+    validator's inner budget, so a run this cap lets finish passes that
+    check.
 
     The run is recorded, stopped and capped by :func:`trace.drive` with cap
     ``cap_outer``: it needs the instance's f* and x* and a finite eps > 0,
@@ -260,11 +264,8 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
             lipschitz_g = smooth.lipschitz(p)
             gamma_next = gamma + a * sigma_simple
             sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox, v)
-            cap = cap_inner
-            if cap is None:
-                bound = inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform,
-                                              delta, A * (f - fstar), div)
-                cap = max(int(math.ceil(INNER_SLACK * bound)), 8)
+            cap = int(INNER_SLACK * inner_iteration_bound(
+                p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta, A * (f - fstar), div))
             point, s_norm, steps = inner_loop(sub, v, delta, cap)
             x = contraction_point(a, A, point, x)
             k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, point

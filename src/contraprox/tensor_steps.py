@@ -12,8 +12,9 @@ list, so the step dispatches on p alone: a p = 1 step is a closed-form linear
 solve, and a p = 2 step, cptm's and the cubic baselines' alike, is damped
 Newton (:func:`minimize_model_newton`) on ``smooth.data(x)`` and
 ``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus one rank-one term per
-power term assembled in one F-ordered buffer.  A step returns (point, residual,
-iterations).
+power term assembled in one F-ordered buffer.  A step returns (point T, residual,
+iterations, at), ``at`` its own evaluation at T, from which :func:`inner_loop`
+and cn read h(T), ||T - x|| and the certified subgradient.
 :func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
 reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
@@ -177,12 +178,14 @@ class Subproblem:
 
 
 def model_objective(sub: Subproblem, base: SmoothData, y, phi_base):
-    """(value relative to the step base, gradient, terms) of the step objective at y.
+    """(value relative to the step base, gradient, terms, at) of the step objective at y.
 
     The value omits the model's base constant and ``phi_base`` (phi at the
     step base) so that line searches compare quantities of the size of the
     actual progress, not of A*f.  ``terms`` are the power terms as
-    :meth:`Subproblem.phi` gives them, regularizer first.
+    :meth:`Subproblem.phi` gives them, regularizer first, and ``at`` is
+    (phi(y), model gradient, regularizer gradient, ||y - base.x||), the
+    gradient being their sum plus grad phi(y).
     """
     y = np.asarray(y, dtype=float)
     u = y - base.x
@@ -190,9 +193,8 @@ def model_objective(sub: Subproblem, base: SmoothData, y, phi_base):
     mval, mgrad = base.model_increment(y)
     phi, phi_grad, terms = sub.phi(y)
     val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + phi - phi_base
-    # c * r^0 is c exactly, so p = 1 gives step_subgradient's M * B u bitwise
-    grad = mgrad + c * r ** (sub.p - 1) * Bu + phi_grad
-    return val, grad, [(c, sub.p, r, Bu)] + terms
+    reg_grad = c * r ** (sub.p - 1) * Bu
+    return val, mgrad + reg_grad + phi_grad, [(c, sub.p, r, Bu)] + terms, (phi, mgrad, reg_grad, r)
 
 
 def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
@@ -219,22 +221,24 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
     Backtracks on the increment value with a round-off allowance, and takes a
     full step that halves the residual without a measurable decrease; three
     iterations without a better residual (a round-off floor) end the solve at
-    the best point, as a failed line search does.  Returns (y, residual, iters).
+    the best point, as a failed line search does.  Returns (y, residual, iters,
+    at), ``at`` being :func:`model_objective`'s at y.
     """
     y = base.x.copy()
-    phi_base = sub.phi_value(base.x)
-    val, grad, terms = model_objective(sub, base, y, phi_base)
+    val, grad, terms, at = model_objective(sub, base, y, 0.0)
+    phi_base = at[0]
+    val -= phi_base    # 0.0: the objective is measured from its value at the base
     H = np.empty((y.size, y.size), order="F")
-    best_y, best_res, stalled = y, math.inf, 0
+    best_y, best_res, best_at, stalled = y, math.inf, at, 0
     for it in range(NEWTON_CAP):
         res = sub.metric.dual_norm(grad)
         stalled = 0 if res < best_res else stalled + 1
         if res < best_res:
-            best_y, best_res = y, res
+            best_y, best_res, best_at = y, res, at
         if res <= tol:
-            return y, res, it
+            return y, res, it, at
         if stalled == 3:
-            return best_y, best_res, it
+            return best_y, best_res, it, best_at
         assemble_step_hessian(H, sub, base, terms)
         jitter = 0.0
         for _ in range(8):
@@ -256,7 +260,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
         noise = 1e-14 * (abs(val) + 1.0)
         for _ in range(60):
             y_trial = y + t * step
-            val_t, grad_t, terms_t = model_objective(sub, base, y_trial, phi_base)
+            val_t, grad_t, terms_t, at_t = model_objective(sub, base, y_trial, phi_base)
             # near the minimizer the decrease falls below the round-off of phi's
             # Bregman term, a difference of far larger numbers; a full step that
             # halves the residual is then taken on the residual alone
@@ -265,8 +269,8 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
                 break
             t *= 0.5
         else:
-            return best_y, best_res, it
-        y, val, grad, terms = y_trial, val_t, grad_t, terms_t
+            return best_y, best_res, it, best_at
+        y, val, grad, terms, at = y_trial, val_t, grad_t, terms_t, at_t
     raise SolverError(f"step Newton sub-minimizer exceeded {NEWTON_CAP} iterations "
                       f"(residual {sub.metric.dual_norm(grad):.3e}, tol {tol:.3e})")
 
@@ -340,32 +344,20 @@ def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
     gradient norm is at most ``inner_tol``.  The model is ``base``'s, so
     ``base.hess`` must be set exactly when p = 2; a subproblem neither can
     solve was already rejected when it was built (see :class:`Subproblem`).
-    Returns (point, sub-minimizer residual, Newton iterations), (T, 0.0, 0) at p = 1.
+    Returns (T, sub-minimizer residual, Newton iterations, at), (T, 0.0, 0, at)
+    at p = 1, ``at`` being :func:`model_objective`'s at T.
     """
     if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
     if (base.hess is not None) != (sub.p == 2):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
-    if sub.p == 1:
-        return _closed_form_order1(sub, base), 0.0, 0
-    return minimize_model_newton(sub, base, inner_tol)
-
-
-def step_subgradient(sub: Subproblem, base: SmoothData, grad_g_at_T, T):
-    """Implicit subgradient of h at the step's result.
-
-    The step's first-order condition pins the phi-subgradient to minus the
-    model-plus-regularizer gradient, leaving
-        s = grad g(T) - grad Omega_p(g, x; T) - M/p! * ||T-x||^{p-1} B (T-x),
-    which is a true subgradient when the step solved its subproblem exactly;
-    any sub-minimizer residual must be added on top of ||s||_* to stay a
-    valid certificate.
-    """
-    u = np.asarray(T, dtype=float) - base.x
-    model_grad = base.model_increment(T)[1]
-    reg_grad = sub.M * sub.metric.apply(u) if sub.p == 1 else \
-        (sub.M / math.factorial(sub.p)) * sub.metric.norm(u) ** (sub.p - 1) * sub.metric.apply(u)
-    return grad_g_at_T - model_grad - reg_grad
+    if sub.p == 2:
+        return minimize_model_newton(sub, base, inner_tol)
+    T = _closed_form_order1(sub, base)
+    u = T - base.x
+    # M * B u is model_objective's regularizer gradient at p = 1: c * r^0 is c exactly
+    return T, 0.0, 0, (sub.phi_value(T), base.grad, sub.M * sub.metric.apply(u),
+                       sub.metric.norm(u))
 
 
 class InnerLoopError(SolverError):
@@ -377,14 +369,17 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
 
     Returns (point, certified dual norm, steps), one row per step with the
     fields of ``trace.STEP_FIELDS`` after k: (t, h(z), h(T), ||T - z||,
-    ||s||_*, sub-minimizer residual, <s, z - T>).  The dual norm reported per
-    iterate is conservative: the sub-minimizer's own residual is added to the
-    extracted subgradient's norm.  Each iterate costs one first-order query
-    (shared between the stopping test and the next model), and each step
-    taken at order p >= 2 one Hessian at its base, so the exit point and a
-    start point that already meets delta (no steps) are never charged a
-    Hessian.  Raises :class:`InnerLoopError` past ``cap`` steps, which in a
-    correctly configured run means the Lipschitz estimate is wrong.
+    ||s||_*, sub-minimizer residual, <s, z - T>).  The step's optimality
+    condition pins the phi-subgradient at T to minus the model-plus-regularizer
+    gradient, so s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} B(T-z),
+    from the step's own evaluation at T, is a subgradient of h at T for an exact
+    step; the dual norm reported per iterate adds the sub-minimizer's residual
+    to ||s||_*, which keeps it a certificate for an inexact one.  Each iterate
+    costs one first-order query (shared between the stopping test and the next
+    model), and each step taken at order p >= 2 one Hessian at its base, so the
+    exit point and a start point that already meets delta (no steps) are never
+    charged a Hessian.  Raises :class:`InnerLoopError` past ``cap`` steps,
+    which in a correctly configured run means the Lipschitz estimate is wrong.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -398,14 +393,13 @@ def inner_loop(sub: Subproblem, z0, delta, cap):
     for t in range(1, max(int(cap), 1) + 1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        T, residual, _ = tensor_step(sub, data, sub_tol)
+        T, residual, _, (phi_T, model_grad, reg_grad, step_norm) = tensor_step(sub, data, sub_tol)
         data_T = sub.smooth.data(T)
-        s = step_subgradient(sub, data, data_T.grad, T)
+        s = data_T.grad - model_grad - reg_grad
         s_dual = sub.metric.dual_norm(s)
         s_norm = s_dual + residual
-        h_T = data_T.value + sub.phi_value(data_T.x)
-        steps.append((t, h_prev, h_T, sub.metric.norm(T - z), s_dual, residual,
-                      float(s.dot(z - T))))
+        h_T = data_T.value + phi_T
+        steps.append((t, h_prev, h_T, step_norm, s_dual, residual, float(s.dot(z - T))))
         z, data, h_prev = T, data_T, h_T
         if s_norm <= delta:
             return z, s_norm, steps

@@ -77,10 +77,12 @@ class IterationRecord:
 
 
 class RunTrace(Sequence):
-    """One run: header, status, rows as a sequence of read-only views, and its inner steps."""
+    """One run: header, rows as a sequence of read-only views, and its inner steps."""
+
+    status = "converged"    # drive raises on any other ending; CSV headers and perfbench read it
 
     def __init__(self, header):
-        self.header, self.status, self.size = header, "running", 0
+        self.header, self.size = header, 0
         self._blocks, self._step_rows, self._steps = {"scalars": [], "x": [], "v": []}, [], None
 
     def __len__(self):
@@ -187,7 +189,6 @@ def drive(obj, header, eps, cap, iterates):
                        get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
                        get("ell_mu", nan)), row["x"], get("v"), get("steps"))
         if residual <= eps:
-            trace.status = "converged"
             return trace
         if k >= cap:
             raise SolverError(f"{header['method']} exhausted {cap} iterations "

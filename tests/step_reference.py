@@ -1,7 +1,8 @@
 """Independent references for the tests: a minimizer of a :class:`Subproblem`'s
-step objective (through ``model_objective`` and ``Subproblem.phi_value``, as
-the Newton step evaluates it), the first-order baselines gm and ppa in their
-callback form, and a row-by-row trace writer.
+step objective (through ``model_objective``, with phi at the base from
+``Subproblem.phi_value`` where the Newton step takes it from its first
+evaluation), the first-order baselines gm and ppa in their callback form, and
+a row-by-row trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
 and the closed-form order-1 step against the minimizer, the production gm
@@ -32,7 +33,7 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
     """
     y = np.asarray(y0, dtype=float).copy()
     phi_base = sub.phi_value(base.x)
-    val, grad, _ = model_objective(sub, base, y, phi_base)
+    val, grad, _, _ = model_objective(sub, base, y, phi_base)
     precond = sub.metric.solve(grad)
     sq = float(grad @ precond)
     alpha = 1.0 / max(1.0, math.sqrt(sq))
@@ -50,7 +51,7 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
         noise = 1e-14 * (abs(val) + abs(best_val)) + 1e-300
         for _ in range(60):
             y_trial = y + t * direction
-            val_t, grad_t, _ = model_objective(sub, base, y_trial, phi_base)
+            val_t, grad_t, _, _ = model_objective(sub, base, y_trial, phi_base)
             if val_t <= val - 1e-4 * t * sq + noise:
                 accepted = True
                 break

@@ -146,8 +146,6 @@ def test_a_gamma0_that_overflows_the_contracted_constant_is_a_solver_failure(
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--gamma0", "nan"],
     ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
-     "--cap-inner", "-3"],
-    ["--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cptm-p1",
      "--gamma0", "inf"],
 ])
 def test_solve_of_bad_input_is_a_usage_error(tmp_path, capsys, argv):

@@ -75,7 +75,7 @@ class TestOneDimensionalHandExample:
         # a_1 = c (p + 1) = 1; eps lies between the residuals of row 0 (0.5) and row 1
         # (0.125), so the run stops after its one step
         trace = run_contracting_proximal(obj, prox, SublinearSchedule(0.5, 1), "const:1e-13",
-                                         0.25, cap_outer=1, cap_inner=None, gamma0=1.0)
+                                         0.25, cap_outer=1, gamma0=1.0)
         assert trace.iterations == 1
         return prox, trace.records[0], trace.records[1]
 
@@ -328,7 +328,7 @@ class TestDeltaRule:
         prox = PowerProx(1, np.zeros(4), obj.metric)
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             run_contracting_proximal(obj, prox, schedule_convex(1, 1.0, 1.0), "const:inf",
-                                     1e-7, cap_outer=5000, cap_inner=None, gamma0=1.0)
+                                     1e-7, cap_outer=5000, gamma0=1.0)
 
 
 class TestRunContractingProximal:
@@ -338,7 +338,7 @@ class TestRunContractingProximal:
         prox = PowerProx(1, np.zeros(2), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         tr = run_contracting_proximal(obj, prox, sched, "const:1e-12", 1e-12,
-                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+                                      cap_outer=1000, gamma0=1.0)
         assert tr.iterations >= 60
         d0 = prox.divergence(np.zeros(2), obj.xstar)
         for rec in tr.records[1:]:
@@ -349,7 +349,7 @@ class TestRunContractingProximal:
         prox = PowerProx(1, np.zeros(20), obj.metric)
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         tr = run_contracting_proximal(obj, prox, sched, "const:1e-10", 1e-8,
-                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+                                      cap_outer=1000, gamma0=1.0)
         assert tr.iterations >= 30
         ks = np.arange(5, 31)
         res = np.array([tr.records[k].residual for k in ks])
@@ -364,7 +364,7 @@ class TestRunContractingProximal:
         attach_reference(comp)
         sched = schedule_strongly_convex(1, 0.25, comp.smooth.lipschitz[1], 1.0)
         tr = run_contracting_proximal(comp, prox, sched, "power:1.0,2.0", 1e-12,
-                                      cap_outer=1000, cap_inner=None, gamma0=1.0)
+                                      cap_outer=1000, gamma0=1.0)
         assert tr.iterations >= 20
         for rec in tr.records:
             assert rec.gamma == pytest.approx(1.0 + 0.25 * rec.A, rel=1e-12)
@@ -375,17 +375,17 @@ class TestRunContractingProximal:
         sched = schedule_convex(1, 1.0, obj.smooth.lipschitz[1])
         with pytest.raises(SolverError):
             run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", 1e-12,
-                                     cap_outer=3, cap_inner=None, gamma0=1.0)
+                                     cap_outer=3, gamma0=1.0)
 
     def test_underestimated_l1_ends_in_an_inner_loop_error(self):
         # steps sized for L1/10 overshoot, so the inner loop's certified norm
-        # grows instead of falling, and the run stops at the inner cap (15)
+        # grows instead of falling, and the run stops at the inner cap (14)
         obj = build_instance("quadratic", 20, 0, q=1e-2)
         f = obj.smooth
         wrong = CompositeObjective(QuadraticOracle(f.matrix, f.rhs, lam_max=f.lipschitz[1] / 10),
                                    obj.simple, obj.metric, obj.fstar, obj.xstar,
                                    dict(obj.descriptor))
-        with pytest.raises(InnerLoopError, match="cap of 15 steps.*check the Lipschitz"):
+        with pytest.raises(InnerLoopError, match="cap of 14 steps.*check the Lipschitz"):
             run_method("cptm-p1", wrong, 1e-7)
 
     def test_mismatched_schedule_order_rejected(self):
@@ -394,7 +394,7 @@ class TestRunContractingProximal:
         sched = schedule_convex(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             run_contracting_proximal(obj, prox, sched, "const:1e-6", 1e-7,
-                                     cap_outer=5000, cap_inner=None, gamma0=1.0)
+                                     cap_outer=5000, gamma0=1.0)
 
     def test_custom_schedule_quadratic_rule(self):
         # coefficients from a^2 = (a + A)/L make the contracted part's
@@ -414,7 +414,7 @@ class TestRunContractingProximal:
         sched = QuadraticEquationSchedule()
         prox = PowerProx(1, np.zeros(10), obj.metric)
         tr = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", 1e-7,
-                                      cap_outer=5000, cap_inner=None, gamma0=1.0)
+                                      cap_outer=5000, gamma0=1.0)
         assert tr.status == "converged"
         for rec in tr.records[1:]:
             assert rec.lipschitz_g == pytest.approx(1.0, rel=1e-9)

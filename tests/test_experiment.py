@@ -16,7 +16,7 @@ def test_bench_row_is_the_median_of_direct_runs(suite):
     cell = SUITE_CELLS[suite]
     cond = cell["q"] if suite == "quadratic" else cell["mu"]
     table = bench_sweep(suite, [6], [cond], 1e-7, [0, 1], methods=None,
-                        delta_schedule="power:1.0,2.0", cap_outer=200000, cap_inner=None)
+                        delta_schedule="power:1.0,2.0", cap_outer=200000)
     assert table["suite"] == suite
     assert [row["method"] for row in table["rows"]] == list(SUITE_METHODS[suite])
     key = "matvec" if suite == "quadratic" else "oracle_g"
@@ -33,7 +33,7 @@ def test_bench_row_is_the_median_of_direct_runs(suite):
 def test_bench_counts_a_failed_run_and_goes_on():
     # gm needs 109 and 122 iterations on seeds 0 and 1, agm 66 and 67
     table = bench_sweep("quadratic", [6], [1e-2], 1e-7, [0, 1], methods=["gm", "agm"],
-                        delta_schedule="power:1.0,2.0", cap_outer=100, cap_inner=None)
+                        delta_schedule="power:1.0,2.0", cap_outer=100)
     gm, agm = table["rows"]
     assert (gm["iterations"], gm["oracle"], gm["failures"]) == (-1, -1, 2)
     assert (agm["iterations"], agm["failures"]) == (66, 0)
@@ -44,7 +44,7 @@ def test_solve_runs_every_method_past_a_failure():
     problem = {"problem": "quadratic", "n": 20, "seed": 0, "q": 1e-2}
     traces, report, all_ok = solve_experiment(
         problem, ["gm", "agm"], 1e-7, delta_schedule="power:1.0,2.0", gamma0=1.0,
-        cap_outer=120, cap_inner=None)
+        cap_outer=120)
     assert not all_ok and list(traces) == ["agm"]
     gm, agm = report["results"]
     assert not gm["converged"] and gm["error"].startswith("gm exhausted 120 iterations")

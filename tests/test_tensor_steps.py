@@ -21,7 +21,7 @@ from contraprox.tensor_steps import (ContractedSmooth, InnerLoopError, SmoothDat
                                      assemble_step_hessian, cholesky_solve,
                                      cubic_step_single_center,
                                      inner_loop, minimize_model_newton,
-                                     model_objective, step_subgradient, tensor_step)
+                                     model_objective, tensor_step)
 from contraprox.trace import STEP_FIELDS
 from contraprox.validate import validate_trace
 from tests.step_reference import minimize_model_descent
@@ -129,7 +129,7 @@ class TestTensorStep:
         sub = Subproblem(p=1, metric=Metric.identity(1), smooth=_plain(oracle), M=1.0,
                          psi=ZeroComponent(1), weight=0.0)
         base = sub.smooth.data(np.array([1.0]))
-        point, residual, iterations = tensor_step(sub, base, 1e-12)
+        point, residual, iterations, _ = tensor_step(sub, base, 1e-12)
         assert point[0] == pytest.approx(0.0, abs=1e-14)
         assert residual == 0.0 and iterations == 0
 
@@ -146,7 +146,7 @@ class TestTensorStep:
         sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=0.0,
                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
         base = sub.smooth.data(rng.standard_normal(n))
-        point, _, _ = tensor_step(sub, base, 1e-12)
+        point, _, _, _ = tensor_step(sub, base, 1e-12)
         np.testing.assert_allclose(point, v - metric.solve(c) / gamma,
                                    rtol=1e-10, atol=1e-12)
 
@@ -160,7 +160,7 @@ class TestTensorStep:
         x = rng.standard_normal(n)
         base = _data(sub.smooth, x, 2)
         direct = cubic_step_single_center(base, 1.5, metric)
-        newton, _, _ = minimize_model_newton(sub, base, 1e-13)
+        newton, _, _, _ = minimize_model_newton(sub, base, 1e-13)
         descent, _, _ = minimize_model_descent(sub, base, x, 1e-11)
         np.testing.assert_allclose(newton, direct, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
@@ -175,7 +175,7 @@ class TestTensorStep:
         sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=M, psi=ZeroComponent(n),
                          weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(n), 2)
-        point, residual, iterations = tensor_step(sub, base, 1e-13)
+        point, residual, iterations, _ = tensor_step(sub, base, 1e-13)
         assert iterations >= 1 and residual <= 1e-13
         np.testing.assert_allclose(point, cubic_step_single_center(base, M, metric),
                                    rtol=1e-9, atol=1e-12)
@@ -187,7 +187,7 @@ class TestTensorStep:
         obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, inner_tol = _cubic_subproblem(obj.fresh(), 1e-7)
         base = _data(sub.smooth, np.zeros(20), 2)
-        _, residual, iterations = tensor_step(sub, base, inner_tol)
+        _, residual, iterations, _ = tensor_step(sub, base, inner_tol)
         assert iterations >= 1
         assert residual <= inner_tol
 
@@ -213,7 +213,7 @@ class TestTensorStep:
                              psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
             x = rng.standard_normal(n)
             base = sub.smooth.data(x)
-            closed, _, _ = tensor_step(sub, base, 1e-13)
+            closed, _, _, _ = tensor_step(sub, base, 1e-13)
             iterative, _, _ = minimize_model_descent(sub, base, x, 1e-12)
             np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9)
 
@@ -259,8 +259,7 @@ class TestUnsolvableSubproblemsAreRejected:
         with pytest.raises(ValueError, match="divergence term is not built on a PowerProx"):
             run_contracting_proximal(obj, _DiagonalProx(obj.metric),
                                      schedule_convex(1, 1.0, obj.smooth.lipschitz[1]),
-                                     "power:1,2", 1e-7, cap_outer=5000, cap_inner=None,
-                                     gamma0=1.0)
+                                     "power:1,2", 1e-7, cap_outer=5000, gamma0=1.0)
         assert steps == []
 
     @pytest.mark.parametrize("case, message", [
@@ -311,8 +310,8 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
     sub = Subproblem(1, metric, smooth, M, psi, weight, gamma,
                      PowerProx(1, rng.standard_normal(n), metric), rng.standard_normal(n))
     base = smooth.data(rng.standard_normal(n))
-    T, _, _ = tensor_step(sub, base, 1e-12)
-    _, grad, _ = model_objective(sub, base, T, 0.0)
+    T, _, _, _ = tensor_step(sub, base, 1e-12)
+    _, grad, _, _ = model_objective(sub, base, T, 0.0)
     # the gradient is the sum of these three; its scale is theirs
     pieces = (base.grad, M * metric.apply(T - base.x), sub.phi(T)[1])
     scale = sum(metric.dual_norm(piece) for piece in pieces)
@@ -389,6 +388,14 @@ def _divergence(sub):
     return gamma, anchor
 
 
+def _step_subgradient(sub, base, inner_tol):
+    """(T, residual, s, data at T) of one step, s the subgradient inner_loop certifies:
+    grad g(T) minus the model and regularizer gradients the step evaluated at T."""
+    T, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, base, inner_tol)
+    data_T = sub.smooth.data(T)
+    return T, residual, data_T.grad - model_grad - reg_grad, data_T
+
+
 class TestStepSubgradient:
     def _subproblem(self, rng, n=4, gamma=2.0):
         oracle = _quadratic_oracle(rng, n)
@@ -403,9 +410,7 @@ class TestStepSubgradient:
         sub = self._subproblem(rng)
         x = rng.standard_normal(4)
         base = sub.smooth.data(x)
-        T, _, _ = tensor_step(sub, base, 1e-13)
-        data_T = sub.smooth.data(T)
-        s = step_subgradient(sub, base, data_T.grad, T)
+        T, _, s, data_T = _step_subgradient(sub, base, 1e-13)
         # the step solved its subproblem exactly, so s equals grad h(T)
         direct = data_T.grad + sub.phi(T)[1]
         np.testing.assert_allclose(s, direct, rtol=1e-10, atol=1e-10)
@@ -415,9 +420,7 @@ class TestStepSubgradient:
         # grad h(T) = s + the step objective's gradient at T, whose dual norm is
         # the residual the step returns: ||s||_* + residual bounds ||grad h(T)||_*,
         # so the s_norm an inner step reports is a valid delta-certificate
-        T, residual, _ = tensor_step(sub, base, inner_tol)
-        data_T = sub.smooth.data(T)
-        s = step_subgradient(sub, base, data_T.grad, T)
+        T, residual, s, data_T = _step_subgradient(sub, base, inner_tol)
         dual = sub.metric.dual_norm
         grad_h = dual(data_T.grad + sub.phi(T)[1])
         assert grad_h <= dual(s) + residual + 1e-12 * max(1.0, dual(data_T.grad))
@@ -452,6 +455,42 @@ class TestStepSubgradient:
                              rng.standard_normal(n))
             self._assert_certifies_grad_h(sub, smooth.data(rng.standard_normal(n)), 1e-12)
 
+    @pytest.mark.parametrize("case", ["cptm-p1", "cptm-p2", "cn", "cn-psi"])
+    def test_a_step_returns_a_fresh_evaluation_at_its_result_bitwise(self, case):
+        # phi(T), the model and regularizer gradients and ||T - base.x|| that a
+        # step returns are, bit for bit, what evaluating them anew at T gives;
+        # at tol 1e-20 an order-2 solve ends at its best point, not its last
+        rng = np.random.default_rng(43)
+        n = 6
+        if case == "cptm-p1":
+            G = rng.standard_normal((n, n))
+            metric = Metric(G @ G.T + 0.1 * np.eye(n))
+            smooth = ContractedSmooth(_quadratic_oracle(rng, n), 0.7, 3.0,
+                                      rng.standard_normal(n), 2.3)
+            psi = PowerRegularizer(0.3, PowerProx(1, rng.standard_normal(n), metric))
+            sub = Subproblem(1, metric, smooth, smooth.lipschitz(1), psi, 0.7, 1.5,
+                             PowerProx(1, np.zeros(n), metric), rng.standard_normal(n))
+        elif case == "cptm-p2":
+            obj = lse_instance(n, 0.1, 3, lipschitz_order2=200.0)
+            smooth = ContractedSmooth(obj.smooth, 0.7, 3.0, rng.standard_normal(n), 2.3)
+            sub = Subproblem(2, obj.metric, smooth, 2 * smooth.lipschitz(2), ZeroComponent(n),
+                             0.7, 1.5, PowerProx(2, np.zeros(n), obj.metric),
+                             rng.standard_normal(n))
+        else:
+            obj = (build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+                   if case == "cn" else build_instance("quadratic", n, 0, q=1e-2, sigma=1e-2))
+            sub, n = _cubic_subproblem(obj, 1e-7)[0], obj.dim
+        for _ in range(5):
+            base = _data(sub.smooth, rng.standard_normal(n), sub.p)
+            for tol in (1e-6, 1e-20) if sub.p == 2 else (1e-12,):
+                T, _, _, at = tensor_step(sub, base, tol)
+                u = T - base.x
+                r = sub.metric.norm(u)
+                fresh = (sub.phi_value(T), base.model_increment(T)[1],
+                         sub.M / math.factorial(sub.p) * r ** (sub.p - 1) * sub.metric.apply(u), r)
+                assert [np.asarray(v).tobytes() for v in at] == \
+                    [np.asarray(v).tobytes() for v in fresh]
+
 
 class TestInnerLoop:
     def _strongly_convex_subproblem(self, rng, n=5, gamma_factor=2.0):
@@ -467,7 +506,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(12)
         sub = self._strongly_convex_subproblem(rng)
         base = sub.smooth.data(np.zeros(5))
-        start, _, _ = tensor_step(sub, base, 1e-13)
+        start, _, _, _ = tensor_step(sub, base, 1e-13)
         # one more polish step puts the subgradient well under a loose delta
         point, _, steps = inner_loop(sub, start, 1.0, cap=10)
         if steps:
@@ -626,7 +665,7 @@ def test_model_objective_consistent_with_pieces():
     x = rng.standard_normal(n)
     base = _data(sub.smooth, x, 2)
     y = rng.standard_normal(n)
-    val, grad, _ = model_objective(sub, base, y, 0.0)
+    val, grad, _, _ = model_objective(sub, base, y, 0.0)
     h = 1e-6
     for i in range(n):
         e = np.zeros(n)
@@ -680,7 +719,7 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
         sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
-        y, res, iters = minimize_model_newton(sub, model, 1e-10)
+        y, res, iters, _ = minimize_model_newton(sub, model, 1e-10)
         assert failures and iters >= 1 and res <= 1e-10
         assert (model_objective(sub, model, y, 0.0)[0]
                 < model_objective(sub, model, np.zeros(3), 0.0)[0])
@@ -728,8 +767,8 @@ class TestNewtonSolve:
         obj = build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, _ = _cubic_subproblem(obj, 1e-7)
         base = _data(sub.smooth, np.zeros(50), 2)
-        _, _, converged_after = minimize_model_newton(sub, base, 1e-17)
-        y, res, iters = minimize_model_newton(sub, base, 1e-20)
+        _, _, converged_after, _ = minimize_model_newton(sub, base, 1e-17)
+        y, res, iters, _ = minimize_model_newton(sub, base, 1e-20)
         assert converged_after <= 10 and iters <= 25 and res <= 1e-17
         # the best point comes back with its own residual, which callers certify
         assert res == sub.metric.dual_norm(model_objective(sub, base, y, 0.0)[1])
@@ -787,7 +826,7 @@ def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
     if weight > 0:
         dense = dense + weight * psi.hess(y)
     H = np.empty((n, n), order="F")
-    _, grad, terms = model_objective(sub, base, y, 0.0)
+    _, grad, terms, _ = model_objective(sub, base, y, 0.0)
     assemble_step_hessian(H, sub, base, terms)
     scale = np.abs(dense).max()
     assert np.abs(np.triu(H) - np.triu(dense)).max() <= 1e-13 * scale
@@ -814,6 +853,6 @@ def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_ord
                      PowerProx(div_order, rng.standard_normal(n), metric), rng.standard_normal(n))
     base = _data(smooth, rng.standard_normal(n), 2)
     inner_tol = 1e-9 * (1.0 + metric.dual_norm(base.grad))
-    point, residual, _ = tensor_step(sub, base, inner_tol)
+    point, residual, _, _ = tensor_step(sub, base, inner_tol)
     assert residual <= inner_tol
     assert model_objective(sub, base, point, 0.0)[0] <= model_objective(sub, base, base.x, 0.0)[0]

@@ -7,6 +7,7 @@ import pytest
 
 from contraprox import baselines, contracting
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
+from contraprox.objectives import CompositeObjective
 from contraprox.tensor_steps import inner_loop
 from contraprox.trace import CHUNK_ROWS, CSV_COLUMNS, STEP_FIELDS, drive
 from tests.step_reference import reference_write_csv
@@ -113,26 +114,29 @@ def test_write_csv_matches_the_row_by_row_writer(recorded, tmp_path):
 def test_a_run_without_the_optimum_is_refused_before_any_query(method, monkeypatch):
     # the one stop rule is F(x_k) - f* <= eps, so drive refuses an instance
     # without a finite f* or without x*, and an eps that is not a finite
-    # positive number, before the method's first query
+    # positive number, before the method's first query; cptm's theorem delta
+    # reads eps before drive does, and refuses it as early
     obj = _instance("lse")
-    reached = []
-
-    def spying_drive(obj, header, eps, cap, iterates):
-        reached.append(obj)
-        return drive(obj, header, eps, cap, iterates)
-
-    monkeypatch.setattr(baselines, "drive", spying_drive)
-    monkeypatch.setattr(contracting, "drive", spying_drive)
-    cases = [(dataclasses.replace(obj, fstar=fstar, xstar=xstar), 1e-7,
-              "needs the instance's optimum, a finite f. and x., as attach_reference")
+    made = []    # the fresh copy each run makes, which every query of the run hits
+    fresh = CompositeObjective.fresh
+    monkeypatch.setattr(CompositeObjective, "fresh",
+                        lambda self: made.append(fresh(self)) or made[-1])
+    bad_eps = (math.inf, math.nan, 0.0, -1.0, None, True)
+    cases = [(dataclasses.replace(obj, fstar=fstar, xstar=xstar), 1e-7, "power:1.0,2.0",
+              f"^{method} needs the instance's optimum, a finite f. and x., as attach_reference")
              for fstar, xstar in ((None, obj.xstar), (math.nan, obj.xstar), (obj.fstar, None))]
-    cases += [(obj, eps, f"needs a finite positive eps, not {eps!r}$")
-              for eps in (math.inf, math.nan, 0.0, -1.0, None, True)]
-    for instance, eps, message in cases:
-        with pytest.raises(ValueError, match=f"^{method} {message}"):
-            run_method(method, instance, eps)
-        assert dataclasses.astuple(reached[-1].counters) == (0, 0, 0, 0)
-    assert len(reached) == len(cases)
+    cases += [(obj, eps, "power:1.0,2.0", f"^{method} needs a finite positive eps, not {eps!r}$")
+              for eps in bad_eps]
+    if method.startswith("cptm"):
+        # True reads as 1.0 there, so drive refuses it
+        cases += [(obj, eps, "theorem", f"^eps must be positive and finite, not {eps!r}$")
+                  for eps in bad_eps[:-1]]
+        cases += [(obj, True, "theorem", f"^{method} needs a finite positive eps, not True$")]
+    for instance, eps, schedule, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_method(method, instance, eps, delta_schedule=schedule)
+        assert dataclasses.astuple(made[-1].counters) == (0, 0, 0, 0)
+    assert len(made) == len(cases)
 
 
 @pytest.fixture(scope="module")

@@ -234,6 +234,6 @@ def test_a_schedule_neither_sublinear_nor_geometric_skips_the_growth_check():
     sched = QuadraticEquationSchedule()
     prox = PowerProx(1, np.zeros(10), obj.metric)
     trace = run_contracting_proximal(obj, prox, sched, "power:1.0,2.0", 1e-7, cap_outer=5000,
-                                     cap_inner=None, gamma0=1.0)
+                                     gamma0=1.0)
     report = validate_trace(trace, prox, obj.xstar, obj.fstar, sched)
     assert "schedule_growth" not in set(report.checks.name)
