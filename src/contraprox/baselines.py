@@ -8,8 +8,10 @@ Counters on row k are cumulative up to and including x_k, and row 0 is
 charged the query the method makes at every later iterate (see ``trace``).
 Per iteration, each method is charged:
 
-- cn: one first-order query at x_k and one Hessian at x_{k-1}, the base of
-  the step that reached x_k (row 0: the first-order query at x_0);
+- cn: what cptm's inner loop is charged per step, as both run
+  ``tensor_steps.model_steps``: one first-order query at x_k and one Hessian
+  at x_{k-1}, the base of the step that reached x_k (row 0: the first-order
+  query at x_0);
 - acn: one first-order query and one Hessian at the look-ahead point y_k,
   and one first-order query at x_k (row 0: the first-order query at x_0);
 - gm: one gradient at x_{k-1} plus its line-search value trials, the last of
@@ -35,7 +37,7 @@ import math
 import numpy as np
 
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import ContractedSmooth, Subproblem, tensor_step
+from .tensor_steps import ContractedSmooth, Subproblem, model_steps, tensor_step
 from .trace import drive
 
 CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
@@ -73,16 +75,14 @@ def gradient_method_ls(obj: CompositeObjective, x0, eps, cap):
 
     Monotone: a trial step is accepted only under the standard sufficient
     decrease f(x+) <= f(x) - ||grad||_*^2 / (2 L) (see :func:`_line_search`),
-    starting from the known L (or 1).  The gradient at x_k is queried when
+    starting from the known L.  The gradient at x_k is queried when
     the next step needs it, so a run that stops at x_k never queries it.
     """
     if not obj.simple.is_zero:
         raise ValueError("the first-order baselines run on smooth instances only")
     obj = obj.fresh()
     metric = obj.metric
-    L_known = obj.smooth.lipschitz.get(1)
-    L_start = L_known if L_known is not None else 1.0
-    L_cap = L_known if L_known is not None else math.inf
+    L_start = L_cap = obj.smooth.lipschitz[1]
 
     def iterates():
         x = np.asarray(x0, dtype=float).copy()
@@ -142,8 +142,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     obj = obj.fresh()
     metric = obj.metric
     a = 1.0 / obj.smooth.lipschitz[1]
-    L_smooth = obj.smooth.lipschitz.get(1)
-    L_cap = a * L_smooth + 1.0 if L_smooth is not None else math.inf
+    L_cap = a * obj.smooth.lipschitz[1] + 1.0
 
     value, grad = obj.smooth.value, obj.smooth.grad   # bound after a profiler wraps them
     norm, apply, solve, dual_norm = metric.norm, metric.apply, metric.solve, metric.dual_norm
@@ -152,7 +151,7 @@ def classical_ppa(obj: CompositeObjective, x0, eps, cap):
         x = np.asarray(x0, dtype=float).copy()
         fz, gz = obj.smooth.value_and_grad(x)
         yield fz, {"x": x}
-        L_loc = a * (L_smooth if L_smooth is not None else 1.0) + 1.0
+        L_loc = L_cap
         for k in itertools.count(1):
             delta_k = 1.0 / k ** 2
             z = x
@@ -188,27 +187,18 @@ def _cubic_subproblem(obj, eps):
 
 
 def cubic_newton(obj: CompositeObjective, x0, eps, cap):
-    """Cubic-regularized Newton: iterated order-2 regularized model steps on F.
+    """Cubic-regularized Newton: :func:`tensor_steps.model_steps` on h = F itself.
 
-    The cubic coefficient M is ``CUBIC_REG`` (practical default 1).  One
-    first-order query per iterate, and a Hessian only at a step's base.  The
-    step's tolerance is :func:`_cubic_subproblem`'s.
+    Its steps are cptm's inner steps with M = ``CUBIC_REG`` (practical default
+    1), each solved to :func:`_cubic_subproblem`'s tolerance; it stops on F.
     """
     obj = obj.fresh()
-    metric = obj.metric
 
     def iterates():
         sub, inner_tol = _cubic_subproblem(obj, eps)
-        z = np.asarray(x0, dtype=float).copy()
-        data = sub.smooth.data(z)
-        row = {"x": z}
-        while True:
-            yield data.value + obj.simple.value(z), row
-            data.hess = sub.smooth.hess(data.x)
-            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, inner_tol)
-            data = sub.smooth.data(z)
-            s = data.grad - model_grad - reg_grad    # inner_loop's certified subgradient
-            row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}
+        for data, F, s_norm, row in model_steps(sub, np.asarray(x0, dtype=float), inner_tol):
+            yield F, ({"x": data.x} if row is None
+                      else {"s_norm": s_norm, "t_inner": 1, "x": data.x})
 
     return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
 

@@ -121,6 +121,9 @@ def cmd_bench(args):
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SolverError as exc:
+        print(f"bench: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, f"bench_{args.suite}.json"), table)
     print(f"{'n':>6} {'cond':>10} {'method':>8} {'iter':>8} {'oracle':>10} {'fail':>5}")
@@ -137,6 +140,9 @@ def cmd_validate(args):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"validate: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SolverError as exc:
+        print(f"validate: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     for line in report.lines():
         print(line)
     if report.ok:

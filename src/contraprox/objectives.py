@@ -354,7 +354,11 @@ def _newton_reference(obj):
             step = -cholesky_solve(H, g)
         except np.linalg.LinAlgError:
             reg = 1e-12 * (1.0 + float(np.trace(H)) / obj.dim)
-            step = -cholesky_solve(H + reg * np.eye(obj.dim), g)
+            try:
+                step = -cholesky_solve(H + reg * np.eye(obj.dim), g)
+            except np.linalg.LinAlgError:
+                raise SolverError(f"reference Newton could not factor the Hessian at dual "
+                                  f"gradient norm {obj.metric.dual_norm(g):.3e}") from None
         t = 1.0
         slope = float(g @ step)
         noise = 1e-14 * (abs(fval) + 1.0)

@@ -13,14 +13,16 @@ solve, and a p = 2 step, cptm's and the cubic baselines' alike, is damped
 Newton (:func:`minimize_model_newton`) on ``smooth.data(x)`` and
 ``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus one rank-one term per
 power term assembled in one F-ordered buffer.  A step returns (point T, residual,
-iterations, at), ``at`` its own evaluation at T, from which :func:`inner_loop`
-and cn read h(T), ||T - x|| and the certified subgradient.
+iterations, at), ``at`` its own evaluation at T, from which
+:func:`model_steps`, the one step loop, reads h(T), ||T - x|| and the certified
+subgradient: cptm's inner solve (:func:`inner_loop`) and cn both iterate it.
 :func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
 reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -364,45 +366,53 @@ class InnerLoopError(SolverError):
     """The inner loop hit its step cap before a delta-small subgradient."""
 
 
-def inner_loop(sub: Subproblem, z0, delta, cap):
-    """Iterate regularized model steps until a subgradient of h is delta-small.
+def model_steps(sub: Subproblem, z0, tol):
+    """Regularized model steps on h = g + phi from z0, each solved to ``tol``.
 
-    Returns (point, certified dual norm, steps), one row per step with the
-    fields of ``trace.STEP_FIELDS`` after k: (t, h(z), h(T), ||T - z||,
-    ||s||_*, sub-minimizer residual, <s, z - T>).  The step's optimality
-    condition pins the phi-subgradient at T to minus the model-plus-regularizer
-    gradient, so s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} B(T-z),
-    from the step's own evaluation at T, is a subgradient of h at T for an exact
-    step; the dual norm reported per iterate adds the sub-minimizer's residual
-    to ||s||_*, which keeps it a certificate for an inexact one.  Each iterate
-    costs one first-order query (shared between the stopping test and the next
-    model), and each step taken at order p >= 2 one Hessian at its base, so the
-    exit point and a start point that already meets delta (no steps) are never
-    charged a Hessian.  Raises :class:`InnerLoopError` past ``cap`` steps,
-    which in a correctly configured run means the Lipschitz estimate is wrong.
+    Yields (data, h, certified norm, row): (data, h(z0), ||grad h(z0)||_*, None)
+    at z0, then per step z -> T (data at T, h(T), ||s||_* + residual, row), row
+    being ``trace.STEP_FIELDS`` after k: (t, h(z), h(T), ||T - z||, ||s||_*,
+    residual, <s, z - T>).  The step's optimality condition makes
+    s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} B(T-z), from the
+    step's own evaluation at T, a subgradient of h at T for an exact step;
+    adding the residual keeps the norm a certificate for an inexact one.  Each
+    point costs one first-order query, and each step at order p >= 2 one
+    Hessian at its base, taken only when the consumer asks for that step.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    sub_tol = delta / 10.0
     data = sub.smooth.data(z0)
-    phi0, phi_grad0, _ = sub.phi(data.x)
-    s_norm = sub.metric.dual_norm(data.grad + phi_grad0)
-    if s_norm <= delta:
-        return data.x, s_norm, []
-    z, h_prev, steps = data.x, data.value + phi0, []
-    for t in range(1, max(int(cap), 1) + 1):
+    phi, phi_grad, _ = sub.phi(data.x)
+    h = data.value + phi
+    yield data, h, sub.metric.dual_norm(data.grad + phi_grad), None
+    for t in itertools.count(1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        T, residual, _, (phi_T, model_grad, reg_grad, step_norm) = tensor_step(sub, data, sub_tol)
+        T, residual, _, (phi_T, model_grad, reg_grad, step_norm) = tensor_step(sub, data, tol)
         data_T = sub.smooth.data(T)
         s = data_T.grad - model_grad - reg_grad
         s_dual = sub.metric.dual_norm(s)
-        s_norm = s_dual + residual
         h_T = data_T.value + phi_T
-        steps.append((t, h_prev, h_T, step_norm, s_dual, residual, float(s.dot(z - T))))
-        z, data, h_prev = T, data_T, h_T
+        yield (data_T, h_T, s_dual + residual,
+               (t, h, h_T, step_norm, s_dual, residual, float(s.dot(data.x - T))))
+        data, h = data_T, h_T
+
+
+def inner_loop(sub: Subproblem, z0, delta, cap):
+    """:func:`model_steps` from z0, each to delta/10, until its norm is at most delta.
+
+    Returns (point, certified norm, rows of the steps taken), so the exit point
+    and a start point that already meets delta are never charged a Hessian.
+    Raises :class:`InnerLoopError` after ``cap`` steps without one, which in a
+    correctly configured run means the Lipschitz estimate is wrong.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    steps = []
+    for data, _, s_norm, row in model_steps(sub, z0, delta / 10.0):
+        if row is not None:
+            steps.append(row)
         if s_norm <= delta:
-            return z, s_norm, steps
-    raise InnerLoopError(
-        f"inner loop hit its cap of {cap} steps (last certified norm "
-        f"{s_norm:.3e}, target {delta:.3e}); check the Lipschitz estimate")
+            return data.x, s_norm, steps
+        if len(steps) >= cap:
+            raise InnerLoopError(
+                f"inner loop hit its cap of {cap} steps (last certified norm "
+                f"{s_norm:.3e}, target {delta:.3e}); check the Lipschitz estimate")

@@ -1,12 +1,12 @@
 """Independent references for the tests: a minimizer of a :class:`Subproblem`'s
 step objective (through ``model_objective``, with phi at the base from
 ``Subproblem.phi_value`` where the Newton step takes it from its first
-evaluation), the first-order baselines gm and ppa in their callback form, and
-a row-by-row trace writer.
+evaluation), the first-order baselines gm and ppa in their callback form, cn
+as its own loop around ``tensor_step`` and a row-by-row trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
-and the closed-form order-1 step against the minimizer, the production gm
-and ppa against the baselines, and :meth:`RunTrace.write_csv` against the writer.
+and the closed-form order-1 step against the minimizer, the production gm,
+ppa and cn against the baselines, and :meth:`RunTrace.write_csv` against the writer.
 """
 
 import itertools
@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from contraprox.baselines import PPA_INNER_CAP
+from contraprox.baselines import CUBIC_REG, PPA_INNER_CAP, _cubic_subproblem
 from contraprox.objectives import QuadraticOracle, SolverError
-from contraprox.tensor_steps import SmoothData, Subproblem, model_objective
+from contraprox.tensor_steps import SmoothData, Subproblem, model_objective, tensor_step
 from contraprox.trace import CSV_COLUMNS, drive
 
 
@@ -174,6 +174,29 @@ def reference_classical_ppa(obj, x0, eps, cap):
             yield fz, {"a": a, "delta_requested": delta_k, "s_norm": dn, "t_inner": t, "x": x}
 
     return drive(obj, {"method": "ppa", "a": a}, eps, cap, iterates())
+
+
+# cn as it stood before it iterated ``model_steps``: its own loop around
+# ``tensor_step``.  The tests require the production cn to give bitwise its trace.
+
+def reference_cubic_newton(obj, x0, eps, cap):
+    obj = obj.fresh()
+    metric = obj.metric
+
+    def iterates():
+        sub, inner_tol = _cubic_subproblem(obj, eps)
+        z = np.asarray(x0, dtype=float).copy()
+        data = sub.smooth.data(z)
+        row = {"x": z}
+        while True:
+            yield data.value + obj.simple.value(z), row
+            data.hess = sub.smooth.hess(data.x)
+            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, inner_tol)
+            data = sub.smooth.data(z)
+            s = data.grad - model_grad - reg_grad
+            row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}
+
+    return drive(obj, {"method": "cn", "reg": CUBIC_REG}, eps, cap, iterates())
 
 
 def reference_write_csv(trace, path):

@@ -11,7 +11,7 @@ from contraprox.objectives import (CompositeObjective, QuadraticOracle,
                                    attach_reference, lse_instance,
                                    quadratic_instance)
 from tests.step_reference import (ReferenceQuadraticOracle, reference_classical_ppa,
-                                  reference_gradient_method_ls)
+                                  reference_cubic_newton, reference_gradient_method_ls)
 
 
 def _one_dim():
@@ -202,6 +202,27 @@ def test_first_order_baseline_is_bitwise_its_reference(q, seed, method, referenc
     ref = reference(_reference_twin(obj), np.zeros(20), 1e-7, 100000)
     assert tr.status == ref.status == "converged"
     assert len(tr.records) == len(ref.records)
+    ref_columns = ref.columns()
+    for name, column in tr.columns().items():
+        assert column.tobytes() == ref_columns[name].tobytes(), name
+    for rec, want in zip(tr.records, ref.records):
+        assert rec.x.tobytes() == want.x.tobytes()
+
+
+@pytest.mark.parametrize("instance", [
+    {"problem": "quadratic", "n": 50, "seed": 0, "q": 1e-2},
+    {"problem": "quadratic", "n": 50, "seed": 0, "q": 1e-2, "sigma": 1e-4},
+    {"problem": "lse", "n": 20, "seed": 0, "mu": 0.1, "lipschitz_order2": 0.005},
+], ids=["quadratic", "quadratic-sigma", "lse"])
+def test_cubic_newton_is_bitwise_its_reference(instance):
+    # cn iterates model_steps, cptm's inner step loop; its F is that loop's h,
+    # and no bit of its trace may move from its own loop around tensor_step
+    obj = build_instance(**instance)
+    x0 = np.zeros(instance["n"])
+    tr = cubic_newton(obj, x0, 1e-7, 200000)
+    ref = reference_cubic_newton(obj, x0, 1e-7, 200000)
+    assert tr.header == ref.header
+    assert len(tr.records) == len(ref.records) > 1
     ref_columns = ref.columns()
     for name, column in tr.columns().items():
         assert column.tobytes() == ref_columns[name].tobytes(), name

@@ -323,6 +323,13 @@ class TestReferenceOptimum:
         with pytest.raises(SolverError, match="line search failed"):
             reference_optimum(obj)
 
+    def test_newton_reference_raises_when_the_jittered_hessian_fails_too(self):
+        from contraprox.bench import build_instance
+        from contraprox.objectives import SolverError
+
+        with pytest.raises(SolverError, match="reference Newton could not factor the Hessian"):
+            build_instance("lse", 6, 0, mu=1e-4)
+
     def test_composite_quadratic_plus_power(self):
         obj = quadratic_instance(6, 1.5, 3)
         prox = PowerProx(1, np.zeros(6), obj.metric)
