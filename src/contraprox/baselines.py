@@ -47,17 +47,17 @@ PPA_INNER_CAP = 20000    # gradient steps allowed for one ppa proximal subproble
 def _line_search(value, z, phi, direction, dn, L, L_cap, a=None, center=None, norm=None):
     """One monotone step z - direction/L_try with a doubling/halving L_try.
 
-    ``phi`` is the searched objective at z, ``direction`` the primal image of
-    its gradient and ``dn`` that gradient's dual norm.  The objective is f, or
-    ppa's a*f(z) + ||z - center||^2/2 in the primal ``norm`` when ``center`` is
-    given.  The first trial is 0.5*L, and L_try doubles until the standard
-    sufficient decrease phi - dn^2/(2 L_try) holds up to round-off.  At
-    ``L_cap``, the true constant, the decrease holds mathematically, so a
-    rejection there is round-off and that step is taken unconditionally.  Each
-    trial costs one value query.  Returns (z_t, f_t, phi_t, z_t - center or None,
-    L_try, trials).
+    ``phi`` is the searched objective at z, ``direction`` the primal image of its
+    gradient and ``dn`` that gradient's dual norm.  The objective is f, or ppa's
+    a*f(z) + ||z - center||^2/2 in the primal ``norm`` when ``center`` is given.
+    The first trial is 0.5*L, at least 1e-14, or 1 for ppa: its objective is 1-strongly
+    convex, so L_try < 1 misses the decrease by (1 - L_try) dn^2/(2 L_try^2) or more.
+    L_try doubles until phi - dn^2/(2 L_try) holds up to round-off.  At ``L_cap``,
+    the true constant, it holds mathematically, so a rejection there is round-off
+    and that step is taken unconditionally.  Each trial costs one value query.
+    Returns (z_t, f_t, phi_t, z_t - center or None, L_try, trials).
     """
-    L_try = max(0.5 * L, 1e-14)
+    L_try = max(0.5 * L, 1e-14 if center is None else 1.0)
     dn2, slack = dn * dn, 1e-15 * max(abs(phi), 1.0)
     for trials in range(1, 121):
         z_t = z - direction / L_try
@@ -132,7 +132,7 @@ def accelerated_gradient(obj: CompositeObjective, x0, eps, cap):
 def classical_ppa(obj: CompositeObjective, x0, eps, cap):
     """Constant-coefficient proximal point: each step approximately minimizes
     a*f(z) + ||z - x_k||^2/2 with a = 1/L_1, solved by the line-search gradient
-    method to the inner accuracy 1/k^2.
+    method, never below its modulus L = 1, to the inner accuracy 1/k^2.
 
     Each step starts from the value and gradient at x_k that the previous
     solve ended with (at x_0, one value-and-gradient query).

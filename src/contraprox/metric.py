@@ -3,7 +3,8 @@
 Every solver here measures primal vectors with ||x|| = <Bx, x>^(1/2) and
 gradients (dual vectors) with ||s||_* = <s, B^{-1}s>^(1/2).  The operator is
 factorized once at construction; B^{-1} is never formed explicitly, because
-dual-norm evaluations dominate the inner stopping tests.
+dual-norm evaluations dominate the inner stopping tests.  :func:`cholesky_solve`
+is both Newton loops' Hessian solve, and the one retry of a failed factorization.
 
 Triangular solves call LAPACK ``trtrs`` directly: on n <= 200 vectors scipy's
 wrapper costs more than the solve.  Argument checks stay; L is checked once.
@@ -24,15 +25,23 @@ _FLOAT = np.dtype(float)
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
-def cholesky_solve(H, g):
+def cholesky_solve(H, g, refill=None):
     """H^{-1} g as ``cho_solve(cho_factor(H), g)`` computes it, by potrf/potrs directly.
 
-    Reads H's upper triangle.  An F-ordered H is factored in place (a failed
-    factorization leaves a partial factor); a C-ordered H is copied, not changed.
-    """
+    Reads H's upper triangle.  A C-ordered H is copied, not changed; an F-ordered
+    one is factored in place, so ``refill()`` writes it afresh and returns it.  A
+    failed factorization is retried on H + jitter*I, jitter = 1e-12 (1 + |tr H|/n)
+    and then ten times the last, up to 8 factorizations before ``LinAlgError``."""
     H = np.asarray_chkfinite(H)
-    c, info = _potrf(H, lower=False, clean=False, overwrite_a=not H.flags.c_contiguous)
-    if info > 0:
+    refill = refill or (H if H.flags.c_contiguous else H.copy()).copy
+    for k in range(8):
+        c, info = _potrf(H, lower=False, clean=False, overwrite_a=not H.flags.c_contiguous)
+        if info <= 0:
+            break
+        H = refill()
+        jitter = 10.0 * jitter if k else 1e-12 * (1.0 + abs(float(np.trace(H))) / len(H))
+        H[np.diag_indices_from(H)] += jitter
+    else:
         raise scipy.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     if info == 0:
         x, info = _potrs(np.asarray_chkfinite(c), np.asarray_chkfinite(g), lower=False)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
-import scipy.special
 
 from .bregman import ProxFunction, power_hessian
 from .metric import Metric, cholesky_solve
@@ -342,23 +341,19 @@ def lse_instance(n, mu, seed, lipschitz_order2):
 
 
 def _newton_reference(obj):
-    """Damped Newton on F down to dual gradient norm <= REFERENCE_TOL (second-order oracles)."""
+    """Damped Newton on F to dual gradient norm <= REFERENCE_TOL (second-order oracles);
+    each SolverError, the one at REFERENCE_CAP iterations too, names the norm reached."""
     x = np.zeros(obj.dim)
     fval = obj.value(x)
     for _ in range(REFERENCE_CAP):
         g = obj.grad(x)
         if obj.metric.dual_norm(g) <= REFERENCE_TOL:
             return x, fval
-        H = obj.smooth.hess(x) + obj.simple.hess(x)
         try:
-            step = -cholesky_solve(H, g)
+            step = -cholesky_solve(obj.smooth.hess(x) + obj.simple.hess(x), g)
         except np.linalg.LinAlgError:
-            reg = 1e-12 * (1.0 + float(np.trace(H)) / obj.dim)
-            try:
-                step = -cholesky_solve(H + reg * np.eye(obj.dim), g)
-            except np.linalg.LinAlgError:
-                raise SolverError(f"reference Newton could not factor the Hessian at dual "
-                                  f"gradient norm {obj.metric.dual_norm(g):.3e}") from None
+            raise SolverError(f"reference Newton could not factor the Hessian at dual "
+                              f"gradient norm {obj.metric.dual_norm(g):.3e}") from None
         t = 1.0
         slope = float(g @ step)
         noise = 1e-14 * (abs(fval) + 1.0)
@@ -372,7 +367,8 @@ def _newton_reference(obj):
                               f"{obj.metric.dual_norm(g):.3e} (tol {REFERENCE_TOL})")
         x = x + t * step
         fval = trial
-    raise SolverError(f"reference Newton exceeded {REFERENCE_CAP} iterations (tol {REFERENCE_TOL})")
+    raise SolverError(f"reference Newton exceeded {REFERENCE_CAP} iterations at dual gradient "
+                      f"norm {obj.metric.dual_norm(obj.grad(x)):.3e} (tol {REFERENCE_TOL})")
 
 
 def reference_optimum(obj):

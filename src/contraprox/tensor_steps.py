@@ -22,6 +22,7 @@ reference no solver calls; the descent reference is in ``tests/step_reference.py
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -203,7 +204,7 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
     """Write base.hess + sum_j c_j (alpha_j B + beta_j (Bw_j)(Bw_j)^T) into H, upper part.
 
     (sum_j c_j alpha_j) B^T + base.hess^T fills the F-ordered H in two contiguous
-    passes (both are symmetric and C-ordered); a BLAS syr adds each rank-one term.
+    passes (both are symmetric and C-ordered); a BLAS syr adds each rank-one term.  Returns H.
     """
     coef = [(c, *power_coefficients(r, q), Bw) for c, q, r, Bw in terms]
     np.multiply(sub.metric.matrix.T, sum(c * alpha for c, alpha, _, _ in coef), out=H)
@@ -211,6 +212,7 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
     for c, _, beta, Bw in coef:
         if beta:
             _syr(c * beta, Bw, a=H, overwrite_a=True)
+    return H
 
 
 def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
@@ -218,8 +220,8 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
 
     Each point is evaluated once: its norms and B-products serve value,
     gradient and Hessian, the model Hessian plus a multiple of B plus at most
-    three rank-one terms (Bw)(Bw)^T, assembled in one F-ordered buffer and
-    factored in place by :func:`cholesky_solve` (jittered when it fails).
+    three rank-one terms (Bw)(Bw)^T, assembled in one F-ordered buffer and factored
+    in place by :func:`cholesky_solve`, which reassembles it for a jittered retry.
     Backtracks on the increment value with a round-off allowance, and takes a
     full step that halves the residual without a measurable decrease; three
     iterations without a better residual (a round-off floor) end the solve at
@@ -241,19 +243,11 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
             return y, res, it, at
         if stalled == 3:
             return best_y, best_res, it, best_at
-        assemble_step_hessian(H, sub, base, terms)
-        jitter = 0.0
-        for _ in range(8):
-            try:
-                step = -cholesky_solve(H, grad)
-                break
-            except scipy.linalg.LinAlgError:
-                # the failed factorization overwrote H, so assemble it afresh
-                assemble_step_hessian(H, sub, base, terms)
-                jitter = max(10.0 * jitter, 1e-12 * (1.0 + abs(float(np.trace(H)))))
-                H[np.diag_indices_from(H)] += jitter
-        else:
-            raise SolverError("step Hessian could not be factorized")
+        assemble = functools.partial(assemble_step_hessian, H, sub, base, terms)
+        try:
+            step = -cholesky_solve(assemble(), grad, refill=assemble)
+        except scipy.linalg.LinAlgError:
+            raise SolverError("step Hessian could not be factorized") from None
         slope = float(grad.dot(step))
         if slope >= 0.0:  # numerically non-descent; fall back to steepest
             step = -sub.metric.solve(grad)

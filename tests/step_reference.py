@@ -101,8 +101,9 @@ class ReferenceQuadraticOracle(QuadraticOracle):
 
 
 def reference_line_search(value, z, phi, direction, dn, L, L_cap, objective=None):
-    """One monotone step z - direction/L_try; returns (z_t, f_t, L_try, trials)."""
-    L_try = max(0.5 * L, 1e-14)
+    """One monotone step z - direction/L_try, L_try >= 1 for ppa's 1-strongly convex
+    objective; returns (z_t, f_t, L_try, trials)."""
+    L_try = max(0.5 * L, 1e-14 if objective is None else 1.0)
     for trials in range(1, 121):
         z_t = z - direction / L_try
         f_t = value(z_t)

@@ -108,6 +108,13 @@ class TestClassicalProximalPoint:
         t = np.cumsum([rec.t_inner for rec in tr.records])
         assert [rec.counters["oracle_g"] for rec in tr.records] == (1 + t).tolist()
 
+    def test_converges_where_round_off_passed_a_trial_below_its_modulus(self):
+        # the line search used to accept L_try < 1 only through its round-off
+        # allowance here, and stalled at its inner cap after 24,096 iterations
+        obj = build_instance("quadratic", 100, 10002, q=1e-4)
+        tr = classical_ppa(obj, np.zeros(100), 1e-7, 200000)
+        assert tr.status == "converged" and tr.final.residual <= 1e-7
+
     def test_cpm_beats_ppa_in_matvecs(self):
         obj = quadratic_instance(40, alpha_for_condition_ratio(1e-2), 7)
         ppa = classical_ppa(obj, np.zeros(40), 1e-7, 100000)

@@ -273,20 +273,21 @@ def test_validate_refuses_a_baseline_trace_before_building_its_instance(tmp_path
 
 @pytest.mark.parametrize("command", ["solve", "bench", "validate"])
 def test_a_failed_reference_solve_is_a_solver_failure(tmp_path, capsys, command):
-    # at mu = 1e-4 both Cholesky factorizations of the reference Newton fail;
-    # the LinAlgError, a ValueError, used to be reported as bad input (exit 2)
+    # at n = 20, mu = 1e-5 the reference Newton stops at its iteration cap; a
+    # failed factorization, a LinAlgError and so a ValueError, used to be
+    # reported as bad input (exit 2)
     if command == "validate":
         run = tmp_path / "run"
         assert main(["solve", "--problem", "quadratic", "--n", "10", "--q", "0.01",
                      "--method", "cptm-p1", "--out", str(run)]) == EXIT_OK
         descriptor = tmp_path / "descriptor.json"
-        descriptor.write_text('{"problem": "lse", "n": 6, "seed": 0, "mu": 1e-4}')
+        descriptor.write_text('{"problem": "lse", "n": 20, "seed": 0, "mu": 1e-5}')
         argv = ["validate", "--trace", str(run / "cptm-p1.csv"), "--instance", str(descriptor)]
     elif command == "bench":
-        argv = ["bench", "--suite", "lse", "--sizes", "6", "--conditionings", "1e-4",
+        argv = ["bench", "--suite", "lse", "--sizes", "20", "--conditionings", "1e-5",
                 "--seeds", "0", "--out", str(tmp_path / "b")]
     else:
-        argv = ["solve", "--problem", "lse", "--n", "6", "--mu", "1e-4", "--method", "gm",
+        argv = ["solve", "--problem", "lse", "--n", "20", "--mu", "1e-5", "--method", "gm",
                 "--out", str(tmp_path / "s")]
     capsys.readouterr()
     assert main(argv) == EXIT_SOLVER

@@ -324,11 +324,42 @@ class TestReferenceOptimum:
             reference_optimum(obj)
 
     def test_newton_reference_raises_when_the_jittered_hessian_fails_too(self):
-        from contraprox.bench import build_instance
-        from contraprox.objectives import SolverError
+        from contraprox.objectives import (CompositeObjective, SmoothOracle,
+                                           SolverError, ZeroComponent)
 
-        with pytest.raises(SolverError, match="reference Newton could not factor the Hessian"):
-            build_instance("lse", 6, 0, mu=1e-4)
+        class Saddle(SmoothOracle):
+            # f = (x_0^2 - x_1^2)/2 + x_0 + x_1: no jitter up to 1e-5 makes H definite
+            dim = 2
+
+            def value(self, x):
+                return 0.5 * (x[0] ** 2 - x[1] ** 2) + x[0] + x[1]
+
+            def grad(self, x):
+                return np.array([x[0] + 1.0, 1.0 - x[1]])
+
+            def hess(self, x):
+                return np.diag([1.0, -1.0])
+
+        obj = CompositeObjective(Saddle(), ZeroComponent(2), Metric.identity(2))
+        with pytest.raises(SolverError, match="reference Newton could not factor the Hessian "
+                                              "at dual gradient norm 1.414e"):
+            reference_optimum(obj)
+
+    def test_newton_reference_names_the_norm_it_reached_at_its_cap(self):
+        # slow damped progress at mu = 1e-5, not a round-off floor, so the cap stays
+        from contraprox.bench import build_instance
+        from contraprox.objectives import REFERENCE_CAP, SolverError
+
+        reached = r"at dual gradient norm \d\.\d{3}e[-+]\d\d "
+        with pytest.raises(SolverError, match=f"exceeded {REFERENCE_CAP} iterations {reached}"):
+            build_instance("lse", 20, 0, mu=1e-5)
+
+    def test_a_small_mu_lse_instance_builds(self):
+        # its reference Newton factors a Hessian only after more than one jittered retry
+        from contraprox.bench import build_instance
+
+        obj = build_instance("lse", 6, 0, mu=1e-4)
+        assert obj.metric.dual_norm(obj.smooth.grad(obj.xstar)) <= 1e-12
 
     def test_composite_quadratic_plus_power(self):
         obj = quadratic_instance(6, 1.5, 3)

@@ -8,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contraprox import contracting, tensor_steps
+from contraprox import contracting
+from contraprox import metric as metric_module
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
 from contraprox.bregman import PowerProx, ProxFunction, power_hessian
@@ -707,42 +708,61 @@ class TestNewtonSolve:
         with pytest.raises(ValueError, match="infs or NaNs"):
             minimize_model_newton(sub, model, 1e-10)
 
+    @staticmethod
+    def _factorizations(monkeypatch):
+        """(matrix as passed, info) of each potrf call of ``metric.cholesky_solve``."""
+        calls, potrf = [], metric_module._potrf
+
+        def spy(a, **kwargs):
+            as_passed = np.array(a)
+            c, info = potrf(a, **kwargs)
+            calls.append((as_passed, info))
+            return c, info
+
+        monkeypatch.setattr(metric_module, "_potrf", spy)
+        return calls
+
     def test_indefinite_hessian_takes_the_jitter_path(self, monkeypatch):
-        failures = []
-
-        def spy(H, g):
-            try:
-                return cholesky_solve(H, g)
-            except scipy.linalg.LinAlgError:
-                failures.append(H)
-                raise
-
-        monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
+        calls = self._factorizations(monkeypatch)
         sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
         y, res, iters, _ = minimize_model_newton(sub, model, 1e-10)
-        assert failures and iters >= 1 and res <= 1e-10
+        assert any(info > 0 for _, info in calls) and iters >= 1 and res <= 1e-10
         assert (model_objective(sub, model, y, 0.0)[0]
                 < model_objective(sub, model, np.zeros(3), 0.0)[0])
 
     def test_jitter_retry_factors_an_intact_matrix(self, monkeypatch):
         # a failed in-place factorization leaves a partial factor in the buffer;
         # the retry must factor H + jitter*I, not that factor plus jitter
-        solved = []
-
-        def spy(H, g):
-            x = cholesky_solve(H, g)
-            solved.append(x)
-            return x
-
-        monkeypatch.setattr(tensor_steps, "cholesky_solve", spy)
+        calls = self._factorizations(monkeypatch)
         A = np.diag([2.0, 1.0, -1e-13])
         sub, model = self._cubic_model(A, np.array([1.0, -0.5, 0.0]))
         minimize_model_newton(sub, model, 1e-10)
         # at the base point r = 0, so the step Hessian is A itself
-        jitter = 1e-12 * (1.0 + abs(float(np.trace(A))))
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A + jitter * np.eye(3)),
-                                          model.grad)
-        np.testing.assert_array_equal(solved[0], expected)
+        jitter = 1e-12 * (1.0 + abs(float(np.trace(A))) / 3)
+        assert calls[0][1] > 0 and calls[1][1] == 0
+        np.testing.assert_array_equal(np.triu(calls[1][0]), np.triu(A + jitter * np.eye(3)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_each_jitter_retry_adds_to_the_matrix_as_given(self, monkeypatch, order):
+        # an F-ordered H without ``refill`` is kept intact for its retries too
+        H0 = np.array([[1.0, 0.5], [0.5, 0.25 - 1e-9]])
+        H = np.array(H0, order=order)
+        g = np.array([1.0, -2.0])
+        calls = self._factorizations(monkeypatch)
+        x = cholesky_solve(H, g)
+        assert len(calls) >= 3 and calls[-1][1] == 0
+        jitter = 1e-12 * (1.0 + abs(float(np.trace(H0))) / 2)
+        for factored, _ in calls[1:]:
+            np.testing.assert_array_equal(factored, H0 + jitter * np.eye(2))
+            jitter *= 10.0
+        np.testing.assert_array_equal(
+            x, scipy.linalg.cho_solve(scipy.linalg.cho_factor(calls[-1][0]), g))
+        if order == "C":
+            np.testing.assert_array_equal(H, H0)
+        calls.clear()
+        with pytest.raises(scipy.linalg.LinAlgError):
+            cholesky_solve(np.diag([1.0, -1.0]), g)
+        assert len(calls) == 8
 
     def test_cholesky_solve_factors_only_a_fortran_ordered_matrix_in_place(self):
         rng = np.random.default_rng(29)
