@@ -124,7 +124,6 @@ def cmd_bench(args):
     except SolverError as exc:
         print(f"bench: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, f"bench_{args.suite}.json"), table)
     print(f"{'n':>6} {'cond':>10} {'method':>8} {'iter':>8} {'oracle':>10} {'fail':>5}")
     for row in table["rows"]:
@@ -167,8 +166,7 @@ def cmd_curves(args):
             print(f"curves: delta or K of order {p} leaves the float range", file=sys.stderr)
             return EXIT_USAGE
         lines.append(f"{p},{delta!r},{K!r}")
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -176,11 +174,15 @@ def cmd_curves(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {"solve": cmd_solve, "bench": cmd_bench,
-               "validate": cmd_validate, "curves": cmd_curves}[args.command]
-    return handler(args)
+    args = build_parser().parse_args(argv)
+    try:    # an --out that cannot be written is a usage error, found before any solve
+        if args.command in ("solve", "bench"):
+            os.makedirs(args.out, exist_ok=True)
+        return {"solve": cmd_solve, "bench": cmd_bench, "validate": cmd_validate,
+                "curves": cmd_curves}[args.command](args)
+    except OSError as exc:    # validate reports its own input errors
+        print(f"{args.command}: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .bregman import ProxFunction
-from .objectives import CompositeObjective
+from .objectives import CompositeObjective, SolverError
 from .tensor_steps import ContractedSmooth, Subproblem, inner_loop
 from .trace import drive
 
@@ -189,16 +189,22 @@ def order_dependence(p):
     return convex_inner_accuracy(p, 1.0, 1.0, 1.0), K
 
 
-def _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform):
-    """(ell, mu): the inner problem's smoothness and uniform convexity, as p-th roots."""
+def contracted_lipschitz(p, a, A_next, lipschitz):
+    """L_p(g) = a^{p+1} / A_next^p * L_p(f), the constant of the contracted smooth part
+    of step k+1; inf where a power leaves the float range or A_next is 0."""
+    try:
+        return a ** (p + 1) / A_next ** p * lipschitz
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def ell_mu(p, lipschitz_g, gamma_next, sigma_uniform):
+    """(ell, mu): the inner problem's smoothness and uniform convexity as p-th roots, whose
+    ratio prices one inner solve; (NaN, 1) unless L_p(g) and gamma_next * sigma are positive."""
+    if not (lipschitz_g > 0 and gamma_next * sigma_uniform > 0):
+        return math.nan, 1.0
     return (((p + 1) * lipschitz_g / math.factorial(p)) ** (1.0 / p),
             (gamma_next * sigma_uniform) ** (1.0 / p))
-
-
-def inner_condition_ratio(p, lipschitz_g, gamma_next, sigma_uniform):
-    """ell/mu, the condition ratio that prices one inner solve."""
-    ell, mu = _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
-    return ell / mu
 
 
 def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta,
@@ -208,7 +214,7 @@ def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delt
     ``residual_term`` is A_k (F(x_k) - f*) and ``div`` the divergence from v_k
     to x*; with gamma_k they bound the inner problem's initial gap D.
     """
-    ell, mu = _ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
+    ell, mu = ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
     D = residual_term + gamma * div + (ell / mu) ** p * div
     if D <= 0 or delta <= 0:
         return 2.0
@@ -261,7 +267,9 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
             delta = delta_fn(k + 1)
             A_next = A + a
             smooth = ContractedSmooth(obj.smooth, a, A_next, x, A)
-            lipschitz_g = smooth.lipschitz(p)
+            lipschitz_g = contracted_lipschitz(p, a, A_next, lipschitz)
+            if lipschitz_g == math.inf:
+                raise SolverError(f"the contracted L_{p} overflows at a = {a:.3e}")
             gamma_next = gamma + a * sigma_simple
             sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox, v)
             cap = int(INNER_SLACK * inner_iteration_bound(
@@ -276,9 +284,7 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
                 "s_norm": s_norm, "t_inner": len(steps),
                 "bregman_step": prox.divergence(v_prev, v),
                 "bregman_vstar": div,
-                "x": x, "v": v, "steps": steps,
-                "lipschitz_g": lipschitz_g, "M": sub.M,
-                "ell_mu": inner_condition_ratio(p, lipschitz_g, gamma, sigma_uniform)}
+                "x": x, "v": v, "steps": steps}
 
     header = {
         "method": f"cptm-p{p}", "p": p, "gamma0": gamma0, "lipschitz": lipschitz,

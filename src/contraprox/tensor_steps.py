@@ -98,12 +98,6 @@ class ContractedSmooth:
             raise SolverError("the oracle returned a non-finite Hessian")
         return H
 
-    def lipschitz(self, p):
-        try:
-            return self.a ** (p + 1) / self.A_next ** p * self.oracle.lipschitz[p]
-        except OverflowError:
-            raise SolverError(f"the contracted L_{p} overflows at a = {self.a:.3e}") from None
-
 
 class Subproblem:
     """One regularized inner subproblem h = g + phi with its step constant M.

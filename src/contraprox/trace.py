@@ -7,8 +7,8 @@ fixed so files from different methods stay comparable.  In-memory traces
 additionally keep iterate points and one table of every inner step, which the
 lemma-level validator needs but the wire format does not carry.
 
-In memory a row is 19 float64 scalars (the CSV columns, ``lipschitz_g``, ``M``,
-``ell_mu``, a has-v flag) and 8n bytes of x and of v if it has one, in blocks
+In memory a row keeps what its CSV line keeps: 16 float64 scalars (the CSV
+columns and a has-v flag), and 8n bytes of x and of v if it has one, in blocks
 of ``CHUNK_ROWS`` rows made with ``np.empty`` as the last fills and never
 copied.  A trace is the sequence of its rows as read-only :class:`IterationRecord`
 views, and only :func:`drive` writes to it.
@@ -43,7 +43,7 @@ CSV_COLUMNS = [
 ]
 FIELDS = ("k", "A", "gamma", "a", "f_value", "residual", "delta_requested", "s_norm",
           "t_inner", "oracle_f", "oracle_g", "oracle_h", "matvec", "bregman_step",
-          "bregman_vstar", "lipschitz_g", "M", "ell_mu", "has_v")
+          "bregman_vstar", "has_v")
 _COLUMN = {name: j for j, name in enumerate(FIELDS)}
 _INT = [name in ("k", "t_inner", *FIELDS[9:13]) for name in FIELDS]
 CHUNK_ROWS = 64
@@ -127,7 +127,7 @@ class RunTrace(Sequence):
         return self._steps
 
     def columns(self):
-        """The CSV columns, ``lipschitz_g``, ``M``, ``ell_mu`` and ``has_v`` by name (copies)."""
+        """The CSV columns and ``has_v`` by name (copies)."""
         table = np.concatenate([np.empty((0, len(FIELDS))), *self._blocks["scalars"]])
         return dict(zip(CSV_COLUMNS + list(FIELDS[len(CSV_COLUMNS):]), table[:self.size].T))
 
@@ -186,8 +186,7 @@ def drive(obj, header, eps, cap, iterates):
         trace._append((k, get("A", nan), get("gamma", nan), get("a", nan), f, residual,
                        get("delta_requested", nan), get("s_norm", nan), get("t_inner", 0),
                        c.value, c.grad, c.hess, c.matvec, get("bregman_step", nan),
-                       get("bregman_vstar", nan), get("lipschitz_g", nan), get("M", nan),
-                       get("ell_mu", nan)), row["x"], get("v"), get("steps"))
+                       get("bregman_vstar", nan)), row["x"], get("v"), get("steps"))
         if residual <= eps:
             return trace
         if k >= cap:

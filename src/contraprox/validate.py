@@ -2,14 +2,14 @@
 
 One check body runs over a dict of columns with one entry per outer
 iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
-the body replays the outer residual-plus-divergence certificate, the
-telescoped proximal coefficients, the coefficient-schedule growth envelopes
-and the requested inner accuracy.  An in-memory trace adds, from its
-rows, the iterates x and v as read-only views, the columns ``ell_mu`` and
-``lipschitz_g``, D(v_k; x*) recomputed per row and the table of inner steps,
-``RunTrace.steps``, and the body then also replays the inner condition ratio,
-the inner iteration budget, per-step descent and gradient progress of the
-inner method, and the contraction combination that makes x_{k+1}.
+the body replays from them and the header the outer residual-plus-divergence
+certificate, the telescoped proximal coefficients, the coefficient-schedule
+growth envelopes, the requested inner accuracy, the inner condition ratio
+and the inner iteration budget: L_p(g) and ell/mu are derived, not recorded.
+An in-memory trace adds the iterates x and v as read-only views, D(v_k; x*)
+recomputed per row and the table of inner steps, ``RunTrace.steps``, and the
+body then also replays per-step descent and gradient progress of the inner
+method and the contraction combination that makes x_{k+1}.
 
 Each check is one array expression over its rows, except the inner budget
 (the scalar :func:`inner_iteration_bound` per iteration) and the contraction
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
-                          inexact_certificate_bounds, inner_iteration_bound)
+                          contracted_lipschitz, ell_mu, inexact_certificate_bounds,
+                          inner_iteration_bound)
 
 CHECK_DTYPE = [("name", object), ("k", np.int64), ("t", np.int64), ("passed", bool),
                ("margin", float)]
@@ -64,7 +65,8 @@ def _header_schedule(header):
     and the other header fields the checks read are finite numbers."""
     sched = header.get("schedule")
     kind = sched.get("kind") if isinstance(sched, dict) else None
-    fields = [(name, header.get(name)) for name in ("gamma0", "sigma_simple", "sigma_uniform")]
+    fields = [(name, header.get(name))
+              for name in ("gamma0", "lipschitz", "sigma_simple", "sigma_uniform")]
     fields += [("fstar", header["fstar"])] if header.get("fstar") is not None else []
     fields += [(f"schedule {name}", sched.get(name)) for name in
                {"sublinear": ("c", "p"), "geometric": ("omega", "c", "p")}.get(kind, ())]
@@ -85,30 +87,26 @@ def _header_schedule(header):
 def _check(header, columns, fstar, schedule):
     """Every check the columns support.
 
-    The certificate needs the row-0 divergence to x* (a file written without
-    x* has none, and skips it); residuals come from F - f* when f* is known.
-    Schedule growth needs a sublinear or geometric schedule.  A trace without
-    iterations fails one "nonempty" check and is checked no further.
-    """
+    Residuals are F - f* when f* is known, else the ``residual`` column.  A trace
+    without a finite row-0 divergence D(v_0; x*) fails the certificate at every
+    row.  Schedule growth needs a sublinear or geometric schedule.  A trace
+    without iterations fails one "nonempty" check and is checked no further."""
     mask = columns["k"] >= 1
     ks = columns["k"][mask].astype(int)
     if ks.size == 0:
         return ValidationReport(_rows("nonempty", [-1], False, -1.0))
     p, gamma0, sigma_simple = header["p"], header["gamma0"], header["sigma_simple"]
     A, gamma, s_norm = columns["A_k"][mask], columns["gamma_k"][mask], columns["s_norm"][mask]
-    parts = []
-    k0 = columns["k"] == 0
-    bregman0 = float(columns["bregman_vstar"][k0][0]) if np.any(k0) else math.nan
-    if math.isfinite(bregman0):
-        residual = columns["F"][mask] - fstar if fstar is not None else columns["residual"][mask]
-        lhs = (A * residual + gamma * columns["bregman_vstar"][mask]
-               + np.cumsum(gamma * columns["bregman_step"][mask]))
-        rhs = inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0,
-                                         header["sigma_uniform"], s_norm, A)[1:]
-        slack = 1e-9  # relative, and 1e-3 of it absolute
-        margin = ((rhs * (1.0 + slack) + slack * 1e-3 - lhs)
-                  / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
-        parts.append(_rows("outer_certificate", ks, margin >= 0.0, margin))
+    F, div = columns["F"], columns["bregman_vstar"]
+    residual = F - fstar if fstar is not None else columns["residual"]
+    bregman0 = next(iter(div[columns["k"] == 0].tolist()), math.nan)
+    lhs = A * residual[mask] + gamma * div[mask] + np.cumsum(gamma * columns["bregman_step"][mask])
+    rhs = inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, header["sigma_uniform"],
+                                     s_norm, A)[1:]
+    slack = 1e-9  # relative, and 1e-3 of it absolute
+    margin = ((rhs * (1.0 + slack) + slack * 1e-3 - lhs)
+              / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
+    parts = [_rows("outer_certificate", ks, margin >= 0.0, margin)]
     expected = gamma0 + sigma_simple * A
     err = np.abs(gamma - expected) / np.maximum(np.abs(expected), 1.0)
     parts.append(_rows("gamma_telescope", ks, err <= 1e-12, 1e-12 - err))
@@ -124,21 +122,22 @@ def _check(header, columns, fstar, schedule):
                            np.minimum(A - lo, hi - A)))
     allowed = columns["delta_req"][mask] * (1 + 1e-12)
     parts.append(_rows("delta_honored", ks, s_norm <= allowed, allowed - s_norm))
+    # L_p(g) and ell/mu of each row in Python scalars, as the run computes them
+    A_all, gamma_all = columns["A_k"], columns["gamma_k"].tolist()
+    L_g = [contracted_lipschitz(p, a, A_k, header["lipschitz"])
+           for a, A_k in zip(columns["a_k"].tolist(), A_all.tolist())]
+    ratio = np.array([ell / mu for ell, mu in (ell_mu(p, L, g, header["sigma_uniform"])
+                                               for L, g in zip(L_g, gamma_all))])[mask]
+    parts.append(_rows("inner_condition_ratio", ks, ratio <= 1.0 + 1e-12, 1.0 + 1e-12 - ratio))
+    # t_k stays under INNER_SLACK times the sufficient count from the state at k - 1
+    budgeted = [i for i in range(1, len(F))
+                if math.isfinite(div[i - 1]) and math.isfinite(residual[i - 1])]
+    budget = INNER_SLACK * np.array([inner_iteration_bound(
+        p, L_g[i], gamma_all[i - 1], gamma_all[i], header["sigma_uniform"],
+        columns["delta_req"][i], A_all[i - 1] * residual[i - 1], div[i - 1]) for i in budgeted])
+    t_k = columns["t_k"][budgeted]
+    parts.append(_rows("inner_budget", columns["k"][budgeted], t_k <= budget, budget - t_k))
     if "x" in columns:
-        ratio = columns["ell_mu"][1:]
-        parts.append(_rows("inner_condition_ratio", ks, ratio <= 1.0 + 1e-12,
-                           1.0 + 1e-12 - ratio))
-        # t_k stays under INNER_SLACK times the sufficient count from the state at k - 1
-        F, A_all, gamma_all = columns["F"], columns["A_k"], columns["gamma_k"]
-        div = columns["bregman_vstar"]
-        budgeted = [i for i in range(1, len(F))
-                    if math.isfinite(div[i - 1]) and math.isfinite(F[i - 1] - fstar)]
-        budget = INNER_SLACK * np.array([inner_iteration_bound(
-            p, columns["lipschitz_g"][i], gamma_all[i - 1], gamma_all[i],
-            header["sigma_uniform"], columns["delta_req"][i],
-            A_all[i - 1] * (F[i - 1] - fstar), div[i - 1]) for i in budgeted])
-        t_k = columns["t_k"][budgeted]
-        parts.append(_rows("inner_budget", columns["k"][budgeted], t_k <= budget, budget - t_k))
         steps = columns["steps"]
         scale = np.maximum(np.maximum(np.abs(steps.h_before), np.abs(steps.h_after)), 1.0)
         parts.append(_rows("inner_descent", steps.k,
@@ -147,7 +146,7 @@ def _check(header, columns, fstar, schedule):
         # the sub-minimizer residual perturbs the extracted subgradient, so the
         # gradient progress allows a residual-proportional slack on top of round-off;
         # a step whose L is not a positive number passes with margin 0
-        L = columns["lipschitz_g"][steps.k]
+        L = np.array(L_g)[steps.k]
         proper = np.isfinite(L) & (L > 0)
         coef = (math.factorial(p) / ((p + 1) * np.where(proper, L, 1.0))) ** (1.0 / p)
         rhs = coef * steps.s_dual ** ((p + 1.0) / p)

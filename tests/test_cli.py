@@ -83,10 +83,12 @@ def _header(change):
     (_header(lambda h: h["schedule"].pop("c")),
      "the trace header has schedule c = None, but p must be"),
     (_header(lambda h: h.update(p="2")), "the trace header has p = '2', but p must be"),
+    (_header(lambda h: h.update(lipschitz="1")),
+     "the trace header has lipschitz = '1', but p must be"),
     (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + "\n"],
      "a row of 14 fields under 15 columns"),
 ], ids=["header-list", "no-sigma_uniform", "no-gamma0", "sublinear-without-c", "p-text",
-        "narrow-row"])
+        "lipschitz-text", "narrow-row"])
 def test_validate_of_a_malformed_trace_is_a_usage_error(tmp_path, capsys, edit, message):
     # exit 1 means failed checks; a trace the checks cannot read is a usage
     # error, reported on one line
@@ -372,3 +374,26 @@ def test_curves_below_order_one_is_a_usage_error(tmp_path, capsys):
     assert main(["curves", "--p-min", "0", "--out", str(out)]) == EXIT_USAGE
     assert "need 1 <= p-min <= p-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["solve", "--problem", "quadratic", "--n", "10", "--q", "0.01", "--method", "cn"],
+     Path.touch),
+    (["bench", "--suite", "quadratic", "--sizes", "4", "--seeds", "0"], Path.touch),
+    (["curves"], Path.mkdir),
+], ids=["solve", "bench", "curves"])
+def test_an_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                                        taken):
+    # an existing file where solve and bench make a directory, and a directory
+    # where curves writes a file: solve and bench refuse it before any solve
+    # runs, and none ends in a traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr("contraprox.cli.solve_experiment", no_solve)
+    monkeypatch.setattr("contraprox.cli.bench_sweep", no_solve)
+    out = tmp_path / "taken"
+    taken(out)
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"{argv[0]}: cannot write --out {out}: ")

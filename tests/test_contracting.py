@@ -10,7 +10,7 @@ from contraprox import contracting
 from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
 from contraprox.contracting import (SublinearSchedule, contraction_point, contraction_rate,
-                                    convex_inner_accuracy, delta_rule,
+                                    contracted_lipschitz, convex_inner_accuracy, delta_rule,
                                     inexact_certificate_bounds, order_dependence,
                                     run_contracting_proximal, schedule_convex,
                                     schedule_strongly_convex,
@@ -417,4 +417,4 @@ class TestRunContractingProximal:
                                       cap_outer=5000, gamma0=1.0)
         assert tr.status == "converged"
         for rec in tr.records[1:]:
-            assert rec.lipschitz_g == pytest.approx(1.0, rel=1e-9)
+            assert contracted_lipschitz(1, rec.a, rec.A, L) == pytest.approx(1.0, rel=1e-9)

@@ -13,8 +13,8 @@ from contraprox import metric as metric_module
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
 from contraprox.bregman import PowerProx, ProxFunction, power_hessian
-from contraprox.contracting import (SublinearSchedule, run_contracting_proximal,
-                                    schedule_convex)
+from contraprox.contracting import (SublinearSchedule, contracted_lipschitz,
+                                    run_contracting_proximal, schedule_convex)
 from contraprox.metric import Metric
 from contraprox.objectives import (PowerRegularizer, QuadraticOracle, ZeroComponent,
                                    lse_instance, quadratic_instance)
@@ -39,6 +39,11 @@ def _quadratic_oracle(rng, n, lam_min=0.2, lam_max=1.0):
 def _plain(oracle):
     """f itself: the part contracted with a = A_next = 1 and A_prev = 0."""
     return ContractedSmooth(oracle, 1.0, 1.0, np.zeros(oracle.dim), 0.0)
+
+
+def _lipschitz(smooth, p):
+    """L_p of a contracted part, from the formula the contracting solver prices it with."""
+    return contracted_lipschitz(p, smooth.a, smooth.A_next, smooth.oracle.lipschitz[p])
 
 
 def _data(smooth, x, p):
@@ -98,7 +103,7 @@ class TestTaylorModel:
         metric = obj.metric
         rng = np.random.default_rng(4)
         for p in (1, 2):
-            L = smooth.lipschitz(p)
+            L = _lipschitz(smooth, p)
             for _ in range(20):
                 x = rng.standard_normal(6) * 0.5
                 y = x + rng.standard_normal(6) * 0.5
@@ -114,7 +119,7 @@ class TestTaylorModel:
         metric = obj.metric
         rng = np.random.default_rng(6)
         for p in (1, 2):
-            L = smooth.lipschitz(p)
+            L = _lipschitz(smooth, p)
             for _ in range(20):
                 x = rng.standard_normal(6) * 0.5
                 y = x + rng.standard_normal(6) * 0.5
@@ -434,7 +439,7 @@ class TestStepSubgradient:
             obj = lse_instance(n, mu, int(rng.integers(1000)), lipschitz_order2=2.0 / mu ** 2)
             a, A_prev = rng.uniform(0.1, 2.0), rng.uniform(0.0, 3.0)
             smooth = ContractedSmooth(obj.smooth, a, A_prev + a, rng.standard_normal(n), A_prev)
-            sub = Subproblem(2, obj.metric, smooth, 2 * smooth.lipschitz(2), ZeroComponent(n),
+            sub = Subproblem(2, obj.metric, smooth, 2 * _lipschitz(smooth, 2), ZeroComponent(n),
                              a, rng.uniform(0.01, 10.0), PowerProx(2, np.zeros(n), obj.metric),
                              rng.standard_normal(n))
             self._assert_certifies_grad_h(sub, _data(smooth, rng.standard_normal(n), 2),
@@ -451,7 +456,7 @@ class TestStepSubgradient:
                                       rng.uniform(0.0, 2.0))
             psi = PowerRegularizer(rng.uniform(0.01, 1.0),
                                    PowerProx(1, rng.standard_normal(n), metric))
-            sub = Subproblem(1, metric, smooth, smooth.lipschitz(1), psi, rng.uniform(0.0, 2.0),
+            sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, rng.uniform(0.0, 2.0),
                              rng.uniform(0.01, 10.0), PowerProx(1, np.zeros(n), metric),
                              rng.standard_normal(n))
             self._assert_certifies_grad_h(sub, smooth.data(rng.standard_normal(n)), 1e-12)
@@ -469,12 +474,12 @@ class TestStepSubgradient:
             smooth = ContractedSmooth(_quadratic_oracle(rng, n), 0.7, 3.0,
                                       rng.standard_normal(n), 2.3)
             psi = PowerRegularizer(0.3, PowerProx(1, rng.standard_normal(n), metric))
-            sub = Subproblem(1, metric, smooth, smooth.lipschitz(1), psi, 0.7, 1.5,
+            sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, 0.7, 1.5,
                              PowerProx(1, np.zeros(n), metric), rng.standard_normal(n))
         elif case == "cptm-p2":
             obj = lse_instance(n, 0.1, 3, lipschitz_order2=200.0)
             smooth = ContractedSmooth(obj.smooth, 0.7, 3.0, rng.standard_normal(n), 2.3)
-            sub = Subproblem(2, obj.metric, smooth, 2 * smooth.lipschitz(2), ZeroComponent(n),
+            sub = Subproblem(2, obj.metric, smooth, 2 * _lipschitz(smooth, 2), ZeroComponent(n),
                              0.7, 1.5, PowerProx(2, np.zeros(n), obj.metric),
                              rng.standard_normal(n))
         else:
@@ -520,7 +525,7 @@ class TestInnerLoop:
         # certified rate: per-step ratio of gradient norms at most e^{-alpha*/2}
         rng = np.random.default_rng(13)
         sub = self._strongly_convex_subproblem(rng, gamma_factor=2.0)
-        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
+        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * _lipschitz(sub.smooth, 1)))
         bound = math.exp(-alpha_star * 0.5)
         _, _, steps = _inner(sub, rng.standard_normal(5) * 3, 1e-9, cap=200)
         norms = [step.s_dual for step in steps]
@@ -540,7 +545,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(15)
         sub = self._strongly_convex_subproblem(rng)
         _, _, steps = _inner(sub, rng.standard_normal(5) * 2, 1e-8, cap=200)
-        coef = (math.factorial(1) / (2.0 * sub.smooth.lipschitz(1))) ** 1.0
+        coef = (math.factorial(1) / (2.0 * _lipschitz(sub.smooth, 1))) ** 1.0
         for step in steps:
             rhs = coef * step.s_dual ** 2
             assert step.decrease_pairing >= rhs - 1e-10 * max(1.0, rhs)
@@ -573,8 +578,8 @@ class TestInnerLoop:
         zstar = np.linalg.solve(A + gamma * np.eye(5), b + gamma * v)
         h0, hstar = _h(sub, z0), _h(sub, zstar)
         _, _, steps = _inner(sub, z0, 1e-10, cap=500)
-        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * sub.smooth.lipschitz(1)))
-        lead = 2.0 * sub.smooth.lipschitz(1)
+        alpha_star = min(1.0, _divergence(sub)[0] / (2.0 * _lipschitz(sub.smooth, 1)))
+        lead = 2.0 * _lipschitz(sub.smooth, 1)
         for t in range(len(steps) - 1):
             lhs = steps[t + 1].s_dual ** 2
             rhs = math.exp(-t * alpha_star * 0.5) * lead * (h0 - hstar)
@@ -595,7 +600,7 @@ def test_trivially_contracted_part_is_the_oracle_bitwise(problem):
     assert data.value == value
     assert np.array_equal(data.grad, grad) and np.array_equal(data.x, x)
     assert np.array_equal(smooth.hess(x), oracle.hess(x))
-    assert smooth.lipschitz(2) == oracle.lipschitz[2]
+    assert _lipschitz(smooth, 2) == oracle.lipschitz[2]
 
 
 class TestInnerLoopOrder2:
@@ -607,7 +612,7 @@ class TestInnerLoopOrder2:
         prox = PowerProx(2, np.zeros(n), obj.metric)
         gamma = 1.0
         v = rng.standard_normal(n) * 0.3
-        L_g = smooth.lipschitz(2)
+        L_g = _lipschitz(smooth, 2)
         return Subproblem(p=2, metric=obj.metric, smooth=smooth, M=2 * L_g,
                           psi=ZeroComponent(n), weight=a, gamma=gamma, prox=prox, anchor=v)
 
@@ -616,7 +621,7 @@ class TestInnerLoopOrder2:
         sub = self._lse_subproblem(rng)
         _, _, steps = _inner(sub, rng.standard_normal(6) * 0.3, 1e-9, cap=300)
         assert len(steps) >= 1
-        coef = (math.factorial(2) / (3.0 * sub.smooth.lipschitz(2))) ** 0.5
+        coef = (math.factorial(2) / (3.0 * _lipschitz(sub.smooth, 2))) ** 0.5
         for step in steps:
             scale = max(abs(step.h_before), 1.0)
             assert step.h_after <= step.h_before + 1e-12 * scale
@@ -646,7 +651,7 @@ class TestInnerLoopOrder2:
         h0 = _h(sub, z0)
         _, _, steps = _inner(sub, z0, 1e-9, cap=500)
         sigma_h = _divergence(sub)[0] * 0.5  # degree-3 uniform convexity constant
-        L_g = sub.smooth.lipschitz(2)
+        L_g = _lipschitz(sub.smooth, 2)
         alpha_star = min(1.0, (math.factorial(2) * sigma_h / (3.0 * L_g)) ** 0.5)
         lead = (3.0 * L_g / 2.0) ** 0.5
         for t in range(len(steps) - 1):

@@ -16,7 +16,7 @@ from tests.step_reference import reference_write_csv
 RUNS = ([("quadratic", m) for m in ("gm", "agm", "ppa", "cptm-p1", "cn", "acn")]
         + [("lse", m) for m in ("gm", "agm", "ppa", "cptm-p1", "cn", "acn", "cptm-p2")])
 OPTIONAL = ("A", "gamma", "a", "delta_requested", "s_norm", "t_inner", "bregman_step",
-            "bregman_vstar", "lipschitz_g", "M", "ell_mu")
+            "bregman_vstar")
 
 
 def _instance(problem):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from collections import Counter
@@ -14,10 +15,12 @@ from contraprox.objectives import (attach_reference, power_regularizer_component
 from contraprox.trace import STEP_FIELDS, drive
 from contraprox.validate import validate_trace
 
-OUTER_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored"}
+# the checks a file replays: every check that reads only the CSV columns and the header
+COLUMN_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored",
+                 "inner_condition_ratio", "inner_budget"}
 
 # (in-memory, from-file) check counts of each honest run
-RUN_CHECKS = {"sublinear": (2090, 576), "geometric-psi": (15452, 5560), "lse-p2": (3461, 1276)}
+RUN_CHECKS = {"sublinear": (2090, 864), "geometric-psi": (15452, 8340), "lse-p2": (3461, 1914)}
 
 
 def _solve(run):
@@ -64,10 +67,12 @@ def test_honest_trace_passes_in_memory_and_from_file(honest, tmp_path):
     trace.write_csv(path)
     from_file = validate_trace_file(str(path))
     assert len(memory.checks) == 2090 and memory.ok
-    assert len(from_file.checks) == 576 and from_file.ok
+    assert len(from_file.checks) == 864 and from_file.ok
 
 
 def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path):
+    # every check of the file report is the memory report's check of the same
+    # name and k, passed alike and with a bitwise equal margin
     name, solved = run
     _, trace, _, _ = solved
     memory = _validate(solved, trace)
@@ -78,7 +83,7 @@ def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path
     assert memory.ok and from_file.ok
     key = lambda c: (c.name, c.k, c.passed, c.margin)
     assert (Counter(key(c) for c in from_file.checks)
-            == Counter(key(c) for c in memory.checks if c.name in OUTER_CHECKS))
+            == Counter(key(c) for c in memory.checks if c.name in COLUMN_CHECKS))
 
 
 @pytest.mark.parametrize("missing", ["x*", "f*", "x* and f*"])
@@ -105,7 +110,7 @@ def test_an_optimum_that_is_not_a_finite_vector_of_the_trace_dimension_is_refuse
 
 # the fields a solver yields in a row, besides F(x_k), x, v and the step rows
 YIELDED = ("A", "gamma", "a", "delta_requested", "s_norm", "t_inner", "bregman_step",
-           "bregman_vstar", "lipschitz_g", "M", "ell_mu")
+           "bregman_vstar")
 
 
 def _replay(honest, tamper, with_steps=True):
@@ -168,20 +173,44 @@ def _first_step(name, value):
     return tamper
 
 
+# L_p(g) of a row follows from its a and A, so a tampered A also moves the L that
+# prices the gradient progress of the row's inner steps
 @pytest.mark.parametrize("tamper, failed", [
     (_set("A", lambda A: A * 10),
-     {("schedule_growth", 50), ("contraction_combination", 50), ("contraction_combination", 51)}),
+     {("schedule_growth", 50), ("contraction_combination", 50), ("contraction_combination", 51),
+      ("inner_gradient_progress", 50)}),
     (_set("gamma", lambda g: g + 1e-6), {("gamma_telescope", 50)}),
     (_set("t_inner", lambda t: t * 100), {("inner_budget", 50)}),
     (_set("x", lambda x: x + 1e-3),
      {("contraction_combination", 50), ("contraction_combination", 51)}),
-    (_set("ell_mu", lambda _: 2.0), {("inner_condition_ratio", 50)}),
+    (_set("a", lambda a: a * 2), {("inner_condition_ratio", 50), ("contraction_combination", 50)}),
     (_set("f_value", lambda f: f + 1.0), {("outer_certificate", 50)}),
     (_first_step("h_after", lambda s: s["h_before"] + 1.0), {("inner_descent", 50)}),
     (_first_step("decrease_pairing", lambda _: -1.0), {("inner_gradient_progress", 50)}),
-], ids=["A", "gamma", "t_inner", "x", "ell_mu", "f_value", "h_after", "decrease_pairing"])
+], ids=["A", "gamma", "t_inner", "x", "a", "f_value", "h_after", "decrease_pairing"])
 def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
     assert _failed(_validate(honest, _replay(honest, tamper))) == failed
+
+
+def _tampered_file(honest, tmp_path, edit):
+    """The honest run's CSV file, its lines changed by ``edit``, validated."""
+    path = tmp_path / "cptm.csv"
+    honest[1].write_csv(path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return validate_trace_file(str(path))
+
+
+def _set_cell(row, column, value):
+    """A file edit that changes one cell of the row at k = ``row``."""
+    def edit(lines):
+        cells = lines[2 + row].split(",")
+        assert cells[0] == str(row)
+        j = lines[1].split(",").index(column)
+        cells[j] = repr(value(float(cells[j])))
+        lines[2 + row] = ",".join(cells)
+    return edit
 
 
 @pytest.mark.parametrize("column, value, check", [
@@ -190,17 +219,53 @@ def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
     ("F", lambda f: f + 1.0, "outer_certificate"),
 ])
 def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, column, value, check):
-    path = tmp_path / "cptm.csv"
-    honest[1].write_csv(path)
-    lines = path.read_text().splitlines()
-    names = lines[1].split(",")
-    cells = lines[2 + 50].split(",")
-    assert cells[0] == "50"
-    j = names.index(column)
-    cells[j] = repr(value(float(cells[j])))
-    lines[2 + 50] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    assert _failed(validate_trace_file(str(path))) == {(check, 50)}
+    report = _tampered_file(honest, tmp_path, _set_cell(50, column, value))
+    assert _failed(report) == {(check, 50)}
+
+
+# a file replays the inner condition ratio and the inner budget too: L_p(g) and
+# ell/mu come from the header's L_p(f) and the row's a_k, A_k and gamma_k
+@pytest.mark.parametrize("column, value, check", [
+    ("t_k", lambda t: t * 100, "inner_budget"),
+    ("a_k", lambda a: a * 2, "inner_condition_ratio"),
+    ("a_k", lambda a: 1e200, "inner_condition_ratio"),
+], ids=["t_k-x100", "a_k-x2", "a_k-1e200"])
+def test_tampered_file_cell_fails_exactly_its_inner_check(honest, tmp_path, column, value, check):
+    report = _tampered_file(honest, tmp_path, _set_cell(50, column, value))
+    assert _failed(report) == {(check, 50)}
+
+
+@pytest.mark.parametrize("solved, column, failed", [
+    ("sublinear", "gamma_k", {("gamma_telescope", 50), ("inner_condition_ratio", 50)}),
+    ("lse-p2", "a_k", {("inner_condition_ratio", 50)}),
+], ids=["p1-gamma_k", "p2-a_k"])
+def test_a_file_row_whose_ratio_is_undefined_fails_it(honest, tmp_path, solved, column, failed):
+    # ell/mu takes p-th roots of (p + 1) L_p(g) / p! and of gamma_k sigma, which a
+    # negated gamma_k, or a negated a_k at p = 2, makes negative
+    solved = honest if solved == "sublinear" else _solve(solved)
+    report = _tampered_file(solved, tmp_path, _set_cell(50, column, lambda value: -value))
+    assert _failed(report) == failed
+
+
+def test_a_file_whose_header_raises_the_lipschitz_constant_fails_every_ratio(honest, tmp_path):
+    def edit(lines):
+        header = json.loads(lines[0][2:])
+        header["lipschitz"] *= 10
+        lines[0] = "# " + json.dumps(header)
+    report = _tampered_file(honest, tmp_path, edit)
+    assert _failed(report) == {("inner_condition_ratio", k) for k in range(1, 145)}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.pop(2),
+    _set_cell(0, "bregman_vstar", lambda _: math.nan),
+], ids=["row-0-deleted", "row-0-divergence-nan"])
+def test_a_file_without_a_finite_row_0_divergence_fails_every_certificate(honest, tmp_path,
+                                                                          edit):
+    # the certificate's head term is gamma0 D(v_0; x*), which every honest
+    # cptm trace carries; without it no row is certified
+    report = _tampered_file(honest, tmp_path, edit)
+    assert _failed(report) == {("outer_certificate", k) for k in range(1, 145)}
 
 
 def test_rows_without_steps_make_an_empty_step_table_that_passes(honest):
