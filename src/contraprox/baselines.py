@@ -240,7 +240,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             y = (A * x + a * v) / A_next
             base = sub.smooth.data(y)
             base.hess = sub.smooth.hess(y)
-            x = tensor_step(sub, base, inner_tol)[0]
+            x = tensor_step(sub, base, sub.phi(base.x), inner_tol)[0]
             A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g

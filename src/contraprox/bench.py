@@ -225,7 +225,8 @@ def validate_trace_file(trace_path, instance_path=None):
     """Re-validate a serialized trace of the contracting solver; returns its report.
 
     With ``instance_path`` the instance is rebuilt from the descriptor's
-    INSTANCE_KEYS and the trace is scored against its f*, not the header's.
+    INSTANCE_KEYS and the trace is scored against its f* and D(x_0; x*), not
+    the header's f* and row 0's divergence (see ``validate_columns``).
     A descriptor field of the wrong type (see ``_KEY_TYPES``) raises ``ValueError``.
     """
     from .trace import read_csv
@@ -233,7 +234,7 @@ def validate_trace_file(trace_path, instance_path=None):
     if "p" not in header:
         raise ValueError("trace was not produced by the contracting solver; "
                          "only its traces carry certificate columns")
-    fstar = header.get("fstar")
+    instance = None
     if instance_path is not None:
         with open(instance_path) as fh:
             descriptor = json.load(fh)
@@ -246,5 +247,5 @@ def validate_trace_file(trace_path, instance_path=None):
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{instance_path}: the descriptor's {key} must be {noun}, "
                                  f"not {value!r}")
-        fstar = build_instance(**fields).fstar
-    return validate_columns(header, columns, fstar)
+        instance = build_instance(**fields)
+    return validate_columns(header, columns, instance)

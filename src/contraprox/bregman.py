@@ -44,13 +44,11 @@ class ProxFunction:
         if x.shape != self.center.shape or y.shape != self.center.shape:
             raise ValueError(f"divergence needs points of shape {self.center.shape}, "
                              f"not {x.shape} and {y.shape}")
-        val = self.value(y) - self.value(x) - float(self.gradient(x).dot(y - x))
-        if val < 0.0:
-            scale = abs(self.value(x)) + abs(self.value(y)) + 1.0
-            if val < -1e-8 * scale:
-                raise ArithmeticError(f"divergence came out negative ({val}); prox not convex?")
-            val = 0.0
-        return val
+        return divergence_from(self.linearization(x), y, self.value(y))
+
+    def linearization(self, x):
+        """(x, d(x), grad d(x)): what a divergence centered at x needs of d there."""
+        return x, self.value(x), self.gradient(x)
 
 
 class PowerProx(ProxFunction):
@@ -83,6 +81,25 @@ class PowerProx(ProxFunction):
         w = np.asarray(x, dtype=float) - self.center
         r, Bw, q = self.metric.norm(w), self.metric.apply(w), self.order
         return r, Bw, r ** (q + 1) / (q + 1), Bw if q == 1 else r ** (q - 1) * Bw
+
+    def linearization(self, x):
+        """(x, d(x), grad d(x)) from one :meth:`at`, bitwise ``value`` and ``gradient``."""
+        return (x, *self.at(x)[2:])
+
+
+def divergence_from(linearization, y, d_y):
+    """d(y) - d(x) - <grad d(x), y - x> from (x, d(x), grad d(x)) and d(y).
+
+    Nonnegative by convexity; tiny negative round-off is clipped to 0, and a
+    value below -1e-8 (|d(x)| + |d(y)| + 1) raises ``ArithmeticError``.
+    """
+    x, d_x, grad_x = linearization
+    val = d_y - d_x - float(grad_x.dot(y - x))
+    if val < 0.0:
+        if val < -1e-8 * (abs(d_x) + abs(d_y) + 1.0):
+            raise ArithmeticError(f"divergence came out negative ({val}); prox not convex?")
+        val = 0.0
+    return val
 
 
 def power_coefficients(r, p):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .bregman import ProxFunction
+from .bregman import ProxFunction, divergence_from
 from .objectives import CompositeObjective, SolverError
 from .tensor_steps import ContractedSmooth, Subproblem, inner_loop
 from .trace import drive
@@ -212,13 +212,21 @@ def inner_iteration_bound(p, lipschitz_g, gamma, gamma_next, sigma_uniform, delt
     """Sufficient inner-step count for a delta-small subgradient (log clamped at 0).
 
     ``residual_term`` is A_k (F(x_k) - f*) and ``div`` the divergence from v_k
-    to x*; with gamma_k they bound the inner problem's initial gap D.
+    to x*; with gamma_k they bound the inner problem's initial gap D.  The
+    count is inf where delta^{(p+1)/p} underflows to 0 or the log argument
+    overflows; Python floats keep numpy scalars from warning instead.
     """
     ell, mu = ell_mu(p, lipschitz_g, gamma_next, sigma_uniform)
-    D = residual_term + gamma * div + (ell / mu) ** p * div
+    D = float(residual_term + gamma * div + (ell / mu) ** p * div)
     if D <= 0 or delta <= 0:
         return 2.0
-    log_arg = ell * D / delta ** ((p + 1.0) / p)
+    try:
+        power = float(delta) ** ((p + 1.0) / p)
+    except OverflowError:    # the log argument is below 1
+        return 2.0
+    if power == 0.0:    # underflow: no finite count certifies delta
+        return math.inf
+    log_arg = ell * D / power
     term = math.log(log_arg) if log_arg > 1.0 else 0.0
     return 2.0 + max(1.0, ell / mu) * (p + 1.0) / p * term
 
@@ -236,7 +244,12 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     h_{k+1} with :func:`inner_loop` from v_k, in at most INNER_SLACK times
     the sufficient inner-step count from the state at k, rounded down: the
     validator's inner budget, so a run this cap lets finish passes that
-    check.
+    check.  A delta_{k+1} that leaves the count infinite raises ``ValueError``.
+
+    The prox is evaluated once per iteration, by ``prox.linearization`` at
+    v_k, and once per run at x*; ``bregman_step`` D(v_{k-1}; v_k),
+    ``bregman_vstar`` D(v_k; x*) and the divergence term of step k+1 all
+    come from those values through :func:`bregman.divergence_from`.
 
     The run is recorded, stopped and capped by :func:`trace.drive` with cap
     ``cap_outer``: it needs the instance's f* and x* and a finite eps > 0,
@@ -260,7 +273,8 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
     def iterates():
         k, A, gamma, x, v = 0, 0.0, gamma0, x0.copy(), x0.copy()
         f = obj.value(x0)
-        div = prox.divergence(x0, xstar)    # D(v_k; x*)
+        d_star, anchor = prox.value(xstar), prox.linearization(v)
+        div = divergence_from(anchor, xstar, d_star)    # D(v_k; x*)
         yield f, {"A": 0.0, "gamma": gamma0, "a": 0.0, "bregman_vstar": div, "x": x, "v": v}
         while True:
             a = schedule.next_a(k, A)
@@ -271,18 +285,23 @@ def run_contracting_proximal(obj: CompositeObjective, prox: ProxFunction, schedu
             if lipschitz_g == math.inf:
                 raise SolverError(f"the contracted L_{p} overflows at a = {a:.3e}")
             gamma_next = gamma + a * sigma_simple
-            sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox, v)
-            cap = int(INNER_SLACK * inner_iteration_bound(
-                p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta, A * (f - fstar), div))
-            point, s_norm, steps = inner_loop(sub, v, delta, cap)
+            sub = Subproblem(p, obj.metric, smooth, p * lipschitz_g, obj.simple, a, gamma, prox,
+                             anchor)
+            budget = INNER_SLACK * inner_iteration_bound(
+                p, lipschitz_g, gamma, gamma_next, sigma_uniform, delta, A * (f - fstar), div)
+            if not math.isfinite(budget):
+                raise ValueError(f"delta_{k + 1} = {delta!r} leaves no finite inner budget "
+                                 f"({budget}); the accuracy is too small to certify")
+            point, s_norm, steps = inner_loop(sub, v, delta, int(budget))
             x = contraction_point(a, A, point, x)
-            k, A, gamma, v_prev, v = k + 1, A_next, gamma_next, v, point
+            k, A, gamma, v = k + 1, A_next, gamma_next, point
             f = obj.value(x)
-            div = prox.divergence(v, xstar)
+            anchor_prev, anchor = anchor, prox.linearization(v)
+            div = divergence_from(anchor, xstar, d_star)
             yield f, {
                 "A": A, "gamma": gamma, "a": a, "delta_requested": delta,
                 "s_norm": s_norm, "t_inner": len(steps),
-                "bregman_step": prox.divergence(v_prev, v),
+                "bregman_step": divergence_from(anchor_prev, v, anchor[1]),
                 "bregman_vstar": div,
                 "x": x, "v": v, "steps": steps}
 

@@ -7,15 +7,17 @@ itself, contracted with a = A_next = 1 and A_prev = 0) and phi is one list of
 B-norm power terms on the power prox (``bregman``): weight*psi with
 psi = sigma*d, and gamma times a Bregman divergence, whose linear part rides
 with its term.  :class:`Subproblem` holds g, phi and M and rejects what no step
-solves; phi, the order-1 closed form and the Newton Hessian loop over phi's
-list, so the step dispatches on p alone: a p = 1 step is a closed-form linear
-solve, and a p = 2 step, cptm's and the cubic baselines' alike, is damped
-Newton (:func:`minimize_model_newton`) on ``smooth.data(x)`` and
-``smooth.hess(x)``, its Hessian grad^2 g + alpha*B plus one rank-one term per
-power term assembled in one F-ordered buffer.  A step returns (point T, residual,
-iterations, at), ``at`` its own evaluation at T, from which
-:func:`model_steps`, the one step loop, reads h(T), ||T - x|| and the certified
-subgradient: cptm's inner solve (:func:`inner_loop`) and cn both iterate it.
+solves; phi, the Newton Hessian and, once per subproblem, the order-1 closed
+form's coefficients loop over phi's list, so the step dispatches on p alone: a
+p = 1 step is a closed-form linear solve, and a p = 2 step, cptm's and the
+cubic baselines' alike, is damped Newton (:func:`minimize_model_newton`) on
+``smooth.data(x)`` and ``smooth.hess(x)`` from phi's evaluation at x, its
+Hessian grad^2 g + alpha*B plus one rank-one term per power term assembled in
+one F-ordered buffer.  A step returns (point T, residual, iterations, at),
+``at`` its own evaluation at T, from which :func:`model_steps`, the one step
+loop, reads h(T), ||T - x|| and the certified subgradient and starts the next
+step, so no point is evaluated twice: cptm's inner solve (:func:`inner_loop`)
+and cn both iterate it.
 :func:`cubic_step_single_center`, the exact single-center p = 2 step, is a
 reference no solver calls; the descent reference is in ``tests/step_reference.py``.
 """
@@ -106,7 +108,10 @@ class Subproblem:
     terms: ``terms`` holds (name, c, d, anchor, d(anchor), grad d(anchor)) for
     each term c*(d(y) - d(anchor) - <grad d(anchor), y - anchor>) with c > 0,
     psi = sigma*d first, as c = weight*sigma and no anchor (plain c*d), then the
-    divergence with c = gamma.  The contracting solver sets M = p * L_p(g),
+    divergence with c = gamma, whose ``anchor`` argument is the linearization
+    (v, d(v), grad d(v)) of ``prox.linearization``.  At order 1 the affine
+    gradient of phi is summed once, into ``affine`` (see :meth:`affine_terms`).
+    The contracting solver sets M = p * L_p(g),
     which keeps the step subproblem convex at every order; the cubic baselines
     run g = f with a fixed M.  Building one raises ``ValueError`` unless psi is
     zero or a :class:`PowerRegularizer`, p is 1 or 2 and each term is built on
@@ -125,9 +130,8 @@ class Subproblem:
                 raise ValueError(f"psi is a {type(psi).__name__}, not zero or a PowerRegularizer")
             self.terms.append(("psi", float(weight) * psi.sigma, psi.prox, None, 0.0, None))
         if gamma > 0:
-            anchor = np.asarray(anchor, dtype=float)
-            self.terms.append(("the divergence term", float(gamma), prox, anchor,
-                               prox.value(anchor), prox.gradient(anchor)))
+            v, d_v, grad_v = anchor
+            self.terms.append(("the divergence term", float(gamma), prox, v, d_v, grad_v))
         if p not in (1, 2):
             raise ValueError("only orders 1 and 2 are runnable")
         for part, _, d, *_ in self.terms:
@@ -136,6 +140,7 @@ class Subproblem:
             if p == 1 and d.order != 1:
                 raise ValueError(f"{part} has order {d.order}; an order-1 step needs 1")
         self.p, self.metric, self.smooth, self.M = p, metric, smooth, M
+        self.affine = self.affine_terms() if p == 1 else None
 
     def phi_value(self, y):
         """phi(y) alone, bitwise :meth:`phi`'s value."""
@@ -181,17 +186,17 @@ def model_objective(sub: Subproblem, base: SmoothData, y, phi_base):
     step base) so that line searches compare quantities of the size of the
     actual progress, not of A*f.  ``terms`` are the power terms as
     :meth:`Subproblem.phi` gives them, regularizer first, and ``at`` is
-    (phi(y), model gradient, regularizer gradient, ||y - base.x||), the
-    gradient being their sum plus grad phi(y).
+    (:meth:`Subproblem.phi` at y, model gradient, regularizer gradient,
+    ||y - base.x||), the gradient being the sum of the three gradients.
     """
     y = np.asarray(y, dtype=float)
     u = y - base.x
     r, Bu, c = sub.metric.norm(u), sub.metric.apply(u), sub.M / math.factorial(sub.p)
     mval, mgrad = base.model_increment(y)
-    phi, phi_grad, terms = sub.phi(y)
-    val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + phi - phi_base
+    phi = sub.phi(y)
+    val = mval + sub.M / math.factorial(sub.p + 1) * r ** (sub.p + 1) + phi[0] - phi_base
     reg_grad = c * r ** (sub.p - 1) * Bu
-    return val, mgrad + reg_grad + phi_grad, [(c, sub.p, r, Bu)] + terms, (phi, mgrad, reg_grad, r)
+    return val, mgrad + reg_grad + phi[1], [(c, sub.p, r, Bu)] + phi[2], (phi, mgrad, reg_grad, r)
 
 
 def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
@@ -209,23 +214,26 @@ def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms):
     return H
 
 
-def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
+def minimize_model_newton(sub: Subproblem, base: SmoothData, base_phi, tol):
     """Damped Newton on the step objective from ``base.x``, to dual gradient norm <= tol.
 
-    Each point is evaluated once: its norms and B-products serve value,
-    gradient and Hessian, the model Hessian plus a multiple of B plus at most
-    three rank-one terms (Bw)(Bw)^T, assembled in one F-ordered buffer and factored
-    in place by :func:`cholesky_solve`, which reassembles it for a jittered retry.
+    The start is built from ``base_phi``, phi's evaluation at base.x as
+    :meth:`Subproblem.phi` gives it, to bitwise what :func:`model_objective`
+    gives there: at u = 0 the value is 0, the model gradient grad g(x) + H*0,
+    and the regularizer's gradient and Hessian vanish.  Every later point is
+    evaluated once: its norms and B-products serve value, gradient and Hessian,
+    the model Hessian plus a multiple of B plus at most three rank-one terms
+    (Bw)(Bw)^T, assembled in one F-ordered buffer and factored in place by
+    :func:`cholesky_solve`, which reassembles it for a jittered retry.
     Backtracks on the increment value with a round-off allowance, and takes a
     full step that halves the residual without a measurable decrease; three
     iterations without a better residual (a round-off floor) end the solve at
     the best point, as a failed line search does.  Returns (y, residual, iters,
     at), ``at`` being :func:`model_objective`'s at y.
     """
-    y = base.x.copy()
-    val, grad, terms, at = model_objective(sub, base, y, 0.0)
-    phi_base = at[0]
-    val -= phi_base    # 0.0: the objective is measured from its value at the base
+    phi_base, phi_grad, terms = base_phi
+    y, val, model_grad = base.x.copy(), 0.0, base.grad + 0.0
+    grad, at = model_grad + phi_grad, (base_phi, model_grad, np.zeros_like(model_grad), 0.0)
     H = np.empty((y.size, y.size), order="F")
     best_y, best_res, best_at, stalled = y, math.inf, at, 0
     for it in range(NEWTON_CAP):
@@ -267,7 +275,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, tol):
 
 def _closed_form_order1(sub: Subproblem, base: SmoothData):
     # M*B(T-x) + grad g(x) + [affine grad phi](T) = 0  =>  one B-solve
-    coeff, combo = sub.affine_terms()
+    coeff, combo = sub.affine
     denom = sub.M + coeff
     if denom <= 0:
         raise ValueError("step subproblem is unbounded: M and phi curvature are both zero")
@@ -326,27 +334,30 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     return base.x + step
 
 
-def tensor_step(sub: Subproblem, base: SmoothData, inner_tol):
+def tensor_step(sub: Subproblem, base: SmoothData, base_phi, inner_tol):
     """Minimize the order-p regularized model around ``base``.
 
     A p = 1 step is a closed-form linear solve.  A p = 2 step runs damped
-    Newton (:func:`minimize_model_newton`) until the step objective's dual
-    gradient norm is at most ``inner_tol``.  The model is ``base``'s, so
-    ``base.hess`` must be set exactly when p = 2; a subproblem neither can
-    solve was already rejected when it was built (see :class:`Subproblem`).
-    Returns (T, sub-minimizer residual, Newton iterations, at), (T, 0.0, 0, at)
-    at p = 1, ``at`` being :func:`model_objective`'s at T.
+    Newton (:func:`minimize_model_newton`) from ``base_phi``, phi's evaluation
+    at base.x, until the step objective's dual gradient norm is at most
+    ``inner_tol``.  The model is ``base``'s, so ``base.hess`` must be set
+    exactly when p = 2; a subproblem neither can solve was already rejected
+    when it was built (see :class:`Subproblem`).  Returns (T, sub-minimizer
+    residual, Newton iterations, at), (T, 0.0, 0, at) at p = 1, ``at`` being
+    :func:`model_objective`'s at T, but for phi's gradient and terms at p = 1,
+    which are None.
     """
     if not inner_tol > 0:
         raise ValueError("inner_tol must be positive")
     if (base.hess is not None) != (sub.p == 2):
         raise ValueError("an order-2 step needs Hessian data, and only an order-2 step")
     if sub.p == 2:
-        return minimize_model_newton(sub, base, inner_tol)
+        return minimize_model_newton(sub, base, base_phi, inner_tol)
     T = _closed_form_order1(sub, base)
     u = T - base.x
-    # M * B u is model_objective's regularizer gradient at p = 1: c * r^0 is c exactly
-    return T, 0.0, 0, (sub.phi_value(T), base.grad, sub.M * sub.metric.apply(u),
+    # M * B u is model_objective's regularizer gradient at p = 1: c * r^0 is c exactly;
+    # the next closed form needs nothing of phi at its base, so phi's value is all it gets
+    return T, 0.0, 0, ((sub.phi_value(T), None, None), base.grad, sub.M * sub.metric.apply(u),
                        sub.metric.norm(u))
 
 
@@ -364,24 +375,27 @@ def model_steps(sub: Subproblem, z0, tol):
     s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} B(T-z), from the
     step's own evaluation at T, a subgradient of h at T for an exact step;
     adding the residual keeps the norm a certificate for an inexact one.  Each
-    point costs one first-order query, and each step at order p >= 2 one
-    Hessian at its base, taken only when the consumer asks for that step.
+    point costs one first-order query and one evaluation of phi, z0's here and
+    each T's by the step that ends there, which the next step starts from; each
+    step at order p >= 2 costs one Hessian at its base, taken only when the
+    consumer asks for that step.
     """
     data = sub.smooth.data(z0)
-    phi, phi_grad, _ = sub.phi(data.x)
-    h = data.value + phi
-    yield data, h, sub.metric.dual_norm(data.grad + phi_grad), None
+    phi = sub.phi(data.x)
+    h = data.value + phi[0]
+    yield data, h, sub.metric.dual_norm(data.grad + phi[1]), None
     for t in itertools.count(1):
         if sub.p >= 2:
             data.hess = sub.smooth.hess(data.x)
-        T, residual, _, (phi_T, model_grad, reg_grad, step_norm) = tensor_step(sub, data, tol)
+        T, residual, _, (phi_T, model_grad, reg_grad, step_norm) = tensor_step(sub, data, phi,
+                                                                                tol)
         data_T = sub.smooth.data(T)
         s = data_T.grad - model_grad - reg_grad
         s_dual = sub.metric.dual_norm(s)
-        h_T = data_T.value + phi_T
+        h_T = data_T.value + phi_T[0]
         yield (data_T, h_T, s_dual + residual,
                (t, h, h_T, step_norm, s_dual, residual, float(s.dot(data.x - T))))
-        data, h = data_T, h_T
+        data, h, phi = data_T, h_T, phi_T
 
 
 def inner_loop(sub: Subproblem, z0, delta, cap):

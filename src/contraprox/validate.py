@@ -3,13 +3,16 @@
 One check body runs over a dict of columns with one entry per outer
 iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
 the body replays from them and the header the outer residual-plus-divergence
-certificate, the telescoped proximal coefficients, the coefficient-schedule
-growth envelopes, the requested inner accuracy, the inner condition ratio
-and the inner iteration budget: L_p(g) and ell/mu are derived, not recorded.
-An in-memory trace adds the iterates x and v as read-only views, D(v_k; x*)
-recomputed per row and the table of inner steps, ``RunTrace.steps``, and the
-body then also replays per-step descent and gradient progress of the inner
-method and the contraction combination that makes x_{k+1}.
+certificate, the telescoped proximal coefficients, the sum A_k = A_{k-1} + a_k,
+the coefficient-schedule growth envelopes, the requested inner accuracy, the
+inner condition ratio and the inner iteration budget: L_p(g) and ell/mu are
+derived, not recorded.  Against a rebuilt instance a file's D(x_0; x*) is
+recomputed from the header's x_0 as well, checked against row 0 and used in
+its place.  An in-memory trace adds the iterates x and v as read-only views,
+D(v_k; x*) recomputed per row and the table of inner steps,
+``RunTrace.steps``, and the body then also replays per-step descent and
+gradient progress of the inner method and the contraction combination that
+makes x_{k+1}.
 
 Each check is one array expression over its rows, except the inner budget
 (the scalar :func:`inner_iteration_bound` per iteration) and the contraction
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bregman import PowerProx, divergence_from
 from .contracting import (INNER_SLACK, GeometricSchedule, SublinearSchedule,
                           contracted_lipschitz, ell_mu, inexact_certificate_bounds,
                           inner_iteration_bound)
@@ -84,13 +88,15 @@ def _header_schedule(header):
     return None
 
 
-def _check(header, columns, fstar, schedule):
+def _check(header, columns, fstar, schedule, bregman0):
     """Every check the columns support.
 
-    Residuals are F - f* when f* is known, else the ``residual`` column.  A trace
-    without a finite row-0 divergence D(v_0; x*) fails the certificate at every
-    row.  Schedule growth needs a sublinear or geometric schedule.  A trace
-    without iterations fails one "nonempty" check and is checked no further."""
+    Residuals are F - f* when f* is known, else the ``residual`` column.
+    ``bregman0`` is D(v_0; x*) recomputed from the instance, which row 0's must
+    match, or None to take row 0's; one that is not a finite number >= 0
+    fails the certificate at every row.  Schedule growth needs a sublinear or
+    geometric schedule.  A trace without iterations fails one "nonempty" check
+    and is checked no further."""
     mask = columns["k"] >= 1
     ks = columns["k"][mask].astype(int)
     if ks.size == 0:
@@ -99,17 +105,29 @@ def _check(header, columns, fstar, schedule):
     A, gamma, s_norm = columns["A_k"][mask], columns["gamma_k"][mask], columns["s_norm"][mask]
     F, div = columns["F"], columns["bregman_vstar"]
     residual = F - fstar if fstar is not None else columns["residual"]
-    bregman0 = next(iter(div[columns["k"] == 0].tolist()), math.nan)
+    parts = []
+    recorded = next(iter(div[columns["k"] == 0].tolist()), math.nan)
+    if bregman0 is None:
+        bregman0 = recorded
+    else:
+        err = abs(recorded - bregman0) / max(abs(bregman0), 1.0)
+        parts.append(_rows("initial_divergence", [0], err <= 1e-12, 1e-12 - err))
+    if not 0.0 <= bregman0 < math.inf:
+        bregman0 = math.nan    # a negative one would make the head term complex
     lhs = A * residual[mask] + gamma * div[mask] + np.cumsum(gamma * columns["bregman_step"][mask])
     rhs = inexact_certificate_bounds(p, gamma0, sigma_simple, bregman0, header["sigma_uniform"],
                                      s_norm, A)[1:]
     slack = 1e-9  # relative, and 1e-3 of it absolute
     margin = ((rhs * (1.0 + slack) + slack * 1e-3 - lhs)
               / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
-    parts = [_rows("outer_certificate", ks, margin >= 0.0, margin)]
+    parts.append(_rows("outer_certificate", ks, margin >= 0.0, margin))
     expected = gamma0 + sigma_simple * A
     err = np.abs(gamma - expected) / np.maximum(np.abs(expected), 1.0)
     parts.append(_rows("gamma_telescope", ks, err <= 1e-12, 1e-12 - err))
+    # A_k = A_{k-1} + a_k on each row after the first, as the run computes A_k
+    A_k, a_k = columns["A_k"], columns["a_k"]
+    err = np.abs(A_k[1:] - (A_k[:-1] + a_k[1:])) / np.maximum(np.abs(A_k[1:]), 1.0)
+    parts.append(_rows("coefficient_sum", columns["k"][1:], err <= 1e-12, 1e-12 - err))
     if isinstance(schedule, (SublinearSchedule, GeometricSchedule)):
         if isinstance(schedule, SublinearSchedule):
             lo, hi = schedule.lower(ks), schedule.upper(ks)
@@ -179,11 +197,23 @@ def validate_trace(trace, prox, xstar, fstar, schedule):
     xstar, n = np.asarray(xstar, dtype=float), columns["x"][0].size
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"x* must be a finite vector of the trace's dimension {n}")
-    columns["bregman_vstar"] = np.array([prox.divergence(v, xstar) for v in columns["v"]])
+    d_star = prox.value(xstar)
+    columns["bregman_vstar"] = np.array([divergence_from(prox.linearization(v), xstar, d_star)
+                                         for v in columns["v"]])
     columns["steps"] = trace.steps
-    return _check(trace.header, columns, fstar, schedule)
+    return _check(trace.header, columns, fstar, schedule, None)
 
 
-def validate_columns(header, columns, fstar):
-    """The checks a serialized trace supports, against ``fstar`` or, if None, its residuals."""
-    return _check(header, columns, fstar, _header_schedule(header))
+def validate_columns(header, columns, instance):
+    """The checks a serialized trace supports, against ``instance`` or, if None, its header.
+
+    A rebuilt instance gives f* and, with the header's x_0, D(x_0; x*) for
+    the power prox of the header's order; without one, residuals are scored
+    against the header's f* or, if it has none, the ``residual`` column, and
+    D(x_0; x*) is row 0's."""
+    schedule = _header_schedule(header)
+    if instance is None:
+        return _check(header, columns, header.get("fstar"), schedule, None)
+    x0 = np.asarray(header.get("x0"), dtype=float)
+    bregman0 = PowerProx(header["p"], x0, instance.metric).divergence(x0, instance.xstar)
+    return _check(header, columns, instance.fstar, schedule, bregman0)

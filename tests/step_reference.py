@@ -1,23 +1,30 @@
 """Independent references for the tests: a minimizer of a :class:`Subproblem`'s
 step objective (through ``model_objective``, with phi at the base from
-``Subproblem.phi_value`` where the Newton step takes it from its first
-evaluation), the first-order baselines gm and ppa in their callback form, cn
-as its own loop around ``tensor_step`` and a row-by-row trace writer.
+``Subproblem.phi_value``), the step Newton as it stood when it evaluated the step
+objective at its base itself, the first-order baselines gm and ppa in their
+callback form, cn as its own loop around ``tensor_step`` and a row-by-row
+trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
-and the closed-form order-1 step against the minimizer, the production gm,
-ppa and cn against the baselines, and :meth:`RunTrace.write_csv` against the writer.
+and the closed-form order-1 step against the minimizer, the Newton started
+from a handed-in phi evaluation against the self-evaluating one, the
+production gm, ppa and cn against the baselines, and
+:meth:`RunTrace.write_csv` against the writer.
 """
 
+import functools
 import itertools
 import json
 import math
 
 import numpy as np
+import scipy.linalg
 
 from contraprox.baselines import CUBIC_REG, PPA_INNER_CAP, _cubic_subproblem
+from contraprox.metric import cholesky_solve
 from contraprox.objectives import QuadraticOracle, SolverError
-from contraprox.tensor_steps import SmoothData, Subproblem, model_objective, tensor_step
+from contraprox.tensor_steps import (NEWTON_CAP, SmoothData, Subproblem, assemble_step_hessian,
+                                     model_objective, tensor_step)
 from contraprox.trace import CSV_COLUMNS, drive
 
 
@@ -70,6 +77,49 @@ def minimize_model_descent(sub: Subproblem, base: SmoothData, y0, tol, cap=20000
         sq = float(grad @ precond)
     raise SolverError(f"step sub-minimizer exceeded {cap} iterations "
                       f"(residual {math.sqrt(max(sq, 0.0)):.3e}, tol {tol:.3e})")
+
+
+def reference_newton(sub: Subproblem, base: SmoothData, tol):
+    """The step Newton as it stood when it started by evaluating the step
+    objective at ``base.x`` with ``model_objective``; returns (y, residual,
+    iters, at) as :func:`minimize_model_newton` does."""
+    y = base.x.copy()
+    val, grad, terms, at = model_objective(sub, base, y, 0.0)
+    phi_base = at[0][0]
+    val -= phi_base
+    H = np.empty((y.size, y.size), order="F")
+    best_y, best_res, best_at, stalled = y, math.inf, at, 0
+    for it in range(NEWTON_CAP):
+        res = sub.metric.dual_norm(grad)
+        stalled = 0 if res < best_res else stalled + 1
+        if res < best_res:
+            best_y, best_res, best_at = y, res, at
+        if res <= tol:
+            return y, res, it, at
+        if stalled == 3:
+            return best_y, best_res, it, best_at
+        assemble = functools.partial(assemble_step_hessian, H, sub, base, terms)
+        try:
+            step = -cholesky_solve(assemble(), grad, refill=assemble)
+        except scipy.linalg.LinAlgError:
+            raise SolverError("step Hessian could not be factorized") from None
+        slope = float(grad.dot(step))
+        if slope >= 0.0:
+            step = -sub.metric.solve(grad)
+            slope = float(grad.dot(step))
+        t = 1.0
+        noise = 1e-14 * (abs(val) + 1.0)
+        for _ in range(60):
+            y_trial = y + t * step
+            val_t, grad_t, terms_t, at_t = model_objective(sub, base, y_trial, phi_base)
+            if (val_t <= val + 1e-4 * t * slope + noise
+                    or (t == 1.0 and sub.metric.dual_norm(grad_t) <= 0.5 * res)):
+                break
+            t *= 0.5
+        else:
+            return best_y, best_res, it, best_at
+        y, val, grad, terms, at = y_trial, val_t, grad_t, terms_t, at_t
+    raise SolverError(f"step Newton sub-minimizer exceeded {NEWTON_CAP} iterations")
 
 
 # The first-order baselines as they stood before their line search computed
@@ -178,7 +228,8 @@ def reference_classical_ppa(obj, x0, eps, cap):
 
 
 # cn as it stood before it iterated ``model_steps``: its own loop around
-# ``tensor_step``.  The tests require the production cn to give bitwise its trace.
+# ``tensor_step``, which it hands phi's evaluation at each base afresh.  The
+# tests require the production cn to give bitwise its trace.
 
 def reference_cubic_newton(obj, x0, eps, cap):
     obj = obj.fresh()
@@ -192,7 +243,8 @@ def reference_cubic_newton(obj, x0, eps, cap):
         while True:
             yield data.value + obj.simple.value(z), row
             data.hess = sub.smooth.hess(data.x)
-            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, inner_tol)
+            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, sub.phi(data.x),
+                                                                       inner_tol)
             data = sub.smooth.data(z)
             s = data.grad - model_grad - reg_grad
             row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}

@@ -397,3 +397,13 @@ def test_an_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, monkey
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith(f"{argv[0]}: cannot write --out {out}: ")
+
+
+def test_solve_with_a_delta_whose_inner_budget_is_infinite_is_a_usage_error(tmp_path, capsys):
+    # delta^2 underflows to 0 at 1e-200, which ended in a ZeroDivisionError traceback
+    assert main(["solve", "--problem", "quadratic", "--n", "10", "--q", "1e-2",
+                 "--method", "cptm-p1", "--delta-schedule", "const:1e-200",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("solve: delta_1 = 1e-200 leaves no finite inner budget")
+    assert "Traceback" not in err

@@ -11,7 +11,8 @@ from contraprox.bench import build_instance, run_method
 from contraprox.bregman import PowerProx
 from contraprox.contracting import (SublinearSchedule, contraction_point, contraction_rate,
                                     contracted_lipschitz, convex_inner_accuracy, delta_rule,
-                                    inexact_certificate_bounds, order_dependence,
+                                    inexact_certificate_bounds, inner_iteration_bound,
+                                    order_dependence,
                                     run_contracting_proximal, schedule_convex,
                                     schedule_strongly_convex,
                                     strongly_convex_inner_accuracy)
@@ -418,3 +419,31 @@ class TestRunContractingProximal:
         assert tr.status == "converged"
         for rec in tr.records[1:]:
             assert contracted_lipschitz(1, rec.a, rec.A, L) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("run", ["cptm-p1-psi", "cptm-p2"])
+def test_recorded_divergences_are_prox_divergence_bitwise(run):
+    # the run prices D(v_{k-1}; v_k) and D(v_k; x*) from one linearization of d
+    # per v_k and one d(x*), through the formula prox.divergence uses
+    if run == "cptm-p2":
+        obj, method = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=2.0), "cptm-p2"
+    else:
+        obj, method = build_instance("quadratic", 20, 0, q=1e-2, sigma=1e-4), "cptm-p1"
+    trace = run_method(method, obj, 1e-7)
+    prox = PowerProx(trace.header["p"], np.zeros(obj.dim), obj.metric)
+    assert trace.iterations >= 20
+    assert trace[0].bregman_vstar == prox.divergence(trace[0].v, obj.xstar)
+    for prev, rec in zip(trace[:-1], trace[1:]):
+        assert rec.bregman_step == prox.divergence(prev.v, rec.v)
+        assert rec.bregman_vstar == prox.divergence(rec.v, obj.xstar)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_inner_budget_of_an_extreme_delta(p):
+    # delta^{(p+1)/p} underflows to 0 at 1e-250 (a ZeroDivisionError once) and
+    # overflows at 1e250 (an OverflowError once): no finite count, and the
+    # clamped log's 2
+    args = (p, 1.0, 1.0, 2.0, 1.0)
+    assert inner_iteration_bound(*args, 1e-250, 1.0, 1.0) == math.inf
+    assert inner_iteration_bound(*args, 1e250, 1.0, 1.0) == 2.0
+    assert math.isfinite(inner_iteration_bound(*args, 1e-6, 1.0, 1.0))

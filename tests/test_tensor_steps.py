@@ -25,7 +25,7 @@ from contraprox.tensor_steps import (ContractedSmooth, InnerLoopError, SmoothDat
                                      model_objective, tensor_step)
 from contraprox.trace import STEP_FIELDS
 from contraprox.validate import validate_trace
-from tests.step_reference import minimize_model_descent
+from tests.step_reference import minimize_model_descent, reference_newton
 
 
 def _quadratic_oracle(rng, n, lam_min=0.2, lam_max=1.0):
@@ -135,7 +135,7 @@ class TestTensorStep:
         sub = Subproblem(p=1, metric=Metric.identity(1), smooth=_plain(oracle), M=1.0,
                          psi=ZeroComponent(1), weight=0.0)
         base = sub.smooth.data(np.array([1.0]))
-        point, residual, iterations, _ = tensor_step(sub, base, 1e-12)
+        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
         assert point[0] == pytest.approx(0.0, abs=1e-14)
         assert residual == 0.0 and iterations == 0
 
@@ -150,9 +150,10 @@ class TestTensorStep:
         gamma, v = 2.5, rng.standard_normal(n)
         prox = PowerProx(1, np.zeros(n), metric)
         sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=0.0,
-                         psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
+                         psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox,
+                         anchor=prox.linearization(v))
         base = sub.smooth.data(rng.standard_normal(n))
-        point, _, _, _ = tensor_step(sub, base, 1e-12)
+        point, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
         np.testing.assert_allclose(point, v - metric.solve(c) / gamma,
                                    rtol=1e-10, atol=1e-12)
 
@@ -166,7 +167,7 @@ class TestTensorStep:
         x = rng.standard_normal(n)
         base = _data(sub.smooth, x, 2)
         direct = cubic_step_single_center(base, 1.5, metric)
-        newton, _, _, _ = minimize_model_newton(sub, base, 1e-13)
+        newton, _, _, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-13)
         descent, _, _ = minimize_model_descent(sub, base, x, 1e-11)
         np.testing.assert_allclose(newton, direct, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
@@ -181,7 +182,7 @@ class TestTensorStep:
         sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=M, psi=ZeroComponent(n),
                          weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(n), 2)
-        point, residual, iterations, _ = tensor_step(sub, base, 1e-13)
+        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
         assert iterations >= 1 and residual <= 1e-13
         np.testing.assert_allclose(point, cubic_step_single_center(base, M, metric),
                                    rtol=1e-9, atol=1e-12)
@@ -193,7 +194,7 @@ class TestTensorStep:
         obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, inner_tol = _cubic_subproblem(obj.fresh(), 1e-7)
         base = _data(sub.smooth, np.zeros(20), 2)
-        _, residual, iterations, _ = tensor_step(sub, base, inner_tol)
+        _, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol)
         assert iterations >= 1
         assert residual <= inner_tol
 
@@ -204,7 +205,7 @@ class TestTensorStep:
                          M=1.0, psi=ZeroComponent(4), weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(4), 2 if with_hess else 1)
         with pytest.raises(ValueError, match="order-2 step"):
-            tensor_step(sub, base, 1e-10)
+            tensor_step(sub, base, sub.phi(base.x), 1e-10)
 
     def test_closed_form_order1_matches_iterative(self):
         rng = np.random.default_rng(9)
@@ -216,10 +217,11 @@ class TestTensorStep:
             gamma = 1.0 + rng.uniform(0, 1)
             v = rng.standard_normal(n)
             sub = Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
-                             psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
+                             psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox,
+                             anchor=prox.linearization(v))
             x = rng.standard_normal(n)
             base = sub.smooth.data(x)
-            closed, _, _, _ = tensor_step(sub, base, 1e-13)
+            closed, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
             iterative, _, _ = minimize_model_descent(sub, base, x, 1e-12)
             np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9)
 
@@ -296,7 +298,7 @@ class TestUnsolvableSubproblemsAreRejected:
         smooth = _plain(_quadratic_oracle(np.random.default_rng(0), n))
         with pytest.raises(ValueError, match=message):
             Subproblem(p=p, metric=metric, smooth=smooth, M=1.0, psi=psi, weight=1.0,
-                       gamma=1.0, prox=prox, anchor=np.ones(n))
+                       gamma=1.0, prox=prox, anchor=prox.linearization(np.ones(n)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -313,10 +315,11 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
                               rng.uniform(2.0, 5.0), rng.standard_normal(n),
                               rng.uniform(0.0, 2.0))
     psi = PowerRegularizer(sigma, PowerProx(1, rng.standard_normal(n), metric))
-    sub = Subproblem(1, metric, smooth, M, psi, weight, gamma,
-                     PowerProx(1, rng.standard_normal(n), metric), rng.standard_normal(n))
+    prox = PowerProx(1, rng.standard_normal(n), metric)
+    sub = Subproblem(1, metric, smooth, M, psi, weight, gamma, prox,
+                     prox.linearization(rng.standard_normal(n)))
     base = smooth.data(rng.standard_normal(n))
-    T, _, _, _ = tensor_step(sub, base, 1e-12)
+    T, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
     _, grad, _, _ = model_objective(sub, base, T, 0.0)
     # the gradient is the sum of these three; its scale is theirs
     pieces = (base.grad, M * metric.apply(T - base.x), sub.phi(T)[1])
@@ -338,7 +341,8 @@ def _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order):
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
     prox = PowerProx(div_order, rng.standard_normal(n), metric)
     smooth = _plain(QuadraticOracle(np.eye(n), np.zeros(n), lam_max=1.0))
-    sub = Subproblem(2, metric, smooth, 1.0, psi, weight, gamma, prox, rng.standard_normal(n))
+    sub = Subproblem(2, metric, smooth, 1.0, psi, weight, gamma, prox,
+                     prox.linearization(rng.standard_normal(n)))
     return sub, rng.standard_normal(n), metric
 
 
@@ -388,6 +392,13 @@ def test_order1_phi_gradient_is_affine(n, seed, gamma, weight, sigma):
     assert np.abs(sub.phi(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
 
 
+def _bytes(value):
+    """The bytes of every number and array in nested tuples and lists, and None's as None."""
+    if isinstance(value, (tuple, list)):
+        return [_bytes(item) for item in value]
+    return None if value is None else np.asarray(value).tobytes()
+
+
 def _divergence(sub):
     """(gamma, anchor) of phi's divergence term."""
     (_, gamma, _, anchor, *_), = [t for t in sub.terms if t[0] == "the divergence term"]
@@ -397,7 +408,8 @@ def _divergence(sub):
 def _step_subgradient(sub, base, inner_tol):
     """(T, residual, s, data at T) of one step, s the subgradient inner_loop certifies:
     grad g(T) minus the model and regularizer gradients the step evaluated at T."""
-    T, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, base, inner_tol)
+    T, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, base, sub.phi(base.x),
+                                                               inner_tol)
     data_T = sub.smooth.data(T)
     return T, residual, data_T.grad - model_grad - reg_grad, data_T
 
@@ -409,7 +421,8 @@ class TestStepSubgradient:
         prox = PowerProx(1, np.zeros(n), metric)
         v = rng.standard_normal(n)
         return Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
-                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
+                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox,
+                          anchor=prox.linearization(v))
 
     def test_small_norm_at_exact_minimizer(self):
         rng = np.random.default_rng(10)
@@ -439,9 +452,10 @@ class TestStepSubgradient:
             obj = lse_instance(n, mu, int(rng.integers(1000)), lipschitz_order2=2.0 / mu ** 2)
             a, A_prev = rng.uniform(0.1, 2.0), rng.uniform(0.0, 3.0)
             smooth = ContractedSmooth(obj.smooth, a, A_prev + a, rng.standard_normal(n), A_prev)
+            prox = PowerProx(2, np.zeros(n), obj.metric)
             sub = Subproblem(2, obj.metric, smooth, 2 * _lipschitz(smooth, 2), ZeroComponent(n),
-                             a, rng.uniform(0.01, 10.0), PowerProx(2, np.zeros(n), obj.metric),
-                             rng.standard_normal(n))
+                             a, rng.uniform(0.01, 10.0), prox,
+                             prox.linearization(rng.standard_normal(n)))
             self._assert_certifies_grad_h(sub, _data(smooth, rng.standard_normal(n), 2),
                                           inner_tol)
 
@@ -456,14 +470,15 @@ class TestStepSubgradient:
                                       rng.uniform(0.0, 2.0))
             psi = PowerRegularizer(rng.uniform(0.01, 1.0),
                                    PowerProx(1, rng.standard_normal(n), metric))
+            prox = PowerProx(1, np.zeros(n), metric)
             sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, rng.uniform(0.0, 2.0),
-                             rng.uniform(0.01, 10.0), PowerProx(1, np.zeros(n), metric),
-                             rng.standard_normal(n))
+                             rng.uniform(0.01, 10.0), prox,
+                             prox.linearization(rng.standard_normal(n)))
             self._assert_certifies_grad_h(sub, smooth.data(rng.standard_normal(n)), 1e-12)
 
     @pytest.mark.parametrize("case", ["cptm-p1", "cptm-p2", "cn", "cn-psi"])
     def test_a_step_returns_a_fresh_evaluation_at_its_result_bitwise(self, case):
-        # phi(T), the model and regularizer gradients and ||T - base.x|| that a
+        # phi's evaluation at T, the model and regularizer gradients and ||T - base.x|| that a
         # step returns are, bit for bit, what evaluating them anew at T gives;
         # at tol 1e-20 an order-2 solve ends at its best point, not its last
         rng = np.random.default_rng(43)
@@ -474,14 +489,15 @@ class TestStepSubgradient:
             smooth = ContractedSmooth(_quadratic_oracle(rng, n), 0.7, 3.0,
                                       rng.standard_normal(n), 2.3)
             psi = PowerRegularizer(0.3, PowerProx(1, rng.standard_normal(n), metric))
-            sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, 0.7, 1.5,
-                             PowerProx(1, np.zeros(n), metric), rng.standard_normal(n))
+            prox = PowerProx(1, np.zeros(n), metric)
+            sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, 0.7, 1.5, prox,
+                             prox.linearization(rng.standard_normal(n)))
         elif case == "cptm-p2":
             obj = lse_instance(n, 0.1, 3, lipschitz_order2=200.0)
             smooth = ContractedSmooth(obj.smooth, 0.7, 3.0, rng.standard_normal(n), 2.3)
+            prox = PowerProx(2, np.zeros(n), obj.metric)
             sub = Subproblem(2, obj.metric, smooth, 2 * _lipschitz(smooth, 2), ZeroComponent(n),
-                             0.7, 1.5, PowerProx(2, np.zeros(n), obj.metric),
-                             rng.standard_normal(n))
+                             0.7, 1.5, prox, prox.linearization(rng.standard_normal(n)))
         else:
             obj = (build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
                    if case == "cn" else build_instance("quadratic", n, 0, q=1e-2, sigma=1e-2))
@@ -489,13 +505,59 @@ class TestStepSubgradient:
         for _ in range(5):
             base = _data(sub.smooth, rng.standard_normal(n), sub.p)
             for tol in (1e-6, 1e-20) if sub.p == 2 else (1e-12,):
-                T, _, _, at = tensor_step(sub, base, tol)
+                T, _, _, at = tensor_step(sub, base, sub.phi(base.x), tol)
                 u = T - base.x
                 r = sub.metric.norm(u)
-                fresh = (sub.phi_value(T), base.model_increment(T)[1],
+                phi_T = sub.phi(T) if sub.p == 2 else (sub.phi_value(T), None, None)
+                fresh = (phi_T, base.model_increment(T)[1],
                          sub.M / math.factorial(sub.p) * r ** (sub.p - 1) * sub.metric.apply(u), r)
-                assert [np.asarray(v).tobytes() for v in at] == \
-                    [np.asarray(v).tobytes() for v in fresh]
+                assert _bytes(at) == _bytes(fresh)
+
+
+@pytest.mark.parametrize("case", ["cptm-p2", "cn", "cn-psi"])
+def test_a_seeded_newton_is_bitwise_the_one_that_evaluates_its_base(case):
+    # a step starts from the phi evaluation handed to it, sub.phi(z0) first and
+    # then the previous step's own at T, and still returns, bit for bit, the
+    # (T, residual, iterations, at) of the Newton that evaluated the step
+    # objective at its base itself; at tol 1e-20 it ends at its best point
+    rng = np.random.default_rng(44)
+    if case == "cptm-p2":
+        n = 8
+        obj = lse_instance(n, 0.1, 3, lipschitz_order2=200.0)
+        smooth = ContractedSmooth(obj.smooth, 0.7, 3.0, rng.standard_normal(n), 2.3)
+        prox = PowerProx(2, np.zeros(n), obj.metric)
+        sub = Subproblem(2, obj.metric, smooth, 2 * _lipschitz(smooth, 2), ZeroComponent(n),
+                         0.7, 1.5, prox, prox.linearization(rng.standard_normal(n)))
+    else:
+        obj = (build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+               if case == "cn" else build_instance("quadratic", 6, 0, q=1e-2, sigma=1e-2))
+        sub = _cubic_subproblem(obj, 1e-7)[0]
+    assert (len(sub.terms), sub.terms[0][0] if sub.terms else None) == {
+        "cptm-p2": (1, "the divergence term"), "cn": (0, None), "cn-psi": (1, "psi")}[case]
+    for tol in (1e-6, 1e-20):
+        base = _data(sub.smooth, rng.standard_normal(obj.dim), 2)
+        phi = sub.phi(base.x)
+        for _ in range(4):
+            got = minimize_model_newton(sub, base, phi, tol)
+            assert _bytes(got) == _bytes(reference_newton(sub, base, tol))
+            base, phi = _data(sub.smooth, got[0], 2), got[3][0]
+
+
+def test_an_order1_subproblem_sums_its_affine_terms_once(monkeypatch):
+    calls = []
+    affine_terms = Subproblem.affine_terms
+    monkeypatch.setattr(Subproblem, "affine_terms",
+                        lambda sub: calls.append(sub) or affine_terms(sub))
+    rng = np.random.default_rng(45)
+    n = 5
+    metric = Metric.identity(n)
+    prox = PowerProx(1, np.zeros(n), metric)
+    psi = PowerRegularizer(0.3, PowerProx(1, rng.standard_normal(n), metric))
+    smooth = ContractedSmooth(_quadratic_oracle(rng, n), 0.7, 3.0, rng.standard_normal(n), 2.3)
+    sub = Subproblem(1, metric, smooth, _lipschitz(smooth, 1), psi, 0.7, 1.5, prox,
+                     prox.linearization(rng.standard_normal(n)))
+    _, _, steps = inner_loop(sub, rng.standard_normal(n), 1e-10, 1000)
+    assert len(steps) >= 3 and calls == [sub]
 
 
 class TestInnerLoop:
@@ -506,13 +568,14 @@ class TestInnerLoop:
         gamma = gamma_factor * 1.0
         v = rng.standard_normal(n)
         return Subproblem(p=1, metric=metric, smooth=_plain(oracle), M=1.0,
-                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox, anchor=v)
+                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox,
+                          anchor=prox.linearization(v))
 
     def test_stationary_start_returns_immediately(self):
         rng = np.random.default_rng(12)
         sub = self._strongly_convex_subproblem(rng)
         base = sub.smooth.data(np.zeros(5))
-        start, _, _, _ = tensor_step(sub, base, 1e-13)
+        start, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
         # one more polish step puts the subgradient well under a loose delta
         point, _, steps = inner_loop(sub, start, 1.0, cap=10)
         if steps:
@@ -614,7 +677,8 @@ class TestInnerLoopOrder2:
         v = rng.standard_normal(n) * 0.3
         L_g = _lipschitz(smooth, 2)
         return Subproblem(p=2, metric=obj.metric, smooth=smooth, M=2 * L_g,
-                          psi=ZeroComponent(n), weight=a, gamma=gamma, prox=prox, anchor=v)
+                          psi=ZeroComponent(n), weight=a, gamma=gamma, prox=prox,
+                          anchor=prox.linearization(v))
 
     def test_monotone_and_progress_order2(self):
         rng = np.random.default_rng(19)
@@ -667,7 +731,8 @@ def test_model_objective_consistent_with_pieces():
     metric = Metric.identity(n)
     prox = PowerProx(2, np.zeros(n), metric)
     sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=2.0, psi=ZeroComponent(n),
-                     weight=0.3, gamma=1.2, prox=prox, anchor=rng.standard_normal(n))
+                     weight=0.3, gamma=1.2, prox=prox,
+                     anchor=prox.linearization(rng.standard_normal(n)))
     x = rng.standard_normal(n)
     base = _data(sub.smooth, x, 2)
     y = rng.standard_normal(n)
@@ -711,7 +776,7 @@ class TestNewtonSolve:
         # smooth.data rejects the NaN gradient an oracle query returns
         model = SmoothData(np.zeros(3), 0.0, -b, A)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            minimize_model_newton(sub, model, 1e-10)
+            minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
 
     @staticmethod
     def _factorizations(monkeypatch):
@@ -730,7 +795,7 @@ class TestNewtonSolve:
     def test_indefinite_hessian_takes_the_jitter_path(self, monkeypatch):
         calls = self._factorizations(monkeypatch)
         sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
-        y, res, iters, _ = minimize_model_newton(sub, model, 1e-10)
+        y, res, iters, _ = minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
         assert any(info > 0 for _, info in calls) and iters >= 1 and res <= 1e-10
         assert (model_objective(sub, model, y, 0.0)[0]
                 < model_objective(sub, model, np.zeros(3), 0.0)[0])
@@ -741,7 +806,7 @@ class TestNewtonSolve:
         calls = self._factorizations(monkeypatch)
         A = np.diag([2.0, 1.0, -1e-13])
         sub, model = self._cubic_model(A, np.array([1.0, -0.5, 0.0]))
-        minimize_model_newton(sub, model, 1e-10)
+        minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
         # at the base point r = 0, so the step Hessian is A itself
         jitter = 1e-12 * (1.0 + abs(float(np.trace(A))) / 3)
         assert calls[0][1] > 0 and calls[1][1] == 0
@@ -792,8 +857,8 @@ class TestNewtonSolve:
         obj = build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, _ = _cubic_subproblem(obj, 1e-7)
         base = _data(sub.smooth, np.zeros(50), 2)
-        _, _, converged_after, _ = minimize_model_newton(sub, base, 1e-17)
-        y, res, iters, _ = minimize_model_newton(sub, base, 1e-20)
+        _, _, converged_after, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-17)
+        y, res, iters, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-20)
         assert converged_after <= 10 and iters <= 25 and res <= 1e-17
         # the best point comes back with its own residual, which callers certify
         assert res == sub.metric.dual_norm(model_objective(sub, base, y, 0.0)[1])
@@ -825,8 +890,9 @@ def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
     prox, gamma = None, 0.0
     if div_order is not None:
         prox, gamma = PowerProx(div_order, rng.standard_normal(n), metric), 0.9
+    anchor = rng.standard_normal(n)
     return Subproblem(p, metric, smooth, M, psi, weight, gamma, prox,
-                      rng.standard_normal(n)), (psi, weight, gamma, prox)
+                      prox and prox.linearization(anchor)), (psi, weight, gamma, prox)
 
 
 @pytest.mark.parametrize("spd", [False, True])
@@ -874,10 +940,11 @@ def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_ord
     C = rng.standard_normal((n, min(rank, n)))
     smooth = _plain(QuadraticOracle(C @ C.T, rng.standard_normal(n), lam_max=1.0))
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
-    sub = Subproblem(2, metric, smooth, M, psi, weight, gamma,
-                     PowerProx(div_order, rng.standard_normal(n), metric), rng.standard_normal(n))
+    prox = PowerProx(div_order, rng.standard_normal(n), metric)
+    sub = Subproblem(2, metric, smooth, M, psi, weight, gamma, prox,
+                     prox.linearization(rng.standard_normal(n)))
     base = _data(smooth, rng.standard_normal(n), 2)
     inner_tol = 1e-9 * (1.0 + metric.dual_norm(base.grad))
-    point, residual, _, _ = tensor_step(sub, base, inner_tol)
+    point, residual, _, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol)
     assert residual <= inner_tol
     assert model_objective(sub, base, point, 0.0)[0] <= model_objective(sub, base, base.x, 0.0)[0]

@@ -16,11 +16,11 @@ from contraprox.trace import STEP_FIELDS, drive
 from contraprox.validate import validate_trace
 
 # the checks a file replays: every check that reads only the CSV columns and the header
-COLUMN_CHECKS = {"outer_certificate", "gamma_telescope", "schedule_growth", "delta_honored",
-                 "inner_condition_ratio", "inner_budget"}
+COLUMN_CHECKS = {"outer_certificate", "gamma_telescope", "coefficient_sum", "schedule_growth",
+                 "delta_honored", "inner_condition_ratio", "inner_budget"}
 
 # (in-memory, from-file) check counts of each honest run
-RUN_CHECKS = {"sublinear": (2090, 864), "geometric-psi": (15452, 8340), "lse-p2": (3461, 1914)}
+RUN_CHECKS = {"sublinear": (2234, 1008), "geometric-psi": (16842, 9730), "lse-p2": (3780, 2233)}
 
 
 def _solve(run):
@@ -66,8 +66,8 @@ def test_honest_trace_passes_in_memory_and_from_file(honest, tmp_path):
     path = tmp_path / "cptm.csv"
     trace.write_csv(path)
     from_file = validate_trace_file(str(path))
-    assert len(memory.checks) == 2090 and memory.ok
-    assert len(from_file.checks) == 864 and from_file.ok
+    assert len(memory.checks) == 2234 and memory.ok
+    assert len(from_file.checks) == 1008 and from_file.ok
 
 
 def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path):
@@ -178,12 +178,13 @@ def _first_step(name, value):
 @pytest.mark.parametrize("tamper, failed", [
     (_set("A", lambda A: A * 10),
      {("schedule_growth", 50), ("contraction_combination", 50), ("contraction_combination", 51),
-      ("inner_gradient_progress", 50)}),
+      ("inner_gradient_progress", 50), ("coefficient_sum", 50), ("coefficient_sum", 51)}),
     (_set("gamma", lambda g: g + 1e-6), {("gamma_telescope", 50)}),
     (_set("t_inner", lambda t: t * 100), {("inner_budget", 50)}),
     (_set("x", lambda x: x + 1e-3),
      {("contraction_combination", 50), ("contraction_combination", 51)}),
-    (_set("a", lambda a: a * 2), {("inner_condition_ratio", 50), ("contraction_combination", 50)}),
+    (_set("a", lambda a: a * 2), {("inner_condition_ratio", 50), ("contraction_combination", 50),
+                                  ("coefficient_sum", 50)}),
     (_set("f_value", lambda f: f + 1.0), {("outer_certificate", 50)}),
     (_first_step("h_after", lambda s: s["h_before"] + 1.0), {("inner_descent", 50)}),
     (_first_step("decrease_pairing", lambda _: -1.0), {("inner_gradient_progress", 50)}),
@@ -219,8 +220,10 @@ def _set_cell(row, column, value):
     ("F", lambda f: f + 1.0, "outer_certificate"),
 ])
 def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, column, value, check):
+    # a changed A_k also breaks A_k = A_{k-1} + a_k at k and at k + 1
+    also = {("coefficient_sum", 50), ("coefficient_sum", 51)} if column == "A_k" else set()
     report = _tampered_file(honest, tmp_path, _set_cell(50, column, value))
-    assert _failed(report) == {(check, 50)}
+    assert _failed(report) == {(check, 50)} | also
 
 
 # a file replays the inner condition ratio and the inner budget too: L_p(g) and
@@ -231,13 +234,15 @@ def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, colu
     ("a_k", lambda a: 1e200, "inner_condition_ratio"),
 ], ids=["t_k-x100", "a_k-x2", "a_k-1e200"])
 def test_tampered_file_cell_fails_exactly_its_inner_check(honest, tmp_path, column, value, check):
+    # a changed a_k also breaks A_k = A_{k-1} + a_k
+    also = {("coefficient_sum", 50)} if column == "a_k" else set()
     report = _tampered_file(honest, tmp_path, _set_cell(50, column, value))
-    assert _failed(report) == {(check, 50)}
+    assert _failed(report) == {(check, 50)} | also
 
 
 @pytest.mark.parametrize("solved, column, failed", [
     ("sublinear", "gamma_k", {("gamma_telescope", 50), ("inner_condition_ratio", 50)}),
-    ("lse-p2", "a_k", {("inner_condition_ratio", 50)}),
+    ("lse-p2", "a_k", {("inner_condition_ratio", 50), ("coefficient_sum", 50)}),
 ], ids=["p1-gamma_k", "p2-a_k"])
 def test_a_file_row_whose_ratio_is_undefined_fails_it(honest, tmp_path, solved, column, failed):
     # ell/mu takes p-th roots of (p + 1) L_p(g) / p! and of gamma_k sigma, which a
@@ -259,13 +264,67 @@ def test_a_file_whose_header_raises_the_lipschitz_constant_fails_every_ratio(hon
 @pytest.mark.parametrize("edit", [
     lambda lines: lines.pop(2),
     _set_cell(0, "bregman_vstar", lambda _: math.nan),
-], ids=["row-0-deleted", "row-0-divergence-nan"])
+    _set_cell(0, "bregman_vstar", lambda _: -1.0),
+], ids=["row-0-deleted", "row-0-divergence-nan", "row-0-divergence-negative"])
 def test_a_file_without_a_finite_row_0_divergence_fails_every_certificate(honest, tmp_path,
                                                                           edit):
     # the certificate's head term is gamma0 D(v_0; x*), which every honest
-    # cptm trace carries; without it no row is certified
+    # cptm trace carries; without it, or with a negative one, which made the
+    # head complex, no row is certified
     report = _tampered_file(honest, tmp_path, edit)
     assert _failed(report) == {("outer_certificate", k) for k in range(1, 145)}
+
+
+def _instance_file(obj, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj.descriptor))
+    return str(path)
+
+
+@pytest.mark.parametrize("value, failed", [
+    (None, set()), (1e6, {("initial_divergence", 0)}), (-1.0, {("initial_divergence", 0)}),
+], ids=["honest", "row-0-1e6", "row-0-negative"])
+def test_a_rebuilt_instance_recomputes_the_row_0_divergence(honest, tmp_path, value, failed):
+    # against the rebuilt instance D(x_0; x*) = d(x*) is recomputed from the
+    # header's x_0: an honest row 0 matches it exactly, and the certificate
+    # uses it, so a forged row 0 fails its own check and nothing else
+    path = tmp_path / "cptm.csv"
+    honest[1].write_csv(path)
+    if value is not None:
+        lines = path.read_text().splitlines()
+        _set_cell(0, "bregman_vstar", lambda _: value)(lines)
+        path.write_text("\n".join(lines) + "\n")
+    report = validate_trace_file(str(path), _instance_file(honest[0], tmp_path))
+    assert _failed(report) == failed
+    (check,) = report.checks[report.checks.name == "initial_divergence"]
+    assert check.k == 0 and (value is not None or check.margin == 1e-12)
+    plain = validate_trace_file(str(path))
+    key = lambda c: (c.name, c.k, c.passed, c.margin)
+    assert (Counter(key(c) for c in report.checks if c.name != "outer_certificate")
+            == Counter(key(c) for c in plain.checks if c.name != "outer_certificate")
+            + Counter([key(check)]))
+
+
+def test_a_negated_coefficient_fails_exactly_the_coefficient_sum(tmp_path):
+    # a_k enters L_p(g) squared at p = 1, so before A_k = A_{k-1} + a_k was
+    # checked a file with a_50 negated passed every check
+    obj = build_instance("quadratic", 10, 0, q=1e-2)
+    path = tmp_path / "cptm.csv"
+    run_method("cptm-p1", obj, 1e-7).write_csv(path)
+    assert validate_trace_file(str(path)).ok
+    lines = path.read_text().splitlines()
+    _set_cell(50, "a_k", lambda a: -a)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert _failed(validate_trace_file(str(path))) == {("coefficient_sum", 50)}
+
+
+def test_a_file_delta_whose_inner_budget_is_infinite_is_reported(honest, tmp_path):
+    # delta_50^2 underflows to 0, which made the budget a ZeroDivisionError;
+    # the budget is now infinite and s_norm still cannot meet delta_50
+    report = _tampered_file(honest, tmp_path, _set_cell(50, "delta_req", lambda _: 1e-200))
+    assert _failed(report) == {("delta_honored", 50)}
+    (budget,) = report.checks[(report.checks.name == "inner_budget") & (report.checks.k == 50)]
+    assert budget.margin == math.inf
 
 
 def test_rows_without_steps_make_an_empty_step_table_that_passes(honest):
@@ -277,7 +336,7 @@ def test_rows_without_steps_make_an_empty_step_table_that_passes(honest):
     assert replay.status == "converged" and len(replay) == len(trace)
     assert len(replay.steps) == 0 and replay.steps.dtype.names == STEP_FIELDS
     report = _validate(honest, replay)
-    assert report.ok and len(report.checks) == 2090 - 2 * len(trace.steps)
+    assert report.ok and len(report.checks) == 2234 - 2 * len(trace.steps)
     assert not {"inner_descent", "inner_gradient_progress"} & set(report.checks.name)
 
 
