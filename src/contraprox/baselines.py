@@ -26,7 +26,9 @@ Per iteration, each method is charged:
   delta are never charged a Hessian (row 0: the value at x_0).
 
 Every method is recorded, stopped and capped by :func:`trace.drive`, whose
-docstring states the rules.
+docstring states the rules.  cn and acn warm-start each step's Newton at the
+radius their last two steps predict (``tensor_steps.extrapolated_radius``),
+which moves no iteration or counter on the lse-p2 instance sets.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import math
 import numpy as np
 
 from .objectives import CompositeObjective, SolverError
-from .tensor_steps import ContractedSmooth, Subproblem, model_steps, tensor_step
+from .tensor_steps import (ContractedSmooth, Subproblem, extrapolated_radius, model_steps,
+                           tensor_step)
 from .trace import drive
 
 CUBIC_REG = 1.0          # the cubic coefficient M of cn and acn, and acn's prox coefficient
@@ -190,13 +193,15 @@ def cubic_newton(obj: CompositeObjective, x0, eps, cap):
     """Cubic-regularized Newton: :func:`tensor_steps.model_steps` on h = F itself.
 
     Its steps are cptm's inner steps with M = ``CUBIC_REG`` (practical default
-    1), each solved to :func:`_cubic_subproblem`'s tolerance; it stops on F.
+    1), each solved to :func:`_cubic_subproblem`'s tolerance and warm-started
+    at the radius its last two steps predict; it stops on F.
     """
     obj = obj.fresh()
 
     def iterates():
         sub, inner_tol = _cubic_subproblem(obj, eps)
-        for data, F, s_norm, row in model_steps(sub, np.asarray(x0, dtype=float), inner_tol):
+        for data, F, s_norm, row in model_steps(sub, np.asarray(x0, dtype=float), inner_tol,
+                                                True):
             yield F, ({"x": data.x} if row is None
                       else {"s_norm": s_norm, "t_inner": 1, "x": data.x})
 
@@ -213,7 +218,9 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
     iteration, a first-order query and a Hessian at the look-ahead point and
     a first-order query at the new iterate; the start x0 gets the same
     first-order query, so every row records s_norm = ||grad f(x_k)||_*.  The
-    step's tolerance is that of :func:`cubic_newton`.
+    step's tolerance is that of :func:`cubic_newton`, and its Newton starts at
+    the radius r_{k-1}^2 / r_{k-2} of the steps before it, r_j = ||x_j - y_j||,
+    as ``tensor_steps.extrapolated_radius`` gives it.
     """
     if not obj.simple.is_zero:
         raise ValueError("the accelerated cubic baseline runs on smooth instances only")
@@ -225,7 +232,7 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
         x_anchor = np.asarray(x0, dtype=float).copy()
         x = x_anchor.copy()
         s_acc = np.zeros_like(x)
-        A = 0.0
+        A = last = before = 0.0
         f, g = obj.smooth.value_and_grad(x)
         yield f, {"A": 0.0, "a": 0.0, "s_norm": metric.dual_norm(g), "x": x}
         for k in itertools.count(1):
@@ -240,7 +247,9 @@ def accelerated_cubic_newton(obj: CompositeObjective, x0, eps, cap):
             y = (A * x + a * v) / A_next
             base = sub.smooth.data(y)
             base.hess = sub.smooth.hess(y)
-            x = tensor_step(sub, base, sub.phi(base.x), inner_tol)[0]
+            x, _, _, at = tensor_step(sub, base, sub.phi(base.x), inner_tol,
+                                      extrapolated_radius(last, before))
+            before, last = last, at[3]
             A = A_next
             f, g = obj.smooth.value_and_grad(x)
             s_acc = s_acc + a * g

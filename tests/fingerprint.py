@@ -8,6 +8,10 @@ It prints one digest per part and one over all parts.  Two trees whose
 digests agree produce the same bytes:
 
 - ``traces``: each run's in-memory trace (header, columns, x, v, step table);
+- ``counts``: each run's iteration count and integer columns (``k``, ``t_k``,
+  which is ``t_inner``, ``oracle_f``, ``oracle_g``, ``oracle_h``, ``matvec``),
+  so a change that moves only the last bits of the iterates shows ``counts``
+  the same while ``traces``, ``csv`` and ``cli`` differ;
 - ``csv``: each run's CSV file;
 - ``validate_memory``: each cptm run's in-memory validator rows, margins as hex;
 - ``validate_file``: the validator rows of each run's CSV file, or the error
@@ -42,6 +46,7 @@ EPS = 1e-7
 CAP_OUTER = 200000
 QUAD = {"problem": "quadratic", "n": 50, "seed": 0, "q": 1e-2}
 LSE = {"problem": "lse", "n": 100, "seed": 0, "mu": 0.1, "lipschitz_order2": 0.005}
+COUNT_COLUMNS = ("k", "t_k", "oracle_f", "oracle_g", "oracle_h", "matvec")
 # (instance keywords of build_instance, methods run on it)
 RUNS = (
     (QUAD, ("gm", "agm", "ppa", "cptm-p1", "cn")),
@@ -93,6 +98,12 @@ def _rows(report):
             for c in report.checks]
 
 
+def counts(trace):
+    """The items the ``counts`` part hashes for one trace."""
+    columns = trace.columns()
+    return [trace.iterations, *(columns[name].tobytes() for name in COUNT_COLUMNS)]
+
+
 def _runs():
     """[(label, instance, trace or exception)] over RUNS, in order."""
     out = []
@@ -108,8 +119,8 @@ def _runs():
 
 
 def trace_parts():
-    """The digests of the four parts that RUNS produce."""
-    h = {name: hashlib.sha256() for name in ("traces", "csv", "validate_memory",
+    """The digests of the five parts that RUNS produce."""
+    h = {name: hashlib.sha256() for name in ("traces", "counts", "csv", "validate_memory",
                                              "validate_file")}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, obj, trace) in enumerate(_runs()):
@@ -124,6 +135,7 @@ def trace_parts():
                   *(name.encode() + columns[name].tobytes() for name in sorted(columns)),
                   *(row.x.tobytes() + (b"" if row.v is None else row.v.tobytes())
                     for row in trace), trace.steps.tobytes())
+            _feed(h["counts"], *counts(trace))
             path = os.path.join(tmp, f"{i}.csv")
             trace.write_csv(path)
             with open(path, "rb") as fh:

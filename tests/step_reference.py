@@ -2,8 +2,8 @@
 step objective (through ``model_objective``, with phi at the base from
 ``Subproblem.phi_value``), the step Newton as it stood when it evaluated the step
 objective at its base itself, the first-order baselines gm and ppa in their
-callback form, cn as its own loop around ``tensor_step`` and a row-by-row
-trace writer.
+callback form, cn as its own loop around ``tensor_step`` with its own radius
+hint and a row-by-row trace writer.
 
 No solver calls them: the tests check :func:`contraprox.tensor_steps.minimize_model_newton`
 and the closed-form order-1 step against the minimizer, the Newton started
@@ -98,7 +98,7 @@ def reference_newton(sub: Subproblem, base: SmoothData, tol):
             return y, res, it, at
         if stalled == 3:
             return best_y, best_res, it, best_at
-        assemble = functools.partial(assemble_step_hessian, H, sub, base, terms)
+        assemble = functools.partial(assemble_step_hessian, H, sub, base, terms, 0.0)
         try:
             step = -cholesky_solve(assemble(), grad, refill=assemble)
         except scipy.linalg.LinAlgError:
@@ -228,8 +228,10 @@ def reference_classical_ppa(obj, x0, eps, cap):
 
 
 # cn as it stood before it iterated ``model_steps``: its own loop around
-# ``tensor_step``, which it hands phi's evaluation at each base afresh.  The
-# tests require the production cn to give bitwise its trace.
+# ``tensor_step``, which it hands phi's evaluation at each base afresh, and a
+# radius hint of its own: r_{k-1}^2 / r_{k-2} from the last two step radii,
+# r_1 at the second step and 0.0 at the first.  The tests require the
+# production cn to give bitwise its trace.
 
 def reference_cubic_newton(obj, x0, eps, cap):
     obj = obj.fresh()
@@ -240,11 +242,15 @@ def reference_cubic_newton(obj, x0, eps, cap):
         z = np.asarray(x0, dtype=float).copy()
         data = sub.smooth.data(z)
         row = {"x": z}
+        radii = []
         while True:
             yield data.value + obj.simple.value(z), row
             data.hess = sub.smooth.hess(data.x)
-            z, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, data, sub.phi(data.x),
-                                                                       inner_tol)
+            hint = (0.0 if not radii else radii[-1] if len(radii) == 1 or radii[-2] == 0.0
+                    else radii[-1] * radii[-1] / radii[-2])
+            z, residual, _, (_, model_grad, reg_grad, r) = tensor_step(sub, data, sub.phi(data.x),
+                                                                       inner_tol, hint)
+            radii.append(r)
             data = sub.smooth.data(z)
             s = data.grad - model_grad - reg_grad
             row = {"s_norm": metric.dual_norm(s) + residual, "t_inner": 1, "x": z}

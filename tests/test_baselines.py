@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contraprox import baselines, tensor_steps
 from contraprox.baselines import (_cubic_subproblem, accelerated_cubic_newton,
                                   accelerated_gradient, classical_ppa,
                                   cubic_newton, gradient_method_ls)
@@ -235,3 +236,36 @@ def test_cubic_newton_is_bitwise_its_reference(instance):
         assert column.tobytes() == ref_columns[name].tobytes(), name
     for rec, want in zip(tr.records, ref.records):
         assert rec.x.tobytes() == want.x.tobytes()
+
+
+@pytest.mark.parametrize("method", [cubic_newton, accelerated_cubic_newton], ids=["cn", "acn"])
+def test_the_radius_hint_moves_no_count(method, monkeypatch):
+    # cn and acn warm-start each Newton at an extrapolated radius; against a
+    # cold copy (every hint 0.0) only the Newton work and the last bits of the
+    # iterates may move, never an iteration or an oracle count
+    step = tensor_steps.tensor_step
+    newton = {False: 0, True: 0}    # Newton iterations, warm and cold
+
+    def run(obj, cold):
+        def counted(sub, base, base_phi, inner_tol, radius_hint):
+            out = step(sub, base, base_phi, inner_tol, 0.0 if cold else radius_hint)
+            newton[cold] += out[2]
+            return out
+
+        monkeypatch.setattr(tensor_steps, "tensor_step", counted)
+        monkeypatch.setattr(baselines, "tensor_step", counted)
+        return method(obj, np.zeros(obj.dim), 1e-7, 200000)
+
+    for n in (20, 50):
+        for mu in (1.0, 0.1):
+            for seed in (0, 1):
+                obj = build_instance("lse", n, seed, mu=mu, lipschitz_order2=0.005)
+                warm, cold = run(obj, False), run(obj, True)
+                assert warm.status == cold.status == "converged"
+                assert warm.iterations == cold.iterations
+                warm_columns, cold_columns = warm.columns(), cold.columns()
+                for name in ("k", "t_k", "oracle_f", "oracle_g", "oracle_h", "matvec"):
+                    assert warm_columns[name].tobytes() == cold_columns[name].tobytes(), name
+                dx = max(float(np.abs(a.x - b.x).max()) for a, b in zip(warm, cold))
+                assert dx <= 1e-7, (n, mu, seed, dx)
+    assert newton[False] < 0.75 * newton[True]

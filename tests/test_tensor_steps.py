@@ -20,7 +20,7 @@ from contraprox.objectives import (PowerRegularizer, QuadraticOracle, ZeroCompon
                                    lse_instance, quadratic_instance)
 from contraprox.tensor_steps import (ContractedSmooth, InnerLoopError, SmoothData, Subproblem,
                                      assemble_step_hessian, cholesky_solve,
-                                     cubic_step_single_center,
+                                     cubic_step_single_center, extrapolated_radius,
                                      inner_loop, minimize_model_newton,
                                      model_objective, tensor_step)
 from contraprox.trace import STEP_FIELDS
@@ -135,7 +135,7 @@ class TestTensorStep:
         sub = Subproblem(p=1, metric=Metric.identity(1), smooth=_plain(oracle), M=1.0,
                          psi=ZeroComponent(1), weight=0.0)
         base = sub.smooth.data(np.array([1.0]))
-        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
+        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12, 0.0)
         assert point[0] == pytest.approx(0.0, abs=1e-14)
         assert residual == 0.0 and iterations == 0
 
@@ -153,7 +153,7 @@ class TestTensorStep:
                          psi=ZeroComponent(n), weight=0.0, gamma=gamma, prox=prox,
                          anchor=prox.linearization(v))
         base = sub.smooth.data(rng.standard_normal(n))
-        point, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
+        point, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12, 0.0)
         np.testing.assert_allclose(point, v - metric.solve(c) / gamma,
                                    rtol=1e-10, atol=1e-12)
 
@@ -167,7 +167,7 @@ class TestTensorStep:
         x = rng.standard_normal(n)
         base = _data(sub.smooth, x, 2)
         direct = cubic_step_single_center(base, 1.5, metric)
-        newton, _, _, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-13)
+        newton, _, _, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-13, 0.0)
         descent, _, _ = minimize_model_descent(sub, base, x, 1e-11)
         np.testing.assert_allclose(newton, direct, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
@@ -182,7 +182,7 @@ class TestTensorStep:
         sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=M, psi=ZeroComponent(n),
                          weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(n), 2)
-        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
+        point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13, 0.0)
         assert iterations >= 1 and residual <= 1e-13
         np.testing.assert_allclose(point, cubic_step_single_center(base, M, metric),
                                    rtol=1e-9, atol=1e-12)
@@ -194,7 +194,7 @@ class TestTensorStep:
         obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, inner_tol = _cubic_subproblem(obj.fresh(), 1e-7)
         base = _data(sub.smooth, np.zeros(20), 2)
-        _, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol)
+        _, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol, 0.0)
         assert iterations >= 1
         assert residual <= inner_tol
 
@@ -205,7 +205,7 @@ class TestTensorStep:
                          M=1.0, psi=ZeroComponent(4), weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(4), 2 if with_hess else 1)
         with pytest.raises(ValueError, match="order-2 step"):
-            tensor_step(sub, base, sub.phi(base.x), 1e-10)
+            tensor_step(sub, base, sub.phi(base.x), 1e-10, 0.0)
 
     def test_closed_form_order1_matches_iterative(self):
         rng = np.random.default_rng(9)
@@ -221,7 +221,7 @@ class TestTensorStep:
                              anchor=prox.linearization(v))
             x = rng.standard_normal(n)
             base = sub.smooth.data(x)
-            closed, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
+            closed, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13, 0.0)
             iterative, _, _ = minimize_model_descent(sub, base, x, 1e-12)
             np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9)
 
@@ -319,7 +319,7 @@ def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sig
     sub = Subproblem(1, metric, smooth, M, psi, weight, gamma, prox,
                      prox.linearization(rng.standard_normal(n)))
     base = smooth.data(rng.standard_normal(n))
-    T, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12)
+    T, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12, 0.0)
     _, grad, _, _ = model_objective(sub, base, T, 0.0)
     # the gradient is the sum of these three; its scale is theirs
     pieces = (base.grad, M * metric.apply(T - base.x), sub.phi(T)[1])
@@ -409,7 +409,7 @@ def _step_subgradient(sub, base, inner_tol):
     """(T, residual, s, data at T) of one step, s the subgradient inner_loop certifies:
     grad g(T) minus the model and regularizer gradients the step evaluated at T."""
     T, residual, _, (_, model_grad, reg_grad, _) = tensor_step(sub, base, sub.phi(base.x),
-                                                               inner_tol)
+                                                               inner_tol, 0.0)
     data_T = sub.smooth.data(T)
     return T, residual, data_T.grad - model_grad - reg_grad, data_T
 
@@ -505,7 +505,7 @@ class TestStepSubgradient:
         for _ in range(5):
             base = _data(sub.smooth, rng.standard_normal(n), sub.p)
             for tol in (1e-6, 1e-20) if sub.p == 2 else (1e-12,):
-                T, _, _, at = tensor_step(sub, base, sub.phi(base.x), tol)
+                T, _, _, at = tensor_step(sub, base, sub.phi(base.x), tol, 0.0)
                 u = T - base.x
                 r = sub.metric.norm(u)
                 phi_T = sub.phi(T) if sub.p == 2 else (sub.phi_value(T), None, None)
@@ -538,9 +538,74 @@ def test_a_seeded_newton_is_bitwise_the_one_that_evaluates_its_base(case):
         base = _data(sub.smooth, rng.standard_normal(obj.dim), 2)
         phi = sub.phi(base.x)
         for _ in range(4):
-            got = minimize_model_newton(sub, base, phi, tol)
+            got = minimize_model_newton(sub, base, phi, tol, 0.0)
             assert _bytes(got) == _bytes(reference_newton(sub, base, tol))
             base, phi = _data(sub.smooth, got[0], 2), got[3][0]
+
+
+def _cubic_lse_step(seed):
+    """(subproblem, base, tolerance, exact radius r*) of a cn step on lse n = 20.
+
+    The subproblem is single-center, so :func:`cubic_step_single_center` gives
+    its exact step, whose B-norm radius is r*.
+    """
+    obj = build_instance("lse", 20, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
+    sub, inner_tol = _cubic_subproblem(obj.fresh(), 1e-7)
+    assert sub.terms == []
+    base = _data(sub.smooth, np.random.default_rng(seed).standard_normal(20), 2)
+    exact = cubic_step_single_center(base, sub.M, sub.metric)
+    return sub, base, inner_tol, sub.metric.norm(exact - base.x)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("factor", [0.0, 1.0, 1e3, 1e-3])
+def test_a_hinted_step_meets_its_tolerance_and_descends(seed, factor):
+    # the hint only shapes the first Newton iteration; from any hint the step
+    # still ends at the tolerance and below the step objective at its base
+    sub, base, inner_tol, r_exact = _cubic_lse_step(seed)
+    assert r_exact > 0
+    T, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol,
+                                             factor * r_exact)
+    assert residual <= inner_tol
+    assert model_objective(sub, base, T, 0.0)[0] <= model_objective(sub, base, base.x, 0.0)[0]
+    if factor == 1.0:
+        # (H + M/2 r* B)^{-1} g is the exact step: the first solve lands on it
+        assert iterations <= 2
+        np.testing.assert_allclose(T, cubic_step_single_center(base, sub.M, sub.metric),
+                                   rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_zero_hint_is_bitwise_the_cold_step(seed):
+    sub, base, inner_tol, _ = _cubic_lse_step(seed)
+    got = tensor_step(sub, base, sub.phi(base.x), inner_tol, 0.0)
+    assert _bytes(got) == _bytes(reference_newton(sub, base, inner_tol))
+    # and the exact radius saves Newton iterations over the cold start
+    assert tensor_step(sub, base, sub.phi(base.x), inner_tol,
+                       sub.metric.norm(got[0] - base.x))[2] < got[2]
+
+
+@pytest.mark.parametrize("hint", [-1e-3, -math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_bad_radius_hint_is_refused(hint, p):
+    rng = np.random.default_rng(46)
+    sub = Subproblem(p=p, metric=Metric.identity(4), smooth=_plain(_quadratic_oracle(rng, 4)),
+                     M=1.0, psi=ZeroComponent(4), weight=0.0)
+    base = _data(sub.smooth, rng.standard_normal(4), p)
+    with pytest.raises(ValueError, match="radius_hint must be finite and nonnegative"):
+        tensor_step(sub, base, sub.phi(base.x), 1e-10, hint)
+
+
+@pytest.mark.parametrize("last, before, want", [
+    (0.0, 0.0, 0.0),          # the first step starts cold
+    (0.5, 0.0, 0.5),          # the second step: the one radius there is
+    (0.5, 2.0, 0.125),        # r_{k-1}^2 / r_{k-2}
+    (0.0, 2.0, 0.0),          # after a zero step: cold
+    (3.0, 1.5, 6.0),
+    (1e200, 1e-200, 1e200),   # an overflowing ratio falls back to r_{k-1}
+])
+def test_the_extrapolated_radius(last, before, want):
+    assert extrapolated_radius(last, before) == want
 
 
 def test_an_order1_subproblem_sums_its_affine_terms_once(monkeypatch):
@@ -575,7 +640,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(12)
         sub = self._strongly_convex_subproblem(rng)
         base = sub.smooth.data(np.zeros(5))
-        start, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13)
+        start, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13, 0.0)
         # one more polish step puts the subgradient well under a loose delta
         point, _, steps = inner_loop(sub, start, 1.0, cap=10)
         if steps:
@@ -776,7 +841,7 @@ class TestNewtonSolve:
         # smooth.data rejects the NaN gradient an oracle query returns
         model = SmoothData(np.zeros(3), 0.0, -b, A)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
+            minimize_model_newton(sub, model, sub.phi(model.x), 1e-10, 0.0)
 
     @staticmethod
     def _factorizations(monkeypatch):
@@ -795,7 +860,7 @@ class TestNewtonSolve:
     def test_indefinite_hessian_takes_the_jitter_path(self, monkeypatch):
         calls = self._factorizations(monkeypatch)
         sub, model = self._cubic_model(np.diag([2.0, 1.0, -1e-13]), np.array([1.0, -0.5, 0.0]))
-        y, res, iters, _ = minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
+        y, res, iters, _ = minimize_model_newton(sub, model, sub.phi(model.x), 1e-10, 0.0)
         assert any(info > 0 for _, info in calls) and iters >= 1 and res <= 1e-10
         assert (model_objective(sub, model, y, 0.0)[0]
                 < model_objective(sub, model, np.zeros(3), 0.0)[0])
@@ -806,7 +871,7 @@ class TestNewtonSolve:
         calls = self._factorizations(monkeypatch)
         A = np.diag([2.0, 1.0, -1e-13])
         sub, model = self._cubic_model(A, np.array([1.0, -0.5, 0.0]))
-        minimize_model_newton(sub, model, sub.phi(model.x), 1e-10)
+        minimize_model_newton(sub, model, sub.phi(model.x), 1e-10, 0.0)
         # at the base point r = 0, so the step Hessian is A itself
         jitter = 1e-12 * (1.0 + abs(float(np.trace(A))) / 3)
         assert calls[0][1] > 0 and calls[1][1] == 0
@@ -857,8 +922,8 @@ class TestNewtonSolve:
         obj = build_instance("lse", 50, 0, mu=1.0, lipschitz_order2=BENCH_LSE_LIPSCHITZ2)
         sub, _ = _cubic_subproblem(obj, 1e-7)
         base = _data(sub.smooth, np.zeros(50), 2)
-        _, _, converged_after, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-17)
-        y, res, iters, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-20)
+        _, _, converged_after, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-17, 0.0)
+        y, res, iters, _ = minimize_model_newton(sub, base, sub.phi(base.x), 1e-20, 0.0)
         assert converged_after <= 10 and iters <= 25 and res <= 1e-17
         # the best point comes back with its own residual, which callers certify
         assert res == sub.metric.dual_norm(model_objective(sub, base, y, 0.0)[1])
@@ -918,7 +983,7 @@ def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
         dense = dense + weight * psi.hess(y)
     H = np.empty((n, n), order="F")
     _, grad, terms, _ = model_objective(sub, base, y, 0.0)
-    assemble_step_hessian(H, sub, base, terms)
+    assemble_step_hessian(H, sub, base, terms, 0.0)
     scale = np.abs(dense).max()
     assert np.abs(np.triu(H) - np.triu(dense)).max() <= 1e-13 * scale
     step = cholesky_solve(H, grad)
@@ -945,6 +1010,6 @@ def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_ord
                      prox.linearization(rng.standard_normal(n)))
     base = _data(smooth, rng.standard_normal(n), 2)
     inner_tol = 1e-9 * (1.0 + metric.dual_norm(base.grad))
-    point, residual, _, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol)
+    point, residual, _, _ = tensor_step(sub, base, sub.phi(base.x), inner_tol, 0.0)
     assert residual <= inner_tol
     assert model_objective(sub, base, point, 0.0)[0] <= model_objective(sub, base, base.x, 0.0)[0]
