@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .bregman import ProxFunction, power_hessian
 from .metric import Metric, cholesky_solve
@@ -271,15 +270,11 @@ def sigmoid_spectrum(n, alpha):
 
 
 def alpha_for_condition_ratio(q):
-    """Solve lambda_min/lambda_max = q for the spectrum's steepness alpha in [1e-12, 80]."""
-    def ratio(alpha):
-        return (1.0 + math.exp(-alpha)) / (1.0 + math.exp(alpha))
-
-    if not ratio(80.0) < q < ratio(1e-12):
-        raise ValueError(f"condition ratio q must lie in ({ratio(80.0):.3g}, "
-                         f"{ratio(1e-12)!r}), not {q!r}")
-    return float(scipy.optimize.brentq(lambda alpha: ratio(alpha) - q, 1e-12, 80.0,
-                                       xtol=1e-15, rtol=8.9e-16))
+    """alpha in [1e-12, 80] whose spectrum ratio, (1 + e^-alpha)/(1 + e^alpha) = e^-alpha, is q."""
+    if not math.exp(-80.0) < q < math.exp(-1e-12):
+        raise ValueError(f"condition ratio q must lie in ({math.exp(-80.0):.3g}, "
+                         f"{math.exp(-1e-12)!r}), not {q!r}")
+    return -math.log(q)
 
 
 def quadratic_instance(n, alpha, seed):

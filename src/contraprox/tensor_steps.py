@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .bregman import PowerProx, ProxFunction, power_coefficients
 from .metric import Metric, cholesky_solve
@@ -299,9 +298,11 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     u(r) = -(H + M r/2 I)^{-1} g and r solves ||u(r)|| = r.  No solver calls
     it: it is the exact reference against which tests check the Newton step
     on single-center subproblems.  It stays here, not in the tests, because
-    the benchmark tracer's ``SPAN_TARGETS`` lists the entry
-    ``("tensor_steps", "cubic_step_single_center", None)``.
+    the benchmark tracer's ``SPAN_TARGETS`` names it.  It imports brentq itself,
+    so ``import contraprox`` loads no ``scipy.optimize``; ``import scipy.optimize``
+    here would make ``scipy`` local and break the ``scipy.linalg`` calls.
     """
+    from scipy.optimize import brentq
     g = metric.dewhiten_dual(base.grad)
     W = scipy.linalg.solve_triangular(metric.chol(), base.hess, lower=True)
     H = scipy.linalg.solve_triangular(metric.chol(), W.T, lower=True)
@@ -337,7 +338,7 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
             r_lo *= 0.5
             if r_lo < 1e-280:
                 return base.x.copy()
-        r = scipy.optimize.brentq(radius_gap, r_lo, r_hi, xtol=1e-280, rtol=8.9e-16)
+        r = brentq(radius_gap, r_lo, r_hi, xtol=1e-280, rtol=8.9e-16)
         u = -(c / (lam + 0.5 * M * r))
     step = scipy.linalg.solve_triangular(metric.chol().T, V @ u, lower=False) \
         if not metric.is_identity else V @ u

@@ -65,22 +65,25 @@ def _rows(name, k, passed, margin, t=-1):
 
 
 def _header_schedule(header):
-    """The schedule a trace header describes, or None; ValueError unless p is 1 or 2
-    and the other header fields the checks read are finite numbers."""
+    """The schedule a trace header describes, or None; ValueError unless p and a schedule's
+    p are the same int, 1 or 2, and the other fields the checks read are finite numbers."""
     sched = header.get("schedule")
     kind = sched.get("kind") if isinstance(sched, dict) else None
+    p = header.get("p")
     fields = [(name, header.get(name))
               for name in ("gamma0", "lipschitz", "sigma_simple", "sigma_uniform")]
     fields += [("fstar", header["fstar"])] if header.get("fstar") is not None else []
     fields += [(f"schedule {name}", sched.get(name)) for name in
-               {"sublinear": ("c", "p"), "geometric": ("omega", "c", "p")}.get(kind, ())]
-    bad = [f"{name} = {value!r}" for name, value in fields
-           if not isinstance(value, (int, float)) or not math.isfinite(value)]
-    if header.get("p") not in (1, 2):
-        bad.insert(0, f"p = {header.get('p')!r}")
+               {"sublinear": ("c",), "geometric": ("omega", "c")}.get(kind, ())]
+    bad = [f"{name} = {value!r}" for name, value in fields if isinstance(value, bool)
+           or not isinstance(value, (int, float)) or not math.isfinite(value)]
+    if type(p) is not int or p not in (1, 2):
+        bad.insert(0, f"p = {p!r}")
+    elif kind in ("sublinear", "geometric") and (type(sched.get("p")), sched.get("p")) != (int, p):
+        bad.insert(0, f"schedule p = {sched.get('p')!r}")
     if bad:
-        raise ValueError(f"the trace header has {', '.join(bad)}, but p must be 1 or 2 "
-                         "and the rest finite numbers")
+        raise ValueError(f"the trace header has {', '.join(bad)}, but p must be the int 1 or "
+                         "2, the schedule's p the same and the rest finite numbers")
     if kind == "sublinear":
         return SublinearSchedule(sched["c"], sched["p"])
     if kind == "geometric":

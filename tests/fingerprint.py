@@ -18,7 +18,10 @@ digests agree produce the same bytes:
   a baseline's file raises;
 - ``cli``: each command's exit code, stdout, stderr and every file it writes
   but ``report.json``;
-- ``reports``: the ``report.json`` of each ``solve``.
+- ``reports``: the ``report.json`` of each ``solve``;
+- ``instances``: the descriptor (alpha and f* included) and x* of every
+  instance the default ``bench`` sweeps build, so a change to an instance
+  that no run above uses (a q = 1e-4 quadratic) shows here.
 
 A run or command that raises contributes its exception type and text.  The
 pytest suite does not collect this module.
@@ -36,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from contraprox.bench import build_instance, run_method, validate_trace_file
+from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method, validate_trace_file
 from contraprox.bregman import PowerProx
 from contraprox.objectives import SolverError
 from contraprox import cli
@@ -54,6 +57,13 @@ RUNS = (
     ({"problem": "lse", "n": 50, "seed": 0, "mu": 0.1, "lipschitz_order2": 200.0}, ("cptm-p2",)),
     (LSE, ("cn", "acn", "cptm-p2")),
     ({"problem": "lse", "n": 50, "seed": 0, "mu": 1.0, "sigma": 0.5}, ("cptm-p1", "cn")),
+)
+# build_instance keywords of every instance on the default bench grids
+INSTANCES = (
+    *({"problem": "quadratic", "n": n, "seed": seed, "q": q}
+      for n in (50, 100) for q in (1e-2, 1e-4) for seed in range(3)),
+    *({"problem": "lse", "n": n, "seed": seed, "mu": mu, "lipschitz_order2": BENCH_LSE_LIPSCHITZ2}
+      for n in (50, 100) for mu in (1.0, 0.1) for seed in range(3)),
 )
 QUAD_CLI = ["--problem", "quadratic", "--n", "10", "--q", "0.01"]
 LSE_CLI = ["--problem", "lse", "--n", "10", "--mu", "1"]
@@ -173,6 +183,20 @@ def cli_parts():
     return {"cli": out.hexdigest(), "reports": reports.hexdigest()}
 
 
+def instance_part():
+    """The digest of the ``instances`` part over INSTANCES."""
+    h = hashlib.sha256()
+    for problem in INSTANCES:
+        _feed(h, json.dumps(problem, sort_keys=True))
+        try:
+            obj = build_instance(**problem)
+        except (SolverError, ValueError) as exc:  # a failing build is compared too
+            _feed(h, _error(exc))
+            continue
+        _feed(h, json.dumps(obj.descriptor, sort_keys=True), obj.xstar.tobytes())
+    return h.hexdigest()
+
+
 def _files(root):
     """{path relative to root: bytes} of every file under root."""
     out = {}
@@ -185,7 +209,7 @@ def _files(root):
 
 
 def main():
-    digests = {**trace_parts(), **cli_parts()}
+    digests = {**trace_parts(), **cli_parts(), "instances": instance_part()}
     overall = hashlib.sha256()
     for name, digest in digests.items():
         print(f"{name:<16}{digest}")

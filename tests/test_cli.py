@@ -85,10 +85,18 @@ def _header(change):
     (_header(lambda h: h.update(p="2")), "the trace header has p = '2', but p must be"),
     (_header(lambda h: h.update(lipschitz="1")),
      "the trace header has lipschitz = '1', but p must be"),
+    (_header(lambda h: h.update(p=1.0)), "the trace header has p = 1.0, but p must be"),
+    (_header(lambda h: h.update(lipschitz=True)),
+     "the trace header has lipschitz = True, but p must be"),
+    (_header(lambda h: h.update(gamma0=True)),
+     "the trace header has gamma0 = True, but p must be"),
+    (_header(lambda h: h["schedule"].update(p=1.5)),
+     "the trace header has schedule p = 1.5, but p must be"),
     (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + "\n"],
      "a row of 14 fields under 15 columns"),
 ], ids=["header-list", "no-sigma_uniform", "no-gamma0", "sublinear-without-c", "p-text",
-        "lipschitz-text", "narrow-row"])
+        "lipschitz-text", "p-float", "lipschitz-bool", "gamma0-bool", "schedule-p-float",
+        "narrow-row"])
 def test_validate_of_a_malformed_trace_is_a_usage_error(tmp_path, capsys, edit, message):
     # exit 1 means failed checks; a trace the checks cannot read is a usage
     # error, reported on one line

@@ -1,4 +1,4 @@
-"""Source hygiene, checked with the standard library's ``ast`` alone.
+"""Source hygiene, checked with the standard library alone.
 
 - Every name a module imports is used, in ``src/contraprox`` and in ``tests``.
 - Every module-level function and class in ``src/contraprox`` is reached
@@ -17,12 +17,17 @@
 - Conversely, no such parameter is passed by every one of those calls, unless
   :data:`OVERRIDDEN` lists it with a reason: a default that production
   always overrides is one only tests rely on.
+- ``import contraprox`` loads neither ``scipy.optimize`` nor ``scipy.special``:
+  no solver needs them, and every CLI call pays for what the package imports.
 
 ``__init__.py`` is exempt from every check: its imports are the package's re-exports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,3 +173,13 @@ def test_no_defaulted_parameter_is_passed_by_every_production_call():
 def test_every_allowlist_entry_gives_a_reason():
     reasons = [*UNREACHED.values(), *UNPASSED.values(), *OVERRIDDEN.values()]
     assert all(isinstance(reason, str) and reason.strip() for reason in reasons)
+
+
+def test_import_loads_no_scipy_optimize_or_special():
+    # run in a fresh interpreter: this one has imported whatever the other tests use
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import contraprox, sys; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert [name for name in loaded
+            if name.split(".")[:2] in (["scipy", "optimize"], ["scipy", "special"])] == []

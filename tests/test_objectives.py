@@ -35,10 +35,15 @@ class TestQuadratic:
         np.testing.assert_allclose(lam, sigmoid_spectrum(20, 2.5), atol=1e-8)
 
     def test_condition_ratio_solve(self):
-        for q in (1e-1, 1e-2, 1e-4):
+        # the spectrum's ratio is exactly e^-alpha, so alpha is -ln q to the bit
+        for q in (0.9, 1e-1, 1e-2, 1e-4, 1e-8, 1e-30):
             alpha = alpha_for_condition_ratio(q)
+            assert alpha == -math.log(q)
             lam = sigmoid_spectrum(50, alpha)
             assert lam[0] / lam[-1] == pytest.approx(q, rel=1e-12)
+        for q in (math.exp(-80.0), 1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="condition ratio q must lie in"):
+                alpha_for_condition_ratio(q)
 
     def test_gradient_matches_finite_differences(self):
         obj = quadratic_instance(8, 1.5, 0)
