@@ -1,7 +1,7 @@
 """Distance-generating functions and their Bregman divergences.
 
 The power prox d(x) = ||x - x0||^{p+1}/(p+1), uniformly convex of degree p+1
-with constant 2^{1-p} for the B-induced norm, is the one family the tensor
+with constant 2^{1-p} for the metric's Euclidean norm, is the one family the tensor
 steps solve (their closed form and Newton Hessian are this family's), so a
 step subproblem built on any other prox is rejected when it is built.  Its
 Hessian has one formula, the (alpha, beta) of :func:`power_coefficients`.
@@ -77,7 +77,7 @@ class PowerProx(ProxFunction):
         return r ** (self.order - 1) * self.metric.apply(u)
 
     def at(self, x):
-        """(r, Bw, value, gradient) at x, w = x - center: one norm and one B-product."""
+        """(r, Bw, value, gradient) at x, w = x - center: one norm and one metric product."""
         w = np.asarray(x, dtype=float) - self.center
         r, Bw, q = self.metric.norm(w), self.metric.apply(w), self.order
         return r, Bw, r ** (q + 1) / (q + 1), Bw if q == 1 else r ** (q - 1) * Bw
@@ -103,7 +103,7 @@ def divergence_from(linearization, y, d_y):
 
 
 def power_coefficients(r, p):
-    """(alpha, beta) with Hessian alpha*B + beta*(Bu)(Bu)^T of ||u||^{p+1}/(p+1), r = ||u||.
+    """(alpha, beta) with Hessian alpha*I + beta*u u^T of ||u||^{p+1}/(p+1), r = ||u||.
 
     alpha = r^{p-1} and beta = (p-1) r^{p-3}: (1, 0) at p = 1, (0, 0) at r = 0.
     """
@@ -117,5 +117,5 @@ def power_coefficients(r, p):
 def power_hessian(metric, u, p):
     """Dense Hessian of ||u||^{p+1}/(p+1) in the metric norm, by :func:`power_coefficients`."""
     alpha, beta = power_coefficients(metric.norm(u), p)
-    Bu = metric.apply(u)
-    return alpha * metric.matrix + beta * np.outer(Bu, Bu)
+    u = metric.apply(u)
+    return alpha * np.eye(u.size) + beta * np.outer(u, u)

@@ -1,17 +1,16 @@
-"""Primal/dual geometry induced by a symmetric positive-definite operator.
+"""Euclidean geometry of R^n, and the Cholesky solve of the Newton loops.
 
-Every solver here measures primal vectors with ||x|| = <Bx, x>^(1/2) and
-gradients (dual vectors) with ||s||_* = <s, B^{-1}s>^(1/2).  The operator is
-factorized once at construction; B^{-1} is never formed explicitly, because
-dual-norm evaluations dominate the inner stopping tests.  :func:`cholesky_solve`
-is both Newton loops' Hessian solve, and the one retry of a failed factorization.
+Every solver here measures primal vectors with ||x|| = <x, x>^(1/2) and
+gradients (dual vectors) with ||s||_* = <s, s>^(1/2).  An instance whose norm
+the paper takes from an operator B = LL^T is whitened once when it is built
+(z = L^T x is an isometry, see ``objectives.lse_instance``), so B = I here:
+``apply``, ``solve`` and ``dewhiten_dual`` return the checked vector itself.
+:func:`cholesky_solve` is both Newton loops' Hessian solve, and the one retry of
+a failed factorization.
 
-Triangular solves call LAPACK ``trtrs`` directly: on n <= 200 vectors scipy's
-wrapper costs more than the solve.  Argument checks stay; L is checked once.
-Products call ``ndarray.dot``, which rounds as ``@`` does at about 1 us less per
-vector call under numpy 2.4; the check converts only what is not a float64
-ndarray; and the norm multiplies by L's transposed view, since a C-ordered copy
-of L^T would take another gemv kernel and change the rounding of B-metric traces.
+Norms call ``ndarray.dot``, which rounds as ``@`` does at about 1 us less per
+vector call under numpy 2.4, and the check converts only what is not a float64
+ndarray.
 """
 
 from __future__ import annotations
@@ -51,91 +50,39 @@ def cholesky_solve(H, g, refill=None):
 
 
 class Metric:
-    """Symmetric positive-definite operator B with a cached Cholesky factor.
+    """The Euclidean geometry of R^dim, made by :meth:`identity`; stores no matrix.
 
-    Immutable after construction; safe to share read-only across solver runs.
-    Positive definiteness is verified by attempting the factorization, so a
-    bad operator fails here rather than in the middle of a run.
+    Each operation checks that its argument is a vector of the dimension.
+    ``is_identity`` is always true: it names the geometry, B = I.
     """
 
-    def __init__(self, matrix):
-        B = np.asarray(matrix, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError(f"metric operator must be square, got shape {B.shape}")
-        if B.shape[0] < 1:
-            raise ValueError("metric operator must be at least 1x1")
-        if not np.all(np.isfinite(B)):
-            raise ValueError("metric operator has non-finite entries")
-        scale = max(float(np.abs(B).max()), 1.0)
-        if float(np.abs(B - B.T).max()) > 1e-12 * scale:
-            raise ValueError("metric operator is not symmetric (relative tol 1e-12)")
-        B = 0.5 * (B + B.T)
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric operator is not positive definite") from exc
-        self.matrix = B
-        self.dim = B.shape[0]
-        self._shape = (self.dim,)
-        self._L = L
-        self._trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (L,))
-        self._identity = bool(np.array_equal(B, np.eye(self.dim)))
+    is_identity = True
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n))
-
-    @property
-    def is_identity(self):
-        return self._identity
+        """The geometry of R^n, n >= 1."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"the dimension must be an int >= 1, not {n!r}")
+        metric = cls.__new__(cls)
+        metric.dim, metric._shape = int(n), (int(n),)
+        return metric
 
     def _check(self, x):
+        """x as a float64 vector of the dimension; ``ValueError`` if it is not one."""
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
             x = np.asarray(x, dtype=float)
         if x.shape != self._shape:
             raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
         return x
 
-    def _trisolve(self, v, trans):
-        """L^{-1} v (trans=1) or L^{-T} v (trans=0), as trtrs on the F-ordered L^T."""
-        w, info = self._trtrs(self._L.T, np.asarray_chkfinite(v), lower=False, trans=trans)
-        if info:
-            raise scipy.linalg.LinAlgError(f"trtrs failed with info {info}")
-        return w
-
-    def apply(self, x):
-        """B x (maps a primal vector to a dual one)."""
-        x = self._check(x)
-        if self._identity:
-            return x
-        return self.matrix.dot(x)
-
-    def solve(self, s):
-        """B^{-1} s via the cached factorization."""
-        s = self._check(s)
-        if self._identity:
-            return s
-        return self._trisolve(self._trisolve(s, 1), 0)
+    # B x (primal to dual), B^{-1} s (dual to primal) and L^{-1} s (dual to plain
+    # Euclidean coordinates) are each the checked vector itself
+    apply = solve = dewhiten_dual = _check
 
     def norm(self, x):
-        """Primal norm <Bx, x>^(1/2)."""
+        """<x, x>^(1/2), the primal norm; as ``dual_norm`` the exact supremum of <x, h>
+        over ||h|| <= 1."""
         x = self._check(x)
-        w = x if self._identity else self._L.T.dot(x)
-        return math.sqrt(w.dot(w))
+        return math.sqrt(x.dot(x))
 
-    def dual_norm(self, s):
-        """Dual norm <s, B^{-1}s>^(1/2), the exact supremum of <s,h> over ||h|| <= 1."""
-        s = self._check(s)
-        w = s if self._identity else self._trisolve(s, 1)
-        return math.sqrt(w.dot(w))
-
-    def dewhiten_dual(self, s):
-        """L^{-1} s: isometry from the dual space to plain Euclidean coordinates."""
-        s = self._check(s)
-        if self._identity:
-            return s
-        return self._trisolve(s, 1)
-
-    def chol(self):
-        """Lower Cholesky factor of B (read-only use)."""
-        return self._L
+    dual_norm = norm

@@ -1,10 +1,9 @@
 """Composite objectives F = f + psi with counted oracle access.
 
 Two experiment families ship: a quadratic with a sigmoid-shaped spectrum whose
-condition ratio is set exactly, and a log-sum-exp objective measured in the
-norm induced by B = sum_i a_i a_i^T.  Both are generated deterministically
-from a seed and carry a JSON-serializable descriptor so any run can be rebuilt
-bit-for-bit.
+condition ratio is set exactly, and a log-sum-exp objective, whitened once into
+the Euclidean norm.  Both are generated deterministically from a seed and
+carry a JSON-serializable descriptor so any run can be rebuilt bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .bregman import ProxFunction, power_hessian
 from .metric import Metric, cholesky_solve
@@ -116,8 +116,8 @@ class LogSumExpOracle(SmoothOracle):
         self.shift = np.asarray(b, dtype=float)
         self.mu = float(mu)
         self.dim = self.data.shape[1]
-        # 1/mu bounds the Hessian in the B = A^T A norm; L_2 is configurable
-        # (2/mu^2 is a certified bound, 1.0 mirrors the practical setting)
+        # 1/mu bounds the Hessian in the A^T A norm, Euclidean once A is whitened; L_2 is
+        # configurable (2/mu^2 is a certified bound, 1.0 mirrors the practical setting)
         self.lipschitz = {1: 1.0 / self.mu, 2: float(lipschitz_order2)}
         # (x, pi, g) of the last taylor_data query, for hess at the same x
         self._last = None
@@ -309,8 +309,11 @@ def quadratic_instance(n, alpha, seed):
 def lse_instance(n, mu, seed, lipschitz_order2):
     """Log-sum-exp test problem, m = 6n, coefficients seeded uniform on [-1, 1].
 
-    The primal norm is taken from B = sum_i a_i a_i^T (regularized by 1e-10*I
-    if rank-deficient), which puts the Hessian bound at 1/mu exactly.
+    The norm is <Bx, x>^(1/2), B = sum_i a_i a_i^T = LL^T (regularized by 1e-10*I
+    if rank-deficient), which puts the Hessian bound at 1/mu exactly.  The instance
+    is whitened once: the oracle gets A L^{-T}, one triangular solve in place of A,
+    so solvers run in z = L^T x, an isometry to the Euclidean norm under which
+    values, divergences, dual norms and certified inequalities are all the same.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -322,17 +325,18 @@ def lse_instance(n, mu, seed, lipschitz_order2):
     b = rng.uniform(-1.0, 1.0, m)
     B = A.T @ A
     try:
-        metric = Metric(B)
+        L = np.linalg.cholesky(B)
         regularized = False
-    except ValueError:
-        metric = Metric(B + 1e-10 * np.eye(n))
+    except np.linalg.LinAlgError:
+        L = np.linalg.cholesky(B + 1e-10 * np.eye(n))
         regularized = True
+    A = scipy.linalg.solve_triangular(L, A.T, lower=True, overwrite_b=True).T
     smooth = LogSumExpOracle(A, b, mu, lipschitz_order2=lipschitz_order2)
     descriptor = {
         "problem": "lse", "n": int(n), "m": int(m), "mu": float(mu), "seed": int(seed),
         "lipschitz_order2": float(lipschitz_order2), "metric_regularized": regularized,
     }
-    return CompositeObjective(smooth, ZeroComponent(n), metric, descriptor=descriptor)
+    return CompositeObjective(smooth, ZeroComponent(n), Metric.identity(n), descriptor=descriptor)
 
 
 def _newton_reference(obj):
@@ -341,7 +345,8 @@ def _newton_reference(obj):
     x = np.zeros(obj.dim)
     fval = obj.value(x)
     for _ in range(REFERENCE_CAP):
-        g = obj.grad(x)
+        # taylor_data keeps lse's weights at x for the Hessian below
+        g = obj.smooth.taylor_data(x, 1)[1] + obj.simple.subgrad(x)
         if obj.metric.dual_norm(g) <= REFERENCE_TOL:
             return x, fval
         try:
@@ -377,10 +382,9 @@ def reference_optimum(obj):
     simple = obj.simple
     if (isinstance(smooth, QuadraticOracle) and isinstance(simple, PowerRegularizer)
             and simple.prox.order == 1):
-        B = simple.prox.metric.matrix
         c = simple.prox.center
-        H = smooth.matrix + simple.sigma * B
-        x = np.linalg.solve(H, smooth.rhs + simple.sigma * (B @ c))
+        H = smooth.matrix + simple.sigma * np.eye(c.size)
+        x = np.linalg.solve(H, smooth.rhs + simple.sigma * c)
         fx = 0.5 * float(x @ smooth.matrix @ x) - float(smooth.rhs @ x)
         return x, fx + simple.value(x)
     work = obj.fresh()

@@ -4,7 +4,7 @@ One inner iteration minimizes
     Omega_p(g, x; y) + M/(p+1)! * ||y - x||^{p+1} + phi(y)
 over y, where g is the contracted smooth part (the cubic baselines run f
 itself, contracted with a = A_next = 1 and A_prev = 0) and phi is one list of
-B-norm power terms on the power prox (``bregman``): weight*psi with
+power terms on the power prox (``bregman``): weight*psi with
 psi = sigma*d, and gamma times a Bregman divergence, whose linear part rides
 with its term.  :class:`Subproblem` holds g, phi and M and rejects what no step
 solves; phi, the Newton Hessian and, once per subproblem, the order-1 closed
@@ -12,7 +12,7 @@ form's coefficients loop over phi's list, so the step dispatches on p alone: a
 p = 1 step is a closed-form linear solve, and a p = 2 step, cptm's and the
 cubic baselines' alike, is damped Newton (:func:`minimize_model_newton`) on
 ``smooth.data(x)`` and ``smooth.hess(x)`` from phi's evaluation at x, its
-Hessian grad^2 g + alpha*B plus one rank-one term per power term assembled in
+Hessian grad^2 g + alpha*I plus one rank-one term per power term assembled in
 one F-ordered buffer.  A step returns (point T, residual, iterations, at),
 ``at`` its own evaluation at T, from which :func:`model_steps`, the one step
 loop, reads h(T), ||T - x|| and the certified subgradient and starts the next
@@ -167,9 +167,9 @@ class Subproblem:
         return val, grad, terms
 
     def affine_terms(self):
-        """(total curvature coefficient, B-weighted center combination) of grad phi.
+        """(total curvature coefficient, weighted center combination) of grad phi.
 
-        Only valid when every term has order 1; grad phi(y) = coeff*B*y - B*combo,
+        Only valid when every term has order 1; grad phi(y) = coeff*y - combo,
         where a term's center is its anchor, or else its prox center.
         """
         coeff, combo = 0.0, 0.0
@@ -200,16 +200,17 @@ def model_objective(sub: Subproblem, base: SmoothData, y, phi_base):
 
 
 def assemble_step_hessian(H, sub: Subproblem, base: SmoothData, terms, shift):
-    """Write base.hess + (shift + sum_j c_j alpha_j) B + sum_j c_j beta_j (Bw_j)(Bw_j)^T
+    """Write base.hess + (shift + sum_j c_j alpha_j) I + sum_j c_j beta_j w_j w_j^T
     into H, upper part.
 
-    (shift + sum_j c_j alpha_j) B^T + base.hess^T fills the F-ordered H in two
-    contiguous passes (both are symmetric and C-ordered); a BLAS syr adds each
-    rank-one term.  A shift of 0.0 leaves every bit of H as without it.  Returns H.
+    base.hess^T + 0.0 fills the F-ordered H in one contiguous pass (it is
+    symmetric and C-ordered; adding 0.0 turns a -0.0 into 0.0), and the
+    coefficient goes on the diagonal; a BLAS syr adds each rank-one term.  A
+    shift of 0.0 leaves every bit of H as without it.  Returns H.
     """
     coef = [(c, *power_coefficients(r, q), Bw) for c, q, r, Bw in terms]
-    np.multiply(sub.metric.matrix.T, shift + sum(c * alpha for c, alpha, _, _ in coef), out=H)
-    H += base.hess.T
+    np.add(base.hess.T, 0.0, out=H)
+    H.flat[::H.shape[0] + 1] += shift + sum(c * alpha for c, alpha, _, _ in coef)
     for c, _, beta, Bw in coef:
         if beta:
             _syr(c * beta, Bw, a=H, overwrite_a=True)
@@ -224,13 +225,13 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, base_phi, tol, radi
     gives there: at u = 0 the value is 0, the model gradient grad g(x) + H*0,
     and the regularizer's gradient and Hessian vanish, so a first step from there
     would see no cubic curvature.  ``radius_hint``, a guess r of ||T - x||, adds
-    the regularizer's curvature at r, M/p! r^{p-1} B, to the first Hessian only:
-    the exact single-center cubic step solves (H + M/2 r* B) u = -g at its own
+    the regularizer's curvature at r, M/p! r^{p-1} I, to the first Hessian only:
+    the exact single-center cubic step solves (H + M/2 r* I) u = -g at its own
     radius r* (Cartis, Gould & Toint 2011, section 6), and a hint of 0.0 gives
-    bitwise the cold step.  Every later point is evaluated once: its norms and
-    B-products serve value, gradient and Hessian,
-    the model Hessian plus a multiple of B plus at most three rank-one terms
-    (Bw)(Bw)^T, assembled in one F-ordered buffer and factored in place by
+    bitwise the cold step.  Every later point is evaluated once: its norms
+    serve value, gradient and Hessian,
+    the model Hessian plus a multiple of I plus at most three rank-one terms
+    w w^T, assembled in one F-ordered buffer and factored in place by
     :func:`cholesky_solve`, which reassembles it for a jittered retry.
     Backtracks on the increment value with a round-off allowance, and takes a
     full step that halves the residual without a measurable decrease; three
@@ -283,7 +284,7 @@ def minimize_model_newton(sub: Subproblem, base: SmoothData, base_phi, tol, radi
 
 
 def _closed_form_order1(sub: Subproblem, base: SmoothData):
-    # M*B(T-x) + grad g(x) + [affine grad phi](T) = 0  =>  one B-solve
+    # M*(T-x) + grad g(x) + [affine grad phi](T) = 0  =>  one division
     coeff, combo = sub.affine
     denom = sub.M + coeff
     if denom <= 0:
@@ -294,8 +295,8 @@ def _closed_form_order1(sub: Subproblem, base: SmoothData):
 def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     """Exact minimizer of the quadratic model plus M/6*||y-x||^3 (no other terms).
 
-    Reduces to a scalar secular equation in r = ||y - x||: after whitening,
-    u(r) = -(H + M r/2 I)^{-1} g and r solves ||u(r)|| = r.  No solver calls
+    Reduces to a scalar secular equation in r = ||y - x||: in the eigenbasis
+    of H, u(r) = -(H + M r/2 I)^{-1} g and r solves ||u(r)|| = r.  No solver calls
     it: it is the exact reference against which tests check the Newton step
     on single-center subproblems.  It stays here, not in the tests, because
     the benchmark tracer's ``SPAN_TARGETS`` names it.  It imports brentq itself,
@@ -304,9 +305,7 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
     """
     from scipy.optimize import brentq
     g = metric.dewhiten_dual(base.grad)
-    W = scipy.linalg.solve_triangular(metric.chol(), base.hess, lower=True)
-    H = scipy.linalg.solve_triangular(metric.chol(), W.T, lower=True)
-    H = 0.5 * (H + H.T)
+    H = 0.5 * (base.hess + base.hess.T)
     lam, V = np.linalg.eigh(H)
     lam = np.maximum(lam, 0.0)
     c = V.T @ g
@@ -340,9 +339,7 @@ def cubic_step_single_center(base: SmoothData, M, metric: Metric):
                 return base.x.copy()
         r = brentq(radius_gap, r_lo, r_hi, xtol=1e-280, rtol=8.9e-16)
         u = -(c / (lam + 0.5 * M * r))
-    step = scipy.linalg.solve_triangular(metric.chol().T, V @ u, lower=False) \
-        if not metric.is_identity else V @ u
-    return base.x + step
+    return base.x + V @ u
 
 
 def tensor_step(sub: Subproblem, base: SmoothData, base_phi, inner_tol, radius_hint):
@@ -370,7 +367,7 @@ def tensor_step(sub: Subproblem, base: SmoothData, base_phi, inner_tol, radius_h
         return minimize_model_newton(sub, base, base_phi, inner_tol, radius_hint)
     T = _closed_form_order1(sub, base)
     u = T - base.x
-    # M * B u is model_objective's regularizer gradient at p = 1: c * r^0 is c exactly;
+    # M * u is model_objective's regularizer gradient at p = 1: c * r^0 is c exactly;
     # the next closed form needs nothing of phi at its base, so phi's value is all it gets
     return T, 0.0, 0, ((sub.phi_value(T), None, None), base.grad, sub.M * sub.metric.apply(u),
                        sub.metric.norm(u))
@@ -400,7 +397,7 @@ def model_steps(sub: Subproblem, z0, tol, warm):
     at z0, then per step z -> T (data at T, h(T), ||s||_* + residual, row), row
     being ``trace.STEP_FIELDS`` after k: (t, h(z), h(T), ||T - z||, ||s||_*,
     residual, <s, z - T>).  The step's optimality condition makes
-    s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} B(T-z), from the
+    s = grad g(T) - grad Omega_p(g, z; T) - M/p! ||T-z||^{p-1} (T-z), from the
     step's own evaluation at T, a subgradient of h at T for an exact step;
     adding the residual keeps the norm a certificate for an inexact one.  Each
     point costs one first-order query and one evaluation of phi, z0's here and

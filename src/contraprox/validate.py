@@ -2,7 +2,8 @@
 
 One check body runs over a dict of columns with one entry per outer
 iteration, row 0 being x_0.  A serialized trace brings its CSV columns, and
-the body replays from them and the header the outer residual-plus-divergence
+the body replays from them and the header the residual F - f*, F >= f*, the
+outer residual-plus-divergence
 certificate, the telescoped proximal coefficients, the sum A_k = A_{k-1} + a_k,
 the coefficient-schedule growth envelopes, the requested inner accuracy, the
 inner condition ratio and the inner iteration budget: L_p(g) and ell/mu are
@@ -94,7 +95,8 @@ def _header_schedule(header):
 def _check(header, columns, fstar, schedule, bregman0):
     """Every check the columns support.
 
-    Residuals are F - f* when f* is known, else the ``residual`` column.
+    Residuals are F - f* when f* is known, else the ``residual`` column, which
+    must be F minus the header's f*, the one the run used, bit for bit.
     ``bregman0`` is D(v_0; x*) recomputed from the instance, which row 0's must
     match, or None to take row 0's; one that is not a finite number >= 0
     fails the certificate at every row.  Schedule growth needs a sublinear or
@@ -109,6 +111,13 @@ def _check(header, columns, fstar, schedule, bregman0):
     F, div = columns["F"], columns["bregman_vstar"]
     residual = F - fstar if fstar is not None else columns["residual"]
     parts = []
+    if header.get("fstar") is not None:
+        err = np.abs(columns["residual"] - (F - header["fstar"]))
+        parts.append(_rows("residual_consistent", columns["k"], err == 0.0, 0.0 - err))
+    # F(x_k) >= f* but for round-off: 157 honest runs (default bench grids, benchmark
+    # instances) keep F - f* >= 2.4e-11, and f* moves 1.6e-16 |f*| between two solves
+    floor = -1e-12 * (np.abs(F) + 1.0)
+    parts.append(_rows("above_optimum", columns["k"], residual >= floor, residual - floor))
     recorded = next(iter(div[columns["k"] == 0].tolist()), math.nan)
     if bregman0 is None:
         bregman0 = recorded

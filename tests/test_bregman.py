@@ -59,8 +59,7 @@ def test_gradient_matches_finite_differences():
     for p in (1, 2):
         for _ in range(5):
             n = rng.integers(2, 6)
-            G = rng.standard_normal((n, n))
-            metric = Metric(G @ G.T + n * np.eye(n))
+            metric = Metric.identity(n)
             d = PowerProx(p, rng.standard_normal(n), metric)
             x = rng.standard_normal(n) + 0.5
             fd = _central_difference(d.value, x)
@@ -73,8 +72,7 @@ def test_power_hessian_is_the_jacobian_of_the_gradient():
     for p in (1, 2, 3):
         for _ in range(5):
             n = rng.integers(2, 6)
-            G = rng.standard_normal((n, n))
-            metric = Metric(G @ G.T + n * np.eye(n))
+            metric = Metric.identity(n)
             d = PowerProx(p, rng.standard_normal(n), metric)
             x = rng.standard_normal(n) + 0.5
             fd = np.array([_central_difference(lambda z: d.gradient(z)[i], x)
@@ -132,8 +130,7 @@ def test_uniform_bound_random_pairs():
     for p in (1, 2, 3):
         for _ in range(20):
             n = rng.integers(2, 6)
-            G = rng.standard_normal((n, n))
-            metric = Metric(G @ G.T + n * np.eye(n))
+            metric = Metric.identity(n)
             d = PowerProx(p, rng.standard_normal(n), metric)
             x, y = rng.standard_normal(n) * 2, rng.standard_normal(n) * 2
             assert d.divergence(x, y) >= _uniform_floor(d, x, y) - 1e-12
@@ -199,8 +196,7 @@ def test_divergence_refuses_a_point_of_another_dimension():
        spread=st.floats(1e-3, 1e2))
 def test_divergence_is_nonnegative_and_obeys_the_three_point_identity(n, order, seed, spread):
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    metric = Metric.identity(n)
     d = PowerProx(order, rng.standard_normal(n), metric)
     points = [d.center + spread * rng.standard_normal(n) for _ in range(3)]
     grads = [d.gradient(p) for p in points]

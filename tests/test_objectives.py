@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from contraprox.bregman import PowerProx
@@ -118,15 +119,13 @@ class TestLogSumExp:
             np.testing.assert_allclose(H[:, i], col, rtol=1e-4, atol=1e-6)
 
     def test_hessian_bounded_by_inverse_mu_in_metric(self):
-        # lambda_max(B^{-1} H) <= 1/mu since H <= (1/mu) * B
+        # H <= (1/mu) * A^T A, and the whitened A^T A is I: lambda_max(H) <= 1/mu
         for mu in (1.0, 0.25):
             obj = lse_instance(6, mu, 8, 1.0)
             rng = np.random.default_rng(9)
-            Binv = np.linalg.inv(obj.metric.matrix)
             for _ in range(5):
                 H = obj.smooth.hess(rng.standard_normal(6))
-                top = np.linalg.eigvals(Binv @ H).real.max()
-                assert top <= 1.0 / mu + 1e-8
+                assert np.linalg.eigvalsh(H).max() <= 1.0 / mu + 1e-8
 
     def test_hessian_is_one_exactly_symmetric_formula(self):
         obj = lse_instance(20, 1.0, 0, 1.0)
@@ -171,10 +170,27 @@ class TestLogSumExp:
         x[0] += 1.0
         assert np.array_equal(smooth.hess(x), fresh_hessian(x))
 
-    def test_metric_is_gram_of_rows(self):
-        obj = lse_instance(5, 1.0, 3, 1.0)
-        A = obj.smooth.data
-        np.testing.assert_allclose(obj.metric.matrix, A.T @ A, rtol=1e-12)
+    @pytest.mark.parametrize("n, seed", [(6, 0), (6, 1), (20, 0), (20, 1)])
+    def test_the_whitening_is_an_isometry(self, n, seed):
+        # the raw instance, as lse_instance draws it from the seed, is measured in
+        # B = A^T A = LL^T; the built one is Euclidean in z = L^T x
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1.0, 1.0, (6 * n, n))
+        b = rng.uniform(-1.0, 1.0, 6 * n)
+        L = np.linalg.cholesky(A.T @ A)
+        raw = LogSumExpOracle(A, b, 0.5, 1.0)
+        obj = lse_instance(n, 0.5, seed, 1.0)
+        white = obj.smooth
+        assert obj.metric.is_identity and not obj.descriptor["metric_regularized"]
+        assert np.abs(white.data.T @ white.data - np.eye(n)).max() <= 1e-12
+        np.testing.assert_array_equal(white.shift, b)
+        for _ in range(5):
+            x = rng.standard_normal(n)
+            z = L.T @ x
+            assert white.value(z) == pytest.approx(raw.value(x), rel=1e-13)
+            # ||grad f_raw(x)||_{B^-1} = ||L^{-1} grad f_raw(x)||
+            dual = np.linalg.norm(scipy.linalg.solve_triangular(L, raw.grad(x), lower=True))
+            assert obj.metric.dual_norm(white.grad(z)) == pytest.approx(dual, rel=1e-12)
 
     def test_convex_along_segments(self):
         obj = lse_instance(5, 0.5, 10, 1.0)
@@ -293,6 +309,19 @@ class TestReferenceOptimum:
         assert obj.fstar is not None and "fstar" in obj.descriptor
         gn = obj.metric.dual_norm(obj.smooth.grad(obj.xstar))
         assert gn <= 1e-11
+
+    def test_newton_reference_builds_each_hessian_from_its_gradient_query(self, monkeypatch):
+        # the gradient comes from taylor_data, whose softmax weights the Hessian at
+        # the same point reuses instead of computing them again
+        hits, hess = [], LogSumExpOracle.hess
+
+        def spy(smooth, x):
+            hits.append(smooth._last is not None and np.array_equal(smooth._last[0], x))
+            return hess(smooth, x)
+
+        monkeypatch.setattr(LogSumExpOracle, "hess", spy)
+        reference_optimum(lse_instance(20, 0.1, 0, 1.0))
+        assert len(hits) >= 5 and all(hits)
 
     def test_newton_reference_allows_round_off(self):
         # without a round-off allowance in its Armijo test the reference

@@ -12,7 +12,7 @@ from contraprox import contracting
 from contraprox import metric as metric_module
 from contraprox.baselines import _cubic_subproblem
 from contraprox.bench import BENCH_LSE_LIPSCHITZ2, build_instance, run_method
-from contraprox.bregman import PowerProx, ProxFunction, power_hessian
+from contraprox.bregman import PowerProx, ProxFunction, power_coefficients, power_hessian
 from contraprox.contracting import (SublinearSchedule, contracted_lipschitz,
                                     run_contracting_proximal, schedule_convex)
 from contraprox.metric import Metric
@@ -140,11 +140,10 @@ class TestTensorStep:
         assert residual == 0.0 and iterations == 0
 
     def test_linear_smooth_with_divergence_term(self):
-        # g linear (M=0), phi = gamma * order-1 divergence: T = v - B^{-1} grad / gamma
+        # g linear (M=0), phi = gamma * order-1 divergence: T = v - grad / gamma
         rng = np.random.default_rng(7)
         n = 4
-        G = rng.standard_normal((n, n))
-        metric = Metric(G @ G.T + n * np.eye(n))
+        metric = Metric.identity(n)
         c = rng.standard_normal(n)
         oracle = QuadraticOracle(np.zeros((n, n)), -c, lam_max=0.0)
         gamma, v = 2.5, rng.standard_normal(n)
@@ -154,7 +153,7 @@ class TestTensorStep:
                          anchor=prox.linearization(v))
         base = sub.smooth.data(rng.standard_normal(n))
         point, _, _, _ = tensor_step(sub, base, sub.phi(base.x), 1e-12, 0.0)
-        np.testing.assert_allclose(point, v - metric.solve(c) / gamma,
+        np.testing.assert_allclose(point, v - c / gamma,
                                    rtol=1e-10, atol=1e-12)
 
     def test_cubic_dual_matches_iterative_minimizers(self):
@@ -173,14 +172,15 @@ class TestTensorStep:
         np.testing.assert_allclose(descent, direct, rtol=1e-7, atol=1e-8)
 
     @pytest.mark.parametrize("M", [0.1, 1.5, 10.0])
-    def test_single_center_step_matches_secular_reference_in_b_metric(self, M):
+    def test_single_center_step_matches_secular_reference_on_whitened_lse(self, M):
+        # the lse instance is whitened when it is built, so its Hessian is the one in
+        # the B = A^T A norm of the paper's coordinates
         rng = np.random.default_rng(10)
         n = 6
-        oracle = _quadratic_oracle(rng, n)
-        G = rng.standard_normal((n, n))
-        metric = Metric(G @ G.T + 0.5 * np.eye(n))
-        sub = Subproblem(p=2, metric=metric, smooth=_plain(oracle), M=M, psi=ZeroComponent(n),
-                         weight=0.0)
+        obj = lse_instance(n, 0.5, 4, 1.0)
+        metric = obj.metric
+        sub = Subproblem(p=2, metric=metric, smooth=_plain(obj.smooth), M=M,
+                         psi=ZeroComponent(n), weight=0.0)
         base = _data(sub.smooth, rng.standard_normal(n), 2)
         point, residual, iterations, _ = tensor_step(sub, base, sub.phi(base.x), 1e-13, 0.0)
         assert iterations >= 1 and residual <= 1e-13
@@ -307,10 +307,9 @@ class TestUnsolvableSubproblemsAreRejected:
        weight=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
        sigma=st.floats(1e-3, 1e3), M=st.floats(1e-3, 1e3))
 def test_order1_step_is_stationary_for_its_objective(n, seed, gamma, weight, sigma, M):
-    # random power-prox subproblems: metric, contraction, anchor and centers
+    # random power-prox subproblems: contraction, anchor and centers
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    metric = Metric.identity(n)
     smooth = ContractedSmooth(_quadratic_oracle(rng, n), rng.uniform(0.1, 2.0),
                               rng.uniform(2.0, 5.0), rng.standard_normal(n),
                               rng.uniform(0.0, 2.0))
@@ -333,11 +332,10 @@ _PHI = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
 
 
 def _random_phi(n, seed, gamma, weight, sigma, div_order, psi_order):
-    """An order-2 subproblem whose phi is on a random SPD metric, with random centers
-    and anchor; a random point; the metric."""
+    """An order-2 subproblem whose phi has random centers and anchor; a random point;
+    the metric."""
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    metric = Metric.identity(n)
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))
     prox = PowerProx(div_order, rng.standard_normal(n), metric)
     smooth = _plain(QuadraticOracle(np.eye(n), np.zeros(n), lam_max=1.0))
@@ -383,12 +381,11 @@ def test_phi_gradient_matches_central_differences(n, seed, gamma, weight, sigma,
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**_PHI)
 def test_order1_phi_gradient_is_affine(n, seed, gamma, weight, sigma):
-    sub, y, metric = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
+    sub, y, _ = _random_phi(n, seed, gamma, weight, sigma, 1, 1)
     coeff, combo = sub.affine_terms()
-    B = metric.matrix
     assert coeff == sum(c for _, c, *_ in sub.terms)
-    affine = B @ (coeff * y - combo)
-    scale = np.abs(B).max() * (coeff * np.abs(y).max() + np.abs(combo).max())
+    affine = coeff * y - combo
+    scale = coeff * np.abs(y).max() + np.abs(combo).max()
     assert np.abs(sub.phi(y)[1] - affine).max() <= 1e-12 * (1.0 + scale)
 
 
@@ -459,12 +456,11 @@ class TestStepSubgradient:
             self._assert_certifies_grad_h(sub, _data(smooth, rng.standard_normal(n), 2),
                                           inner_tol)
 
-    def test_certificate_bounds_grad_h_for_order1_steps_in_a_b_metric(self):
+    def test_certificate_bounds_grad_h_for_order1_steps(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
             n = int(rng.integers(1, 9))
-            G = rng.standard_normal((n, n))
-            metric = Metric(G @ G.T + 0.1 * np.eye(n))
+            metric = Metric.identity(n)
             smooth = ContractedSmooth(_quadratic_oracle(rng, n), rng.uniform(0.1, 2.0),
                                       rng.uniform(2.0, 5.0), rng.standard_normal(n),
                                       rng.uniform(0.0, 2.0))
@@ -484,8 +480,7 @@ class TestStepSubgradient:
         rng = np.random.default_rng(43)
         n = 6
         if case == "cptm-p1":
-            G = rng.standard_normal((n, n))
-            metric = Metric(G @ G.T + 0.1 * np.eye(n))
+            metric = Metric.identity(n)
             smooth = ContractedSmooth(_quadratic_oracle(rng, n), 0.7, 3.0,
                                       rng.standard_normal(n), 2.3)
             psi = PowerRegularizer(0.3, PowerProx(1, rng.standard_normal(n), metric))
@@ -944,10 +939,11 @@ class TestNewtonSolve:
             assert report.ok
 
 
-def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
-    """A step subproblem on a quadratic, and the (psi, weight, gamma, prox) of its phi;
-    a divergence or psi order of None leaves it out."""
-    smooth = _plain(_quadratic_oracle(rng, n))
+def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5, oracle=None):
+    """A step subproblem on ``oracle``, by default a random quadratic, and the
+    (psi, weight, gamma, prox) of its phi; a divergence or psi order of None leaves
+    it out."""
+    smooth = _plain(oracle or _quadratic_oracle(rng, n))
     psi, weight = ZeroComponent(n), 0.0
     if psi_order is not None:
         psi = PowerRegularizer(0.7, PowerProx(psi_order, rng.standard_normal(n), metric))
@@ -960,17 +956,18 @@ def _power_subproblem(rng, n, p, metric, div_order, psi_order, M=1.5):
                       prox and prox.linearization(anchor)), (psi, weight, gamma, prox)
 
 
-@pytest.mark.parametrize("spd", [False, True])
+@pytest.mark.parametrize("smooth", ["quadratic", "whitened-lse"])
 @pytest.mark.parametrize("at", ["random", "base", "center"])
 @pytest.mark.parametrize("p, div_order, psi_order", [
     (1, None, None), (1, 1, None), (1, None, 1), (1, 1, 1),
     (2, None, None), (2, 1, None), (2, 2, None), (2, None, 1), (2, None, 2), (2, 2, 2)])
-def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
+def test_assembled_hessian_is_the_dense_sum(smooth, at, p, div_order, psi_order):
     rng = np.random.default_rng(31)
     n = 6
-    G = rng.standard_normal((n, n))
-    metric = Metric(G @ G.T + 0.5 * np.eye(n)) if spd else Metric.identity(n)
-    sub, (psi, weight, gamma, prox) = _power_subproblem(rng, n, p, metric, div_order, psi_order)
+    obj = lse_instance(n, 0.5, 2, 1.0) if smooth == "whitened-lse" else None
+    metric = obj.metric if obj else Metric.identity(n)
+    sub, (psi, weight, gamma, prox) = _power_subproblem(rng, n, p, metric, div_order, psi_order,
+                                                        oracle=obj and obj.smooth)
     base = _data(sub.smooth, rng.standard_normal(n), 2)
     # r = 0 at the base; ||w|| = 0 at a divergence or psi center
     y = {"random": rng.standard_normal(n), "base": base.x,
@@ -990,6 +987,35 @@ def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
     assert np.linalg.norm(dense @ step - grad) <= 1e-12 * scale * (np.linalg.norm(step) + 1.0)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+@pytest.mark.parametrize("rank_one", [True, False])
+def test_diagonal_fill_is_bitwise_the_identity_product(rank_one, shift):
+    # the coefficient on the diagonal gives every bit of coef * I^T + base.hess^T,
+    # the fill of an identity metric matrix, signed zeros of the Hessian included:
+    # without rank-one terms (order-1 phi, y at the base) a -0.0 entry reads +0.0
+    rng = np.random.default_rng(32)
+    n = 6
+    order = 2 if rank_one else 1
+    sub, _ = _power_subproblem(rng, n, 2, Metric.identity(n), order, order)
+    base = _data(sub.smooth, rng.standard_normal(n), 2)
+    base.hess = base.hess.copy()
+    base.hess[0, 1] = base.hess[1, 0] = -0.0
+    y = rng.standard_normal(n) if rank_one else base.x
+    terms = model_objective(sub, base, y, 0.0)[2]
+    H = assemble_step_hessian(np.empty((n, n), order="F"), sub, base, terms, shift)
+    coef = [(c, *power_coefficients(r, q), w) for c, q, r, w in terms]
+    want = np.empty((n, n), order="F")
+    np.multiply(np.eye(n).T, shift + sum(c * alpha for c, alpha, _, _ in coef), out=want)
+    want += base.hess.T
+    syr, = scipy.linalg.get_blas_funcs(("syr",), (want,))
+    for c, _, beta, w in coef:
+        if beta:
+            syr(c * beta, w, a=want, overwrite_a=True)
+    assert any(beta for _, _, beta, _ in coef) == rank_one
+    assert np.triu(H).tobytes() == np.triu(want).tobytes()
+    assert rank_one or not np.signbit(H[0, 1])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 8), rank=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
        M=st.floats(1e-2, 1e2), gamma=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
@@ -998,10 +1024,9 @@ def test_assembled_hessian_is_the_dense_sum(spd, at, p, div_order, psi_order):
        psi_order=st.integers(1, 2))
 def test_newton_step_is_stationary_and_descends(n, rank, seed, M, gamma, div_order, weight,
                                                 sigma, psi_order):
-    # random p = 2 power-prox subproblems: SPD metric, PSD model Hessian, centers
+    # random p = 2 power-prox subproblems: PSD model Hessian, centers
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    metric = Metric(G @ G.T + 0.1 * np.eye(n))
+    metric = Metric.identity(n)
     C = rng.standard_normal((n, min(rank, n)))
     smooth = _plain(QuadraticOracle(C @ C.T, rng.standard_normal(n), lam_max=1.0))
     psi = PowerRegularizer(sigma, PowerProx(psi_order, rng.standard_normal(n), metric))

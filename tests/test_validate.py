@@ -12,15 +12,16 @@ from contraprox.contracting import (GeometricSchedule, SublinearSchedule,
                                     run_contracting_proximal)
 from contraprox.objectives import (attach_reference, power_regularizer_component,
                                    quadratic_instance)
-from contraprox.trace import STEP_FIELDS, drive
+from contraprox.trace import CHUNK_ROWS, CSV_COLUMNS, FIELDS, STEP_FIELDS, drive
 from contraprox.validate import validate_trace
 
 # the checks a file replays: every check that reads only the CSV columns and the header
-COLUMN_CHECKS = {"outer_certificate", "gamma_telescope", "coefficient_sum", "schedule_growth",
-                 "delta_honored", "inner_condition_ratio", "inner_budget"}
+COLUMN_CHECKS = {"residual_consistent", "above_optimum", "outer_certificate", "gamma_telescope",
+                 "coefficient_sum", "schedule_growth", "delta_honored", "inner_condition_ratio",
+                 "inner_budget"}
 
 # (in-memory, from-file) check counts of each honest run
-RUN_CHECKS = {"sublinear": (2234, 1008), "geometric-psi": (16842, 9730), "lse-p2": (3780, 2233)}
+RUN_CHECKS = {"sublinear": (2524, 1298), "geometric-psi": (19624, 12512), "lse-p2": (4420, 2873)}
 
 
 def _solve(run):
@@ -66,8 +67,8 @@ def test_honest_trace_passes_in_memory_and_from_file(honest, tmp_path):
     path = tmp_path / "cptm.csv"
     trace.write_csv(path)
     from_file = validate_trace_file(str(path))
-    assert len(memory.checks) == 2234 and memory.ok
-    assert len(from_file.checks) == 1008 and from_file.ok
+    assert len(memory.checks) == 2524 and memory.ok
+    assert len(from_file.checks) == 1298 and from_file.ok
 
 
 def test_file_report_replays_the_outer_checks_of_the_memory_report(run, tmp_path):
@@ -164,6 +165,17 @@ def test_inflated_subgradient_fails_delta_honored(honest):
     assert ("delta_honored", 50) in _failed(_validate(honest, tampered))
 
 
+def _stored(**values):
+    """Set fields of row 50 after ``drive`` recorded it, each to value(f*), as a trace
+    written otherwise than by ``drive`` may hold them."""
+    def tamper(trace):
+        row = trace._blocks["scalars"][50 // CHUNK_ROWS][50 % CHUNK_ROWS]
+        for name, value in values.items():
+            row[FIELDS.index(name)] = value(trace.header["fstar"])
+    tamper.stored = True
+    return tamper
+
+
 def _first_step(name, value):
     """Change one field of the first inner step yielded with row 50."""
     def tamper(row):
@@ -188,9 +200,18 @@ def _first_step(name, value):
     (_set("f_value", lambda f: f + 1.0), {("outer_certificate", 50)}),
     (_first_step("h_after", lambda s: s["h_before"] + 1.0), {("inner_descent", 50)}),
     (_first_step("decrease_pairing", lambda _: -1.0), {("inner_gradient_progress", 50)}),
-], ids=["A", "gamma", "t_inner", "x", "a", "f_value", "h_after", "decrease_pairing"])
+    (_stored(f_value=lambda fstar: fstar - 1e-3, residual=lambda fstar: fstar - 1e-3 - fstar),
+     {("above_optimum", 50)}),
+    (_stored(residual=lambda _: 123.0), {("residual_consistent", 50)}),
+], ids=["A", "gamma", "t_inner", "x", "a", "f_value", "h_after", "decrease_pairing",
+        "f_value-below-optimum", "residual"])
 def test_tampered_record_fails_exactly_its_checks(honest, tamper, failed):
-    assert _failed(_validate(honest, _replay(honest, tamper))) == failed
+    if getattr(tamper, "stored", False):
+        trace = _replay(honest, lambda row: None)
+        tamper(trace)
+    else:
+        trace = _replay(honest, tamper)
+    assert _failed(_validate(honest, trace)) == failed
 
 
 def _tampered_file(honest, tmp_path, edit):
@@ -214,16 +235,32 @@ def _set_cell(row, column, value):
     return edit
 
 
-@pytest.mark.parametrize("column, value, check", [
-    ("A_k", lambda A: A * 10, "schedule_growth"),
-    ("gamma_k", lambda g: g + 1e-6, "gamma_telescope"),
-    ("F", lambda f: f + 1.0, "outer_certificate"),
-])
-def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, column, value, check):
+def _set_F(value):
+    """A file edit that sets F = value(F, f*) at k = 50 and its residual to F - f*,
+    f* being the header's."""
+    def edit(lines):
+        fstar = json.loads(lines[0][2:])["fstar"]
+        F = value(float(lines[52].split(",")[CSV_COLUMNS.index("F")]), fstar)
+        _set_cell(50, "F", lambda _: F)(lines)
+        _set_cell(50, "residual", lambda _: F - fstar)(lines)
+    return edit
+
+
+@pytest.mark.parametrize("edit, failed", [
     # a changed A_k also breaks A_k = A_{k-1} + a_k at k and at k + 1
-    also = {("coefficient_sum", 50), ("coefficient_sum", 51)} if column == "A_k" else set()
-    report = _tampered_file(honest, tmp_path, _set_cell(50, column, value))
-    assert _failed(report) == {(check, 50)} | also
+    (_set_cell(50, "A_k", lambda A: A * 10),
+     {("schedule_growth", 50), ("coefficient_sum", 50), ("coefficient_sum", 51)}),
+    (_set_cell(50, "gamma_k", lambda g: g + 1e-6), {("gamma_telescope", 50)}),
+    (_set_F(lambda F, _: F + 1.0), {("outer_certificate", 50)}),
+    # F alone no longer matches its residual
+    (_set_cell(50, "F", lambda F: F + 1.0),
+     {("outer_certificate", 50), ("residual_consistent", 50)}),
+    # F below f*, with its residual, only loosens the certificate's inequalities
+    (_set_F(lambda _, fstar: fstar - 1e-3), {("above_optimum", 50)}),
+    (_set_cell(50, "residual", lambda _: 123.0), {("residual_consistent", 50)}),
+], ids=["A_k", "gamma_k", "F", "F-alone", "F-below-optimum", "residual"])
+def test_tampered_file_cell_fails_exactly_its_outer_check(honest, tmp_path, edit, failed):
+    assert _failed(_tampered_file(honest, tmp_path, edit)) == failed
 
 
 # a file replays the inner condition ratio and the inner budget too: L_p(g) and
@@ -336,7 +373,7 @@ def test_rows_without_steps_make_an_empty_step_table_that_passes(honest):
     assert replay.status == "converged" and len(replay) == len(trace)
     assert len(replay.steps) == 0 and replay.steps.dtype.names == STEP_FIELDS
     report = _validate(honest, replay)
-    assert report.ok and len(report.checks) == 2234 - 2 * len(trace.steps)
+    assert report.ok and len(report.checks) == 2524 - 2 * len(trace.steps)
     assert not {"inner_descent", "inner_gradient_progress"} & set(report.checks.name)
 
 
